@@ -108,7 +108,8 @@ class TangencySystem:
     unknowns lists the candidate coefficient monomials, (j, alpha) for the
     complex problem and (j, alpha, part) with part 0/1 for the real and
     imaginary split; equations holds the exact constraint rows in the same
-    column order.  solution_dim is the nullspace dimension (complex or
+    column order, CScalar for the complex problem and Fraction for the
+    real one.  solution_dim is the nullspace dimension (complex or
     real, matching the problem) and basis realizes it as vector fields.
     """
 
@@ -204,8 +205,8 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real):
     for e in sorted(support):
         col = [R.coeff(e) for R in cut]
         if real:
-            re_row = tuple(CScalar(c.re) for c in col)
-            im_row = tuple(CScalar(c.im) for c in col)
+            re_row = tuple(c.re for c in col)
+            im_row = tuple(c.im for c in col)
             if any(re_row):
                 rows.append(re_row)
             if any(im_row):
@@ -218,9 +219,11 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real):
     for v in vecs:
         comps = [TruncatedSeries.zero(2 * N, W) for _ in range(N)]
         for t, key in enumerate(unknowns):
-            if v[t].is_zero():
+            if not v[t]:
                 continue
-            c = v[t] * CS_I if real and key[2] else v[t]
+            c = CScalar.coerce(v[t])  # real problems solve in Fraction
+            if real and key[2]:
+                c = c * CS_I
             comps[key[0]] = comps[key[0]] + TruncatedSeries(
                 2 * N, W, {key[1]: c})
         fields.append(FormalVectorField(comps))

@@ -427,6 +427,11 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("kmax", "degree"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ParseError(f"--{flag}", None, 0,
+                                 f"must be non-negative, got {value}")
         tree, passed = _RUNNERS[args.verb](args)
     except (ParseError, SeriesError, GeometryError, MappingError,
             JetError, AutError, OSError) as exc:

@@ -1,47 +1,60 @@
-"""Exact linear algebra over CScalar entries and over series entries.
+"""Exact linear algebra over field entries and over series entries.
 
-Rank, nullspace and solve decisions feed span computations that must be
-tolerance-free, so everything here is exact rational arithmetic with a
-deterministic pivot rule: largest |entry|^2, ties broken by lowest index.
+Everything here is exact: rank, nullspace and solve decisions feed span
+computations that must be tolerance-free.  The one eliminator works on
+sparse rows {column: value}, pivots on the lowest nonzero column and needs
+only + - * / and truth values, so it runs on CScalar and on Fraction.  A
+reduced row echelon form is unique, so the pivots, reduced rows and
+nullspace basis (one vector per free column) do not depend on that rule.
 """
 
 from __future__ import annotations
 
-from .series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
+from .series import CS_ONE, SeriesError, TruncatedSeries
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r >= len(rows):
-            break
-        best, best_size = None, None
-        for i in range(r, len(rows)):
-            size = rows[i][col].abs2()
-            if size != 0 and (best is None or size > best_size):
-                best, best_size = i, size
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = CS_ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
+def _subtract(row: dict, f, pivot_row: dict):
+    """row -= f * pivot_row in place, dropping entries that cancel."""
+    for c, x in pivot_row.items():
+        v = row[c] - f * x if c in row else -f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _insert(vec, echelon: dict) -> bool:
+    """Reduce vec's lowest columns against echelon; store it, normalised,
+    under the first lead with no echelon row.  A vec that reduces to
+    nothing lies in the echelon's span: every echelon row starts at its key.
+    """
+    row = {c: x for c, x in enumerate(vec) if x}
+    while row:
+        lead = min(row)
+        if lead not in echelon:
+            inv = 1 / row[lead]
+            echelon[lead] = {c: x * inv for c, x in row.items()}
+            return True
+        _subtract(row, row[lead], echelon[lead])
+    return False
+
+
+def reduced_echelon(rows) -> dict:
+    """Reduced row echelon form of dense rows as {pivot column: row}: rows
+    enter one at a time, then pivots are cleared upwards in descending order.
+    """
+    echelon = {}
+    for row in rows:
+        _insert(row, echelon)
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for q in [q for q in row if q != p and q in echelon]:
+            _subtract(row, row[q], echelon[q])
+    return echelon
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(reduced_echelon(rows))
 
 
 def nullspace(rows, ncols=None):
@@ -50,14 +63,17 @@ def nullspace(rows, ncols=None):
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for an empty matrix")
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red = reduced_echelon(rows)
+    one = next((row[p] for p, row in red.items()), CS_ONE)
     basis = []
-    for fc in free:
-        v = [CS_ZERO] * ncols
-        v[fc] = CS_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(ncols):
+        if fc in red:
+            continue
+        v = [0 * one] * ncols
+        v[fc] = one
+        for p, row in red.items():
+            if fc in row:
+                v[p] = -row[fc]
         basis.append(v)
     return basis
 
@@ -65,11 +81,10 @@ def nullspace(rows, ncols=None):
 def solve_unique(rows, rhs):
     """Solve A x = b for square invertible A; raises on singular input."""
     n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    red = reduced_echelon(list(r) + [b] for r, b in zip(rows, rhs))
+    if sorted(red) != list(range(n)):
         raise SeriesError("singular linear system")
-    return [red[i][n] for i in range(n)]
+    return [red[i].get(n, 0 * red[i][i]) for i in range(n)]
 
 
 class SpanTracker:
@@ -77,37 +92,19 @@ class SpanTracker:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows = []
+        self.rows = {}  # echelon: lead column -> row, 1 at its lead
 
     def add(self, vec) -> bool:
         """Reduce vec against the stored echelon; keep it if independent."""
-        vec = list(vec)
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if not x.is_zero())
-            if not vec[lead].is_zero():
-                f = vec[lead]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        lead = next((i for i, x in enumerate(vec) if not x.is_zero()), None)
-        if lead is None:
-            return False
-        inv = CS_ONE / vec[lead]
-        vec = [x * inv for x in vec]
-        self.rows.append(vec)
-        self.rows.sort(key=lambda r: next(i for i, x in enumerate(r) if not x.is_zero()))
-        return True
+        return _insert(vec, self.rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        vec = list(vec)
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if not x.is_zero())
-            if not vec[lead].is_zero():
-                f = vec[lead]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x.is_zero() for x in vec)
+        # a vec outside the span lands in the scratch copy, not in self.rows
+        return not _insert(vec, dict(self.rows))
 
 
 def series_solve(rows, rhs):

@@ -97,7 +97,8 @@ class CScalar:
         return CScalar(self.re, -self.im)
 
     def abs2(self) -> Fraction:
-        """|x|^2 as an exact rational; used for pivot selection."""
+        """|x|^2 as an exact rational; ranks candidates by size where the
+        choice matters (series pivots, the transverse coordinate)."""
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
@@ -116,7 +117,8 @@ class CScalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __repr__(self):
         if self.im == 0:

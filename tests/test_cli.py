@@ -400,3 +400,16 @@ class TestVerbs:
         jfirst = run(capsys, ["aut", docs["heis"], "--json"])
         jsecond = run(capsys, ["aut", docs["heis"], "--json"])
         assert jfirst == jsecond
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("analyze", "--kmax"), ("scan", "--kmax"), ("verify", "--kmax"),
+        ("verify", "--degree"), ("reflect", "--kmax"), ("aut", "--degree"),
+    ])
+    def test_negative_bound_is_bad_input(self, docs, capsys, verb, flag):
+        files = {"reflect": [docs["heis"], docs["heis"], docs["dilation"]],
+                 "scan": [docs["heis"], "--scan", "0"]}
+        argv = [verb] + files.get(verb, [docs["heis"]]) + [flag, "-1"]
+        code, out, errtext = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag}: must be non-negative, got -1" in errtext

@@ -42,6 +42,12 @@ class TestCScalar:
         assert CScalar(0, 1).render() == "1*i"
         assert CScalar(1, Fraction(-1, 2)).render() == "1-1/2*i"
 
+    def test_hash_agrees_with_equality(self):
+        for x in (1, Fraction(1, 2), Fraction(-7, 3), 0):
+            assert CScalar(x) == x
+            assert len({CScalar(x), x}) == 1
+        assert len({CScalar(1, 1), CScalar(1, 1), 1}) == 2
+
 
 class TestAdd:
     def test_cancellation(self):
