@@ -26,7 +26,7 @@ from math import comb
 
 from .hypersurface import Hypersurface, ambient_pairing, intrinsic_pairing
 from .linalg import nullspace
-from .series import CS_I, CS_ONE, CScalar, TruncatedSeries
+from .series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 
 
 class AutError(ValueError):
@@ -57,7 +57,7 @@ class FormalVectorField:
         for c in coeffs:
             if not isinstance(c, TruncatedSeries) or c.nvars != 2 * N:
                 raise AutError("coefficients must live on the ambient chart")
-            if any(any(a[N:]) for a in c.coeffs):
+            if any(any(a[N:]) for a, _ in c.terms()):
                 raise AutError("coefficients must be holomorphic")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "order", min(c.order for c in coeffs))
@@ -154,21 +154,29 @@ def _holo_exponents(N: int, d: int, weights, j: int):
     return sorted(out)
 
 
-def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real):
+def tangency_restrictions(M: Hypersurface, d: int, order: int,
+                          weights=None) -> tuple:
+    """Candidate monomials with their restricted gradient products.
+
+    One entry (j, alpha, R) per candidate monomial z^alpha of coefficient
+    a_j, where R is z^alpha * d rho/dz_j restricted to the graph.  Both
+    tangency problems are linear in these restrictions: build them once
+    and pass them to holomorphic_degeneracy_test and infinitesimal_aut_dim
+    with the same M, d, order and weights.
+    """
     N, W = M.N, M.order
     if d < 0:
         raise AutError("degree bound must be non-negative")
     if order > W - 1:
         raise AutError(
             f"order {order} exceeds the germ's usable truncation {W - 1}")
-    pairing = intrinsic_pairing(N - 1)
     grads = [M.rho.derive(j) for j in range(N)]
     # A candidate monomial constrains nothing unless its product with the
     # gradient entry reaches the cutoff; a variable absent from rho gives
     # genuinely free candidates and stays exempt.
-    mindeg = [min((sum(e) for e in g.coeffs), default=None) for g in grads]
-
-    unknowns, residuals = [], []
+    mindeg = [min((sum(e) for e, _ in g.terms()), default=None)
+              for g in grads]
+    out = []
     for j in range(N):
         for alpha in _holo_exponents(N, d, weights, j):
             if mindeg[j] is not None and sum(alpha) + mindeg[j] > order:
@@ -178,32 +186,43 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real):
                     f"below the cutoff (needs order "
                     f">= {sum(alpha) + mindeg[j]})")
             mono = TruncatedSeries(2 * N, W, {alpha: CS_ONE})
-            Rc = M.restrict(mono * grads[j])
-            if real:
-                Rcc = Rc.conjugate(pairing)
-                unknowns.append((j, alpha, 0))
-                residuals.append(Rc + Rcc)
-                unknowns.append((j, alpha, 1))
-                residuals.append(CS_I * (Rc - Rcc))
-            else:
-                unknowns.append((j, alpha))
-                residuals.append(Rc)
+            out.append((j, alpha, M.restrict(mono * grads[j])))
+    return tuple(out)
 
-    cut = []
-    support = set()
-    for key, Rfull in zip(unknowns, residuals):
+
+def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real,
+                    restrictions):
+    N, W = M.N, M.order
+    if restrictions is None:
+        restrictions = tangency_restrictions(M, d, order, weights)
+    pairing = intrinsic_pairing(N - 1)
+    unknowns, residuals = [], []
+    for j, alpha, Rc in restrictions:
+        if real:
+            Rcc = Rc.conjugate(pairing)
+            unknowns.append((j, alpha, 0))
+            residuals.append(Rc + Rcc)
+            unknowns.append((j, alpha, 1))
+            residuals.append(CS_I * (Rc - Rcc))
+        else:
+            unknowns.append((j, alpha))
+            residuals.append(Rc)
+
+    # entries[e][t]: coefficient of the graph monomial e in residual t
+    entries = {}
+    for t, (key, Rfull) in enumerate(zip(unknowns, residuals)):
         Req = Rfull.truncate(order)
         if Req.is_zero() and not Rfull.is_zero():
             raise AutError(
                 f"order {order} is too small for degree bound {d}: "
                 f"candidate {key} only contributes beyond it, so the "
                 "system is vacuous there")
-        cut.append(Req)
-        support.update(Req.coeffs)
+        for e, c in Req.terms():
+            entries.setdefault(e, {})[t] = c
 
     rows = []
-    for e in sorted(support):
-        col = [R.coeff(e) for R in cut]
+    for e in sorted(entries):
+        col = [entries[e].get(t, CS_ZERO) for t in range(len(unknowns))]
         if real:
             re_row = tuple(c.re for c in col)
             im_row = tuple(c.im for c in col)
@@ -231,15 +250,19 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real):
 
 
 def holomorphic_degeneracy_test(M: Hypersurface, d: int, order: int,
-                                weights=None) -> TangencySystem:
+                                weights=None,
+                                restrictions=None) -> TangencySystem:
     """Complex tangency problem Y rho = 0 on M for degree-d coefficients.
 
     A zero dimension certifies there is no tangent holomorphic field
     within the degree and order tested; a positive dimension exhibits
     witnesses and is evidence of degeneracy, not a proof, since the
-    defect could appear above the truncation.
+    defect could appear above the truncation.  restrictions, when given,
+    is tangency_restrictions(M, d, order, weights), computed once for both
+    problems.
     """
-    unknowns, rows, fields = _solve_tangency(M, d, order, weights, False)
+    unknowns, rows, fields = _solve_tangency(M, d, order, weights, False,
+                                             restrictions)
     dim = len(fields)
     if dim == 0:
         note = (f"no tangent holomorphic field with coefficient degree "
@@ -254,15 +277,16 @@ def holomorphic_degeneracy_test(M: Hypersurface, d: int, order: int,
 
 
 def infinitesimal_aut_dim(M: Hypersurface, d: int, order: int,
-                          weights=None) -> TangencySystem:
+                          weights=None, restrictions=None) -> TangencySystem:
     """Real dimension of degree-d fields with Re Y tangent to the germ.
 
     Each complex coefficient splits into two real unknowns, so the
     dimension is over the reals; the basis realizes one field per
     dimension and every member has zero real tangency residual to the
-    stated order.
+    stated order.  restrictions is as for holomorphic_degeneracy_test.
     """
-    unknowns, rows, fields = _solve_tangency(M, d, order, weights, True)
+    unknowns, rows, fields = _solve_tangency(M, d, order, weights, True,
+                                             restrictions)
     dim = len(fields)
     return TangencySystem(kind="real", d=d, order=order, weights=weights,
                           unknowns=unknowns, equations=rows,

@@ -28,6 +28,10 @@ from ..series import CScalar, TruncatedSeries
 KINDS = ("hypersurface", "jet", "map", "system")
 FUNCTIONS = ("Im", "Re", "conj")
 HALF = Fraction(1, 2)
+# deepest nesting of parentheses, function calls and signs in one
+# expression: each level costs the recursive-descent parser several stack
+# frames, and the cap keeps it well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -72,6 +76,7 @@ class _ExprParser:
         self.source = source
         self.names = names
         self.allow_conj = allow_conj
+        self.depth = 0
 
     def error(self, message, tok=None):
         if tok is None:
@@ -91,6 +96,16 @@ class _ExprParser:
             self.error("unexpected end of expression")
         self.i += 1
         return tok
+
+    def nested(self, tok, parse):
+        """parse() one level deeper, opened by tok."""
+        if self.depth == MAX_NESTING:
+            self.error(f"expression nests deeper than {MAX_NESTING} levels "
+                       "of parentheses, function calls and signs", tok)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -125,7 +140,7 @@ class _ExprParser:
         tok = self.peek()
         if tok and tok[1] == "-":
             self.take()
-            return ("neg", self.unary())
+            return ("neg", self.nested(tok, self.unary))
         return self.power()
 
     def power(self):
@@ -162,7 +177,7 @@ class _ExprParser:
                                "expressions", tok)
                 if self.take()[1] != "(":
                     self.error(f"{name} needs parentheses", tok)
-                inner = self.expr()
+                inner = self.nested(tok, self.expr)
                 closing = self.take()
                 if closing[1] != ")":
                     self.error("expected ')'", closing)
@@ -171,7 +186,7 @@ class _ExprParser:
                 self.error(f"unknown identifier {name!r}", tok)
             return ("var", name)
         if tok[1] == "(":
-            inner = self.expr()
+            inner = self.nested(tok, self.expr)
             closing = self.take()
             if closing[1] != ")":
                 self.error("expected ')'", closing)

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from ..autdim import (AutError, aut_bound, holomorphic_degeneracy_test,
-                      infinitesimal_aut_dim)
+                      infinitesimal_aut_dim, tangency_restrictions)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, h_tensor,
                           intrinsic_filtration, is_finite,
@@ -315,8 +315,10 @@ def _run_aut(args):
             raise ParseError("--weights", None, 0,
                              f"expected comma-separated integers, "
                              f"got {args.weights!r}")
-    hol = holomorphic_degeneracy_test(M, args.degree, use_order, weights)
-    real = infinitesimal_aut_dim(M, args.degree, use_order, weights)
+    shared = tangency_restrictions(M, args.degree, use_order, weights)
+    hol = holomorphic_degeneracy_test(M, args.degree, use_order, weights,
+                                      shared)
+    real = infinitesimal_aut_dim(M, args.degree, use_order, weights, shared)
     bound = aut_bound(M.N)
     passed = real.solution_dim <= bound
     tree = {

@@ -502,8 +502,7 @@ def jet_injectivity_demo(family, jet_order: int) -> CheckReport:
     jets = []
     for F in family:
         jets.append(tuple(
-            tuple(sorted((a, c.re, c.im) for a, c in comp.coeffs.items()
-                         if sum(a) <= jet_order))
+            tuple(t for t in comp.terms() if sum(t[0]) <= jet_order)
             for comp in F.components))
     checked, equal_jets, violations = 0, 0, []
     for i in range(len(family)):

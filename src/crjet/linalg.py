@@ -146,13 +146,3 @@ def series_matrix_inverse(rows):
     # columns of the inverse were solved one at a time
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
-
-def eval_matrix(rows, point=None):
-    """Constant-term (or point) evaluation of a series matrix."""
-    out = []
-    for r in rows:
-        if point is None:
-            out.append([x.constant_term() for x in r])
-        else:
-            out.append([x.eval_at(point) for x in r])
-    return out

@@ -67,7 +67,7 @@ class AmbientMap:
         for c in components:
             if not isinstance(c, TruncatedSeries) or c.nvars != 2 * N:
                 raise MappingError("components must live on the ambient chart")
-            if any(any(a[N:]) for a in c.coeffs):
+            if any(any(a[N:]) for a, _ in c.terms()):
                 raise MappingError("components must be holomorphic")
 
         q = [c.constant_term() for c in components]

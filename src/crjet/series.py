@@ -2,10 +2,29 @@
 
 Every symbolic computation in this package runs on :class:`TruncatedSeries`.
 A series knows how many variables it lives in, the total degree up to which
-its coefficients are meaningful (``order``), and a sparse map from exponent
-tuples to exact complex-rational coefficients.  Terms of total degree above
-``order`` are unknown, not zero; each operation returns the weakest order it
-can guarantee, so precision loss is always explicit.
+its coefficients are meaningful (``order``), and its nonzero terms.  Terms
+of total degree above ``order`` are unknown, not zero; each operation
+returns the weakest order it can guarantee, so precision loss is always
+explicit.
+
+Terms are stored packed, in the sparse representation of Johnson ("Sparse
+polynomial arithmetic", 1974) with the packed monomials of Monagan and
+Pearce (ISSAC 2009).  A monomial x^alpha is one integer key: one 16-bit
+field per exponent, alpha_0 most significant, under a top field that holds
+the total degree.  Adding two keys multiplies the monomials, comparing keys
+gives the canonical (degree, lex) order of ``terms()``, and "total degree
+at most d" is the comparison ``key < (d + 1) << 16 * nvars``.  Coefficients
+are Gaussian-integer numerators (re, im) over one positive denominator per
+series, the least one, so equal series have equal storage.  No order above
+``EXPONENT_LIMIT`` (65535, the largest exponent a field holds) is accepted,
+and asking for more raises :class:`SeriesError`: every stored exponent is at
+most the order, so a product term that passes the degree cut never carries
+from one field into the next.
+
+:class:`CScalar` and exponent tuples stay the public boundary: the
+constructor, ``coeff``, ``terms``, ``recenter``, ``eval_at`` and the
+printers convert, while every ring and calculus operation works on the
+packed form.
 
 Example:
 
@@ -19,7 +38,7 @@ Example:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, log2
+from math import comb, gcd, lcm
 
 
 class SeriesError(ValueError):
@@ -153,20 +172,172 @@ def check_involution(pairing) -> tuple:
     return pairing
 
 
-class TruncatedSeries:
-    """Sparse truncated power series over :class:`CScalar`.
+# ---------------------------------------------------------------------------
+# packed layout: helpers of the series kernel
 
-    ``coeffs`` never stores zeros and never stores exponents of total degree
-    above ``order``.  Two series are equal iff their orders and coefficient
-    maps agree.  Instances are immutable; all operations return new series.
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+EXPONENT_LIMIT = _MASK
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _pack(alpha) -> int:
+    """Key of the monomial with exponent tuple alpha."""
+    key = degree = 0
+    for e in alpha:
+        key = (key << _BITS) | e
+        degree += e
+    return (degree << (_BITS * len(alpha))) | key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    alpha = [0] * nvars
+    for j in range(nvars - 1, -1, -1):
+        alpha[j] = key & _MASK
+        key >>= _BITS
+    return tuple(alpha)
+
+
+def _check_order(order: int):
+    if order < 0:
+        raise SeriesError("order must be non-negative")
+    if order > EXPONENT_LIMIT:
+        raise SeriesError(
+            f"order {order} exceeds the series exponent limit "
+            f"{EXPONENT_LIMIT} (one {_BITS}-bit field per exponent)")
+
+
+def _split(c: CScalar) -> tuple:
+    """(re, im, den) with c = (re + im*i) / den and den least."""
+    re, im = c.re, c.im
+    den = lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
+
+
+def _scalar(re: int, im: int, den: int) -> CScalar:
+    c = _new(CScalar)
+    _set(c, "re", Fraction(re, den))
+    _set(c, "im", Fraction(im, den))
+    return c
+
+
+def _make(nvars, order, terms, den) -> "TruncatedSeries":
+    """Series from canonical packed data, unchecked."""
+    s = _new(TruncatedSeries)
+    _set(s, "nvars", nvars)
+    _set(s, "order", order)
+    _set(s, "_terms", terms)
+    _set(s, "_den", den)
+    return s
+
+
+def _reduced(nvars, order, terms, den) -> "TruncatedSeries":
+    """Series from nonzero numerator pairs over any positive denominator."""
+    if den != 1:
+        g = den
+        for re, im in terms.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+    return _make(nvars, order, terms, den)
+
+
+def _combine(a, b, sign) -> "TruncatedSeries":
+    """a + sign * b at the smaller of their orders."""
+    order = min(a.order, b.order)
+    if not b._terms:
+        return a.truncate(order)
+    if not a._terms:
+        return (b if sign > 0 else -b).truncate(order)
+    lim = (order + 1) << (_BITS * a.nvars)
+    g = gcd(a._den, b._den)
+    fa, fb = b._den // g, sign * (a._den // g)
+    if fa == 1 and a.order == order:
+        out = dict(a._terms)
+    else:
+        out = {k: (re * fa, im * fa)
+               for k, (re, im) in a._terms.items() if k < lim}
+    get = out.get
+    for k, (re, im) in b._terms.items():
+        if k >= lim:
+            continue
+        re *= fb
+        im *= fb
+        old = get(k)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del out[k]
+                continue
+        out[k] = (re, im)
+    return _reduced(a.nvars, order, out, a._den // g * b._den)
+
+
+def _mul_into(out, left, right, lim):
+    """Add every product of a left and a right term with key below lim.
+
+    left and right hold (key, (re, im)) items, right re-iterable; out maps
+    keys to numerator pairs and is left without (0, 0) entries.
+    """
+    get = out.get
+    for ka, (ar, ai) in left:
+        room = lim - ka
+        for kb, (br, bi) in right:
+            if kb >= room:
+                continue
+            k = ka + kb
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            old = get(k)
+            if old is not None:
+                re += old[0]
+                im += old[1]
+                if not (re or im):
+                    del out[k]
+                    continue
+            out[k] = (re, im)
+
+
+def _product(a, b) -> "TruncatedSeries":
+    """a * b at the smaller of their orders."""
+    order = min(a.order, b.order)
+    out = {}
+    _mul_into(out, a._terms.items(), b._terms.items(),
+              (order + 1) << (_BITS * a.nvars))
+    return _reduced(a.nvars, order, out, a._den * b._den)
+
+
+def _scaled(s, c: CScalar) -> "TruncatedSeries":
+    cr, ci, cd = _split(c)
+    if not (cr or ci):
+        return _make(s.nvars, s.order, {}, 1)
+    out = {k: (re * cr - im * ci, re * ci + im * cr)
+           for k, (re, im) in s._terms.items()}
+    return _reduced(s.nvars, s.order, out, s._den * cd)
+
+
+class TruncatedSeries:
+    """Sparse truncated power series with exact complex-rational coefficients.
+
+    ``_terms`` maps packed monomial keys (see the module docstring) to
+    numerator pairs (re, im); it never stores (0, 0) and never a key of
+    total degree above ``order``.  ``_den`` is the least positive common
+    denominator of the coefficients, 1 for the zero series.  The form is
+    canonical, so two series are equal iff their nvars, orders and stored
+    data agree.  Instances are immutable; all operations return new series.
     """
 
-    __slots__ = ("nvars", "order", "coeffs")
+    __slots__ = ("nvars", "order", "_terms", "_den")
 
     def __init__(self, nvars: int, order: int, coeffs=None):
-        if order < 0:
-            raise SeriesError("order must be non-negative")
-        clean = {}
+        _check_order(order)
+        given = {}
         for alpha, c in (coeffs or {}).items():
             alpha = tuple(alpha)
             if len(alpha) != nvars or any(e < 0 for e in alpha):
@@ -175,10 +346,15 @@ class TruncatedSeries:
             if sum(alpha) > order:
                 raise SeriesError(f"stored term {alpha} exceeds order {order}")
             if not c.is_zero():
-                clean[alpha] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
+                given[_pack(alpha)] = c
+        den = lcm(*(x.denominator for c in given.values() for x in (c.re, c.im)))
+        _set(self, "nvars", nvars)
+        _set(self, "order", order)
+        _set(self, "_terms", {
+            k: (c.re.numerator * (den // c.re.denominator),
+                c.im.numerator * (den // c.im.denominator))
+            for k, c in given.items()})
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -188,11 +364,14 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, nvars: int, order: int) -> "TruncatedSeries":
-        return cls(nvars, order, {})
+        _check_order(order)
+        return _make(nvars, order, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, value, order: int) -> "TruncatedSeries":
-        return cls(nvars, order, {(0,) * nvars: CScalar.coerce(value)})
+        _check_order(order)
+        re, im, den = _split(CScalar.coerce(value))
+        return _make(nvars, order, {0: (re, im)} if re or im else {}, den)
 
     @classmethod
     def variable(cls, nvars: int, idx: int, order: int) -> "TruncatedSeries":
@@ -205,28 +384,39 @@ class TruncatedSeries:
     # inspection
 
     def coeff(self, alpha) -> CScalar:
-        return self.coeffs.get(tuple(alpha), CS_ZERO)
+        alpha = tuple(alpha)
+        if (len(alpha) != self.nvars or sum(alpha) > self.order
+                or min(alpha, default=0) < 0):
+            return CS_ZERO
+        pair = self._terms.get(_pack(alpha))
+        return CS_ZERO if pair is None else _scalar(*pair, self._den)
 
     def constant_term(self) -> CScalar:
-        return self.coeffs.get((0,) * self.nvars, CS_ZERO)
+        pair = self._terms.get(0)
+        return CS_ZERO if pair is None else _scalar(*pair, self._den)
 
     def degree(self) -> int:
         """Largest stored total degree, or -1 for a stored-zero series."""
-        return max((sum(a) for a in self.coeffs), default=-1)
+        if not self._terms:
+            return -1
+        return max(self._terms) >> (_BITS * self.nvars)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def terms(self):
         """Stored terms in (degree, lex) order; the canonical iteration."""
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        nvars, den = self.nvars, self._den
+        return [(_unpack(k, nvars), _scalar(re, im, den))
+                for k, (re, im) in sorted(self._terms.items())]
 
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
         """Terms of total degree exactly d."""
         if d > self.order:
             raise SeriesError(f"degree {d} exceeds order {self.order}")
-        kept = {a: c for a, c in self.coeffs.items() if sum(a) == d}
-        return TruncatedSeries(self.nvars, self.order, kept)
+        shift = _BITS * self.nvars
+        kept = {k: v for k, v in self._terms.items() if k >> shift == d}
+        return _reduced(self.nvars, self.order, kept, self._den)
 
     # ------------------------------------------------------------------
     # order bookkeeping
@@ -235,8 +425,12 @@ class TruncatedSeries:
         """Weaken to a smaller order, dropping now-unknown terms."""
         if order >= self.order:
             return self
-        kept = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
-        return TruncatedSeries(self.nvars, order, kept)
+        _check_order(order)
+        lim = (order + 1) << (_BITS * self.nvars)
+        kept = {k: v for k, v in self._terms.items() if k < lim}
+        if len(kept) == len(self._terms):
+            return _make(self.nvars, order, self._terms, self._den)
+        return _reduced(self.nvars, order, kept, self._den)
 
     def extended(self, order: int) -> "TruncatedSeries":
         """Raise the order of polynomial data.
@@ -246,89 +440,67 @@ class TruncatedSeries:
         """
         if order <= self.order:
             return self.truncate(order)
-        return TruncatedSeries(self.nvars, order, dict(self.coeffs))
+        _check_order(order)
+        return _make(self.nvars, order, self._terms, self._den)
 
     # ------------------------------------------------------------------
     # ring operations
 
-    def _check_compatible(self, other: "TruncatedSeries"):
-        if self.nvars != other.nvars:
-            raise SeriesError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
+    def _operand(self, other):
+        """other as a series on this one's variables; None if foreign."""
+        if isinstance(other, TruncatedSeries):
+            if self.nvars != other.nvars:
+                raise SeriesError(
+                    f"nvars mismatch: {self.nvars} vs {other.nvars}")
+            return other
+        if isinstance(other, (int, Fraction, CScalar)):
+            return TruncatedSeries.constant(self.nvars, other, self.order)
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CScalar)):
-            other = TruncatedSeries.constant(self.nvars, other, self.order)
-        if not isinstance(other, TruncatedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        out = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
-        for a, c in other.coeffs.items():
-            if sum(a) > order:
-                continue
-            s = out.get(a, CS_ZERO) + c
-            if s.is_zero():
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return TruncatedSeries(self.nvars, order, out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.nvars, self.order, {a: -c for a, c in self.coeffs.items()}
-        )
+        return _make(self.nvars, self.order,
+                     {k: (-re, -im) for k, (re, im) in self._terms.items()},
+                     self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CScalar)):
-            other = TruncatedSeries.constant(self.nvars, other, self.order)
-        if not isinstance(other, TruncatedSeries):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, TruncatedSeries):
+            return _product(self, self._operand(other))
         if isinstance(other, (int, Fraction, CScalar)):
-            c = CScalar.coerce(other)
-            return TruncatedSeries(
-                self.nvars, self.order, {a: c * v for a, v in self.coeffs.items()}
-            )
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        out = {}
-        for a, ca in self.coeffs.items():
-            da = sum(a)
-            if da > order:
-                continue
-            for b, cb in other.coeffs.items():
-                if da + sum(b) > order:
-                    continue
-                g = tuple(x + y for x, y in zip(a, b))
-                s = out.get(g, CS_ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = s
-        return TruncatedSeries(self.nvars, order, out)
+            return _scaled(self, CScalar.coerce(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise SeriesError("series powers take non-negative integer exponents")
-        result = TruncatedSeries.constant(self.nvars, 1, self.order)
-        base = self
-        while k:
+        if k == 0:
+            return TruncatedSeries.constant(self.nvars, 1, self.order)
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -336,7 +508,8 @@ class TruncatedSeries:
         return (
             self.nvars == other.nvars
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._terms == other._terms
         )
 
     # ------------------------------------------------------------------
@@ -348,25 +521,42 @@ class TruncatedSeries:
             raise SeriesError(f"variable index {var} out of range")
         if self.order == 0:
             raise OrderExhausted("cannot differentiate an order-0 series")
+        shift = _BITS * (self.nvars - 1 - var)
+        # one less in the exponent field and one less in the degree field
+        step = (1 << shift) + (1 << (_BITS * self.nvars))
         out = {}
-        for a, c in self.coeffs.items():
-            e = a[var]
-            if e == 0:
-                continue
-            b = a[:var] + (e - 1,) + a[var + 1:]
-            out[b] = c * e
-        return TruncatedSeries(self.nvars, self.order - 1, out)
+        for k, (re, im) in self._terms.items():
+            e = (k >> shift) & _MASK
+            if e:
+                out[k - step] = (re * e, im * e)
+        return _reduced(self.nvars, self.order - 1, out, self._den)
 
     def conjugate(self, pairing) -> "TruncatedSeries":
         """Complex conjugation: conjugate coefficients, swap paired exponents."""
         pairing = check_involution(pairing)
-        if len(pairing) != self.nvars:
+        n = self.nvars
+        if len(pairing) != n:
             raise SeriesError("pairing length must equal nvars")
+        # variable i takes the exponent of pairing[i]; runs of consecutive
+        # variables that move together move as one bit block
+        moves = []
+        i = 0
+        while i < n:
+            j = i + 1
+            while j < n and pairing[j] == pairing[j - 1] + 1:
+                j += 1
+            width = _BITS * (j - i)
+            moves.append((_BITS * (n - pairing[i]) - width, (1 << width) - 1,
+                          _BITS * (n - i) - width))
+            i = j
+        shift = _BITS * n
         out = {}
-        for a, c in self.coeffs.items():
-            b = tuple(a[pairing[i]] for i in range(self.nvars))
-            out[b] = c.conj()
-        return TruncatedSeries(self.nvars, self.order, out)
+        for k, (re, im) in self._terms.items():
+            key = k >> shift << shift
+            for src, mask, dst in moves:
+                key |= ((k >> src) & mask) << dst
+            out[key] = (re, -im)
+        return _make(n, self.order, out, self._den)
 
     def compose(self, subs) -> "TruncatedSeries":
         """Substitute subs[j] for variable j; all used subs must vanish at 0.
@@ -375,52 +565,104 @@ class TruncatedSeries:
         of the substitutions that actually occur in stored terms.
         """
         subs = list(subs)
-        if len(subs) != self.nvars:
+        n = self.nvars
+        if len(subs) != n:
             raise SeriesError("one substitution per variable required")
-        used = [False] * self.nvars
-        for a in self.coeffs:
-            for j, e in enumerate(a):
-                if e:
-                    used[j] = True
-        target_nvars = subs[0].nvars if subs else self.nvars
+        support = 0
+        for k in self._terms:
+            support |= k
+        target_nvars = subs[0].nvars if subs else n
         order = self.order
         for j, s in enumerate(subs):
             if not isinstance(s, TruncatedSeries) or s.nvars != target_nvars:
                 raise SeriesError("substitutions must share one variable space")
-            if used[j]:
-                if not s.constant_term().is_zero():
+            if (support >> (_BITS * (n - 1 - j))) & _MASK:
+                if 0 in s._terms:
                     raise SeriesError(
                         "substitution with nonzero constant term into an "
                         "order-limited series"
                     )
                 order = min(order, s.order)
-        result = TruncatedSeries.zero(target_nvars, order)
-        power_cache = {}
+        powers, monomials = {}, {}
 
         def power(j: int, e: int) -> TruncatedSeries:
-            key = (j, e)
-            if key not in power_cache:
-                power_cache[key] = subs[j].truncate(order) ** e
-            return power_cache[key]
+            p = powers.get((j, e))
+            if p is None:
+                if e == 1:
+                    p = subs[j].truncate(order)
+                else:
+                    p = power(j, e >> 1) * power(j, e - (e >> 1))
+                powers[(j, e)] = p
+            return p
 
-        for a, c in self.terms():
-            term = TruncatedSeries.constant(target_nvars, c, order)
-            for j, e in enumerate(a):
-                if e:
-                    term = term * power(j, e)
-            result = result + term
-        return result
+        def monomial(x: int) -> TruncatedSeries:
+            # x holds nonzero exponent fields; strip the last variable
+            # present, so monomials sharing a prefix share its product
+            m = monomials.get(x)
+            if m is None:
+                field = ((x & -x).bit_length() - 1) // _BITS
+                e = (x >> (_BITS * field)) & _MASK
+                rest = x - (e << (_BITS * field))
+                m = power(n - 1 - field, e)
+                if rest:
+                    m = monomial(rest) * m
+                monomials[x] = m
+            return m
+
+        # used substitutions vanish at 0, so a term of degree above the
+        # result order contributes nothing
+        lim = (order + 1) << (_BITS * n)
+        low = (1 << (_BITS * n)) - 1
+        one = _make(target_nvars, order, {0: (1, 0)}, 1)
+        parts = []
+        for k, (re, im) in self._terms.items():
+            if k < lim:
+                m = monomial(k & low) if k else one
+                if m._terms:
+                    parts.append((re, im, m))
+        den = lcm(*(m._den for _, _, m in parts))
+        cut = (order + 1) << (_BITS * target_nvars)
+        out = {}
+        for re, im, m in parts:
+            f = den // m._den
+            _mul_into(out, ((0, (re * f, im * f)),), m._terms.items(), cut)
+        return _reduced(target_nvars, order, out, self._den * den)
 
     def invert_unit(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a series with nonzero constant term."""
-        c0 = self.constant_term()
-        if c0.is_zero():
+        """Multiplicative inverse of a series with nonzero constant term.
+
+        With self = (g0 + A_1 + A_2 + ...) / den, A_d homogeneous of degree
+        d with Gaussian-integer coefficients and N = |g0|^2, the inverse is
+        sum_d den * B_d / N^(d+1), where B_0 = conj(g0) and
+        B_d = -conj(g0) * sum_{j=1..d} N^(j-1) A_j B_{d-j}: one pass over
+        the degrees, all in integers.
+        """
+        g0 = self._terms.get(0)
+        if g0 is None:
             raise SeriesError("invert_unit requires a nonzero constant term")
-        inv = TruncatedSeries.constant(self.nvars, CS_ONE / c0, self.order)
-        # Newton updates double the correct order each step.
-        for _ in range(ceil(log2(self.order + 1)) if self.order else 0):
-            inv = inv * (2 - self * inv)
-        return inv
+        r0, i0 = g0
+        norm = r0 * r0 + i0 * i0
+        order, shift = self.order, _BITS * self.nvars
+        parts = [[] for _ in range(order + 1)]
+        for k, (re, im) in self._terms.items():
+            d = k >> shift
+            if d:
+                f = norm ** (d - 1)
+                parts[d].append((k, (re * f, im * f)))
+        lim = (order + 1) << shift
+        inverse = [{0: (r0, -i0)}]
+        for d in range(1, order + 1):
+            acc = {}
+            for j in range(1, d + 1):
+                _mul_into(acc, parts[j], inverse[d - j].items(), lim)
+            inverse.append({k: (-(r0 * re + i0 * im), i0 * re - r0 * im)
+                            for k, (re, im) in acc.items()})
+        out = {}
+        for d, part in enumerate(inverse):
+            f = self._den * norm ** (order - d)
+            for k, (re, im) in part.items():
+                out[k] = (re * f, im * f)
+        return _reduced(self.nvars, order, out, norm ** (order + 1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, CScalar)):
@@ -443,7 +685,7 @@ class TruncatedSeries:
         if len(point) != self.nvars:
             raise SeriesError("point length must equal nvars")
         out = {}
-        for a, c in self.coeffs.items():
+        for a, c in self.terms():
             # expand prod_j (x_j + p_j)^{a_j} by binomials
             expansion = {(0,) * self.nvars: c}
             for j, e in enumerate(a):
@@ -491,7 +733,7 @@ class TruncatedSeries:
     # ------------------------------------------------------------------
 
     def to_str(self, names=None) -> str:
-        if not self.coeffs:
+        if not self._terms:
             return "0"
         names = names or [f"x{i}" for i in range(self.nvars)]
         parts = []

@@ -112,6 +112,17 @@ class TestGrammar:
         e = err(HEIS.replace("conj(z1)", "(w + z1"))
         assert "unexpected end of expression" in str(e)
 
+    def test_nesting_limit(self):
+        # 100 levels of parentheses, calls and signs parse; one more does not
+        def nested(depth):
+            return HEIS.replace("conj(z1)", "(" * depth + "conj(-z1)"
+                                + ")" * depth)
+        assert parse_document(nested(98)).expression("rho")
+        e = err(nested(99))
+        assert "nests deeper than 100 levels" in str(e)
+        assert (e.line, e.col) == (4, nested(99).splitlines()[3].rindex("-")
+                                   + 1)
+
     def test_missing_kind(self):
         e = err("N = 2\nrho = Im(w)\n")
         assert e.line is None
@@ -400,6 +411,22 @@ class TestVerbs:
         jfirst = run(capsys, ["aut", docs["heis"], "--json"])
         jsecond = run(capsys, ["aut", docs["heis"], "--json"])
         assert jfirst == jsecond
+
+    @pytest.mark.parametrize("opener, closer", [
+        ("(", ")"), ("- ", ""), ("conj(", ")")])
+    def test_deep_nesting_is_bad_input(self, tmp_path, capsys, opener,
+                                       closer):
+        prefix = "rho = Im(w) - "
+        p = tmp_path / "deep.crj"
+        p.write_text("kind = hypersurface\nN = 2\n" + prefix
+                     + opener * 3000 + "z1*conj(z1)" + closer * 3000 + "\n",
+                     encoding="utf-8")
+        code, out, errtext = run(capsys, ["analyze", str(p)])
+        assert code == 2
+        assert out == ""
+        col = len(prefix) + 100 * len(opener) + 1
+        assert (f"deep.crj:3:{col}: expression nests deeper than 100 "
+                "levels") in errtext
 
     @pytest.mark.parametrize("verb, flag", [
         ("analyze", "--kmax"), ("scan", "--kmax"), ("verify", "--kmax"),

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from crjet.hypersurface import (
     adapt_frame,
+    ambient_var,
     build_frame,
     exterior_derivative,
     from_defining,
@@ -20,8 +22,10 @@ from crjet.invariants import (
     verify_derivative_recursion,
     verify_leading_order_reduction,
 )
+from crjet.linalg import rank
 from crjet.series import CScalar, TruncatedSeries
-from tests.conftest import heisenberg_rho, m2_rho, m3_rho, m4_rho, random_model
+from tests.conftest import (graph_rho, heisenberg_rho, m2_rho, m3_rho,
+                            m4_rho, random_model, random_phi)
 
 
 def frame_for(rho, N):
@@ -298,3 +302,59 @@ class TestNondegeneracyScan:
         rep = nondegeneracy_scan(M, pts, 1)
         assert all(r.nondegenerate for r in rep.results)
         assert rep.nondegenerate_count == 3
+
+
+def random_invertible(rng, N):
+    """Random invertible N x N matrix of small complex rationals."""
+    while True:
+        A = [[CScalar(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
+                      Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)))
+              for _ in range(N)] for _ in range(N)]
+        if rank(A) == N:
+            return A
+
+
+def linear_change(rho, N, A):
+    """rho in the coordinates (z', w') with (z, w) = A (z', w')."""
+    W = rho.order
+    zero = TruncatedSeries.zero(2 * N, W)
+    holo = [sum((A[i][j] * ambient_var(N, j, W) for j in range(N)), zero)
+            for i in range(N)]
+    anti = [sum((A[i][j].conj() * ambient_var(N, N + j, W)
+                 for j in range(N)), zero) for i in range(N)]
+    return rho.compose(holo + anti)
+
+
+class TestLinearChangeInvariance:
+    """The origin invariants do not see invertible linear holomorphic
+    changes of coordinates: both germs go through from_defining, whose
+    normalization must undo the change up to a biholomorphism."""
+
+    @staticmethod
+    def invariants(rho, N, kmax=None):
+        r = intrinsic_filtration(build_frame(from_defining(rho, N)),
+                                 kmax=kmax)
+        return r.k0, r.Ek_dims, r.levi_rank, r.ell0, r.m0
+
+    def test_seeded_changes(self):
+        rng = random.Random(2024)
+        cases = [
+            (heisenberg_rho(2, 6), 2, None),
+            (m2_rho(6), 2, 3),
+            (heisenberg_rho(3, 5), 3, None),
+            (m3_rho(5), 3, None),
+            (m4_rho(5), 3, None),
+        ]
+        for N, order in [(2, 6), (2, 6), (3, 5), (3, 5)]:
+            phi = random_phi(rng, N - 1, order)
+            cases.append((graph_rho(phi, N, order), N, None))
+        seen = set()
+        for rho, N, kmax in cases:
+            want = self.invariants(rho, N, kmax)
+            seen.add(want)
+            for _ in range(2):
+                A = random_invertible(rng, N)
+                got = self.invariants(linear_change(rho, N, A), N, kmax)
+                assert got == want, (N, A)
+        # the cases reach nondegenerate, two-step and degenerate germs
+        assert {w[0] for w in seen} >= {1, 2, Unbounded("kmax", 3)}

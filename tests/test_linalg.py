@@ -7,7 +7,6 @@ import pytest
 
 from crjet.linalg import (
     SpanTracker,
-    eval_matrix,
     nullspace,
     rank,
     reduced_echelon,
@@ -293,13 +292,3 @@ class TestSeriesSolve:
         with pytest.raises(SeriesError):
             series_solve([[z]], [z])
 
-
-class TestEvalMatrix:
-    def test_evaluates_entries(self):
-        z = TruncatedSeries.variable(1, 0, 3)
-        out = eval_matrix([[1 + z, z]], [C(2)])
-        assert out == [[C(3), C(2)]]
-
-    def test_default_point_is_origin(self):
-        z = TruncatedSeries.variable(1, 0, 3)
-        assert eval_matrix([[1 + z]]) == [[C(1)]]

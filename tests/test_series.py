@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 
-from crjet.series import CS_I, CS_ONE, CScalar, OrderExhausted, SeriesError, TruncatedSeries
+from crjet.series import (CS_I, CS_ONE, CS_ZERO, EXPONENT_LIMIT, CScalar,
+                          OrderExhausted, SeriesError, TruncatedSeries,
+                          check_involution)
 
 
 def rand_series(rng, nvars, order, terms=6, allow_const=True):
@@ -244,3 +247,244 @@ class TestRingProperties:
             right = a.compose([m.compose(inner) for m in mid])
             o = min(left.order, right.order)
             assert left.truncate(o) == right.truncate(o)
+
+
+# ----------------------------------------------------------------------
+# differential oracle: the dict-of-CScalar kernel the packed one replaced
+
+
+class RefSeries:
+    """Reference kernel: exponent tuple -> CScalar, no zeros stored.
+
+    This is the series kernel as it was before the packed representation,
+    cut down to what the differential test calls.  It is slow and plainly
+    correct, and the packed TruncatedSeries must agree with it exactly.
+    """
+
+    def __init__(self, nvars, order, coeffs=None):
+        self.nvars, self.order = nvars, order
+        self.coeffs = {}
+        for alpha, c in (coeffs or {}).items():
+            assert len(alpha) == nvars and sum(alpha) <= order
+            c = CScalar.coerce(c)
+            if not c.is_zero():
+                self.coeffs[tuple(alpha)] = c
+
+    @classmethod
+    def constant(cls, nvars, value, order):
+        return cls(nvars, order, {(0,) * nvars: value})
+
+    def constant_term(self):
+        return self.coeffs.get((0,) * self.nvars, CS_ZERO)
+
+    def terms(self):
+        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    def homogeneous_part(self, d):
+        return RefSeries(self.nvars, self.order,
+                         {a: c for a, c in self.coeffs.items() if sum(a) == d})
+
+    def truncate(self, order):
+        if order >= self.order:
+            return self
+        return RefSeries(self.nvars, order, {
+            a: c for a, c in self.coeffs.items() if sum(a) <= order})
+
+    def extended(self, order):
+        if order <= self.order:
+            return self.truncate(order)
+        return RefSeries(self.nvars, order, self.coeffs)
+
+    def __add__(self, other):
+        if not isinstance(other, RefSeries):
+            other = RefSeries.constant(self.nvars, other, self.order)
+        order = min(self.order, other.order)
+        out = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
+        for a, c in other.coeffs.items():
+            if sum(a) <= order:
+                out[a] = out.get(a, CS_ZERO) + c
+        return RefSeries(self.nvars, order, out)
+
+    def __neg__(self):
+        return RefSeries(self.nvars, self.order,
+                         {a: -c for a, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, RefSeries):
+            other = RefSeries.constant(self.nvars, other, self.order)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefSeries):
+            c = CScalar.coerce(other)
+            return RefSeries(self.nvars, self.order,
+                             {a: c * v for a, v in self.coeffs.items()})
+        order = min(self.order, other.order)
+        out = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                if sum(a) + sum(b) <= order:
+                    g = tuple(x + y for x, y in zip(a, b))
+                    out[g] = out.get(g, CS_ZERO) + ca * cb
+        return RefSeries(self.nvars, order, out)
+
+    def __pow__(self, k):
+        result = RefSeries.constant(self.nvars, 1, self.order)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def derive(self, var):
+        out = {}
+        for a, c in self.coeffs.items():
+            if a[var]:
+                out[a[:var] + (a[var] - 1,) + a[var + 1:]] = c * a[var]
+        return RefSeries(self.nvars, self.order - 1, out)
+
+    def conjugate(self, pairing):
+        return RefSeries(self.nvars, self.order, {
+            tuple(a[pairing[i]] for i in range(self.nvars)): c.conj()
+            for a, c in self.coeffs.items()})
+
+    def compose(self, subs):
+        order = self.order
+        for j, s in enumerate(subs):
+            if any(a[j] for a in self.coeffs):
+                order = min(order, s.order)
+        m = subs[0].nvars
+        result = RefSeries(m, order)
+        for a, c in self.terms():
+            term = RefSeries.constant(m, c, order)
+            for j, e in enumerate(a):
+                if e:
+                    term = term * subs[j].truncate(order) ** e
+            result = result + term
+        return result
+
+    def invert_unit(self):
+        inv = RefSeries.constant(self.nvars, CS_ONE / self.constant_term(),
+                                 self.order)
+        # Newton updates double the correct order each step.
+        for _ in range(ceil(log2(self.order + 1)) if self.order else 0):
+            inv = inv * (RefSeries.constant(self.nvars, 2, self.order)
+                         - self * inv)
+        return inv
+
+
+DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 9)
+
+
+def ref_coeff(rng):
+    re = Fraction(rng.randrange(-3, 4), rng.choice(DENOMINATORS))
+    im = 0
+    if rng.random() < 0.6:
+        im = Fraction(rng.randrange(-3, 4), rng.choice(DENOMINATORS))
+    return CScalar(re, im)
+
+
+def ref_series(rng, nvars, order, terms, lowdeg=0):
+    """Random reference series; low degrees so that terms collide."""
+    coeffs = {}
+    if order >= lowdeg:
+        for _ in range(terms):
+            alpha = [0] * nvars
+            for _ in range(rng.randrange(lowdeg, min(order, lowdeg + 3) + 1)):
+                alpha[rng.randrange(nvars)] += 1
+            coeffs[tuple(alpha)] = ref_coeff(rng)
+    return RefSeries(nvars, order, coeffs)
+
+
+def packed(ref):
+    return TruncatedSeries(ref.nvars, ref.order, ref.coeffs)
+
+
+def random_pairing(rng, nvars):
+    free = list(range(nvars))
+    rng.shuffle(free)
+    pairing = list(range(nvars))
+    while len(free) >= 2 and rng.random() < 0.8:
+        i, j = free.pop(), free.pop()
+        pairing[i], pairing[j] = j, i
+    return check_involution(pairing)
+
+
+class TestAgainstReferenceKernel:
+    def assert_agree(self, got, want, what):
+        assert got.order == want.order, what
+        assert got.terms() == want.terms(), what
+        # equal storage, so the denominator was reduced to the least one
+        assert got == packed(want), what
+
+    def test_random_series(self):
+        rng = random.Random(20240601)
+        ops = 0
+        for trial in range(1500):
+            nvars = rng.randrange(1, 8)
+            order = rng.randrange(0, 9)
+            terms = rng.randrange(0, 7)
+            ra = ref_series(rng, nvars, order, terms)
+            rb = ref_series(rng, nvars, rng.randrange(0, 9), terms)
+            if ra.coeffs and rng.random() < 0.5:
+                # forced cancellation: b repeats part of a with the
+                # opposite sign, or a multiple of it with a new denominator
+                part = RefSeries(nvars, rb.order, {
+                    a: c for a, c in ra.coeffs.items()
+                    if sum(a) <= rb.order and rng.random() < 0.7})
+                rb = rb - part if rng.random() < 0.5 else \
+                    part * Fraction(rng.randrange(1, 4), rng.randrange(1, 5))
+            a, b = packed(ra), packed(rb)
+            checks = [
+                ("add", a + b, ra + rb),
+                ("sub", a - b, ra - rb),
+                ("sub self", a - a, ra - ra),
+                ("neg", -a, -ra),
+                ("mul", a * b, ra * rb),
+                # the cross terms cancel inside one product
+                ("mul cancel", (a + b) * (a - b), (ra + rb) * (ra - rb)),
+                ("add scalar", a + 2, ra + 2),
+                ("rsub scalar", 1 - a, RefSeries.constant(nvars, 1, order) - ra),
+            ]
+            for c in (0, 2, Fraction(-3, 4), ref_coeff(rng), CScalar(0, 6)):
+                checks.append(("scale", a * c, ra * c))
+                checks.append(("rscale", c * a, ra * c))
+            k = rng.randrange(0, 4)
+            checks.append(("pow", a ** k, ra ** k))
+            if order:
+                var = rng.randrange(nvars)
+                checks.append(("derive", a.derive(var), ra.derive(var)))
+            pairing = random_pairing(rng, nvars)
+            checks.append(("conjugate", a.conjugate(pairing),
+                           ra.conjugate(pairing)))
+            cut = rng.randrange(0, order + 2)
+            checks.append(("truncate", a.truncate(cut), ra.truncate(cut)))
+            checks.append(("extended", a.extended(cut + 2),
+                           ra.extended(cut + 2)))
+            d = rng.randrange(0, order + 1)
+            checks.append(("homogeneous", a.homogeneous_part(d),
+                           ra.homogeneous_part(d)))
+            c0 = ref_coeff(rng)
+            if not (ra.constant_term() + c0).is_zero() and nvars * order <= 24:
+                ru = ra + c0
+                checks.append(("invert", packed(ru).invert_unit(),
+                               ru.invert_unit()))
+            if nvars * order <= 24:
+                m = rng.randrange(1, 8)
+                rsubs = [ref_series(rng, m, rng.randrange(order, order + 3)
+                                    if rng.random() < 0.8 else
+                                    rng.randrange(0, order + 1), 3, lowdeg=1)
+                         for _ in range(nvars)]
+                checks.append(("compose", a.compose([packed(s) for s in rsubs]),
+                               ra.compose(rsubs)))
+            for what, got, want in checks:
+                self.assert_agree(got, want, (trial, what))
+                ops += 1
+        assert ops > 25000
+
+    def test_exponent_limit(self):
+        top = TruncatedSeries(1, EXPONENT_LIMIT, {(EXPONENT_LIMIT,): 1})
+        assert top.degree() == EXPONENT_LIMIT
+        assert (top * TruncatedSeries.variable(1, 0, EXPONENT_LIMIT)).is_zero()
+        with pytest.raises(SeriesError, match=f"exponent limit {EXPONENT_LIMIT}"):
+            TruncatedSeries.zero(2, EXPONENT_LIMIT + 1)
+        with pytest.raises(SeriesError, match="exponent limit"):
+            top.extended(EXPONENT_LIMIT + 1)
