@@ -196,10 +196,33 @@ class _ExprParser:
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "neg": 3, "pow": 4,
          "num": 5, "var": 5, "call": 5}
+_BINARY = {"add": " + ", "sub": " - ", "mul": "*"}
+
+
+def _spine(node):
+    """Unwind the left spine of binary operators, which the parser builds
+    for every chain: returns the leftmost operand and the spine nodes,
+    innermost first.  Walkers fold along it instead of recursing, so a
+    long sum or product costs no stack depth."""
+    spine = []
+    while node[0] in _BINARY:
+        spine.append(node)
+        node = node[1]
+    spine.reverse()
+    return node, spine
 
 
 def render_expr(node, parent=0) -> str:
     kind = node[0]
+    if kind in _BINARY:
+        first, spine = _spine(node)
+        body = render_expr(first, _PREC[spine[0][0]])
+        for i, (kind, _, right) in enumerate(spine):
+            body += _BINARY[kind] + render_expr(right, _PREC[kind] + 1)
+            outer = _PREC[spine[i + 1][0]] if i + 1 < len(spine) else parent
+            if _PREC[kind] < outer:
+                body = "(" + body + ")"
+        return body
     if kind == "num":
         body = str(node[1])
     elif kind == "var":
@@ -208,12 +231,8 @@ def render_expr(node, parent=0) -> str:
         body = f"{node[1]}({render_expr(node[2])})"
     elif kind == "neg":
         body = "-" + render_expr(node[1], _PREC["neg"])
-    elif kind == "pow":
-        body = render_expr(node[1], _PREC["pow"] + 1) + "^" + str(node[2])
     else:
-        op = {"add": " + ", "sub": " - ", "mul": "*"}[kind]
-        body = render_expr(node[1], _PREC[kind]) \
-            + op + render_expr(node[2], _PREC[kind] + 1)
+        body = render_expr(node[1], _PREC["pow"] + 1) + "^" + str(node[2])
     if _PREC[kind] < parent:
         return "(" + body + ")"
     return body
@@ -232,9 +251,26 @@ def degree_bound(node) -> int:
         return degree_bound(node[1])
     if kind == "pow":
         return degree_bound(node[1]) * node[2]
-    if kind == "mul":
-        return degree_bound(node[1]) + degree_bound(node[2])
-    return max(degree_bound(node[1]), degree_bound(node[2]))
+    first, spine = _spine(node)
+    out = degree_bound(first)
+    for kind, _, right in spine:
+        d = degree_bound(right)
+        out = out + d if kind == "mul" else max(out, d)
+    return out
+
+
+def _fold(first, spine, walk):
+    """Evaluate a binary spine left to right with walk on each operand."""
+    out = walk(first)
+    for kind, _, right in spine:
+        b = walk(right)
+        if kind == "add":
+            out = out + b
+        elif kind == "sub":
+            out = out - b
+        else:
+            out = out * b
+    return out
 
 
 def eval_expr(node, env, order, pairing=None):
@@ -260,13 +296,8 @@ def eval_expr(node, env, order, pairing=None):
         if node[1] == "Re":
             return HALF * (inner + flipped)
         return CScalar(0, -HALF) * (inner - flipped)
-    a = eval_expr(node[1], env, order, pairing)
-    b = eval_expr(node[2], env, order, pairing)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    return a * b
+    return _fold(*_spine(node),
+                 lambda sub: eval_expr(sub, env, order, pairing))
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +592,8 @@ def eval_constant(node) -> CScalar:
         for _ in range(node[2]):
             out = out * base
         return out
-    if kind in ("add", "sub", "mul"):
-        a, b = eval_constant(node[1]), eval_constant(node[2])
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        return a * b
+    if kind in _BINARY:
+        return _fold(*_spine(node), eval_constant)
     raise ValueError(f"not a constant expression ({kind})")
 
 

@@ -36,6 +36,9 @@ from .documents import (ParseError, build_hypersurface, build_jet,
 from .report import SCHEMA_VERSION, emit, scalar_text
 
 CHECK_TOKENS = ("frame", "recursion", "leading", "commutators", "operators")
+# most points one reconstruct grid may tabulate; every point is built
+# eagerly and printed
+MAX_GRID_POINTS = 100_000
 
 
 def _resolve_order(flag, doc, kmax):
@@ -243,7 +246,7 @@ def _parse_grid(specs, q):
     if len(specs) != q:
         raise ParseError("--grid", None, 0,
                          f"need one spec or {q}, got {len(specs)}")
-    grid = []
+    grid, points = [], 1
     for spec in specs:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -258,6 +261,11 @@ def _parse_grid(specs, q):
         if count < 1 or hi < lo:
             raise ParseError("--grid", None, 0,
                              f"bad grid range {spec!r}")
+        points *= count
+        if points > MAX_GRID_POINTS:
+            raise ParseError("--grid", None, 0,
+                             "more than MAX_GRID_POINTS = "
+                             f"{MAX_GRID_POINTS} grid points")
         if count == 1:
             grid.append([lo])
         else:

@@ -15,6 +15,18 @@ Chart conventions used throughout: the unknowns of a system are the jet
 entries (i, beta) in the order of unknown_layout, followed by the q
 position variables.  Reduction keeps that chart, so top-order right-hand
 sides transfer verbatim.
+
+integrate is the only floating-point code.  Before marching it compiles,
+per axis, one straight-line RK4 stepper from generated source: the state
+lives in locals, the other axes' coordinates are bound once per call,
+the substep loop runs inside, and each right-hand side is one literal
+sum of monomials.  The generated source holds only generated names and
+the repr of finite floats; values beyond the float range are refused
+first.  Grid values are printed in shortest round-trip form, so the
+stepper keeps the exact operation order of term-by-term evaluation (the
+rule in the integrate docstring): no shared monomials, reassociation or
+Horner's rule, each of which would change the bits.  The term-by-term
+evaluator is the differential oracle in tests/test_jets.py.
 """
 
 from __future__ import annotations
@@ -270,24 +282,121 @@ class ReconstructionResult:
     max_deviation: float | None = None
 
 
-def _monomial_table(series: TruncatedSeries) -> tuple:
-    items = []
-    for alpha, c in series.terms():
-        if not c.is_real():
-            raise JetError("numeric marching needs real rhs polynomials")
-        idx = tuple(v for v, e in enumerate(alpha) for _ in range(e))
-        items.append((idx, float(c.re)))
-    return tuple(items)
+# Most fourth-order substeps one integrate call may take; the walk is
+# counted before marching and refused above this.
+MAX_RK4_SUBSTEPS = 10_000_000
+# Most operands in one generated statement: CPython's compiler recurses
+# along an operator chain and gives up near a thousand.
+_CHAIN = 64
 
 
-def _eval_table(table, vals) -> float:
-    total = 0.0
-    for idx, c in table:
-        v = c
-        for t in idx:
-            v *= vals[t]
-        total += v
-    return total
+def _to_float(value, what) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise JetError(f"{what} is beyond the float range") from None
+
+
+def _branches(axis):
+    """Runs from 0 along one axis: forward through the nodes >= 0, then
+    backward through the negative ones."""
+    return ([g for g in axis if g >= 0],
+            [g for g in reversed(axis) if g < 0])
+
+
+def _substeps(dist, step) -> int:
+    n = abs(dist) / step
+    if n > MAX_RK4_SUBSTEPS:
+        raise JetError(
+            f"a run of length {abs(dist)} at step {step} exceeds "
+            f"MAX_RK4_SUBSTEPS = {MAX_RK4_SUBSTEPS}")
+    return max(1, round(n))
+
+
+def _check_budget(grid, axis_order, step):
+    total, parents = 0, 1
+    for a in axis_order:
+        per_parent = 0
+        for branch in _branches(grid[a]):
+            t = 0.0
+            for g in branch:
+                if g != t:
+                    per_parent += _substeps(g - t, step)
+                t = g
+        total += parents * per_parent
+        parents *= len(grid[a])
+        if total > MAX_RK4_SUBSTEPS:
+            raise JetError(
+                f"marching this grid at step {step} needs more than "
+                f"MAX_RK4_SUBSTEPS = {MAX_RK4_SUBSTEPS} substeps")
+
+
+def _fold(target, head, operands, op) -> list:
+    """Statements leaving head op x1 op x2 ... in target, evaluated left
+    to right, at most _CHAIN operands per statement."""
+    lines = [f"{target} = {head}"] if not operands else []
+    for i in range(0, len(operands), _CHAIN):
+        lines.append(f"{target} = {head}"
+                     + "".join(op + x for x in operands[i:i + _CHAIN]))
+        head = target
+    return lines
+
+
+def _rhs_lines(target, terms, names) -> list:
+    """Statements leaving one rhs polynomial, read at the given variable
+    names, in target: 0.0 + ((c*v_a)*v_b)... + ..., in terms() order."""
+    lines, operands = [], []
+    for c, idx in terms:
+        factors = [names[v] for v in idx]
+        if len(factors) < _CHAIN:
+            operands.append("*".join([f"({c!r})"] + factors))
+        else:
+            temp = f"p{len(operands)}"
+            lines += _fold(temp, f"({c!r})", factors, "*")
+            operands.append(temp)
+    return lines + _fold(target, "0.0", operands, " + ")
+
+
+def _compile_stepper(rows, q, a, fail):
+    """Straight-line RK4 for axis a of a reduced system.
+
+    rows[j] lists the (float coefficient, variable indices) terms of the
+    rhs of unknown j along axis a.  The stepper(state, coords, t0, h,
+    nsub) takes nsub substeps of size h from x_{a+1} = t0, the other
+    positions frozen at coords, and returns the new state; it calls
+    fail(x) at the first substep ending in a non-finite state.  Every
+    float operation happens in the order of the rule in integrate, so
+    the results are bit-identical to evaluating it term by term.
+    """
+    m = len(rows)
+    u = [f"u{j}" for j in range(m)]
+    w = [f"w{j}" for j in range(m)]
+    xs = [f"x{b}" for b in range(q)]
+    body = [f"{', '.join(u)}, = state", f"{', '.join(xs)}, = coords",
+            "hh = 0.5 * h", "h6 = h / 6.0",
+            "for s_i in range(nsub):",
+            "    t = t0 + s_i * h", "    th = t + hh", "    tf = t + h"]
+    stages = ((u, "t", None), (w, "th", "hh"), (w, "th", "hh"),
+              (w, "tf", "h"))
+    for s, (args, pos, scale) in enumerate(stages, 1):
+        if scale is not None:
+            body += [f"    w{j} = u{j} + {scale} * k{s - 1}_{j}"
+                     for j in range(m)]
+        names = args + xs
+        names[m + a] = pos
+        for j, row in enumerate(rows):
+            body += ["    " + line
+                     for line in _rhs_lines(f"k{s}_{j}", row, names)]
+    body += [f"    u{j} = u{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j}"
+             f" + k4_{j})" for j in range(m)]
+    body += ["    if not (" + " and ".join(f"_isfinite({x})" for x in u)
+             + "):", "        _fail(tf)", f"return [{', '.join(u)}]"]
+    source = "def stepper(state, coords, t0, h, nsub):\n" + "".join(
+        f"    {line}\n" for line in body)
+    namespace = {"__builtins__": {}, "range": range,
+                 "_isfinite": math.isfinite, "_fail": fail}
+    exec(compile(source, f"<rk4 axis {a + 1}>", "exec"), namespace)
+    return namespace["stepper"]
 
 
 def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
@@ -304,16 +413,30 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     from 0.  truth, when supplied, is evaluated on each grid point and
     the maximum deviation of any component is reported.  A non-finite
     state or a grid outside the declared box aborts with the offending
-    location.
+    location; a walk of more than MAX_RK4_SUBSTEPS substeps, and a
+    coefficient, jet value or grid value beyond the float range, are
+    refused before marching.
+
+    The rule, in float arithmetic: each rhs is 0.0 + t_1 + t_2 + ... over
+    its monomials in terms() order, each monomial ((c*v_a)*v_b)... in
+    ascending variable order; with t = t0 + s_i*h the stages read
+    (u, t), (u + 0.5*h*k1, t + 0.5*h), (u + 0.5*h*k2, t + 0.5*h) and
+    (u + h*k3, t + h), and the update is
+    u + h/6.0*(k1 + 2.0*k2 + 2.0*k3 + k4).  Before marching, each axis
+    gets one compiled straight-line stepper (_compile_stepper) that
+    performs exactly these operations in this order, so its output is
+    bit-identical to evaluating the rule term by term.
     """
     if lambda0.q != S.q or lambda0.m != S.m or lambda0.k != S.k:
         raise JetError("initial jet does not match the system signature")
-    step = float(step)
+    step = _to_float(step, "step")
     if not step > 0:
         raise JetError("step must be positive")
-    grid = tuple(tuple(sorted(float(g) for g in axis)) for axis in grid)
     if len(grid) != S.q:
         raise JetError(f"grid needs {S.q} axes")
+    grid = tuple(tuple(sorted(_to_float(g, f"grid value on axis {a + 1}")
+                              for g in axis))
+                 for a, axis in enumerate(grid))
     if S.box is not None:
         for a, axis in enumerate(grid):
             lo, hi = S.box[a]
@@ -328,46 +451,34 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
         axis_order = tuple(axis_order)
         if sorted(axis_order) != list(range(S.q)):
             raise JetError("axis_order must permute the axes")
+    _check_budget(grid, axis_order, step)
 
+    # reduced unknown p is the jet entry S.layout[p]: the names below
+    # refer to the system as given
     R = reduce_to_first_order(S)
     lam = reduce_jet(lambda0) if S.k > 0 else lambda0
     zero = (0,) * S.q
-    state0 = [float(lam.values[(p, zero)]) for p in range(R.m)]
-    tables = [[None] * S.q for _ in range(R.m)]
-    for (j, alpha), s in R.rhs.items():
-        tables[j][alpha.index(1)] = _monomial_table(s)
+    state0 = [_to_float(lam.values[(p, zero)], f"jet value d^{beta} f{i + 1}")
+              for p, (i, beta) in enumerate(S.layout)]
+    rows = [[None] * R.m for _ in range(S.q)]
+    for (p, alpha), s in R.rhs.items():
+        i, beta = S.layout[p]
+        row = []
+        for e, c in s.terms():
+            if not c.is_real():
+                raise JetError("numeric marching needs real rhs polynomials")
+            row.append((_to_float(c.re, f"a coefficient of the rhs of "
+                                  f"d^{_add(beta, alpha)} f{i + 1}"),
+                        tuple(v for v, n in enumerate(e) for _ in range(n))))
+        rows[alpha.index(1)][p] = row
 
-    def advance(state, coords, a, t0, t1):
-        dist = t1 - t0
-        if dist == 0.0:
-            return state
-        nsub = max(1, round(abs(dist) / step))
-        h = dist / nsub
-        rows = [tables[j][a] for j in range(R.m)]
+    def stepper(a):
+        def fail(x):
+            raise JetError(f"non-finite state while marching axis {a + 1} "
+                           f"near x_{a + 1} = {x}")
+        return _compile_stepper(rows[a], S.q, a, fail)
 
-        def slope(u, t):
-            vals = u + coords
-            vals[R.m + a] = t
-            return [_eval_table(row, vals) for row in rows]
-
-        u = list(state)
-        for s_i in range(nsub):
-            t = t0 + s_i * h
-            k1 = slope(u, t)
-            k2 = slope([u[j] + 0.5 * h * k1[j] for j in range(R.m)],
-                       t + 0.5 * h)
-            k3 = slope([u[j] + 0.5 * h * k2[j] for j in range(R.m)],
-                       t + 0.5 * h)
-            k4 = slope([u[j] + h * k3[j] for j in range(R.m)], t + h)
-            u = [u[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j]
-                                   + k4[j]) for j in range(R.m)]
-            for j in range(R.m):
-                if not math.isfinite(u[j]):
-                    raise JetError(
-                        f"non-finite state while marching axis {a + 1} "
-                        f"near x_{a + 1} = {t + h}")
-        return u
-
+    steppers = [stepper(a) for a in range(S.q)]
     values = {}
 
     def walk(depth, state, coords):
@@ -375,12 +486,13 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
             values[tuple(coords)] = tuple(state[:S.m])
             return
         a = axis_order[depth]
-        forward = [g for g in grid[a] if g >= 0]
-        backward = [g for g in reversed(grid[a]) if g < 0]
-        for branch in (forward, backward):
+        for branch in _branches(grid[a]):
             u, t = state, 0.0
             for target in branch:
-                u = advance(u, list(coords), a, t, target)
+                dist = target - t
+                if dist != 0.0:
+                    nsub = _substeps(dist, step)
+                    u = steppers[a](u, coords, t, dist / nsub, nsub)
                 t = target
                 coords2 = list(coords)
                 coords2[a] = target

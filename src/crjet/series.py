@@ -750,8 +750,9 @@ class TruncatedSeries:
             elif factors and head == "-1":
                 parts.append("-" + "*".join(factors))
             else:
-                body = "*".join([f"({head})" if ("+" in head or head.startswith("-")) and factors else head] + factors)
-                parts.append(body)
+                if factors and (head.startswith("-") or c.re and c.im):
+                    head = f"({head})"
+                parts.append("*".join([head] + factors))
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):

@@ -1,6 +1,7 @@
 """Command-line layer: grammar positions, document round-trips, verbs."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,17 @@ class TestRoundTrip:
         doc = parse_document(M3)
         assert degree_bound(doc.expression("rho")) == 3
 
+    def test_long_chains(self):
+        # a chain parses into a left-deep tree as deep as it is long
+        terms = [f"{t}/{t + 1}*z1^{t % 3}*w" if t % 2 else f"(z1 - {t})*w^2"
+                 for t in range(1, 3001)]
+        body = " + ".join(terms[:1500]) + " - " + " - ".join(terms[1500:])
+        doc = parse_document(HEIS.replace("Im(w) - z1*conj(z1)", body))
+        text = serialize_document(doc)
+        assert text.splitlines()[-1] == "rho = " + body
+        assert serialize_document(parse_document(text)) == text
+        assert degree_bound(doc.expression("rho")) == 3
+
 
 class TestBuilders:
     def test_heisenberg_matches_library_model(self):
@@ -241,6 +253,14 @@ class TestBuilders:
         assert jet.values[(0, (0,))] == CScalar(Fraction(-3, 2))
         with pytest.raises(ParseError):
             parse_document(text.replace("-3/2", "x1"))  # no chart in jets
+
+    def test_long_constant_chains(self):
+        text = JET_LINE.replace("f1 = 1", "f1 = " + " + ".join(["1"] * 3000))
+        text = text.replace("f1_1 = 2", "f1_1 = " + "*".join(["1"] * 3000)
+                            + "*2 - 1/2")
+        jet = build_jet(parse_document(text))
+        assert jet.values[(0, (0,))] == 3000
+        assert jet.values[(0, (1,))] == Fraction(3, 2)
 
 
 @pytest.fixture()
@@ -428,6 +448,19 @@ class TestVerbs:
         assert (f"deep.crj:3:{col}: expression nests deeper than 100 "
                 "levels") in errtext
 
+    def test_long_sum_analyzes(self, tmp_path, capsys):
+        rho = "Im(w) - z1*conj(z1) - " + " - ".join(
+            ["1/3000*z1*conj(z1)"] * 3000)
+        long = tmp_path / "long.crj"
+        long.write_text(HEIS.replace("Im(w) - z1*conj(z1)", rho),
+                        encoding="utf-8")
+        short = tmp_path / "short.crj"
+        short.write_text(HEIS.replace("z1*conj(z1)", "2*z1*conj(z1)"),
+                         encoding="utf-8")
+        code, out, errtext = run(capsys, ["analyze", str(long)])
+        assert (code, errtext) == (0, "")
+        assert run(capsys, ["analyze", str(short)])[1] == out
+
     @pytest.mark.parametrize("verb, flag", [
         ("analyze", "--kmax"), ("scan", "--kmax"), ("verify", "--kmax"),
         ("verify", "--degree"), ("reflect", "--kmax"), ("aut", "--degree"),
@@ -440,3 +473,73 @@ class TestVerbs:
         assert code == 2
         assert out == ""
         assert f"{flag}: must be non-negative, got -1" in errtext
+
+
+def reconstruct(tmp_path, capsys, rhs="f1", jet="1", argv=()):
+    sys_path = tmp_path / "sys.crj"
+    sys_path.write_text("kind = system\naxes = 1\ncomponents = 1\n"
+                        f"jet_order = 0\nd1_f1 = {rhs}\n", encoding="utf-8")
+    jet_path = tmp_path / "jet.crj"
+    jet_path.write_text("kind = jet\naxes = 1\ncomponents = 1\n"
+                        f"jet_order = 0\nf1 = {jet}\n", encoding="utf-8")
+    return run(capsys, ["reconstruct", str(sys_path), str(jet_path),
+                        *argv])
+
+
+class TestIntegratorInput:
+    """Values outside the float range and walks beyond the named budgets
+    are bad input: exit 2 with a message, before any marching."""
+
+    BIG = "1" + "0" * 400
+
+    def test_rhs_coefficient_beyond_float_range(self, tmp_path, capsys):
+        code, out, errtext = reconstruct(
+            tmp_path, capsys, rhs=f"{self.BIG}*f1",
+            argv=["--grid", "0:1:2", "--step", "0.1"])
+        assert (code, out) == (2, "")
+        assert ("a coefficient of the rhs of d^(1,) f1 is beyond the float "
+                "range") in errtext
+
+    def test_jet_value_beyond_float_range(self, tmp_path, capsys):
+        code, out, errtext = reconstruct(
+            tmp_path, capsys, jet=f"-{self.BIG}",
+            argv=["--grid", "0:1:2", "--step", "0.1"])
+        assert (code, out) == (2, "")
+        assert "jet value d^(0,) f1 is beyond the float range" in errtext
+
+    def test_grid_value_beyond_float_range(self, tmp_path, capsys):
+        code, out, errtext = reconstruct(
+            tmp_path, capsys, argv=["--grid", f"0:{self.BIG}:2"])
+        assert (code, out) == (2, "")
+        assert "grid value on axis 1 is beyond the float range" in errtext
+
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324", "1e-9"])
+    def test_substep_budget(self, tmp_path, capsys, step):
+        # a run of 1e300 substeps, of more than the largest float, and of
+        # 1e9: each is refused before it starts
+        start = time.perf_counter()
+        code, out, errtext = reconstruct(
+            tmp_path, capsys, argv=["--grid", "0:1:2", "--step", step])
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert "MAX_RK4_SUBSTEPS = 10000000" in errtext
+
+    def test_substep_budget_counts_the_whole_walk(self, tmp_path, capsys):
+        # each of the 2000 runs takes 1e4 substeps, far under the limit;
+        # together they take twice the limit
+        start = time.perf_counter()
+        code, out, errtext = reconstruct(
+            tmp_path, capsys, rhs="0",
+            argv=["--grid", "0:2000:2001", "--step", "1e-4"])
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert ("needs more than MAX_RK4_SUBSTEPS = 10000000 substeps"
+                in errtext)
+
+    def test_grid_point_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, out, errtext = reconstruct(
+            tmp_path, capsys, argv=["--grid", "0:1:1000000000"])
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert "more than MAX_GRID_POINTS = 100000 grid points" in errtext

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from crjet.hypersurface import ambient_var
 from crjet.jets import (
+    MAX_RK4_SUBSTEPS,
     CompleteSystem,
     JetError,
     JetVector,
@@ -213,6 +215,202 @@ class TestIntegrate:
         jet = JetVector(1, 1, 1, {(0, (0,)): 1, (0, (1,)): 1})
         with pytest.raises(JetError):
             integrate(exp_system(), jet, ((1.0,),), 1e-2)
+
+
+# ----------------------------------------------------------------------
+# reference integrator: the term-by-term evaluator that the compiled
+# steppers replaced, kept as the oracle for their bit-identity
+
+
+def _monomial_table(series):
+    items = []
+    for alpha, c in series.terms():
+        if not c.is_real():
+            raise JetError("numeric marching needs real rhs polynomials")
+        idx = tuple(v for v, e in enumerate(alpha) for _ in range(e))
+        items.append((idx, float(c.re)))
+    return tuple(items)
+
+
+def _eval_table(table, vals):
+    total = 0.0
+    for idx, c in table:
+        v = c
+        for t in idx:
+            v *= vals[t]
+        total += v
+    return total
+
+
+def reference_integrate(S, lambda0, grid, step, axis_order=None):
+    """Grid values of integrate, evaluating every rhs term by term."""
+    step = float(step)
+    grid = tuple(tuple(sorted(float(g) for g in axis)) for axis in grid)
+    if axis_order is None:
+        axis_order = tuple(range(S.q))
+    R = reduce_to_first_order(S)
+    lam = reduce_jet(lambda0) if S.k > 0 else lambda0
+    zero = (0,) * S.q
+    state0 = [float(lam.values[(p, zero)]) for p in range(R.m)]
+    tables = [[None] * S.q for _ in range(R.m)]
+    for (j, alpha), s in R.rhs.items():
+        tables[j][alpha.index(1)] = _monomial_table(s)
+
+    def advance(state, coords, a, t0, t1):
+        dist = t1 - t0
+        if dist == 0.0:
+            return state
+        nsub = max(1, round(abs(dist) / step))
+        h = dist / nsub
+        rows = [tables[j][a] for j in range(R.m)]
+
+        def slope(u, t):
+            vals = u + coords
+            vals[R.m + a] = t
+            return [_eval_table(row, vals) for row in rows]
+
+        u = list(state)
+        for s_i in range(nsub):
+            t = t0 + s_i * h
+            k1 = slope(u, t)
+            k2 = slope([u[j] + 0.5 * h * k1[j] for j in range(R.m)],
+                       t + 0.5 * h)
+            k3 = slope([u[j] + 0.5 * h * k2[j] for j in range(R.m)],
+                       t + 0.5 * h)
+            k4 = slope([u[j] + h * k3[j] for j in range(R.m)], t + h)
+            u = [u[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j]
+                                   + k4[j]) for j in range(R.m)]
+            for j in range(R.m):
+                if not math.isfinite(u[j]):
+                    raise JetError(
+                        f"non-finite state while marching axis {a + 1} "
+                        f"near x_{a + 1} = {t + h}")
+        return u
+
+    values = {}
+
+    def walk(depth, state, coords):
+        if depth == S.q:
+            values[tuple(coords)] = tuple(state[:S.m])
+            return
+        a = axis_order[depth]
+        forward = [g for g in grid[a] if g >= 0]
+        backward = [g for g in reversed(grid[a]) if g < 0]
+        for branch in (forward, backward):
+            u, t = state, 0.0
+            for target in branch:
+                u = advance(u, list(coords), a, t, target)
+                t = target
+                coords2 = list(coords)
+                coords2[a] = target
+                walk(depth + 1, u, coords2)
+
+    walk(0, state0, [0.0] * S.q)
+    return values
+
+
+def outcome(run, *args, **kwargs):
+    """Grid values as reprs in tabulation order, or the JetError text."""
+    try:
+        values = run(*args, **kwargs)
+    except JetError as exc:
+        return ("error", str(exc))
+    if not isinstance(values, dict):
+        values = values.values
+    return [(repr(pt), repr(fv)) for pt, fv in values.items()]
+
+
+def random_case(rng):
+    """A random complete system of degree <= 2 with jet, grid and step.
+
+    Right-hand sides include zero and constant ones; some jets are
+    floats with signed zeros, so the sign of a zero sum shows."""
+    q, m, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+    jet, xs = chart(q, m, k, 2)
+    chart_vars = list(jet.values()) + xs
+    nv = len(chart_vars)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    rhs = {}
+    for alpha in multi_indices(q, k + 1):
+        for j in range(m):
+            kind = rng.random()
+            poly = TruncatedSeries.zero(nv, 2)
+            if kind >= 0.15:
+                poly = TruncatedSeries.constant(nv, rational(), 2)
+            if kind >= 0.3:
+                for _ in range(rng.randint(1, 4)):
+                    term = TruncatedSeries.constant(nv, rational(), 2)
+                    for _ in range(rng.randint(1, 2)):
+                        term = term * rng.choice(chart_vars)
+                    poly = poly + term
+            rhs[(j, alpha)] = poly
+    floats = rng.random() < 0.5
+    values = {}
+    for key in unknown_layout(q, m, k):
+        if floats:
+            values[key] = rng.choice((0.0, -0.0, -0.0, 0.5, -1.25))
+        else:
+            values[key] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    nodes = (-1, Fraction(-1, 2), Fraction(-1, 3), 0, Fraction(1, 4),
+             Fraction(1, 2), Fraction(3, 4), 1)
+    grid = tuple(rng.sample(nodes, rng.randint(1, 3)) for _ in range(q))
+    order = list(range(q))
+    rng.shuffle(order)
+    return (CompleteSystem(q, m, k, rhs), JetVector(q, m, k, values), grid,
+            rng.choice((0.1, 0.25, 0.3, Fraction(1, 3))), tuple(order))
+
+
+class TestCompiledStepper:
+    """integrate against the term-by-term oracle: every grid value and
+    every blow-up message is bit-identical."""
+
+    def test_random_systems(self):
+        rng = random.Random(2024)
+        blowups = 0
+        for _ in range(300):
+            S, jet, grid, step, order = random_case(rng)
+            want = outcome(reference_integrate, S, jet, grid, step,
+                           axis_order=order)
+            got = outcome(integrate, S, jet, grid, step, axis_order=order)
+            assert got == want, (S, jet.values, grid, step, order)
+            blowups += want[0] == "error"
+        assert 0 < blowups < 150
+
+    def test_long_sums_and_products(self):
+        # longer than one generated statement may chain
+        jet, xs = chart(1, 1, 0, 150)
+        u = jet[(0, (0,))]
+        poly = xs[0] ** 150 - u
+        for i in range(200):
+            poly = poly + Fraction(1, i + 2) * xs[0] ** (i % 5) * u
+        S = CompleteSystem(1, 1, 0, {(0, (1,)): poly})
+        j0 = JetVector(1, 1, 0, {(0, (0,)): Fraction(1, 3)})
+        grid = ((-0.5, 0.25, 0.5),)
+        want = outcome(reference_integrate, S, j0, grid, 0.05)
+        assert want[0] != "error"
+        assert outcome(integrate, S, j0, grid, 0.05) == want
+
+    def test_blowup_location_matches(self):
+        jet, _ = chart(1, 1, 0, 4)
+        u = jet[(0, (0,))]
+        S = CompleteSystem(1, 1, 0, {(0, (1,)): u * u})
+        j0 = JetVector(1, 1, 0, {(0, (0,)): 1.0})
+        want = outcome(reference_integrate, S, j0, ((-0.5, 1.2),), 1e-3)
+        assert want[0] == "error"
+        assert outcome(integrate, S, j0, ((-0.5, 1.2),), 1e-3) == want
+
+    def test_substep_budget(self):
+        S = exp_system()
+        j0 = JetVector(1, 1, 0, {(0, (0,)): 1})
+        # the forward and the backward run each fit, together they do not
+        with pytest.raises(JetError, match="MAX_RK4_SUBSTEPS"):
+            integrate(S, j0, ((-1.0, 1.0),), 1.0 / MAX_RK4_SUBSTEPS)
+        # one run past the budget
+        with pytest.raises(JetError, match="MAX_RK4_SUBSTEPS"):
+            integrate(S, j0, ((2.0,),), 1.0 / MAX_RK4_SUBSTEPS)
 
 
 class TestTaylorPropagate:

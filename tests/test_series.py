@@ -205,6 +205,25 @@ class TestRecenter:
         assert back == a
 
 
+class TestToStr:
+    def test_complex_coefficients_are_parenthesized(self):
+        s = TruncatedSeries(2, 3, {
+            (0, 0): CScalar(Fraction(-1, 2), 1),
+            (1, 0): CScalar(-3),
+            (0, 1): CScalar(Fraction(1, 2), Fraction(1, 3)),
+            (1, 1): CScalar(Fraction(241, 180), Fraction(-227, 180)),
+            (2, 0): CScalar(0, -1),
+            (0, 2): CScalar(0, 2)})
+        assert s.to_str() == ("-1/2+1*i + (1/2+1/3*i)*x1 + (-3)*x0 + "
+                              "2*i*x1^2 + (241/180-227/180*i)*x0*x1 + "
+                              "(-1*i)*x0^2")
+
+    def test_unit_coefficients_are_dropped(self):
+        z = TruncatedSeries.variable(2, 0, 2)
+        w = TruncatedSeries.variable(2, 1, 2)
+        assert (z * w - z + 2 * w).to_str(["z", "w"]) == "2*w - z + z*w"
+
+
 class TestRingProperties:
     def test_ring_axioms(self):
         rng = random.Random(10)
