@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,8 +21,7 @@ from ..autdim import (AutError, aut_bound, holomorphic_degeneracy_test,
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, h_tensor,
                           intrinsic_filtration, is_finite,
-                          nondegeneracy_scan, operator_certificates,
-                          verify_bracket_pairing,
+                          nondegeneracy_scan, verify_bracket_pairing,
                           verify_derivative_recursion,
                           verify_frame_structure,
                           verify_leading_order_reduction)
@@ -29,6 +29,7 @@ from ..jets import JetError, integrate, taylor_propagate
 from ..mappings import (MappingError, pushforward_data,
                         solve_levi_reflection, verify_reflection_base,
                         verify_transport_recursion)
+from ..operators import operator_certificates
 from ..series import SeriesError
 from .documents import (ParseError, build_hypersurface, build_jet,
                         build_map, build_system, jet_coordinate_name,
@@ -39,6 +40,9 @@ CHECK_TOKENS = ("frame", "recursion", "leading", "commutators", "operators")
 # most points one reconstruct grid may tabulate; every point is built
 # eagerly and printed
 MAX_GRID_POINTS = 100_000
+# most monomials one operator-certificate basis may hold: verify --degree D
+# on C^N acts on C(2N - 1 + D, D) monomials, all kept alive for the call
+MAX_BASIS_MONOMIALS = 5_000
 
 
 def _resolve_order(flag, doc, kmax):
@@ -148,26 +152,36 @@ def _run_analyze(args):
 def _run_verify(args):
     doc = _load_model(args, "verify needs a hypersurface document")
     n = doc.scalar("N") - 1
-    kmax = args.kmax if args.kmax is not None else 1
-    order = _resolve_order(args.order, doc, kmax)
-    M = build_hypersurface(doc, order)
-    F = build_frame(M)
     tokens = [t.strip() for t in args.check.split(",") if t.strip()]
     for t in tokens:
         if t not in CHECK_TOKENS:
             raise ParseError("--check", None, 0,
                              f"unknown check {t!r}; choose from "
                              f"{', '.join(CHECK_TOKENS)}")
+    if "operators" in tokens:
+        size = math.comb(2 * n + 1 + args.degree, args.degree)
+        if size > MAX_BASIS_MONOMIALS:
+            raise ParseError("--degree", None, 0,
+                             f"--degree {args.degree} needs {size} basis "
+                             "monomials, more than MAX_BASIS_MONOMIALS = "
+                             f"{MAX_BASIS_MONOMIALS}")
+    kmax = args.kmax if args.kmax is not None else 1
+    order = _resolve_order(args.order, doc, kmax)
+    M = build_hypersurface(doc, order)
+    F = build_frame(M)
     reports = []
+    filt = None
     for t in tokens:
         if t == "frame":
             reports.append(verify_frame_structure(F))
         elif t == "recursion":
             reports.append(verify_derivative_recursion(F, kmax))
-        elif t == "leading":
-            reports.append(verify_leading_order_reduction(F))
-        elif t == "commutators":
-            reports.append(verify_bracket_pairing(F))
+        elif t in ("leading", "commutators"):
+            if filt is None:
+                filt = intrinsic_filtration(F)
+            check = verify_leading_order_reduction if t == "leading" \
+                else verify_bracket_pairing
+            reports.append(check(F, filtration=filt))
         else:
             for m in (2, 3):
                 reports.append(_operator_check(F, m, args.degree))
@@ -180,11 +194,6 @@ def _run_verify(args):
         "pass": passed,
     }
     return tree, passed
-
-
-def _series_agree(a, b) -> bool:
-    o = min(a.order, b.order)
-    return a.truncate(o) == b.truncate(o)
 
 
 def _run_reflect(args):
@@ -213,9 +222,9 @@ def _run_reflect(args):
     try:
         gamma, eta = solve_levi_reflection(data.conjugated(),
                                            (t_src, t_tgt), Fs)
-        exact = all(_series_agree(gamma[C][B], data.gamma[C][B])
+        exact = all(gamma[C][B].agrees(data.gamma[C][B])
                     for C in range(n) for B in range(n)) \
-            and all(_series_agree(eta[C], data.eta[C]) for C in range(n))
+            and all(eta[C].agrees(data.eta[C]) for C in range(n))
         reports.append(CheckReport(name="levi-reflection-roundtrip",
                                    ok=exact, checked=n * n + n))
     except MappingError as exc:
@@ -296,7 +305,13 @@ def _run_reconstruct(args):
     if args.grid:
         axis_order = None
         if args.axis_order:
-            axis_order = tuple(int(t) - 1 for t in args.axis_order.split(","))
+            axis_order = []
+            for tok in args.axis_order.split(","):
+                try:
+                    axis_order.append(int(tok) - 1)
+                except ValueError:
+                    raise ParseError("--axis-order", None, 0,
+                                     f"not an axis number: {tok!r}")
         result = integrate(S, jet, _parse_grid(args.grid, S.q), args.step,
                            axis_order=axis_order)
         tree["grid"] = {

@@ -2,9 +2,10 @@
 
 Everything here is computed from a graph frame: iterated contracted
 derivatives of the characteristic form give the h tensors, their values at
-the origin drive the span filtration E_k / kernel filtration F_k, and three
-families of identity checks confirm the tensor calculus against independent
-code paths (plain derivatives, iterated brackets, operator certificates).
+the origin drive the span filtration E_k / kernel filtration F_k, and
+identity checks confirm the tensor calculus against independent code paths
+(plain derivatives and iterated brackets here; the operator certificates
+live in ``crjet.operators``).
 """
 
 from __future__ import annotations
@@ -532,21 +533,11 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
     return ScanReport(k=k, results=tuple(results))
 
 
-# operator-identity certificates live in a sibling module; re-export the
-# public entry points so this module covers the whole invariant surface
-from .operators import (  # noqa: E402  (import placed after definitions)
-    CommutatorCertificate,
-    bracket_reduction,
-    operator_certificates,
-    weighted_certificate,
-)
-
 __all__ = [
-    "CheckReport", "CommutatorCertificate", "FiltrationReport", "HTensor",
-    "PointResult", "ScanReport", "Unbounded", "bracket_reduction",
-    "extrinsic_k0", "h_tensor", "intrinsic_filtration", "is_finite",
-    "levi_matrix_at0", "lie_chain", "nondegeneracy_scan",
-    "operator_certificates", "verify_bracket_pairing",
+    "CheckReport", "FiltrationReport", "HTensor", "PointResult",
+    "ScanReport", "Unbounded", "extrinsic_k0", "h_tensor",
+    "intrinsic_filtration", "is_finite", "levi_matrix_at0", "lie_chain",
+    "nondegeneracy_scan", "verify_bracket_pairing",
     "verify_derivative_recursion", "verify_frame_structure",
-    "verify_leading_order_reduction", "weighted_certificate",
+    "verify_leading_order_reduction",
 ]

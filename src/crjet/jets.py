@@ -623,10 +623,8 @@ def jet_injectivity_demo(family, jet_order: int) -> CheckReport:
             if jets[i] != jets[j]:
                 continue
             equal_jets += 1
-            o = min(family[i].order, family[j].order)
-            same_map = all(
-                x.truncate(o) == y.truncate(o)
-                for x, y in zip(family[i].components, family[j].components))
+            same_map = all(x.agrees(y) for x, y in zip(
+                family[i].components, family[j].components))
             if not same_map:
                 violations.append((i, j))
     return CheckReport(name="jet-injectivity", ok=not violations,

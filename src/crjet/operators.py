@@ -8,6 +8,19 @@ This module computes such decompositions, the resulting reduction
 identities, and the weighted-word certificates solved triangularly over the
 word lattice, then re-verifies everything by acting on a monomial basis
 through independent operator compositions.
+
+One ``_Memo`` lives for one public call (``operator_certificates``, or any
+single certificate, table or index asked for alone) and is then dropped;
+nothing is cached on the frame or at module level.  It holds the h rows of
+the characteristic two-form, the chosen conjugate index, the T-pushdown and
+commutator tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f
+and L^K(T f) on each basis monomial f, named by its exponents and order.
+Tables and applications are memoized by the exact suffix of the word:
+L^(w0, rest) f = L_w0(L^rest f), never re-sorted through the commutativity
+of the L fields, so every series is the same composition, in the same order,
+that an unmemoized evaluation would build.  The verification stays
+independent of the tables: its left side composes the frame fields
+directly and never reads a table, so a wrong table still fails it.
 """
 
 from __future__ import annotations
@@ -48,51 +61,119 @@ def _left_compose(F: Frame, E: int, table: dict) -> dict:
     return out
 
 
-def _t_pushdown(F: Frame, word: tuple, _memo: dict) -> dict:
-    """T composed with L^word, rewritten as sum_K f_K L^K T."""
-    word = tuple(word)
-    if word in _memo:
-        return _memo[word]
-    nv = 2 * F.n + 1
-    if not word:
-        out = {(): TruncatedSeries.constant(nv, 1, F.order)}
-    else:
-        head, rest = word[0], word[1:]
-        inner = _t_pushdown(F, rest, _memo)
-        out = _left_compose(F, head, inner)
-        # [T, L_head] is the s-derivative of L_head's transverse coefficient
-        # times T
-        c_head = F.L[head].coeffs[2 * F.n].derive(2 * F.n)
-        if not c_head.is_zero():
-            for K, f in _scale_table(inner, c_head).items():
-                _dadd(out, K, f)
-    _memo[word] = out
-    return out
+class _Memo:
+    """Everything one certificate computation needs more than once.
 
+    Returned tables and series are shared between callers and must not be
+    mutated.
+    """
 
-def _h_row(F: Frame, Fbar: int):
-    """Series h_{FbarE} for all E, via the characteristic two-form."""
-    ev = exterior_derivative(F.theta)
-    return [ev(F.Lbar[Fbar], F.L[E]) for E in range(F.n)]
+    def __init__(self, F: Frame):
+        self.F = F
+        self._two_form = None
+        self._h_rows = {}
+        self._conjugate = None
+        self._pushdowns = {}
+        self._tables = {}
+        self._applied = {}
+        self._commutators = {}
+
+    def h_row(self, Fbar: int):
+        """Series h_{FbarE} for all E, via the characteristic two-form."""
+        row = self._h_rows.get(Fbar)
+        if row is None:
+            F = self.F
+            if self._two_form is None:
+                self._two_form = exterior_derivative(F.theta)
+            row = [self._two_form(F.Lbar[Fbar], F.L[E]) for E in range(F.n)]
+            self._h_rows[Fbar] = row
+        return row
+
+    def conjugate_index(self) -> int:
+        """Lexicographically smallest index with nonzero pairing against
+        L_1."""
+        if self._conjugate is None:
+            for Fb in range(self.F.n):
+                if not self.h_row(Fb)[0].constant_term().is_zero():
+                    self._conjugate = Fb
+                    break
+            else:
+                raise GeometryError(
+                    "no conjugate index pairs with the first field at 0; "
+                    "the construction needs a nonzero first-column pairing "
+                    "(reorder the frame so a nondegenerate direction comes "
+                    "first)")
+        return self._conjugate
+
+    def pushdown(self, word: tuple) -> dict:
+        """T composed with L^word, rewritten as sum_K f_K L^K T."""
+        out = self._pushdowns.get(word)
+        if out is None:
+            F = self.F
+            if not word:
+                out = {(): TruncatedSeries.constant(2 * F.n + 1, 1, F.order)}
+            else:
+                head, rest = word[0], word[1:]
+                inner = self.pushdown(rest)
+                out = _left_compose(F, head, inner)
+                # [T, L_head] is the s-derivative of L_head's transverse
+                # coefficient times T
+                c_head = F.L[head].coeffs[2 * F.n].derive(2 * F.n)
+                if not c_head.is_zero():
+                    for K, f in _scale_table(inner, c_head).items():
+                        _dadd(out, K, f)
+            self._pushdowns[word] = out
+        return out
+
+    def table(self, word: tuple, Fbar: int) -> dict:
+        """[L^word, L_Fbar] as sum_K d_K L^K T."""
+        key = (word, Fbar)
+        out = self._tables.get(key)
+        if out is None:
+            if not word:
+                out = {}
+            else:
+                head, rest = word[0], word[1:]
+                out = _left_compose(self.F, head, self.table(rest, Fbar))
+                for K, f in _scale_table(self.pushdown(rest),
+                                         self.h_row(Fbar)[head]).items():
+                    _dadd(out, K, f)
+            self._tables[key] = out
+        return out
+
+    def word_on(self, word: tuple, base, mono) -> TruncatedSeries:
+        """L^word applied to f (base None), to T f (base "T") or to
+        Lbar_base f (an integer base), where the basis monomial f is named
+        by mono = (exponents, order)."""
+        key = (word, base, mono)
+        out = self._applied.get(key)
+        if out is None:
+            F = self.F
+            if word:
+                out = F.L[word[0]].apply(self.word_on(word[1:], base, mono))
+            elif base is None:
+                exps, order = mono
+                out = TruncatedSeries(len(exps), order, {exps: 1})
+            else:
+                f = self.word_on((), None, mono)
+                out = F.T.apply(f) if base == "T" else F.Lbar[base].apply(f)
+            self._applied[key] = out
+        return out
+
+    def commutator_on(self, word: tuple, Fbar: int, mono) -> TruncatedSeries:
+        """[L^word, L_Fbar] f by direct composition, as apply_commutator."""
+        key = (word, Fbar, mono)
+        out = self._commutators.get(key)
+        if out is None:
+            out = self.word_on(word, Fbar, mono) \
+                - self.F.Lbar[Fbar].apply(self.word_on(word, None, mono))
+            self._commutators[key] = out
+        return out
 
 
 def commutator_table(F: Frame, word, Fbar: int) -> dict:
     """Exact decomposition of [L^word, L_Fbar] as sum_K d_K L^K T."""
-    word = tuple(word)
-    h_row = _h_row(F, Fbar)
-    memo = {}
-
-    def rec(w):
-        if not w:
-            return {}
-        head, rest = w[0], w[1:]
-        out = _left_compose(F, head, rec(rest))
-        for K, f in _scale_table(_t_pushdown(F, rest, memo),
-                                 h_row[head]).items():
-            _dadd(out, K, f)
-        return out
-
-    return rec(word)
+    return _Memo(F).table(tuple(word), Fbar)
 
 
 def apply_word(F: Frame, word, f: TruncatedSeries) -> TruncatedSeries:
@@ -141,14 +222,7 @@ class CommutatorCertificate:
 
 def choose_conjugate_index(F: Frame):
     """Lexicographically smallest index with nonzero pairing against L_1."""
-    h_at0 = [_h_row(F, Fb)[0].constant_term() for Fb in range(F.n)]
-    for Fb, val in enumerate(h_at0):
-        if not val.is_zero():
-            return Fb
-    raise GeometryError(
-        "no conjugate index pairs with the first field at 0; "
-        "the construction needs a nonzero first-column pairing "
-        "(reorder the frame so a nondegenerate direction comes first)")
+    return _Memo(F).conjugate_index()
 
 
 def bracket_reduction(F: Frame, word, Fbar=None,
@@ -159,12 +233,17 @@ def bracket_reduction(F: Frame, word, Fbar=None,
     shorter word of the decomposition.  Raises when the decomposition
     disagrees with the forced leading shape (a build bug, not a data error).
     """
+    return _reduction(_Memo(F), word, Fbar, verify_degree)
+
+
+def _reduction(memo: _Memo, word, Fbar, verify_degree):
+    F = memo.F
     word = _sorted_word(word)
     if Fbar is None:
-        Fbar = choose_conjugate_index(F)
+        Fbar = memo.conjugate_index()
     m = len(word)
-    table = commutator_table(F, word, Fbar)
-    h_row = _h_row(F, Fbar)
+    table = memo.table(word, Fbar)
+    h_row = memo.h_row(Fbar)
     leading = {}
     for E in sorted(set(word)):
         shorter = list(word)
@@ -176,8 +255,7 @@ def bracket_reduction(F: Frame, word, Fbar=None,
             want = leading.get(K)
             if want is None:
                 raise GeometryError(f"unexpected leading word {K}")
-            o = min(want.order, d.order)
-            if want.truncate(o) != d.truncate(o):
+            if not want.agrees(d):
                 raise GeometryError(f"leading coefficient mismatch at {K}")
         else:
             _dadd(tail, K, -d)
@@ -186,7 +264,7 @@ def bracket_reduction(F: Frame, word, Fbar=None,
             raise GeometryError(f"missing leading word {K}")
     verified = False
     if verify_degree is not None:
-        verified = _verify_reduction(F, word, Fbar, leading, tail,
+        verified = _verify_reduction(memo, word, Fbar, leading, tail,
                                      verify_degree)
         if not verified:
             raise GeometryError("reduction failed monomial verification")
@@ -219,16 +297,19 @@ def weighted_certificate(F: Frame, J, Fbar=None,
     K uses the bracket word K + (1,), whose pivot coefficient
     (count_1(K) + 1) h_{Fbar1} is a unit at the origin.
     """
+    return _weighted(_Memo(F), J, Fbar, verify_degree)
+
+
+def _weighted(memo: _Memo, J, Fbar, verify_degree):
+    F = memo.F
     J = _sorted_word(J)
     if Fbar is None:
-        Fbar = choose_conjugate_index(F)
-    h_row = _h_row(F, Fbar)
-    if h_row[0].constant_term().is_zero():
+        Fbar = memo.conjugate_index()
+    h1 = memo.h_row(Fbar)[0]
+    if h1.constant_term().is_zero():
         raise GeometryError("pivot pairing vanishes at 0 for this index")
     p = len(J) - sum(1 for E in J if E == 0) + 2
-    nv = 2 * F.n + 1
 
-    h1 = h_row[0]
     target = h1
     for _ in range(p - 1):
         target = target * h1
@@ -250,10 +331,9 @@ def weighted_certificate(F: Frame, J, Fbar=None,
         pivot = (K.count(0) + 1) * h1
         b = resid * pivot.invert_unit()
         _dadd(b_coeffs, pivot_word, b)
-        for K2, d in commutator_table(F, pivot_word, Fbar).items():
+        for K2, d in memo.table(pivot_word, Fbar).items():
             if K2 == K:
-                o = min(d.order, pivot.order)
-                if d.truncate(o) != pivot.truncate(o):
+                if not d.agrees(pivot):
                     raise GeometryError(f"pivot coefficient mismatch at {K}")
             else:
                 _dadd(rhs, K2, -(b * d))
@@ -263,7 +343,8 @@ def weighted_certificate(F: Frame, J, Fbar=None,
                             f"{sorted(leftovers)}")
     verified = False
     if verify_degree is not None:
-        verified = _verify_weighted(F, J, Fbar, p, b_coeffs, verify_degree)
+        verified = _verify_weighted(memo, J, Fbar, p, b_coeffs,
+                                    verify_degree)
         if not verified:
             raise GeometryError("certificate failed monomial verification")
     return CommutatorCertificate(
@@ -272,54 +353,50 @@ def weighted_certificate(F: Frame, J, Fbar=None,
         bracket_coeffs=b_coeffs, verified=verified)
 
 
-def _monomials(nvars: int, degree: int, order: int):
+def _basis(nvars: int, degree: int, order: int):
+    """Monomials of total degree <= degree at this order, as (exponents,
+    order) names for _Memo.word_on."""
     for total in range(degree + 1):
         for alpha in itertools.combinations_with_replacement(
                 range(nvars), total):
             exps = [0] * nvars
             for v in alpha:
                 exps[v] += 1
-            yield TruncatedSeries(nvars, order, {tuple(exps): 1})
+            yield tuple(exps), order
 
 
-def _agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    o = min(a.order, b.order)
-    return a.truncate(o) == b.truncate(o)
-
-
-def _verify_reduction(F: Frame, word, Fbar, leading, tail, degree) -> bool:
-    nv = 2 * F.n + 1
+def _verify_reduction(memo: _Memo, word, Fbar, leading, tail,
+                      degree) -> bool:
     basis_order = degree + len(word) + 2
-    for mono in _monomials(nv, degree, basis_order):
-        lhs = apply_commutator(F, word, Fbar, mono)
-        tf = F.T.apply(mono)
+    for mono in _basis(2 * memo.F.n + 1, degree, basis_order):
+        lhs = memo.commutator_on(word, Fbar, mono)
         rhs = None
         for K, coeff in sorted(leading.items()):
-            term = coeff * apply_word(F, K, tf)
+            term = coeff * memo.word_on(K, "T", mono)
             rhs = term if rhs is None else rhs + term
         for K, coeff in sorted(tail.items()):
-            rhs = rhs - coeff * apply_word(F, K, tf)
-        if not _agree(lhs, rhs):
+            rhs = rhs - coeff * memo.word_on(K, "T", mono)
+        if not lhs.agrees(rhs):
             return False
     return True
 
 
-def _verify_weighted(F: Frame, J, Fbar, p, b_coeffs, degree) -> bool:
-    nv = 2 * F.n + 1
+def _verify_weighted(memo: _Memo, J, Fbar, p, b_coeffs, degree) -> bool:
+    nv = 2 * memo.F.n + 1
     basis_order = degree + len(J) + 3
-    h1 = _h_row(F, Fbar)[0]
+    h1 = memo.h_row(Fbar)[0]
     hp = TruncatedSeries.constant(nv, 1, h1.order)
     for _ in range(p):
         hp = hp * h1
-    for mono in _monomials(nv, degree, basis_order):
+    for mono in _basis(nv, degree, basis_order):
         lhs = None
         for W, b in sorted(b_coeffs.items()):
-            term = b * apply_commutator(F, W, Fbar, mono)
+            term = b * memo.commutator_on(W, Fbar, mono)
             lhs = term if lhs is None else lhs + term
-        rhs = hp * apply_word(F, J, F.T.apply(mono))
+        rhs = hp * memo.word_on(J, "T", mono)
         if lhs is None:
             lhs = TruncatedSeries.zero(nv, rhs.order)
-        if not _agree(lhs, rhs):
+        if not lhs.agrees(rhs):
             return False
     return True
 
@@ -329,9 +406,10 @@ def operator_certificates(F: Frame, m: int, Fbar=None, verify_degree=None):
     m - 1: the reduction identities and the weighted-word identities."""
     if m < 1:
         raise OrderExhausted("word length must be at least 1")
+    memo = _Memo(F)
     certs = []
     for word in itertools.combinations_with_replacement(range(F.n), m):
-        certs.append(bracket_reduction(F, word, Fbar, verify_degree))
+        certs.append(_reduction(memo, word, Fbar, verify_degree))
     for J in itertools.combinations_with_replacement(range(F.n), m - 1):
-        certs.append(weighted_certificate(F, J, Fbar, verify_degree))
+        certs.append(_weighted(memo, J, Fbar, verify_degree))
     return certs

@@ -512,6 +512,11 @@ class TruncatedSeries:
             and self._terms == other._terms
         )
 
+    def agrees(self, other: "TruncatedSeries") -> bool:
+        """Equality after truncating both to the lower of the two orders."""
+        o = min(self.order, other.order)
+        return self.truncate(o) == other.truncate(o)
+
     # ------------------------------------------------------------------
     # calculus
 

@@ -322,6 +322,21 @@ class TestVerbs:
         assert code == 2
         assert "unknown check 'l1_13'" in errtext
 
+    def test_verify_basis_budget(self, docs, capsys):
+        # --degree 40 on C^3 asks for C(45, 40), about 1.2M, basis
+        # monomials: refused before the model is built
+        start = time.perf_counter()
+        code, out, errtext = run(capsys, ["verify", docs["m3"],
+                                          "--degree", "40"])
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert ("--degree 40 needs 1221759 basis monomials, more than "
+                "MAX_BASIS_MONOMIALS = 5000") in errtext
+        # the degree sizes only the operator certificates
+        code, out, _ = run(capsys, ["verify", docs["m3"], "--check", "frame",
+                                    "--degree", "40"])
+        assert code == 0 and "pass: true" in out
+
     def test_verify_vacuous_certificates(self, docs, capsys):
         # no Levi pivot at the origin: certificate batches degrade to
         # vacuous passes instead of inventing operators
@@ -535,6 +550,13 @@ class TestIntegratorInput:
         assert (code, out) == (2, "")
         assert ("needs more than MAX_RK4_SUBSTEPS = 10000000 substeps"
                 in errtext)
+
+    def test_axis_order_not_a_number(self, tmp_path, capsys):
+        code, out, errtext = reconstruct(
+            tmp_path, capsys,
+            argv=["--grid", "0:1:2", "--step", "0.1", "--axis-order", "x"])
+        assert (code, out) == (2, "")
+        assert "--axis-order: not an axis number: 'x'" in errtext
 
     def test_grid_point_budget(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -51,11 +51,6 @@ def tensor_pair(data):
     return (h_tensor(data.source_frame, 1), h_tensor(data.target_frame, 1))
 
 
-def agree(a, b):
-    o = min(a.order, b.order)
-    return a.truncate(o) == b.truncate(o)
-
-
 class TestAmbientMap:
     def test_identity(self):
         M = heis(2)
@@ -193,14 +188,14 @@ class TestPushforwardData:
                 rhs = rhs + P.eta[A] * through(Ft.L[A].coeffs[u])
                 rhs = rhs + P.eta[A].conjugate(pairing) * \
                     through(Ft.Lbar[A].coeffs[u])
-            assert agree(lhs, rhs)
+            assert lhs.agrees(rhs)
             for B in range(n):
                 lhs = Fs.L[B].apply(P.imap[u])
                 rhs = None
                 for A in range(n):
                     term = P.gamma[A][B] * through(Ft.L[A].coeffs[u])
                     rhs = term if rhs is None else rhs + term
-                assert agree(lhs, rhs)
+                assert lhs.agrees(rhs)
 
 
 class TestReflectionBase:
@@ -250,18 +245,18 @@ class TestSolveLeviReflection:
             gamma, eta = solve_levi_reflection(
                 P.conjugated(), tensor_pair(P), P.source_frame)
             for A in range(P.n):
-                assert agree(eta[A], P.eta[A])
+                assert eta[A].agrees(P.eta[A])
                 for B in range(P.n):
-                    assert agree(gamma[A][B], P.gamma[A][B])
+                    assert gamma[A][B].agrees(P.gamma[A][B])
 
     def test_roundtrip_two_variables(self):
         P = data_for(swap_c3(heis(3)))
         gamma, eta = solve_levi_reflection(
             P.conjugated(), tensor_pair(P), P.source_frame)
         for A in range(P.n):
-            assert agree(eta[A], P.eta[A])
+            assert eta[A].agrees(P.eta[A])
             for B in range(P.n):
-                assert agree(gamma[A][B], P.gamma[A][B])
+                assert gamma[A][B].agrees(P.gamma[A][B])
 
     def test_degenerate_levi_rejected(self):
         M2 = from_defining(m2_rho(8), 2)
@@ -286,7 +281,7 @@ class TestComposition:
             PF, PG = data_for(F), data_for(G)
             PC = data_for(compose_maps(F, G))
             xi_expected = PF.xi.compose(list(PG.imap)) * PG.xi
-            assert agree(PC.xi, xi_expected)
+            assert PC.xi.agrees(xi_expected)
             n = PC.n
             for A in range(n):
                 for B in range(n):
@@ -295,7 +290,7 @@ class TestComposition:
                         term = PF.gamma[A][C].compose(list(PG.imap)) * \
                             PG.gamma[C][B]
                         want = term if want is None else want + term
-                    assert agree(PC.gamma[A][B], want)
+                    assert PC.gamma[A][B].agrees(want)
 
     def test_middle_germ_mismatch(self):
         M, M3 = heis(2), from_defining(m3_rho(8), 3)

@@ -88,6 +88,17 @@ class TestMul:
         assert prod.is_zero() and prod.order == 3
 
 
+class TestAgrees:
+    def test_compares_up_to_the_lower_order(self):
+        z = TruncatedSeries.variable(1, 0, 5)
+        low = (1 + z).truncate(2)
+        high = 1 + z + z ** 4
+        assert low != high
+        assert low.agrees(high) and high.agrees(low)
+        assert not low.agrees(1 + 2 * z)
+        assert not (1 + z).agrees(1 + z + z ** 4)
+
+
 class TestDerive:
     def test_monomial(self):
         # d/dz (z^2 zb) = 2 z zb
