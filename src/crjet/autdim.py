@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .hypersurface import Hypersurface, ambient_pairing, intrinsic_pairing
+from .hypersurface import Hypersurface, _DenseCoefficients, intrinsic_pairing
 from .linalg import nullspace
 from .series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 
@@ -40,31 +40,21 @@ def aut_bound(N: int) -> int:
     return (2 * N - 1) * comb(4 * N - 3, 2 * N - 2)
 
 
-class FormalVectorField:
+class FormalVectorField(_DenseCoefficients):
     """Holomorphic polynomial field sum a_j d/dz_j on the ambient chart.
 
     Coefficients are N truncated series in the holomorphic variables only;
     the field acts on ambient series as a derivation.
     """
 
-    __slots__ = ("N", "order", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise AutError("need at least one coefficient")
+    def _check(self, coeffs, nvars):
         N = len(coeffs)
-        for c in coeffs:
-            if not isinstance(c, TruncatedSeries) or c.nvars != 2 * N:
-                raise AutError("coefficients must live on the ambient chart")
-            if any(any(a[N:]) for a, _ in c.terms()):
-                raise AutError("coefficients must be holomorphic")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "order", min(c.order for c in coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalVectorField is immutable")
+        if nvars != 2 * N:
+            raise AutError("coefficients must live on the ambient chart")
+        if any(any(a[N:]) for c in coeffs for a, _ in c.terms()):
+            raise AutError("coefficients must be holomorphic")
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         out = None
@@ -74,31 +64,8 @@ class FormalVectorField:
             term = c * f.derive(j)
             out = term if out is None else out + term
         if out is None:
-            return TruncatedSeries.zero(2 * self.N, max(f.order - 1, 0))
+            return TruncatedSeries.zero(self.nvars, max(f.order - 1, 0))
         return out
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalVectorField):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"FormalVectorField(N={self.N}, order={self.order})"
-
-
-def holomorphic_residual(M: Hypersurface, Y: FormalVectorField):
-    """Y rho restricted to the graph; zero iff rho divides Y rho."""
-    return M.restrict(Y.apply(M.rho))
-
-
-def real_residual(M: Hypersurface, Y: FormalVectorField):
-    """(Y rho + conj(Y rho)) restricted to the graph; zero iff Re Y is
-    tangent."""
-    r = Y.apply(M.rho)
-    return M.restrict(r + r.conjugate(ambient_pairing(M.N)))
 
 
 @dataclass(frozen=True)

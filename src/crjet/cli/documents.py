@@ -9,8 +9,7 @@ parentheses, and (in hypersurface documents only) conj, Re and Im.  Every
 syntax error carries the source name with a line and column.
 
 Parsed expressions are plain nested tuples, so documents compare
-structurally and serialize canonically; parse -> serialize -> parse is
-the identity.
+structurally.
 """
 
 from __future__ import annotations
@@ -194,9 +193,7 @@ class _ExprParser:
         self.error(f"unexpected token {tok[1]!r}", tok)
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "neg": 3, "pow": 4,
-         "num": 5, "var": 5, "call": 5}
-_BINARY = {"add": " + ", "sub": " - ", "mul": "*"}
+_BINARY = frozenset(("add", "sub", "mul"))
 
 
 def _spine(node):
@@ -210,32 +207,6 @@ def _spine(node):
         node = node[1]
     spine.reverse()
     return node, spine
-
-
-def render_expr(node, parent=0) -> str:
-    kind = node[0]
-    if kind in _BINARY:
-        first, spine = _spine(node)
-        body = render_expr(first, _PREC[spine[0][0]])
-        for i, (kind, _, right) in enumerate(spine):
-            body += _BINARY[kind] + render_expr(right, _PREC[kind] + 1)
-            outer = _PREC[spine[i + 1][0]] if i + 1 < len(spine) else parent
-            if _PREC[kind] < outer:
-                body = "(" + body + ")"
-        return body
-    if kind == "num":
-        body = str(node[1])
-    elif kind == "var":
-        body = node[1]
-    elif kind == "call":
-        body = f"{node[1]}({render_expr(node[2])})"
-    elif kind == "neg":
-        body = "-" + render_expr(node[1], _PREC["neg"])
-    else:
-        body = render_expr(node[1], _PREC["pow"] + 1) + "^" + str(node[2])
-    if _PREC[kind] < parent:
-        return "(" + body + ")"
-    return body
 
 
 def degree_bound(node) -> int:
@@ -507,15 +478,6 @@ def load_document(path) -> InputDocument:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_document(text, source=str(path))
-
-
-def serialize_document(doc: InputDocument) -> str:
-    lines = [f"kind = {doc.kind}"]
-    for key, value in doc.scalars:
-        lines.append(f"{key} = {value}")
-    for key, node in doc.expressions:
-        lines.append(f"{key} = {render_expr(node)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from ..autdim import (AutError, aut_bound, holomorphic_degeneracy_test,
                       infinitesimal_aut_dim, tangency_restrictions)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, h_tensor,
-                          intrinsic_filtration, is_finite,
-                          nondegeneracy_scan, verify_bracket_pairing,
+                          intrinsic_filtration, nondegeneracy_scan,
+                          verify_bracket_pairing,
                           verify_derivative_recursion,
                           verify_frame_structure,
                           verify_leading_order_reduction)
@@ -452,10 +452,10 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("kmax", "degree"):
+        for flag in ("kmax", "degree", "target_order"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
-                raise ParseError(f"--{flag}", None, 0,
+                raise ParseError("--" + flag.replace("_", "-"), None, 0,
                                  f"must be non-negative, got {value}")
         tree, passed = _RUNNERS[args.verb](args)
     except (ParseError, SeriesError, GeometryError, MappingError,

@@ -1,4 +1,4 @@
-"""Real hypersurfaces in complex space, graph normalization, and adapted frames.
+"""Real hypersurfaces in complex space, graph normalization, and frames.
 
 A hypersurface through the origin of C^N is described by a real defining
 series rho in the ambient variables (z_1..z_n, w, zb_1..zb_n, wb), n = N-1.
@@ -50,10 +50,6 @@ def ambient_pairing(N: int) -> tuple:
     return tuple(list(range(N, 2 * N)) + list(range(N)))
 
 
-def intrinsic_var(n: int, index: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.variable(2 * n + 1, index, order)
-
-
 def ambient_var(N: int, index: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.variable(2 * N, index, order)
 
@@ -62,40 +58,80 @@ def ambient_var(N: int, index: int, order: int) -> TruncatedSeries:
 # first-order operators and one-forms on a chart
 
 
-class VectorFieldOp:
-    """First-order differential operator sum_v c_v(x) d/dx_v on a chart.
+class _DenseCoefficients:
+    """Immutable dense tuple of series on one chart, at a common order.
 
-    Coefficients are stored densely, one series per chart variable, all at a
-    common truncation order.
+    The shell of every field and form type: construction truncates the
+    coefficients to their lowest order, and the linear operations act
+    slot by slot.  Subclasses add their own operations and may replace
+    _check, which by default asks for one coefficient per chart variable.
     """
 
     __slots__ = ("nvars", "order", "coeffs")
 
     def __init__(self, coeffs):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise SeriesError("empty coefficient list")
         nvars = coeffs[0].nvars
+        if any(c.nvars != nvars for c in coeffs):
+            raise SeriesError("coefficient variable-space mismatch")
+        self._check(coeffs, nvars)
         order = min(c.order for c in coeffs)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
         object.__setattr__(
             self, "coeffs", tuple(c.truncate(order) for c in coeffs)
         )
-        for c in coeffs:
-            if c.nvars != nvars:
-                raise SeriesError("coefficient variable-space mismatch")
+
+    def _check(self, coeffs, nvars):
         if len(coeffs) != nvars:
             raise SeriesError("need one coefficient per chart variable")
 
     def __setattr__(self, name, value):
-        raise AttributeError("VectorFieldOp is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def direction(cls, nvars: int, index: int, order: int) -> "VectorFieldOp":
-        one = TruncatedSeries.constant(nvars, 1, order)
-        zero = TruncatedSeries.zero(nvars, order)
-        return cls([one if v == index else zero for v in range(nvars)])
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def conjugate(self, pairing):
+        """Conjugate every coefficient and move slot v to pairing[v]."""
+        new = [None] * len(self.coeffs)
+        for v, c in enumerate(self.coeffs):
+            new[pairing[v]] = c.conjugate(pairing)
+        return type(self)(new)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def scaled(self, factor):
+        """Multiply by a CScalar or a TruncatedSeries on the same chart."""
+        return type(self)([factor * c for c in self.coeffs])
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(order={self.order}, "
+                f"coeffs={list(self.coeffs)!r})")
+
+
+class VectorFieldOp(_DenseCoefficients):
+    """First-order differential operator sum_v c_v(x) d/dx_v on a chart."""
+
+    __slots__ = ()
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         if f.order < 1:
@@ -114,68 +150,11 @@ class VectorFieldOp:
              for v in range(self.nvars)]
         )
 
-    def conjugate(self, pairing) -> "VectorFieldOp":
-        new = [None] * self.nvars
-        for v, c in enumerate(self.coeffs):
-            new[pairing[v]] = c.conjugate(pairing)
-        return VectorFieldOp(new)
 
-    def at0(self):
-        return [c.constant_term() for c in self.coeffs]
+class OneForm(_DenseCoefficients):
+    """Differential form sum_v w_v(x) dx_v on a chart."""
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, VectorFieldOp):
-            return NotImplemented
-        return VectorFieldOp([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorFieldOp):
-            return NotImplemented
-        return VectorFieldOp([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return VectorFieldOp([-c for c in self.coeffs])
-
-    def scaled(self, factor) -> "VectorFieldOp":
-        """Multiply by a CScalar or a TruncatedSeries on the same chart."""
-        return VectorFieldOp([factor * c for c in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorFieldOp):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"VectorFieldOp(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-
-class OneForm:
-    """Differential form sum_v w_v(x) dx_v on a chart, stored densely."""
-
-    __slots__ = ("nvars", "order", "coeffs")
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise SeriesError("empty coefficient list")
-        nvars = coeffs[0].nvars
-        order = min(c.order for c in coeffs)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "coeffs", tuple(c.truncate(order) for c in coeffs)
-        )
-        for c in coeffs:
-            if c.nvars != nvars:
-                raise SeriesError("coefficient variable-space mismatch")
-        if len(coeffs) != nvars:
-            raise SeriesError("need one coefficient per chart differential")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneForm is immutable")
+    __slots__ = ()
 
     def pair(self, X: VectorFieldOp) -> TruncatedSeries:
         if self.nvars != X.nvars:
@@ -185,36 +164,6 @@ class OneForm:
             if not self.coeffs[v].is_zero() and not X.coeffs[v].is_zero():
                 out = out + self.coeffs[v] * X.coeffs[v]
         return out
-
-    def conjugate(self, pairing) -> "OneForm":
-        new = [None] * self.nvars
-        for v, c in enumerate(self.coeffs):
-            new[pairing[v]] = c.conjugate(pairing)
-        return OneForm(new)
-
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return OneForm([-c for c in self.coeffs])
-
-    def scaled(self, factor) -> "OneForm":
-        return OneForm([factor * c for c in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"OneForm(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
 class TwoFormEvaluator:
@@ -270,10 +219,6 @@ class TwoFormEvaluator:
             if not X.coeffs[v].is_zero():
                 out[u] = out[u] - X.coeffs[v] * c
         return OneForm(out)
-
-
-def bracket(X: VectorFieldOp, Y: VectorFieldOp) -> VectorFieldOp:
-    return X.bracket(Y)
 
 
 def exterior_derivative(omega: OneForm) -> TwoFormEvaluator:
@@ -520,58 +465,3 @@ def build_frame(M: Hypersurface) -> Frame:
     thetaA = forms[1:n + 1]
     thetaAbar = forms[n + 1:]
     return Frame(n, T, L, Lbar, theta, thetaA, thetaAbar, M)
-
-
-def adapt_frame(M: Hypersurface, frame: Frame, filtration) -> Frame:
-    """Reorder the CR frame by constants so trailing fields span each kernel.
-
-    The filtration report supplies, at the origin, a descending chain of
-    kernel subspaces in frame coordinates; the returned frame applies a
-    constant invertible change so that for every stage k the final fields
-    L_{r_k+1}, ..., L_n span stage k's kernel.  Constant changes keep every
-    frame bracket proportional to T and every d theta^A zero.
-    """
-    from .linalg import SpanTracker
-
-    n = frame.n
-    bases = list(filtration.Fk_bases)
-    for basis in bases:
-        for vec in basis:
-            if len(vec) != n:
-                raise GeometryError("filtration inconsistent with frame size")
-    tracker = SpanTracker(n)
-    ordered = []
-    for basis in reversed(bases):
-        for vec in basis:
-            if tracker.add(vec):
-                ordered.append(vec)
-    for j in range(n):  # complete with coordinate directions if needed
-        vec = [CS_ONE if i == j else CS_ZERO for i in range(n)]
-        if tracker.add(vec):
-            ordered.append(vec)
-    if len(ordered) != n:
-        raise GeometryError("filtration inconsistent with frame size")
-    cols = list(reversed(ordered))  # deepest kernel vectors go last
-
-    C = [[cols[A][B] for A in range(n)] for B in range(n)]  # C[B][A]
-    newL = []
-    for A in range(n):
-        acc = frame.L[0].scaled(C[0][A])
-        for B in range(1, n):
-            acc = acc + frame.L[B].scaled(C[B][A])
-        newL.append(acc)
-    pairing = intrinsic_pairing(n)
-    newLbar = [X.conjugate(pairing) for X in newL]
-
-    ident = [[CS_ONE if i == j else CS_ZERO for j in range(n)] for i in range(n)]
-    Cinv_cols = [solve_unique(C, [ident[i][j] for i in range(n)])
-                 for j in range(n)]
-    newThetaA = []
-    for A in range(n):
-        acc = frame.thetaA[0].scaled(Cinv_cols[0][A])
-        for B in range(1, n):
-            acc = acc + frame.thetaA[B].scaled(Cinv_cols[B][A])
-        newThetaA.append(acc)
-    newThetaAbar = [f.conjugate(pairing) for f in newThetaA]
-    return Frame(n, frame.T, newL, newLbar, frame.theta, newThetaA,
-                 newThetaAbar, M)

@@ -18,7 +18,6 @@ from .hypersurface import (
     Frame,
     GeometryError,
     Hypersurface,
-    OneForm,
     VectorFieldOp,
     exterior_derivative,
     from_defining,
@@ -66,38 +65,15 @@ class HTensor:
     def transverse(self, abar) -> TruncatedSeries:
         return self._transverse[tuple(abar)]
 
-    @property
-    def entries(self) -> dict:
-        out = {(abar, D): s for (abar, D), s in self._with_d.items()}
-        out.update({(abar, None): s for abar, s in self._transverse.items()})
-        return out
-
-    def symmetric_at_zero(self) -> bool:
-        for (abar, D), s in self._with_d.items():
-            v = s.constant_term()
-            for perm in itertools.permutations(abar):
-                if self._with_d[(perm, D)].constant_term() != v:
-                    return False
-        return True
-
-
-def lie_chain(F: Frame, Abar_indices, order=None):
-    """Iterated contracted derivative of theta along the listed Lbar fields.
-
-    The first listed index is applied first.  The result is a holomorphic
-    form: its pairings with every Lbar field vanish, so it decomposes as
-    sum_D h_D theta^D + h theta.
-    """
-    omega = F.theta
-    for idx in Abar_indices:
-        omega = exterior_derivative(omega).contract(F.Lbar[idx])
-    if order is not None:
-        omega = OneForm([c.truncate(order) for c in omega.coeffs])
-    return omega
-
 
 class _ChainCache:
-    """Prefix-sharing cache of lie_chain results for one frame."""
+    """Prefix-sharing cache of the iterated contracted derivatives of theta
+    for one frame.
+
+    get(abar) differentiates theta along Lbar_{abar}, the first listed index
+    first.  The result is a holomorphic form: its pairings with every Lbar
+    field vanish, so it decomposes as sum_D h_D theta^D + h theta.
+    """
 
     def __init__(self, frame: Frame):
         self.frame = frame
@@ -129,13 +105,6 @@ def h_tensor(F: Frame, k: int, _cache: _ChainCache | None = None) -> HTensor:
         for D in range(F.n):
             with_d[(abar, D)] = hs[D]
     return HTensor(F.n, k, with_d, transverse)
-
-
-def levi_matrix_at0(F: Frame):
-    """Matrix [h_{AbarB}(0)] with row index Abar, column index B."""
-    t1 = h_tensor(F, 1)
-    return [[t1.h((A,), B).constant_term() for B in range(F.n)]
-            for A in range(F.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +240,12 @@ def intrinsic_filtration(F: Frame, kmax=None, lmax=None, typemax=None):
             k0 = k
     if k0 is None:
         k0 = Unbounded("kmax", kmax)
-    levi_rank = rk[1] if kmax >= 1 else rank(levi_matrix_at0(F))
+    if kmax >= 1:
+        levi_rank = rk[1]
+    else:
+        t1 = h_tensor(F, 1, cache)
+        levi_rank = rank([[t1.h((A,), B).constant_term() for B in range(n)]
+                          for A in range(n)])
 
     ell0, witness = None, None
     for ell in range(1, lmax + 1):
@@ -536,8 +510,7 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
 __all__ = [
     "CheckReport", "FiltrationReport", "HTensor", "PointResult",
     "ScanReport", "Unbounded", "extrinsic_k0", "h_tensor",
-    "intrinsic_filtration", "is_finite", "levi_matrix_at0", "lie_chain",
-    "nondegeneracy_scan", "verify_bracket_pairing",
-    "verify_derivative_recursion", "verify_frame_structure",
-    "verify_leading_order_reduction",
+    "intrinsic_filtration", "is_finite", "nondegeneracy_scan",
+    "verify_bracket_pairing", "verify_derivative_recursion",
+    "verify_frame_structure", "verify_leading_order_reduction",
 ]

@@ -7,9 +7,7 @@ its k-jet at 0: reduce_to_first_order rewrites the system with the jet
 entries as new unknowns, integrate marches the reduced system axis by
 axis with a classical fourth-order stepper, and taylor_propagate grows
 the jet formally degree by degree, cross-checking the overdetermined
-mixed partials.  jet_injectivity_demo applies the same rigidity idea to
-families of ambient self-maps of a hypersurface germ: a finite jet at 0
-separates the members.
+mixed partials.
 
 Chart conventions used throughout: the unknowns of a system are the jet
 entries (i, beta) in the order of unknown_layout, followed by the q
@@ -35,8 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import CheckReport
-from .mappings import restrict
 from .series import CScalar, TruncatedSeries
 
 
@@ -145,19 +141,6 @@ class JetVector:
                 values[(i, beta)] = c.re * _beta_factorial(beta)
         return cls(q, len(components), k, values)
 
-    def to_series(self, order=None) -> tuple:
-        """Taylor polynomial per component; inverts from_series exactly."""
-        order = self.k if order is None else order
-        comps = []
-        for i in range(self.m):
-            coeffs = {}
-            for beta in jet_exponents(self.q, min(self.k, order)):
-                v = Fraction(self.values[(i, beta)])
-                if v:
-                    coeffs[beta] = CScalar(v / _beta_factorial(beta))
-            comps.append(TruncatedSeries(self.q, order, coeffs))
-        return tuple(comps)
-
     def __eq__(self, other):
         if not isinstance(other, JetVector):
             return NotImplemented
@@ -217,21 +200,6 @@ class CompleteSystem:
     def __repr__(self):
         return (f"CompleteSystem(q={self.q}, m={self.m}, k={self.k}, "
                 f"unknowns={len(self.layout)})")
-
-
-def chart(q: int, m: int, k: int, order: int):
-    """Variable series of the system chart, for building rhs polynomials.
-
-    Returns (jet, xs): jet[(i, beta)] is the unknown for that jet entry
-    and xs[a] the position variable x_{a+1}.
-    """
-    layout = unknown_layout(q, m, k)
-    nv = len(layout) + q
-    jet = {key: TruncatedSeries.variable(nv, p, order)
-           for p, key in enumerate(layout)}
-    xs = [TruncatedSeries.variable(nv, len(layout) + a, order)
-          for a in range(q)]
-    return jet, xs
 
 
 def reduce_to_first_order(S: CompleteSystem) -> CompleteSystem:
@@ -592,42 +560,3 @@ def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
     if not exact:
         vals = {key: float(v) for key, v in vals.items()}
     return JetVector(q, m, target_order, vals)
-
-
-# ----------------------------------------------------------------------
-# jet separation for map families
-
-
-def jet_injectivity_demo(family, jet_order: int) -> CheckReport:
-    """Pairwise jet separation within a family of ambient self-maps.
-
-    Every member must send its source germ into its target (checked by
-    restricting to the chart, which raises otherwise).  Each pair is
-    compared on the jet_order-jet of the ambient components at 0 and on
-    the full stored truncation: a pair with equal jets but different maps
-    is a violation, so an ok report certifies that the finite jets
-    separate the family.
-    """
-    family = list(family)
-    for F in family:
-        restrict(F)
-    jets = []
-    for F in family:
-        jets.append(tuple(
-            tuple(t for t in comp.terms() if sum(t[0]) <= jet_order)
-            for comp in F.components))
-    checked, equal_jets, violations = 0, 0, []
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            checked += 1
-            if jets[i] != jets[j]:
-                continue
-            equal_jets += 1
-            same_map = all(x.agrees(y) for x, y in zip(
-                family[i].components, family[j].components))
-            if not same_map:
-                violations.append((i, j))
-    return CheckReport(name="jet-injectivity", ok=not violations,
-                       checked=checked, violations=tuple(violations),
-                       note=f"jet order {jet_order}; "
-                            f"{equal_jets} equal-jet pairs")

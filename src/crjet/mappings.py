@@ -27,7 +27,6 @@ from .hypersurface import (
     Hypersurface,
     OneForm,
     ambient_pairing,
-    ambient_var,
     from_defining,
     intrinsic_pairing,
 )
@@ -108,29 +107,8 @@ class AmbientMap:
         pairing = ambient_pairing(self.N)
         return tuple(c.conjugate(pairing) for c in self.components)
 
-    def jacobian_at0(self):
-        """Holomorphic Jacobian matrix at the origin."""
-        return [[self.components[r].derive(c).constant_term()
-                 for c in range(self.N)] for r in range(self.N)]
-
     def __repr__(self):
         return f"AmbientMap(N={self.N}, order={self.order})"
-
-
-def identity_map(M: Hypersurface, order=None) -> AmbientMap:
-    W = M.order if order is None else order
-    comps = [ambient_var(M.N, j, W) for j in range(M.n)]
-    comps.append(ambient_var(M.N, M.N - 1, W))
-    return AmbientMap(comps, M, M)
-
-
-def compose_maps(F: AmbientMap, G: AmbientMap) -> AmbientMap:
-    """The map F after G; the middle germs must be the same chart."""
-    if F.source.rho != G.target.rho:
-        raise MappingError("composition needs a matching middle germ")
-    subs = list(G.components) + list(G.conjugate_components())
-    comps = [c.compose(subs) for c in F.components]
-    return AmbientMap(comps, G.source, F.target)
 
 
 def tangency_residual(F: AmbientMap) -> TruncatedSeries:

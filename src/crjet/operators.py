@@ -9,12 +9,12 @@ identities, and the weighted-word certificates solved triangularly over the
 word lattice, then re-verifies everything by acting on a monomial basis
 through independent operator compositions.
 
-One ``_Memo`` lives for one public call (``operator_certificates``, or any
-single certificate, table or index asked for alone) and is then dropped;
-nothing is cached on the frame or at module level.  It holds the h rows of
-the characteristic two-form, the chosen conjugate index, the T-pushdown and
-commutator tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f
-and L^K(T f) on each basis monomial f, named by its exponents and order.
+One ``_Memo`` lives for one call of ``operator_certificates`` and is then
+dropped; nothing is cached on the frame or at module level.  It holds the
+h rows of the characteristic two-form, the chosen conjugate index, the
+T-pushdown and commutator tables, and the applications L^W(Lbar f), L^W f,
+[L^W, L_Fbar] f and L^K(T f) on each basis monomial f, named by its
+exponents and order.
 Tables and applications are memoized by the exact suffix of the word:
 L^(w0, rest) f = L_w0(L^rest f), never re-sorted through the commutativity
 of the L fields, so every series is the same composition, in the same order,
@@ -161,7 +161,7 @@ class _Memo:
         return out
 
     def commutator_on(self, word: tuple, Fbar: int, mono) -> TruncatedSeries:
-        """[L^word, L_Fbar] f by direct composition, as apply_commutator."""
+        """[L^word, L_Fbar] f by direct composition, never from a table."""
         key = (word, Fbar, mono)
         out = self._commutators.get(key)
         if out is None:
@@ -169,35 +169,6 @@ class _Memo:
                 - self.F.Lbar[Fbar].apply(self.word_on(word, None, mono))
             self._commutators[key] = out
         return out
-
-
-def commutator_table(F: Frame, word, Fbar: int) -> dict:
-    """Exact decomposition of [L^word, L_Fbar] as sum_K d_K L^K T."""
-    return _Memo(F).table(tuple(word), Fbar)
-
-
-def apply_word(F: Frame, word, f: TruncatedSeries) -> TruncatedSeries:
-    for E in reversed(tuple(word)):
-        f = F.L[E].apply(f)
-    return f
-
-
-def apply_table(F: Frame, table: dict, f: TruncatedSeries) -> TruncatedSeries:
-    tf = F.T.apply(f)
-    out = None
-    for K, coeff in sorted(table.items()):
-        term = coeff * apply_word(F, K, tf)
-        out = term if out is None else out + term
-    if out is None:
-        return TruncatedSeries.zero(f.nvars, f.order - 1)
-    return out
-
-
-def apply_commutator(F: Frame, word, Fbar: int,
-                     f: TruncatedSeries) -> TruncatedSeries:
-    """[L^word, L_Fbar] f by direct composition; independent of the tables."""
-    return apply_word(F, word, F.Lbar[Fbar].apply(f)) \
-        - F.Lbar[Fbar].apply(apply_word(F, word, f))
 
 
 @dataclass(frozen=True)
@@ -220,23 +191,14 @@ class CommutatorCertificate:
     verified: bool
 
 
-def choose_conjugate_index(F: Frame):
-    """Lexicographically smallest index with nonzero pairing against L_1."""
-    return _Memo(F).conjugate_index()
-
-
-def bracket_reduction(F: Frame, word, Fbar=None,
-                      verify_degree=None) -> CommutatorCertificate:
+def _reduction(memo: _Memo, word, Fbar, verify_degree):
     """[L^W, L_Fbar] = sum_E mult_E(W) h_{FbarE} L^{W - E} T - tail.
 
     The leading coefficients are forced exactly; the tail collects every
-    shorter word of the decomposition.  Raises when the decomposition
+    shorter word of the decomposition.  A forced coefficient that is the
+    zero series has no entry in the table.  Raises when the decomposition
     disagrees with the forced leading shape (a build bug, not a data error).
     """
-    return _reduction(_Memo(F), word, Fbar, verify_degree)
-
-
-def _reduction(memo: _Memo, word, Fbar, verify_degree):
     F = memo.F
     word = _sorted_word(word)
     if Fbar is None:
@@ -260,7 +222,7 @@ def _reduction(memo: _Memo, word, Fbar, verify_degree):
         else:
             _dadd(tail, K, -d)
     for K in leading:
-        if K not in table:
+        if K not in table and not leading[K].is_zero():
             raise GeometryError(f"missing leading word {K}")
     verified = False
     if verify_degree is not None:
@@ -288,8 +250,7 @@ def _word_label(word):
     return "(" + ",".join(str(E + 1) for E in word) + ")"
 
 
-def weighted_certificate(F: Frame, J, Fbar=None,
-                         verify_degree=None) -> CommutatorCertificate:
+def _weighted(memo: _Memo, J, Fbar, verify_degree):
     """Solve sum_W b_W [L^W, L_Fbar] = h^p L^J T with p = |J| - |J|_1 + 2.
 
     The system over sorted words is triangular when processed by length
@@ -297,10 +258,6 @@ def weighted_certificate(F: Frame, J, Fbar=None,
     K uses the bracket word K + (1,), whose pivot coefficient
     (count_1(K) + 1) h_{Fbar1} is a unit at the origin.
     """
-    return _weighted(_Memo(F), J, Fbar, verify_degree)
-
-
-def _weighted(memo: _Memo, J, Fbar, verify_degree):
     F = memo.F
     J = _sorted_word(J)
     if Fbar is None:

@@ -1,13 +1,16 @@
-"""Shared model builders: defining series for the hypersurfaces under test."""
+"""Shared model builders: defining series for the hypersurfaces under test,
+maps between them, and frames adapted to a filtration."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from crjet.hypersurface import ambient_var, from_defining
-from crjet.mappings import AmbientMap
-from crjet.series import CScalar, TruncatedSeries
+from crjet.hypersurface import (Frame, GeometryError, ambient_var,
+                                from_defining, intrinsic_pairing)
+from crjet.linalg import SpanTracker, solve_unique
+from crjet.mappings import AmbientMap, MappingError
+from crjet.series import CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 
 HALF = Fraction(1, 2)
 
@@ -16,6 +19,11 @@ def im_w(N: int, order: int) -> TruncatedSeries:
     w = ambient_var(N, N - 1, order)
     wb = ambient_var(N, 2 * N - 1, order)
     return CScalar(0, -HALF) * (w - wb)
+
+
+def intrinsic_var(n: int, index: int, order: int) -> TruncatedSeries:
+    """Coordinate index of the chart (z_1..z_n, zb_1..zb_n, s)."""
+    return TruncatedSeries.variable(2 * n + 1, index, order)
 
 
 def re_w(N: int, order: int) -> TruncatedSeries:
@@ -113,6 +121,21 @@ def heis(N: int, order: int = 8):
     return from_defining(heisenberg_rho(N, order), N)
 
 
+def identity_map(M, order=None):
+    W = M.order if order is None else order
+    comps = [ambient_var(M.N, j, W) for j in range(M.N)]
+    return AmbientMap(comps, M, M)
+
+
+def compose_maps(F, G):
+    """The map F after G; the middle germs must be the same chart."""
+    if F.source.rho != G.target.rho:
+        raise MappingError("composition needs a matching middle germ")
+    subs = list(G.components) + list(G.conjugate_components())
+    comps = [c.compose(subs) for c in F.components]
+    return AmbientMap(comps, G.source, F.target)
+
+
 def dilation(M, lam):
     """(z, w) -> (lam z, lam^2 w), an automorphism for real lam != 0."""
     N, W = M.N, M.order
@@ -151,3 +174,60 @@ def sigma(M, c):
         - (CScalar(0, 1) * c * c.conj()) * w
     inv = d.invert_unit()
     return AmbientMap([(z + c * w) * inv, w * inv], M, M)
+
+
+# ----------------------------------------------------------------------
+# frames adapted to a filtration
+
+
+def adapt_frame(M, frame, filtration):
+    """Reorder the CR frame by constants so trailing fields span each kernel.
+
+    The filtration report supplies, at the origin, a descending chain of
+    kernel subspaces in frame coordinates; the returned frame applies a
+    constant invertible change so that for every stage k the final fields
+    L_{r_k+1}, ..., L_n span stage k's kernel.  Constant changes keep every
+    frame bracket proportional to T and every d theta^A zero.
+    """
+    n = frame.n
+    bases = list(filtration.Fk_bases)
+    for basis in bases:
+        for vec in basis:
+            if len(vec) != n:
+                raise GeometryError("filtration inconsistent with frame size")
+    tracker = SpanTracker(n)
+    ordered = []
+    for basis in reversed(bases):
+        for vec in basis:
+            if tracker.add(vec):
+                ordered.append(vec)
+    for j in range(n):  # complete with coordinate directions if needed
+        vec = [CS_ONE if i == j else CS_ZERO for i in range(n)]
+        if tracker.add(vec):
+            ordered.append(vec)
+    if len(ordered) != n:
+        raise GeometryError("filtration inconsistent with frame size")
+    cols = list(reversed(ordered))  # deepest kernel vectors go last
+
+    C = [[cols[A][B] for A in range(n)] for B in range(n)]  # C[B][A]
+    newL = []
+    for A in range(n):
+        acc = frame.L[0].scaled(C[0][A])
+        for B in range(1, n):
+            acc = acc + frame.L[B].scaled(C[B][A])
+        newL.append(acc)
+    pairing = intrinsic_pairing(n)
+    newLbar = [X.conjugate(pairing) for X in newL]
+
+    ident = [[CS_ONE if i == j else CS_ZERO for j in range(n)] for i in range(n)]
+    Cinv_cols = [solve_unique(C, [ident[i][j] for i in range(n)])
+                 for j in range(n)]
+    newThetaA = []
+    for A in range(n):
+        acc = frame.thetaA[0].scaled(Cinv_cols[0][A])
+        for B in range(1, n):
+            acc = acc + frame.thetaA[B].scaled(Cinv_cols[B][A])
+        newThetaA.append(acc)
+    newThetaAbar = [f.conjugate(pairing) for f in newThetaA]
+    return Frame(n, frame.T, newL, newLbar, frame.theta, newThetaA,
+                 newThetaAbar, M)

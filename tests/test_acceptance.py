@@ -21,15 +21,15 @@ from crjet.invariants import (extrinsic_k0, h_tensor, intrinsic_filtration,
                               verify_frame_structure,
                               verify_leading_order_reduction)
 from crjet.jets import CompleteSystem, JetVector, integrate
-from crjet.mappings import (compose_maps, identity_map, pushforward_data,
-                            solve_levi_reflection, tangency_residual,
-                            verify_reflection_base,
+from crjet.mappings import (pushforward_data, solve_levi_reflection,
+                            tangency_residual, verify_reflection_base,
                             verify_transport_recursion)
 from crjet.operators import operator_certificates
 from crjet.series import CScalar, TruncatedSeries
-from tests.conftest import (dilation, heis, im_w, m2_rho, m3_rho,
-                            random_model, random_nondegenerate_model,
-                            rotation, sigma, tau, unit_exponent)
+from tests.conftest import (compose_maps, dilation, heis, identity_map, im_w,
+                            m2_rho, m3_rho, random_model,
+                            random_nondegenerate_model, rotation, sigma, tau,
+                            unit_exponent)
 
 
 def test_criterion_01_quadric_invariants_exact():

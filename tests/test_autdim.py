@@ -13,8 +13,7 @@ from math import factorial
 import pytest
 
 from crjet.autdim import (AutError, FormalVectorField, aut_bound,
-                          holomorphic_degeneracy_test, holomorphic_residual,
-                          infinitesimal_aut_dim, real_residual)
+                          holomorphic_degeneracy_test, infinitesimal_aut_dim)
 from crjet.hypersurface import ambient_pairing, ambient_var, from_defining
 from crjet.linalg import rank
 from crjet.series import CS_ONE, CScalar, TruncatedSeries
@@ -32,6 +31,18 @@ def degenerate_c3(order=5):
     """Im w = |z1|^2 in C^3: the graph never sees z2."""
     rho = im_w(3, order) - ambient_var(3, 0, order) * ambient_var(3, 3, order)
     return from_defining(rho, 3)
+
+
+def holomorphic_residual(M, Y):
+    """Y rho restricted to the graph; zero iff rho divides Y rho."""
+    return M.restrict(Y.apply(M.rho))
+
+
+def real_residual(M, Y):
+    """(Y rho + conj(Y rho)) restricted to the graph; zero iff Re Y is
+    tangent."""
+    r = Y.apply(M.rho)
+    return M.restrict(r + r.conjugate(ambient_pairing(M.N)))
 
 
 def c2_field(M, az, aw):

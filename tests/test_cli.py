@@ -1,15 +1,15 @@
 """Command-line layer: grammar positions, document round-trips, verbs."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from crjet.cli.documents import (ParseError, build_hypersurface, build_jet,
-                                 build_map, build_system, degree_bound,
-                                 parse_document, render_expr,
-                                 serialize_document)
+from crjet.cli.documents import (FUNCTIONS, ParseError, _spine,
+                                 build_hypersurface, build_jet, build_map,
+                                 build_system, degree_bound, parse_document)
 from crjet.cli.main import main
 from crjet.hypersurface import from_defining
 from crjet.jets import taylor_propagate
@@ -64,6 +64,75 @@ jet_order = 1
 f1 = 1
 f1_1 = 2
 """
+
+
+# canonical rendering with the fewest parentheses: the oracle for the
+# parse -> serialize -> parse round trip
+_PREC = {"add": 1, "sub": 1, "mul": 2, "neg": 3, "pow": 4,
+         "num": 5, "var": 5, "call": 5}
+_OPS = {"add": " + ", "sub": " - ", "mul": "*"}
+
+
+def render_expr(node, parent=0) -> str:
+    kind = node[0]
+    if kind in _OPS:
+        first, spine = _spine(node)
+        body = render_expr(first, _PREC[spine[0][0]])
+        for i, (kind, _, right) in enumerate(spine):
+            body += _OPS[kind] + render_expr(right, _PREC[kind] + 1)
+            outer = _PREC[spine[i + 1][0]] if i + 1 < len(spine) else parent
+            if _PREC[kind] < outer:
+                body = "(" + body + ")"
+        return body
+    if kind == "num":
+        body = str(node[1])
+    elif kind == "var":
+        body = node[1]
+    elif kind == "call":
+        body = f"{node[1]}({render_expr(node[2])})"
+    elif kind == "neg":
+        body = "-" + render_expr(node[1], _PREC["neg"])
+    else:
+        body = render_expr(node[1], _PREC["pow"] + 1) + "^" + str(node[2])
+    if _PREC[kind] < parent:
+        return "(" + body + ")"
+    return body
+
+
+def serialize_document(doc) -> str:
+    lines = [f"kind = {doc.kind}"]
+    for key, value in doc.scalars:
+        lines.append(f"{key} = {value}")
+    for key, node in doc.expressions:
+        lines.append(f"{key} = {render_expr(node)}")
+    return "\n".join(lines) + "\n"
+
+
+def random_expression(rng, depth) -> str:
+    """Hypersurface expression text in C^3: rationals, variables, signs,
+    powers, conj/Re/Im, redundant parentheses and operator chains, some
+    of them long."""
+    if depth == 0 or rng.random() < 0.2:
+        roll = rng.random()
+        if roll < 0.5:
+            return rng.choice(("z1", "z2", "w"))
+        if roll < 0.75:
+            return str(rng.randint(0, 9))
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+    roll = rng.randrange(5)
+    inner = random_expression(rng, depth - 1)
+    if roll == 0:
+        others = [random_expression(rng, depth - 1)
+                  for _ in range(rng.choice((1, 2, 60)))]
+        return "(" + inner + "".join(rng.choice((" + ", " - ", "*")) + p
+                                     for p in others) + ")"
+    if roll == 1:
+        return "-" + inner
+    if roll == 2:
+        return f"({inner})^{rng.randint(0, 3)}"
+    if roll == 3:
+        return f"{rng.choice(FUNCTIONS)}({inner})"
+    return f"(({inner}))"
 
 
 def err(text):
@@ -199,6 +268,16 @@ class TestRoundTrip:
     def test_degree_bound(self):
         doc = parse_document(M3)
         assert degree_bound(doc.expression("rho")) == 3
+
+    def test_seeded_expressions(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            text = ("kind = hypersurface\nN = 3\nrho = "
+                    + random_expression(rng, 4) + "\n")
+            doc = parse_document(text)
+            once = serialize_document(doc)
+            assert parse_document(once, source="copy") == doc, text
+            assert serialize_document(parse_document(once)) == once
 
     def test_long_chains(self):
         # a chain parses into a left-deep tree as deep as it is long
@@ -336,6 +415,22 @@ class TestVerbs:
         code, out, _ = run(capsys, ["verify", docs["m3"], "--check", "frame",
                                     "--degree", "40"])
         assert code == 0 and "pass: true" in out
+
+    @pytest.mark.parametrize("N, counts", [(3, [5, 7]), (4, [9, 16])])
+    def test_verify_certificates_on_diagonal_levi(self, tmp_path, capsys, N,
+                                                  counts):
+        # h[1b, 2] = 0 on the quadric: a zero forced leading coefficient
+        # is verified, not reported as a missing word
+        p = tmp_path / "quadric.crj"
+        p.write_text(f"kind = hypersurface\nN = {N}\nrho = Im(w)"
+                     + "".join(f" - z{j}*conj(z{j})" for j in range(1, N))
+                     + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", str(p), "--check", "operators",
+                                    "--json"])
+        report = json.loads(out)
+        assert (code, report["pass"]) == (0, True)
+        assert [c["checked"] for c in report["checks"]] == counts
+        assert not any(c["vacuous"] for c in report["checks"])
 
     def test_verify_vacuous_certificates(self, docs, capsys):
         # no Levi pivot at the origin: certificate batches degrade to
@@ -479,9 +574,11 @@ class TestVerbs:
     @pytest.mark.parametrize("verb, flag", [
         ("analyze", "--kmax"), ("scan", "--kmax"), ("verify", "--kmax"),
         ("verify", "--degree"), ("reflect", "--kmax"), ("aut", "--degree"),
+        ("reconstruct", "--target-order"),
     ])
     def test_negative_bound_is_bad_input(self, docs, capsys, verb, flag):
         files = {"reflect": [docs["heis"], docs["heis"], docs["dilation"]],
+                 "reconstruct": [docs["line_sys"], docs["line_jet"]],
                  "scan": [docs["heis"], "--scan", "0"]}
         argv = [verb] + files.get(verb, [docs["heis"]]) + [flag, "-1"]
         code, out, errtext = run(capsys, argv)

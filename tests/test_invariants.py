@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from crjet.hypersurface import (
-    adapt_frame,
     ambient_var,
     build_frame,
     exterior_derivative,
@@ -12,11 +12,11 @@ from crjet.hypersurface import (
 )
 from crjet.invariants import (
     Unbounded,
+    _ChainCache,
     extrinsic_k0,
     h_tensor,
     intrinsic_filtration,
     is_finite,
-    lie_chain,
     nondegeneracy_scan,
     verify_bracket_pairing,
     verify_derivative_recursion,
@@ -24,22 +24,34 @@ from crjet.invariants import (
 )
 from crjet.linalg import rank
 from crjet.series import CScalar, TruncatedSeries
-from tests.conftest import (graph_rho, heisenberg_rho, m2_rho, m3_rho,
-                            m4_rho, random_model, random_phi)
+from tests.conftest import (adapt_frame, graph_rho, heis, heisenberg_rho,
+                            m2_rho, m3_rho, m4_rho, random_model,
+                            random_nondegenerate_model, random_phi)
 
 
 def frame_for(rho, N):
     return build_frame(from_defining(rho, N))
 
 
+def symmetric_at_zero(tensor) -> bool:
+    """Every entry at 0 is unchanged by permuting its abar slots."""
+    for abar in itertools.product(range(tensor.n), repeat=tensor.k):
+        for D in range(tensor.n):
+            v = tensor.h(abar, D).constant_term()
+            for perm in itertools.permutations(abar):
+                if tensor.h(perm, D).constant_term() != v:
+                    return False
+    return True
+
+
 class TestLieChain:
     def test_empty_tuple_is_theta(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        assert lie_chain(F, ()) == F.theta
+        assert _ChainCache(F).get(()) == F.theta
 
     def test_heisenberg_single_step(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        omega = lie_chain(F, (0,))
+        omega = _ChainCache(F).get((0,))
         got = omega.pair(F.L[0]).constant_term()
         want = exterior_derivative(F.theta)(F.Lbar[0], F.L[0]).constant_term()
         assert got == want == CScalar(0, -2)
@@ -47,7 +59,7 @@ class TestLieChain:
     def test_stays_holomorphic(self):
         F = frame_for(m3_rho(8), 3)
         for abar in [(0,), (1, 0), (0, 0, 1)]:
-            omega = lie_chain(F, abar)
+            omega = _ChainCache(F).get(abar)
             for B in range(F.n):
                 assert omega.pair(F.Lbar[B]).is_zero()
 
@@ -73,7 +85,7 @@ class TestHTensor:
         for seed, N in [(300, 2), (301, 3)]:
             F = build_frame(random_model(seed, N, 7))
             for k in (2, 3):
-                assert h_tensor(F, k).symmetric_at_zero()
+                assert symmetric_at_zero(h_tensor(F, k))
 
     def test_defining_rescale_covariance(self):
         # rescaling the defining series rescales the characteristic form and
@@ -182,6 +194,25 @@ class TestIntrinsicFiltration:
             r = intrinsic_filtration(F, kmax=kmax)
             assert r.k0 == Unbounded("kmax", kmax)
             assert extrinsic_k0(M, kmax) == r.k0
+
+    def test_levi_rank_at_kmax_zero(self):
+        # with no k-step the Levi rank comes from the length-one tensor
+        for N, want in ((2, 1), (3, 2)):
+            r = intrinsic_filtration(build_frame(heis(N, 4)), kmax=0)
+            assert (r.levi_rank, r.rk, r.Fk_dims) == (want, (0,), (N - 1,))
+            assert r.k0 == Unbounded("kmax", 0)
+
+    def test_seeded_k0_routes_agree(self):
+        # the filtration and the gradient span reach k0 independently
+        seen = set()
+        for N, order in ((2, 6), (3, 6), (4, 5)):
+            for maker in (random_model, random_nondegenerate_model):
+                for seed in range(600, 610):
+                    M = maker(seed, N, order)
+                    r = intrinsic_filtration(build_frame(M), kmax=3)
+                    assert r.k0 == extrinsic_k0(M, 3), (maker, seed, N)
+                    seen.add(r.k0)
+        assert seen == {1, 2, 3, Unbounded("kmax", 3)}
 
     def test_prop_consequences_on_random_models(self):
         for seed, N in [(320, 2), (321, 3), (322, 3)]:

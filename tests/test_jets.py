@@ -6,25 +6,50 @@ from fractions import Fraction
 
 import pytest
 
-from crjet.hypersurface import ambient_var
 from crjet.jets import (
     MAX_RK4_SUBSTEPS,
     CompleteSystem,
     JetError,
     JetVector,
-    chart,
+    _beta_factorial,
     integrate,
     jet_exponents,
-    jet_injectivity_demo,
     multi_indices,
     reduce_jet,
     reduce_to_first_order,
     taylor_propagate,
     unknown_layout,
 )
-from crjet.mappings import AmbientMap, MappingError, identity_map
 from crjet.series import CS_I, CScalar, TruncatedSeries
-from tests.conftest import HALF, dilation, heis, rotation, sigma, tau
+from tests.conftest import HALF
+
+
+def chart(q: int, m: int, k: int, order: int):
+    """Variable series of the system chart, for building rhs polynomials.
+
+    Returns (jet, xs): jet[(i, beta)] is the unknown for that jet entry
+    and xs[a] the position variable x_{a+1}.
+    """
+    layout = unknown_layout(q, m, k)
+    nv = len(layout) + q
+    jet = {key: TruncatedSeries.variable(nv, p, order)
+           for p, key in enumerate(layout)}
+    xs = [TruncatedSeries.variable(nv, len(layout) + a, order)
+          for a in range(q)]
+    return jet, xs
+
+
+def jet_to_series(jv: JetVector) -> tuple:
+    """Taylor polynomial per component; inverts JetVector.from_series."""
+    comps = []
+    for i in range(jv.m):
+        coeffs = {}
+        for beta in jet_exponents(jv.q, jv.k):
+            v = Fraction(jv.values[(i, beta)])
+            if v:
+                coeffs[beta] = CScalar(v / _beta_factorial(beta))
+        comps.append(TruncatedSeries(jv.q, jv.k, coeffs))
+    return tuple(comps)
 
 
 def exp_system(order=6):
@@ -95,7 +120,7 @@ class TestJetVector:
         assert jv[(0, (1, 1))] == 1
         assert jv[(0, (2, 0))] == 1
         assert jv[(0, (0, 1))] == -2
-        back = JetVector.from_series(jv.to_series(), 2)
+        back = JetVector.from_series(jet_to_series(jv), 2)
         assert back == jv
 
     def test_rejects_complex_series(self):
@@ -458,42 +483,3 @@ class TestTaylorPropagate:
                    * Fraction(1, 2) ** d for d in range(11))
         r = integrate(exp_system(), jet, ((0.5,),), 1e-3)
         assert abs(float(poly) - r.values[(0.5,)][0]) < 1e-9
-
-
-class TestJetInjectivity:
-    def test_dilation_family(self):
-        M = heis(2)
-        family = [dilation(M, lam) for lam in (HALF, 1, 2, 3)]
-        rep = jet_injectivity_demo(family, 2)
-        assert rep.ok and rep.checked == 6
-        assert "0 equal-jet pairs" in rep.note
-
-    def test_mixed_family(self):
-        M = heis(2)
-        family = [dilation(M, 2), rotation(M), sigma(M, HALF),
-                  sigma(M, CScalar(0, Fraction(1, 3))), identity_map(M)]
-        rep = jet_injectivity_demo(family, 2)
-        assert rep.ok and rep.checked == 10
-        assert "0 equal-jet pairs" in rep.note
-
-    def test_translation_normalizes_to_identity_jet(self):
-        # the quadric translation, rewritten at its image point, is the
-        # identity: its jets agree with the identity map at every order
-        M = heis(2)
-        rep = jet_injectivity_demo([tau(M, HALF), identity_map(M)], 2)
-        assert rep.ok and rep.checked == 1
-        assert "1 equal-jet pairs" in rep.note
-
-    def test_equal_maps_equal_jets(self):
-        M = heis(2)
-        family = [identity_map(M), identity_map(M), identity_map(M, order=4)]
-        rep = jet_injectivity_demo(family, 2)
-        assert rep.ok and rep.checked == 3
-        assert "3 equal-jet pairs" in rep.note
-
-    def test_nontangent_member_rejected(self):
-        M = heis(2)
-        z, w = ambient_var(2, 0, M.order), ambient_var(2, 1, M.order)
-        F = AmbientMap([z, w + z * z], M, M)
-        with pytest.raises(MappingError):
-            jet_injectivity_demo([identity_map(M), F], 2)
