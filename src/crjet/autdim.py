@@ -26,7 +26,7 @@ from math import comb
 
 from .hypersurface import Hypersurface, _DenseCoefficients, intrinsic_pairing
 from .linalg import nullspace
-from .series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
+from .series import CS_I, CS_ONE, CScalar, TruncatedSeries
 
 
 class AutError(ValueError):
@@ -74,8 +74,9 @@ class TangencySystem:
 
     unknowns lists the candidate coefficient monomials, (j, alpha) for the
     complex problem and (j, alpha, part) with part 0/1 for the real and
-    imaginary split; equations holds the exact constraint rows in the same
-    column order, CScalar for the complex problem and Fraction for the
+    imaginary split; equations holds the exact constraint rows as sparse
+    {column: value} dicts, a column indexing unknowns and every stored
+    value nonzero, CScalar for the complex problem and Fraction for the
     real one.  solution_dim is the nullspace dimension (complex or
     real, matching the problem) and basis realizes it as vector fields.
     """
@@ -92,7 +93,8 @@ class TangencySystem:
 
 
 def _holo_exponents(N: int, d: int, weights, j: int):
-    """Candidate monomial exponents for coefficient j, ambient layout.
+    """Candidate monomial exponents for coefficient j, ambient layout,
+    yielded in ascending order one at a time, so a count can stop early.
 
     Plain runs bound the total degree by d for every coefficient; weighted
     runs bound the weighted degree of the whole field by d, which allows
@@ -106,19 +108,15 @@ def _holo_exponents(N: int, d: int, weights, j: int):
             raise AutError("weights must give a positive weight per "
                            "holomorphic variable")
         bound = d + wt[j]
-    out = []
 
     def rec(pos, left, acc):
         if pos == N:
-            out.append(tuple(acc) + (0,) * N)
+            yield acc + (0,) * N
             return
-        e = 0
-        while e * wt[pos] <= left:
-            rec(pos + 1, left - e * wt[pos], acc + [e])
-            e += 1
+        for e in range(left // wt[pos] + 1):
+            yield from rec(pos + 1, left - e * wt[pos], acc + (e,))
 
-    rec(0, bound, [])
-    return sorted(out)
+    yield from rec(0, bound, ())
 
 
 def tangency_restrictions(M: Hypersurface, d: int, order: int,
@@ -189,18 +187,18 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real,
 
     rows = []
     for e in sorted(entries):
-        col = [entries[e].get(t, CS_ZERO) for t in range(len(unknowns))]
+        row = entries[e]
         if real:
-            re_row = tuple(c.re for c in col)
-            im_row = tuple(c.im for c in col)
-            if any(re_row):
+            re_row = {t: c.re for t, c in row.items() if c.re}
+            im_row = {t: c.im for t, c in row.items() if c.im}
+            if re_row:
                 rows.append(re_row)
-            if any(im_row):
+            if im_row:
                 rows.append(im_row)
         else:
-            rows.append(tuple(col))
+            rows.append(row)
 
-    vecs = nullspace([list(r) for r in rows], ncols=len(unknowns))
+    vecs = nullspace(rows, ncols=len(unknowns))
     fields = []
     for v in vecs:
         comps = [TruncatedSeries.zero(2 * N, W) for _ in range(N)]

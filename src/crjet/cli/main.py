@@ -4,7 +4,8 @@ Verbs: analyze, verify, reflect, reconstruct, aut, scan.  Every verb
 prints one canonical report (text, or JSON with --json) and exits 0 when
 all requested verifications pass, 1 when some check fails, and 2 on bad
 input.  The truncation order is taken from --order, then the document,
-then the CRJET_ORDER environment variable, then the default 2*(kmax+2).
+then the CRJET_ORDER environment variable, then the default 2*(kmax+2);
+an error that runs out of truncation order names which of these set it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import os
 import sys
 from fractions import Fraction
 
-from ..autdim import (AutError, aut_bound, holomorphic_degeneracy_test,
-                      infinitesimal_aut_dim, tangency_restrictions)
+from ..autdim import (AutError, _holo_exponents, aut_bound,
+                      holomorphic_degeneracy_test, infinitesimal_aut_dim,
+                      tangency_restrictions)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, h_tensor,
                           intrinsic_filtration, nondegeneracy_scan,
@@ -30,7 +32,7 @@ from ..mappings import (MappingError, pushforward_data,
                         solve_levi_reflection, verify_reflection_base,
                         verify_transport_recursion)
 from ..operators import operator_certificates
-from ..series import SeriesError
+from ..series import OrderExhausted, SeriesError
 from .documents import (ParseError, build_hypersurface, build_jet,
                         build_map, build_system, jet_coordinate_name,
                         load_document)
@@ -43,23 +45,49 @@ MAX_GRID_POINTS = 100_000
 # most monomials one operator-certificate basis may hold: verify --degree D
 # on C^N acts on C(2N - 1 + D, D) monomials, all kept alive for the call
 MAX_BASIS_MONOMIALS = 5_000
+# most real unknowns one aut call may solve for: aut --degree D on C^N has
+# 2N * C(N + D, D) of them, and every restriction and equation row is kept
+# alive for the call.  The C^4 quadric at --degree 9 --order 14 (5720
+# unknowns) takes about 4 s and 90 MB; at --degree 11 (10920) 10 s and
+# 200 MB
+MAX_TANGENCY_UNKNOWNS = 6_000
 
 
-def _resolve_order(flag, doc, kmax):
-    if flag is not None:
-        return flag
-    if doc is not None:
-        doc_order = doc.scalar("order")
-        if doc_order is not None:
-            return doc_order
-    env = os.environ.get("CRJET_ORDER")
-    if env is not None:
+def _resolve_order(args, doc, kmax):
+    """Truncation order of a verb; args.order_origin records where it came
+    from, for the message of an error that runs out of order."""
+    if args.order is not None:
+        order, origin = args.order, "--order"
+    elif doc is not None and doc.scalar("order") is not None:
+        order, origin = doc.scalar("order"), "the document's order"
+    elif "CRJET_ORDER" in os.environ:
+        env = os.environ["CRJET_ORDER"]
         try:
-            return int(env)
+            order, origin = int(env), "CRJET_ORDER"
         except ValueError:
             raise ParseError("CRJET_ORDER", None, 0,
                              f"not an integer: {env!r}")
-    return 2 * (kmax + 2)
+        if order < 0:
+            raise ParseError("CRJET_ORDER", None, 0,
+                             f"must be non-negative, got {order}")
+    else:
+        order, origin = 2 * (kmax + 2), "the default 2*(kmax+2)"
+    args.order_origin = f"truncation order {order} from {origin}"
+    return order
+
+
+def _tangency_unknowns(N, degree, weights):
+    """Real unknowns of aut's tangency problems, counted without building
+    them; a weighted count stops once it passes MAX_TANGENCY_UNKNOWNS."""
+    if weights is None:
+        return 2 * N * math.comb(N + degree, degree)
+    count = 0
+    for j in range(N):
+        for _ in _holo_exponents(N, degree, weights, j):
+            count += 2
+            if count > MAX_TANGENCY_UNKNOWNS:
+                return count
+    return count
 
 
 def _check_tree(rep: CheckReport) -> dict:
@@ -116,7 +144,7 @@ def _run_analyze(args):
     doc = _load_model(args, "analyze needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    order = _resolve_order(args.order, doc, kmax)
+    order = _resolve_order(args, doc, kmax)
     M = build_hypersurface(doc, order)
     F = build_frame(M)
     filt = intrinsic_filtration(F, kmax=kmax)
@@ -153,6 +181,10 @@ def _run_verify(args):
     doc = _load_model(args, "verify needs a hypersurface document")
     n = doc.scalar("N") - 1
     tokens = [t.strip() for t in args.check.split(",") if t.strip()]
+    if not tokens:
+        raise ParseError("--check", None, 0,
+                         f"no check given; choose from "
+                         f"{', '.join(CHECK_TOKENS)}")
     for t in tokens:
         if t not in CHECK_TOKENS:
             raise ParseError("--check", None, 0,
@@ -166,7 +198,7 @@ def _run_verify(args):
                              "monomials, more than MAX_BASIS_MONOMIALS = "
                              f"{MAX_BASIS_MONOMIALS}")
     kmax = args.kmax if args.kmax is not None else 1
-    order = _resolve_order(args.order, doc, kmax)
+    order = _resolve_order(args, doc, kmax)
     M = build_hypersurface(doc, order)
     F = build_frame(M)
     reports = []
@@ -206,7 +238,7 @@ def _run_reflect(args):
     if map_doc.kind != "map":
         raise ParseError(args.map, None, 0, "reflect needs a map document")
     kmax = args.kmax if args.kmax is not None else 1
-    order = _resolve_order(args.order, src_doc, kmax)
+    order = _resolve_order(args, src_doc, kmax)
     Ms = build_hypersurface(src_doc, order)
     Mt = build_hypersurface(tgt_doc, order)
     F = build_map(map_doc, Ms, Mt)
@@ -327,9 +359,6 @@ def _run_reconstruct(args):
 def _run_aut(args):
     doc = _load_model(args, "aut needs a hypersurface document")
     n = doc.scalar("N") - 1
-    order = _resolve_order(args.order, doc, n)
-    M = build_hypersurface(doc, order)
-    use_order = order - 1
     weights = None
     if args.weights:
         try:
@@ -338,6 +367,19 @@ def _run_aut(args):
             raise ParseError("--weights", None, 0,
                              f"expected comma-separated integers, "
                              f"got {args.weights!r}")
+    count = _tangency_unknowns(n + 1, args.degree, weights)
+    if count > MAX_TANGENCY_UNKNOWNS:
+        limit = f"MAX_TANGENCY_UNKNOWNS = {MAX_TANGENCY_UNKNOWNS}"
+        if weights:
+            need = (f"--degree {args.degree} with --weights {args.weights} "
+                    f"needs more than {limit} real tangency unknowns")
+        else:
+            need = (f"--degree {args.degree} needs {count} real tangency "
+                    f"unknowns, more than {limit}")
+        raise ParseError("--degree", None, 0, need)
+    order = _resolve_order(args, doc, n)
+    M = build_hypersurface(doc, order)
+    use_order = order - 1
     shared = tangency_restrictions(M, args.degree, use_order, weights)
     hol = holomorphic_degeneracy_test(M, args.degree, use_order, weights,
                                       shared)
@@ -364,7 +406,7 @@ def _run_scan(args):
     doc = _load_model(args, "scan needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    order = _resolve_order(args.order, doc, kmax)
+    order = _resolve_order(args, doc, kmax)
     M = build_hypersurface(doc, order)
     report = nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax)
     tree = {
@@ -452,7 +494,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("kmax", "degree", "target_order"):
+        for flag in ("kmax", "degree", "target_order", "order"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ParseError("--" + flag.replace("_", "-"), None, 0,
@@ -460,7 +502,10 @@ def main(argv=None) -> int:
         tree, passed = _RUNNERS[args.verb](args)
     except (ParseError, SeriesError, GeometryError, MappingError,
             JetError, AutError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OrderExhausted) and hasattr(args, "order_origin"):
+            message += f" ({args.order_origin})"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     sys.stdout.write(emit(tree, args.json))
     return 0 if passed else 1

@@ -344,7 +344,7 @@ class TruncatedSeries:
                 raise SeriesError(f"bad exponent tuple {alpha} for nvars={nvars}")
             c = CScalar.coerce(c)
             if sum(alpha) > order:
-                raise SeriesError(f"stored term {alpha} exceeds order {order}")
+                raise OrderExhausted(f"stored term {alpha} exceeds order {order}")
             if not c.is_zero():
                 given[_pack(alpha)] = c
         den = lcm(*(x.denominator for c in given.values() for x in (c.re, c.im)))

@@ -166,7 +166,8 @@ class TestDegeneracyTest:
 
     def test_unknown_and_equation_shapes(self):
         sys = holomorphic_degeneracy_test(heis(2, 8), 1, 4)
-        assert all(len(row) == len(sys.unknowns) for row in sys.equations)
+        assert all(0 <= c < len(sys.unknowns) and x
+                   for row in sys.equations for c, x in row.items())
         assert all(len(key) == 2 for key in sys.unknowns)
         assert sys.solution_dim == len(sys.basis)
 

@@ -401,6 +401,13 @@ class TestVerbs:
         assert code == 2
         assert "unknown check 'l1_13'" in errtext
 
+    @pytest.mark.parametrize("spec", ["", ",", " , "])
+    def test_verify_empty_check_list(self, docs, capsys, spec):
+        code, out, errtext = run(capsys, ["verify", docs["heis"],
+                                          "--check", spec])
+        assert (code, out) == (2, "")
+        assert "--check: no check given" in errtext
+
     def test_verify_basis_budget(self, docs, capsys):
         # --degree 40 on C^3 asks for C(45, 40), about 1.2M, basis
         # monomials: refused before the model is built
@@ -482,6 +489,30 @@ class TestVerbs:
         assert "dim: 0" in out         # no holomorphic degeneracy evidence
         assert "inequality: satisfied" in out
 
+    def test_aut_unknowns_budget(self, tmp_path, docs, capsys):
+        # --degree 10 on C^4 asks for 8 * C(14, 10) = 8008 real unknowns:
+        # refused before the model is built
+        p = tmp_path / "quadric4.crj"
+        p.write_text("kind = hypersurface\nN = 4\nrho = Im(w) - z1*conj(z1)"
+                     " - z2*conj(z2) - z3*conj(z3)\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10"])
+        assert (code, out) == (2, "")
+        assert ("--degree 10 needs 8008 real tangency unknowns, more than "
+                "MAX_TANGENCY_UNKNOWNS = 6000") in errtext
+        # a weighted count stops at the budget instead of enumerating
+        code, out, errtext = run(capsys, ["aut", docs["heis"], "--degree",
+                                          "100000", "--weights", "1,2"])
+        assert (code, out) == (2, "")
+        assert ("--degree 100000 with --weights 1,2 needs more than "
+                "MAX_TANGENCY_UNKNOWNS = 6000") in errtext
+        assert time.perf_counter() - start < 5.0
+        # degree 5 on C^4 (1008 unknowns) and degree 6 on C^3 (504) run
+        for argv in (["aut", str(p), "--degree", "5"],
+                     ["aut", docs["m3"], "--degree", "6", "--order", "10"]):
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and "pass: true" in out
+
     def test_aut_flat_plane_violates_bound(self, docs, capsys):
         # Im w = 0 is neither finitely nondegenerate nor minimal, so the
         # dimension bound does not apply and the verb must say so
@@ -520,6 +551,42 @@ class TestVerbs:
         code, _, errtext = run(capsys, ["analyze", docs["heis"]])
         assert code == 2
         assert "CRJET_ORDER" in errtext
+
+    def test_negative_environment_order(self, docs, capsys, monkeypatch):
+        monkeypatch.setenv("CRJET_ORDER", "-2")
+        code, out, errtext = run(capsys, ["analyze", docs["heis"]])
+        assert (code, out) == (2, "")
+        assert "CRJET_ORDER: must be non-negative, got -2" in errtext
+
+    @pytest.mark.parametrize("verb, order, message", [
+        ("analyze", "0", "stored term (1, 0, 0, 0) exceeds order 0"),
+        ("scan", "0", "stored term (1, 0, 0, 0) exceeds order 0"),
+        ("verify", "1", "length 1 exceeds frame order 0"),
+        ("reflect", "1", "length 1 exceeds frame order 0"),
+        ("aut", "1", "stored term (0, 2, 0, 0) exceeds order 1")])
+    def test_order_errors_name_their_source(self, docs, capsys, monkeypatch,
+                                            tmp_path, verb, order, message):
+        files = {"reflect": [docs["heis"], docs["heis"], docs["dilation"]],
+                 "scan": [docs["heis"], "--scan", "0"]}
+        argv = [verb] + files.get(verb, [docs["heis"]])
+        code, out, errtext = run(capsys, argv + ["--order", order])
+        assert (code, out) == (2, "")
+        assert message in errtext
+        assert errtext.rstrip().endswith(
+            f"(truncation order {order} from --order)")
+        monkeypatch.setenv("CRJET_ORDER", order)
+        code, _, errtext = run(capsys, argv)
+        assert code == 2
+        assert f"(truncation order {order} from CRJET_ORDER)" in errtext
+        # the document's order wins over the environment
+        p = tmp_path / "ordered.crj"
+        p.write_text(HEIS + f"order = {max(int(order), 1)}\n",
+                     encoding="utf-8")
+        if verb in ("verify", "aut"):
+            code, _, errtext = run(capsys, [verb, str(p)])
+            assert code == 2
+            assert (f"(truncation order {order} from the document's order)"
+                    in errtext)
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, errtext = run(capsys, ["analyze", str(tmp_path / "no.crj")])
@@ -574,7 +641,8 @@ class TestVerbs:
     @pytest.mark.parametrize("verb, flag", [
         ("analyze", "--kmax"), ("scan", "--kmax"), ("verify", "--kmax"),
         ("verify", "--degree"), ("reflect", "--kmax"), ("aut", "--degree"),
-        ("reconstruct", "--target-order"),
+        ("reconstruct", "--target-order"), ("analyze", "--order"),
+        ("aut", "--order"),
     ])
     def test_negative_bound_is_bad_input(self, docs, capsys, verb, flag):
         files = {"reflect": [docs["heis"], docs["heis"], docs["dilation"]],

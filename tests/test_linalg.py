@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from crjet.autdim import (AutError, holomorphic_degeneracy_test,
+                          infinitesimal_aut_dim, tangency_restrictions)
 from crjet.linalg import (
     SpanTracker,
     nullspace,
@@ -16,13 +18,15 @@ from crjet.linalg import (
 )
 from crjet.series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
 
+from tests.conftest import random_model, random_nondegenerate_model
+
 
 def C(x, y=0):
     return CScalar(x, y)
 
 
 # ---------------------------------------------------------------------------
-# differential oracle: the dense kernel the sparse eliminator replaced
+# differential oracle: the dense pivoted kernel
 
 
 def _size(x):
@@ -109,9 +113,93 @@ class DenseSpan:
         return not any(self._reduce(list(vec)))
 
 
+# ---------------------------------------------------------------------------
+# differential oracle: the sparse Fraction/CScalar kernel the integer one
+# replaced; rows are dense sequences of Fraction or CScalar
+
+
+def _subtract(row: dict, f, pivot_row: dict):
+    """row -= f * pivot_row in place, dropping entries that cancel."""
+    for c, x in pivot_row.items():
+        v = row[c] - f * x if c in row else -f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _insert(vec, echelon: dict) -> bool:
+    """Reduce vec's lowest columns against echelon; store it, normalised,
+    under the first lead with no echelon row."""
+    row = {c: x for c, x in enumerate(vec) if x}
+    while row:
+        lead = min(row)
+        if lead not in echelon:
+            inv = 1 / row[lead]
+            echelon[lead] = {c: x * inv for c, x in row.items()}
+            return True
+        _subtract(row, row[lead], echelon[lead])
+    return False
+
+
+def ref_reduced_echelon(rows) -> dict:
+    echelon = {}
+    for row in rows:
+        _insert(row, echelon)
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for q in [q for q in row if q != p and q in echelon]:
+            _subtract(row, row[q], echelon[q])
+    return echelon
+
+
+def ref_nullspace(rows, ncols):
+    red = ref_reduced_echelon(rows)
+    one = next((row[p] for p, row in red.items()), CS_ONE)
+    basis = []
+    for fc in range(ncols):
+        if fc in red:
+            continue
+        v = [0 * one] * ncols
+        v[fc] = one
+        for p, row in red.items():
+            if fc in row:
+                v[p] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+class RefSpan:
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, vec) -> bool:
+        return _insert(vec, self.rows)
+
+    def contains(self, vec) -> bool:
+        return not _insert(vec, dict(self.rows))
+
+
+# ---------------------------------------------------------------------------
+# random matrices: complex, rational, mixed int/Fraction, and big entries
+# whose numerators and denominators pass 2**64
+
+KINDS = ("complex", "rational", "mixed", "big", "bigc")
+BIG = 2 ** 70
+
+
 def _entry(rng, kind):
     if rng.random() < 0.6:
-        return C(0) if kind == "complex" else Fraction(0)
+        return {"complex": C(0), "bigc": C(0), "mixed": 0}.get(kind,
+                                                               Fraction(0))
+    if kind == "mixed":
+        if rng.random() < 0.5:
+            return rng.randrange(-4, 5)
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    if kind in ("big", "bigc"):
+        def part():
+            return Fraction(rng.randrange(-BIG, BIG), rng.randrange(1, BIG))
+        return C(part(), part()) if kind == "bigc" else part()
     re = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
     if kind == "complex":
         return C(re, Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
@@ -133,10 +221,24 @@ def _random_matrix(rng, kind, nrows, ncols):
     return rows
 
 
+def _exact(rows):
+    """rows with int entries as Fraction: the oracles divide with /."""
+    return [[x if isinstance(x, (CScalar, Fraction)) else Fraction(x)
+             for x in r] for r in rows]
+
+
+def _sparse(rng, rows):
+    """{column: value} rows, keeping a few explicit zeros."""
+    return [{c: x for c, x in enumerate(r) if x or rng.random() < 0.2}
+            for r in rows]
+
+
 class TestAgainstDenseKernel:
-    """Seeded differential test of the sparse eliminator against the dense
-    pivoted rref it replaced: empty, tall, wide and rank-deficient
-    matrices over CScalar and over Fraction."""
+    """Seeded differential test of the integer eliminator against the dense
+    pivoted rref and against the sparse Fraction/CScalar kernel it
+    replaced: empty, tall, wide and rank-deficient matrices over CScalar,
+    Fraction and mixed int/Fraction, with small and with big entries, fed
+    as dense rows and as {column: value} rows."""
 
     CASES = 2000
 
@@ -144,43 +246,114 @@ class TestAgainstDenseKernel:
         rng = random.Random(2000)
         shapes = set()
         for case in range(self.CASES):
-            kind = ("complex", "rational")[case % 2]
+            kind = KINDS[case % len(KINDS)]
             nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
             shapes.add((nrows == 0, (nrows > ncols) - (nrows < ncols)))
             rows = _random_matrix(rng, kind, nrows, ncols)
-            dense, pivots = dense_rref(rows)
+            exact = _exact(rows)
+            sparse = _sparse(rng, rows)
+            dense, pivots = dense_rref(exact)
             red = reduced_echelon(rows)
             assert sorted(red) == pivots
             for r, p in enumerate(pivots):
                 assert [red[p].get(c, 0) for c in range(ncols)] == dense[r]
-            assert rank(rows) == len(pivots)
+            assert red == ref_reduced_echelon(exact)
+            assert reduced_echelon(sparse) == red
+            assert rank(rows) == rank(sparse) == len(pivots)
 
             basis = nullspace(rows, ncols=ncols)
             assert basis == dense_nullspace(dense, pivots, ncols)
-            if kind == "complex":
-                assert all(isinstance(x, CScalar) for v in basis for x in v)
+            assert basis == ref_nullspace(exact, ncols)
+            assert nullspace(sparse, ncols=ncols) == basis
+            complex_kind = kind in ("complex", "bigc") or not rows
+            want = CScalar if complex_kind else Fraction
+            assert all(type(x) is want for v in basis for x in v)
 
             if nrows == ncols:
                 rhs = [_entry(rng, kind) for _ in range(nrows)]
                 try:
-                    want = dense_solve(rows, rhs)
+                    want = dense_solve(exact, _exact([rhs])[0])
                 except SeriesError:
                     with pytest.raises(SeriesError):
                         solve_unique(rows, rhs)
                 else:
                     got = solve_unique(rows, rhs)
                     assert got == want
-                    assert kind != "complex" or all(
+                    assert kind not in ("complex", "bigc") or all(
                         isinstance(x, CScalar) for x in got)
 
-            tracker, oracle = SpanTracker(ncols), DenseSpan()
-            for vec in rows:
+            tracker, oracle, ref = SpanTracker(ncols), DenseSpan(), RefSpan()
+            for vec, exact_vec, sparse_vec in zip(rows, exact, sparse):
                 probe = _random_matrix(rng, kind, 1, ncols)[0]
-                assert tracker.contains(probe) is oracle.contains(probe)
-                assert tracker.add(vec) is oracle.add(vec)
-                assert tracker.dim == len(oracle.rows)
+                exact_probe = _exact([probe])[0]
+                inside = oracle.contains(exact_probe)
+                assert ref.contains(exact_probe) is inside
+                assert tracker.contains(probe) is inside
+                added = oracle.add(exact_vec)
+                assert ref.add(exact_vec) is added
+                assert tracker.add(vec if case % 2 else sparse_vec) is added
+                assert tracker.dim == len(oracle.rows) == len(ref.rows)
         # empty, tall, square and wide shapes all occurred
         assert shapes >= {(True, -1), (False, 1), (False, 0), (False, -1)}
+
+    def test_big_entries_cancel_exactly(self):
+        # rows that agree up to a huge rational factor, one entry apart
+        big = Fraction(3 ** 50, 7 ** 30)
+        rows = [[big, 2 * big, Fraction(1, 3 ** 45)],
+                [1, 2, 0],
+                [C(0, 1) * big, C(0, 2) * big, 0]]
+        assert rank(rows) == 2
+        basis = nullspace(rows)
+        assert basis == [[C(-2), C(1), C(0)]]
+        assert nullspace([[big, 2 * big, 0]]) == ref_nullspace(
+            [[big, 2 * big, Fraction(0)]], 3)
+
+
+class TestTangencyAgainstOracle:
+    """The tangency solver's basis, read back as vectors over its unknowns,
+    equals the oracle's nullspace of the same equation rows: seeded
+    unit-Levi and generic germs in C^2 and C^3 at degrees 1 and 2, for the
+    complex and the real problem."""
+
+    @staticmethod
+    def _vector(system, Y):
+        out = []
+        for key in system.unknowns:
+            c = Y.coeffs[key[0]].coeff(key[1])
+            out.append(c if len(key) == 2 else (c.re, c.im)[key[2]])
+        return out
+
+    def test_seeded_germs(self):
+        solved = set()
+        for seed in range(3):
+            for N in (2, 3):
+                for build in (random_nondegenerate_model, random_model):
+                    M = build(seed, N, 5)
+                    for d in (1, 2):
+                        shared = tangency_restrictions(M, d, 4)
+                        for solve in (holomorphic_degeneracy_test,
+                                      infinitesimal_aut_dim):
+                            try:
+                                system = solve(M, d, 4, restrictions=shared)
+                            except AutError:
+                                continue  # vacuous at this order
+                            ncols = len(system.unknowns)
+                            dense = [[row.get(c, 0 * x) for c in range(ncols)]
+                                     for row in system.equations
+                                     for x in [next(iter(row.values()))]]
+                            want = ref_nullspace(dense, ncols)
+                            got = [self._vector(system, Y)
+                                   for Y in system.basis]
+                            assert got == want
+                            solved.add((N, build, d, system.kind,
+                                        bool(want)))
+        # every germ kind, dimension, degree and problem was solved, with
+        # and without a nonzero nullspace
+        assert {k[:4] for k in solved} == {
+            (N, b, d, kind) for N in (2, 3)
+            for b in (random_nondegenerate_model, random_model)
+            for d in (1, 2) for kind in ("holomorphic", "real")}
+        assert {k[4] for k in solved} == {True, False}
 
 
 class TestExactRank:
