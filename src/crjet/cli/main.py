@@ -3,9 +3,10 @@
 Verbs: analyze, verify, reflect, reconstruct, aut, scan.  Every verb
 prints one canonical report (text, or JSON with --json) and exits 0 when
 all requested verifications pass, 1 when some check fails, and 2 on bad
-input.  The truncation order is taken from --order, then the document,
-then the CRJET_ORDER environment variable, then the default 2*(kmax+2);
-an error that runs out of truncation order names which of these set it.
+input.  The truncation order is taken from --order, then the document
+(for reflect, the source and target documents, which must agree), then
+the CRJET_ORDER environment variable, then the default 2*(kmax+2); an
+error that runs out of truncation order names which of these set it.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from ..autdim import (AutError, _holo_exponents, aut_bound,
                       holomorphic_degeneracy_test, infinitesimal_aut_dim,
                       tangency_restrictions)
 from ..hypersurface import GeometryError, build_frame
-from ..invariants import (CheckReport, extrinsic_k0, h_tensor,
-                          intrinsic_filtration, nondegeneracy_scan,
-                          verify_bracket_pairing,
+from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
+                          nondegeneracy_scan, verify_bracket_pairing,
                           verify_derivative_recursion,
                           verify_frame_structure,
                           verify_leading_order_reduction)
 from ..jets import JetError, integrate, taylor_propagate
-from ..mappings import (MappingError, pushforward_data,
+from ..mappings import (MappingError, _Pullback, pushforward_data,
                         solve_levi_reflection, verify_reflection_base,
                         verify_transport_recursion)
 from ..operators import operator_certificates
@@ -51,15 +51,34 @@ MAX_BASIS_MONOMIALS = 5_000
 # unknowns) takes about 4 s and 90 MB; at --degree 11 (10920) 10 s and
 # 200 MB
 MAX_TANGENCY_UNKNOWNS = 6_000
+# most ordered index words a chain or bracket-word enumeration may reach:
+# every word of length 0 to L over n = N - 1 indices, sum n^k of them.
+# At --kmax 8 on C^3 (1023 words) analyze takes 0.04 s on the quadric and
+# reflect 19 s on a unit-Levi pair: each word of a reflect costs composed
+# target entries, at an order that grows with --kmax
+MAX_CHAIN_WORDS = 1_024
 
 
-def _resolve_order(args, doc, kmax):
+def _resolve_order(args, kmax, *docs):
     """Truncation order of a verb; args.order_origin records where it came
-    from, for the message of an error that runs out of order."""
+    from, for the message of an error that runs out of order.
+
+    docs are (origin, document) pairs.  Those that set an order must agree,
+    and the first of them names the origin.
+    """
+    ordered = [(origin, doc) for origin, doc in docs
+               if doc.scalar("order") is not None]
     if args.order is not None:
         order, origin = args.order, "--order"
-    elif doc is not None and doc.scalar("order") is not None:
-        order, origin = doc.scalar("order"), "the document's order"
+    elif ordered:
+        origin, first = ordered[0]
+        order = first.scalar("order")
+        for _, doc in ordered[1:]:
+            if doc.scalar("order") != order:
+                line, col = doc.position("order")
+                raise ParseError(doc.source, line, col,
+                                 f"order {doc.scalar('order')} disagrees "
+                                 f"with order {order} of {first.source}")
     elif "CRJET_ORDER" in os.environ:
         env = os.environ["CRJET_ORDER"]
         try:
@@ -74,6 +93,22 @@ def _resolve_order(args, doc, kmax):
         order, origin = 2 * (kmax + 2), "the default 2*(kmax+2)"
     args.order_origin = f"truncation order {order} from {origin}"
     return order
+
+
+def _check_chain_words(N, kmax, length):
+    """Refuse a run that enumerates the ordered index words of lengths 0
+    to length over N - 1 indices when they number more than
+    MAX_CHAIN_WORDS."""
+    n = N - 1
+    count, level = 0, 1
+    for _ in range(length + 1):
+        count += level
+        if count > MAX_CHAIN_WORDS:
+            raise ParseError("--kmax", None, 0,
+                             f"--kmax {kmax} on C^{N} needs more than "
+                             f"MAX_CHAIN_WORDS = {MAX_CHAIN_WORDS} ordered "
+                             "index words")
+        level *= n
 
 
 def _tangency_unknowns(N, degree, weights):
@@ -144,7 +179,9 @@ def _run_analyze(args):
     doc = _load_model(args, "analyze needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    order = _resolve_order(args, doc, kmax)
+    # the filtration reads chains up to lmax = kmax + 1
+    _check_chain_words(n + 1, kmax, kmax + 1)
+    order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     F = build_frame(M)
     filt = intrinsic_filtration(F, kmax=kmax)
@@ -198,7 +235,15 @@ def _run_verify(args):
                              "monomials, more than MAX_BASIS_MONOMIALS = "
                              f"{MAX_BASIS_MONOMIALS}")
     kmax = args.kmax if args.kmax is not None else 1
-    order = _resolve_order(args, doc, kmax)
+    # the recursion suite reads chains up to kmax + 1, and the filtration
+    # of the leading and commutator suites up to its default lmax = n + 1
+    lengths = [0]
+    if "recursion" in tokens:
+        lengths.append(kmax + 1)
+    if "leading" in tokens or "commutators" in tokens:
+        lengths.append(n + 1)
+    _check_chain_words(n + 1, kmax, max(lengths))
+    order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     F = build_frame(M)
     reports = []
@@ -238,22 +283,25 @@ def _run_reflect(args):
     if map_doc.kind != "map":
         raise ParseError(args.map, None, 0, "reflect needs a map document")
     kmax = args.kmax if args.kmax is not None else 1
-    order = _resolve_order(args, src_doc, kmax)
+    # the recursion at level k reads target chains up to k + 1
+    _check_chain_words(src_doc.scalar("N"), kmax, kmax + 1)
+    order = _resolve_order(args, kmax,
+                           ("the source document's order", src_doc),
+                           ("the target document's order", tgt_doc))
     Ms = build_hypersurface(src_doc, order)
     Mt = build_hypersurface(tgt_doc, order)
     F = build_map(map_doc, Ms, Mt)
     Fs, Ft = build_frame(F.source), build_frame(F.target)
     data = pushforward_data(F, Fs, Ft)
-    t_src, t_tgt = h_tensor(Fs, 1), h_tensor(Ft, 1)
+    pull = _Pullback(Fs, Ft, data.imap)
 
-    reports = [verify_reflection_base(data, (t_src, t_tgt))]
+    reports = [verify_reflection_base(data, pull)]
     for k in range(1, kmax + 1):
-        reports.append(verify_transport_recursion(data, None, k))
+        reports.append(verify_transport_recursion(data, pull, k))
 
     n = data.n
     try:
-        gamma, eta = solve_levi_reflection(data.conjugated(),
-                                           (t_src, t_tgt), Fs)
+        gamma, eta = solve_levi_reflection(data.conjugated(), pull)
         exact = all(gamma[C][B].agrees(data.gamma[C][B])
                     for C in range(n) for B in range(n)) \
             and all(eta[C].agrees(data.eta[C]) for C in range(n))
@@ -377,7 +425,7 @@ def _run_aut(args):
             need = (f"--degree {args.degree} needs {count} real tangency "
                     f"unknowns, more than {limit}")
         raise ParseError("--degree", None, 0, need)
-    order = _resolve_order(args, doc, n)
+    order = _resolve_order(args, n, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     use_order = order - 1
     shared = tangency_restrictions(M, args.degree, use_order, weights)
@@ -406,7 +454,8 @@ def _run_scan(args):
     doc = _load_model(args, "scan needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    order = _resolve_order(args, doc, kmax)
+    _check_chain_words(n + 1, kmax, kmax)
+    order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     report = nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax)
     tree = {

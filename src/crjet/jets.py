@@ -381,9 +381,9 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     from 0.  truth, when supplied, is evaluated on each grid point and
     the maximum deviation of any component is reported.  A non-finite
     state or a grid outside the declared box aborts with the offending
-    location; a walk of more than MAX_RK4_SUBSTEPS substeps, and a
-    coefficient, jet value or grid value beyond the float range, are
-    refused before marching.
+    location; a walk of more than MAX_RK4_SUBSTEPS substeps, a step that
+    is not finite, and a coefficient, jet value or grid value beyond the
+    float range, are refused before marching.
 
     The rule, in float arithmetic: each rhs is 0.0 + t_1 + t_2 + ... over
     its monomials in terms() order, each monomial ((c*v_a)*v_b)... in
@@ -398,6 +398,8 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     if lambda0.q != S.q or lambda0.m != S.m or lambda0.k != S.k:
         raise JetError("initial jet does not match the system signature")
     step = _to_float(step, "step")
+    if not math.isfinite(step):
+        raise JetError(f"step must be finite, got {step}")
     if not step > 0:
         raise JetError("step must be positive")
     if len(grid) != S.q:

@@ -220,14 +220,22 @@ class SpanTracker:
         return not _reduce(_integer_row(vec)[0], self.rows)
 
 
-def series_solve(rows, rhs):
-    """Solve A x = b where entries are series and A(0) is invertible.
+def series_solve(rows, columns):
+    """Solve A X = B for every right-hand-side column of B at once, where
+    the entries are series and A(0) is invertible.
 
-    Gaussian elimination over the series ring; every pivot must be a unit
-    (nonzero constant term), which A(0) invertible guarantees.
+    columns is a list of right-hand sides, each a list of len(rows)
+    series; the result lists one solution per column, in the same order.
+    Gauss-Jordan elimination over the series ring runs once on A augmented
+    by every column: each pivot is the unit of largest |constant term|^2
+    in its column (A(0) invertible guarantees one), and a column goes
+    through the same operations, in the same order, as it would alone.
+    A step updates only the columns right of its pivot: the pivot entry
+    would become 1 and the entries below and above it 0, and no later
+    step reads them.
     """
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n, m = len(rows), len(columns)
+    aug = [list(r) + [col[i] for col in columns] for i, r in enumerate(rows)]
     for col in range(n):
         best, best_size = None, None
         for i in range(col, n):
@@ -238,24 +246,22 @@ def series_solve(rows, rhs):
             raise SeriesError("series system pivot is not a unit")
         aug[col], aug[best] = aug[best], aug[col]
         inv = aug[col][col].invert_unit()
-        aug[col] = [x * inv for x in aug[col]]
+        piv = [x * inv for x in aug[col][col + 1:]]
+        aug[col][col + 1:] = piv
         for i in range(n):
             if i != col and not aug[i][col].is_zero():
                 f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+                aug[i][col + 1:] = [a - f * b
+                                    for a, b in zip(aug[i][col + 1:], piv)]
+    return [[aug[i][n + j] for i in range(n)] for j in range(m)]
 
 
 def series_matrix_inverse(rows):
     """Inverse of a square series matrix with invertible constant term."""
     n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [
-            TruncatedSeries.constant(rows[0][0].nvars, 1 if i == j else 0, rows[i][j].order)
-            for i in range(n)
-        ]
-        cols.append(series_solve(rows, e))
-    # columns of the inverse were solved one at a time
+    nvars = rows[0][0].nvars
+    ident = [[TruncatedSeries.constant(nvars, 1 if i == j else 0,
+                                       rows[i][j].order)
+              for i in range(n)] for j in range(n)]
+    cols = series_solve(rows, ident)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-

@@ -14,6 +14,15 @@ first-order identities these data satisfy against the h tensors of both
 germs, and solve_levi_reflection inverts the Levi-step identity: with both
 Levi pairings nondegenerate at 0 it reconstructs (gamma, eta) from xi and
 the conjugated data alone.
+
+Those three readers share one _Pullback, which lives for one reflect call
+and is then dropped; nothing is cached on the frames or at module level.
+It holds one chain cache per frame, the h tensors of each frame keyed by
+length, and each target entry composed with the map's intrinsic
+components, keyed by (abar, D), or (abar, "T") for the transverse entry:
+the length of abar is the length of its tensor.  So every tensor is built
+once, and the length-(k+1) entries that the level-k recursion reads are
+the very series that level k+1 reads as its own.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .hypersurface import (
     from_defining,
     intrinsic_pairing,
 )
-from .invariants import CheckReport, h_tensor
+from .invariants import CheckReport, HTensor, _ChainCache, h_tensor
 from .linalg import rank, series_solve
 from .series import SeriesError, TruncatedSeries
 
@@ -180,14 +189,13 @@ class ConjugateData:
 def _pullback(form: OneForm, imap) -> OneForm:
     subs = list(imap)
     nv = len(subs)
+    pulled = [(cu.compose(subs), imap[u])
+              for u, cu in enumerate(form.coeffs) if not cu.is_zero()]
     coeffs = []
     for v in range(nv):
         acc = TruncatedSeries.zero(nv, subs[0].order - 1)
-        for u in range(nv):
-            cu = form.coeffs[u]
-            if cu.is_zero():
-                continue
-            acc = acc + cu.compose(subs) * imap[u].derive(v)
+        for pu, mu in pulled:
+            acc = acc + pu * mu.derive(v)
         coeffs.append(acc)
     return OneForm(coeffs)
 
@@ -237,27 +245,65 @@ def pushforward_data(F: AmbientMap, frame_src: Frame,
                            source_frame=frame_src, target_frame=frame_tgt)
 
 
-def _through(series: TruncatedSeries, imap) -> TruncatedSeries:
-    return series.compose(list(imap))
+class _Pullback:
+    """h tensors of the source and target frames of one map, and target
+    entries composed with the map's intrinsic components, each computed
+    once.
+
+    Returned tensors and series are shared between callers and must not be
+    mutated.
+    """
+
+    def __init__(self, frame_src: Frame, frame_tgt: Frame, imap):
+        self.source_frame = frame_src
+        self._subs = list(imap)
+        self._chains = (_ChainCache(frame_src), _ChainCache(frame_tgt))
+        self._tensors = {}
+        self._entries = {}
+
+    def _tensor(self, side: int, k: int) -> HTensor:
+        tensor = self._tensors.get((side, k))
+        if tensor is None:
+            chain = self._chains[side]
+            tensor = h_tensor(chain.frame, k, chain)
+            self._tensors[side, k] = tensor
+        return tensor
+
+    def source(self, k: int) -> HTensor:
+        return self._tensor(0, k)
+
+    def target(self, k: int) -> HTensor:
+        return self._tensor(1, k)
+
+    def entry(self, abar: tuple, D) -> TruncatedSeries:
+        """Target entry h(abar, D), or the transverse entry when D is "T",
+        composed with the map."""
+        series = self._entries.get((abar, D))
+        if series is None:
+            tensor = self.target(len(abar))
+            raw = tensor.transverse(abar) if D == "T" else tensor.h(abar, D)
+            series = raw.compose(self._subs)
+            self._entries[abar, D] = series
+        return series
 
 
-def verify_reflection_base(data: PushforwardData, tensors) -> CheckReport:
+def verify_reflection_base(data: PushforwardData,
+                           pull: _Pullback) -> CheckReport:
     """Residuals of the five first-order transport identities.
 
-    tensors is the pair (source length-1 tensor, target length-1 tensor).
-    Each identity must give the zero series; violations carry an identity
-    label and the offending indices.
+    pull supplies the length-1 source tensor and the length-1 target
+    entries composed with the map.  Each identity must give the zero
+    series; violations carry an identity label and the offending indices.
     """
-    src, tgt = tensors
+    src = pull.source(1)
     n = data.n
     Fm = data.source_frame
     pairing = intrinsic_pairing(n)
     xi, eta, gamma = data.xi, data.eta, data.gamma
     gbar = [[gamma[C][A].conjugate(pairing) for A in range(n)]
             for C in range(n)]
-    hhat = [[_through(tgt.h((C,), D), data.imap) for D in range(n)]
-            for C in range(n)]
-    hhatT = [_through(tgt.transverse((C,)), data.imap) for C in range(n)]
+    hhat = [[pull.entry((C,), D) for D in range(n)] for C in range(n)]
+    hhatT = [pull.entry((C,), "T") for C in range(n)]
 
     checked, violations = 0, []
 
@@ -299,37 +345,31 @@ def verify_reflection_base(data: PushforwardData, tensors) -> CheckReport:
                        checked=checked, violations=tuple(violations))
 
 
-def verify_transport_recursion(data: PushforwardData, tensors,
+def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
                                k: int) -> CheckReport:
     """Residuals of the two k-indexed transport identities.
 
     For each bar tuple of length k, differentiating the gamma- or
     eta-contracted target entry along a conjugate field must reproduce the
     length-(k+1) entry minus the transverse and Levi correction terms.
-    tensors is (source length-1, target length-1, target length-k, target
-    length-(k+1)); pass None to compute all four from the stored frames.
+    pull supplies the length-1 source tensor and the target entries of
+    lengths 1, k and k+1 composed with the map.
     """
-    if tensors is None:
-        src = h_tensor(data.source_frame, 1)
-        tensors = (src, h_tensor(data.target_frame, 1),
-                   h_tensor(data.target_frame, k),
-                   h_tensor(data.target_frame, k + 1))
-    src, tgt1, tgtk, tgtk1 = tensors
+    src = pull.source(1)
     n = data.n
     Fm = data.source_frame
     pairing = intrinsic_pairing(n)
     eta, gamma = data.eta, data.gamma
     gbar = [[gamma[C][A].conjugate(pairing) for A in range(n)]
             for C in range(n)]
-    h1 = [[_through(tgt1.h((I,), H), data.imap) for H in range(n)]
-          for I in range(n)]
+    h1 = [[pull.entry((I,), H) for H in range(n)] for I in range(n)]
 
     checked, violations = 0, []
     for abar in product(range(n), repeat=k):
-        hk = [_through(tgtk.h(abar, D), data.imap) for D in range(n)]
-        hkT = _through(tgtk.transverse(abar), data.imap)
-        hk1 = [[_through(tgtk1.h(abar + (I,), H), data.imap)
-                for H in range(n)] for I in range(n)]
+        hk = [pull.entry(abar, D) for D in range(n)]
+        hkT = pull.entry(abar, "T")
+        hk1 = [[pull.entry(abar + (I,), H) for H in range(n)]
+               for I in range(n)]
         for B in range(n):
             for C in range(n):
                 inner = gamma[0][B] * hk[0]
@@ -361,41 +401,41 @@ def verify_transport_recursion(data: PushforwardData, tensors,
                        checked=checked, violations=tuple(violations))
 
 
-def solve_levi_reflection(conj: ConjugateData, tensors, frame_src: Frame):
+def solve_levi_reflection(conj: ConjugateData, pull: _Pullback):
     """Reconstruct (gamma, eta) from xi and the conjugated data.
 
     Inverts the Levi-transport identity: the pairing matrix
     sum_C gammabar^C_A hhat_{CbD} is a unit matrix at 0 exactly when both
     germs are Levi-nondegenerate there, and then gamma solves the
-    Levi-transport rows while eta solves the xi-derivative rows.
+    Levi-transport rows while eta solves the xi-derivative rows, all in
+    one elimination.  pull supplies the length-1 source tensor and the
+    length-1 target entries composed with the map; it reads neither gamma
+    nor eta.
     """
-    src, tgt = tensors
+    src = pull.source(1)
+    frame_src = pull.source_frame
     n = frame_src.n
     xi = conj.xi
     G = [[None] * n for _ in range(n)]
     for A in range(n):
         for D in range(n):
-            acc = conj.gammabar[0][A] * _through(tgt.h((0,), D), conj.imap)
+            acc = conj.gammabar[0][A] * pull.entry((0,), D)
             for C in range(1, n):
-                acc = acc + conj.gammabar[C][A] * \
-                    _through(tgt.h((C,), D), conj.imap)
+                acc = acc + conj.gammabar[C][A] * pull.entry((C,), D)
             G[A][D] = acc
     try:
-        cols = []
-        for B in range(n):
-            rhs = [xi * src.h((A,), B) for A in range(n)]
-            cols.append(series_solve(G, rhs))
-        gamma = tuple(tuple(cols[B][D] for B in range(n)) for D in range(n))
+        columns = [[xi * src.h((A,), B) for A in range(n)]
+                   for B in range(n)]
         rhs = []
         for A in range(n):
             r = frame_src.Lbar[A].apply(xi) + xi * src.transverse((A,))
             for C in range(n):
-                r = r - xi * conj.gammabar[C][A] * \
-                    _through(tgt.transverse((C,)), conj.imap)
+                r = r - xi * conj.gammabar[C][A] * pull.entry((C,), "T")
             rhs.append(r)
-        eta = tuple(series_solve(G, rhs))
+        cols = series_solve(G, columns + [rhs])
     except SeriesError as exc:
         raise MappingError(
             "Levi pairing is singular at 0; reconstruction needs "
             "1-nondegenerate germs") from exc
-    return gamma, eta
+    gamma = tuple(tuple(cols[B][D] for B in range(n)) for D in range(n))
+    return gamma, tuple(cols[n])

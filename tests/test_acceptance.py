@@ -15,14 +15,15 @@ from pathlib import Path
 import crjet
 from crjet.autdim import aut_bound, infinitesimal_aut_dim
 from crjet.hypersurface import build_frame, from_defining
-from crjet.invariants import (extrinsic_k0, h_tensor, intrinsic_filtration,
+from crjet.invariants import (extrinsic_k0, intrinsic_filtration,
                               is_finite, verify_bracket_pairing,
                               verify_derivative_recursion,
                               verify_frame_structure,
                               verify_leading_order_reduction)
 from crjet.jets import CompleteSystem, JetVector, integrate
-from crjet.mappings import (pushforward_data, solve_levi_reflection,
-                            tangency_residual, verify_reflection_base,
+from crjet.mappings import (_Pullback, pushforward_data,
+                            solve_levi_reflection, tangency_residual,
+                            verify_reflection_base,
                             verify_transport_recursion)
 from crjet.operators import operator_certificates
 from crjet.series import CScalar, TruncatedSeries
@@ -95,14 +96,14 @@ def test_criterion_05_reflection_suite_exact():
             compose_maps(rotation(H), dilation(H, Fraction(1, 2)))]
     for F in maps:
         Fs, Ft = build_frame(F.source), build_frame(F.target)
-        tensors = (h_tensor(Fs, 1), h_tensor(Ft, 1))
         data = pushforward_data(F, Fs, Ft)
-        base = verify_reflection_base(data, tensors)
+        pull = _Pullback(Fs, Ft, data.imap)
+        base = verify_reflection_base(data, pull)
         assert base.ok and not base.vacuous
         for k in (1, 2):
-            rep = verify_transport_recursion(data, None, k)
+            rep = verify_transport_recursion(data, pull, k)
             assert rep.ok, (F, k, rep.violations[:3])
-        gamma, eta = solve_levi_reflection(data.conjugated(), tensors, Fs)
+        gamma, eta = solve_levi_reflection(data.conjugated(), pull)
         n = data.n
         for C in range(n):
             assert eta[C].agrees(data.eta[C])

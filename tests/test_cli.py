@@ -513,6 +513,37 @@ class TestVerbs:
             code, out, _ = run(capsys, argv)
             assert code == 0 and "pass: true" in out
 
+    def test_chain_words_budget(self, tmp_path, docs, capsys):
+        # on C^3 the words of lengths 0 to L number 2^(L+1) - 1: refused
+        # before the model is built
+        quadric = tmp_path / "quadric3.crj"
+        quadric.write_text("kind = hypersurface\nN = 3\nrho = Im(w) - "
+                           "z1*conj(z1) - z2*conj(z2)\n", encoding="utf-8")
+        dilation = tmp_path / "dilation3.crj"
+        dilation.write_text("kind = map\nN = 3\nf1 = 2*z1\nf2 = 2*z2\n"
+                            "f3 = 4*w\n", encoding="utf-8")
+        q, d = str(quadric), str(dilation)
+        limit = "MAX_CHAIN_WORDS = 1024 ordered index words"
+        start = time.perf_counter()
+        for argv in (["analyze", q, "--kmax", "20"],
+                     ["reflect", q, q, d, "--kmax", "20"],
+                     ["verify", q, "--check", "recursion", "--kmax", "20"],
+                     ["scan", q, "--scan", "0", "--kmax", "20"],
+                     ["analyze", q, "--kmax", "9"]):
+            code, out, errtext = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert (f"--kmax {argv[-1]} on C^3 needs more than {limit}"
+                    in errtext)
+        # on C^2 each length adds one word, counted without enumerating
+        code, out, errtext = run(capsys, ["analyze", docs["heis"], "--kmax",
+                                          "100000000"])
+        assert (code, out) == (2, "")
+        assert f"--kmax 100000000 on C^2 needs more than {limit}" in errtext
+        assert time.perf_counter() - start < 5.0
+        # 1023 words run
+        code, out, _ = run(capsys, ["analyze", q, "--kmax", "8"])
+        assert code == 0 and "pass: true" in out
+
     def test_aut_flat_plane_violates_bound(self, docs, capsys):
         # Im w = 0 is neither finitely nondegenerate nor minimal, so the
         # dimension bound does not apply and the verb must say so
@@ -587,6 +618,34 @@ class TestVerbs:
             assert code == 2
             assert (f"(truncation order {order} from the document's order)"
                     in errtext)
+
+    def test_reflect_reads_the_target_order(self, docs, capsys, tmp_path):
+        target = tmp_path / "target.crj"
+        target.write_text(HEIS + "order = 3\n", encoding="utf-8")
+        argv = ["reflect", docs["heis"], str(target), docs["dilation"]]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "order: 3" in out
+        target.write_text(HEIS + "order = 1\n", encoding="utf-8")
+        code, out, errtext = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert errtext.rstrip().endswith(
+            "(truncation order 1 from the target document's order)")
+
+    def test_reflect_documents_must_agree_on_order(self, docs, capsys,
+                                                   tmp_path):
+        source, target = tmp_path / "source.crj", tmp_path / "target.crj"
+        source.write_text(HEIS + "order = 9\n", encoding="utf-8")
+        target.write_text(HEIS + "order = 3\n", encoding="utf-8")
+        argv = ["reflect", str(source), str(target), docs["dilation"]]
+        code, out, errtext = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert (f"{target}:5:1: order 3 disagrees with order 9 of {source}"
+                in errtext)
+        target.write_text(HEIS + "order = 9\n", encoding="utf-8")
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "order: 9" in out
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, errtext = run(capsys, ["analyze", str(tmp_path / "no.crj")])
@@ -703,6 +762,15 @@ class TestIntegratorInput:
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (2, "")
         assert "MAX_RK4_SUBSTEPS = 10000000" in errtext
+
+    @pytest.mark.parametrize("step", ["inf", "1e400"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_step_must_be_finite(self, tmp_path, capsys, step, json_flag):
+        code, out, errtext = reconstruct(
+            tmp_path, capsys,
+            argv=["--grid", "0:1:2", "--step", step, *json_flag])
+        assert (code, out) == (2, "")
+        assert "step must be finite, got inf" in errtext
 
     def test_substep_budget_counts_the_whole_walk(self, tmp_path, capsys):
         # each of the 2000 runs takes 1e4 substeps, far under the limit;

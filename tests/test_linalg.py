@@ -431,6 +431,40 @@ def _series_matrix(rng, n, nvars, order):
     return rows
 
 
+# the single-column series solve that series_solve replaced, kept as the
+# oracle for its many-column elimination
+def ref_series_solve(rows, rhs):
+    n = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        best, best_size = None, None
+        for i in range(col, n):
+            size = aug[i][col].constant_term().abs2()
+            if size != 0 and (best is None or size > best_size):
+                best, best_size = i, size
+        if best is None:
+            raise SeriesError("series system pivot is not a unit")
+        aug[col], aug[best] = aug[best], aug[col]
+        inv = aug[col][col].invert_unit()
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and not aug[i][col].is_zero():
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def _unit_matrix(rng, n, nvars, order):
+    """Random series matrix, invertible at 0 but with no preferred
+    diagonal, so the pivot search swaps rows."""
+    from tests.test_series import rand_series
+    while True:
+        rows = [[rand_series(rng, nvars, order, terms=3) for _ in range(n)]
+                for _ in range(n)]
+        if rank([[s.constant_term() for s in r] for r in rows]) == n:
+            return rows
+
+
 class TestSeriesSolve:
     def test_roundtrip_against_inverse(self):
         rng = random.Random(21)
@@ -456,12 +490,42 @@ class TestSeriesSolve:
             for k in range(3):
                 acc = acc + a[i][k] * x[k]
             rhs.append(acc)
-        sol = series_solve(a, rhs)
+        [sol] = series_solve(a, [rhs])
         for got, want in zip(sol, x):
             assert got == want
 
     def test_singular_at_origin_raises(self):
         z = TruncatedSeries.variable(1, 0, 3)
         with pytest.raises(SeriesError):
-            series_solve([[z]], [z])
+            series_solve([[z]], [[z]])
 
+    def test_columns_match_single_column_solves(self):
+        from tests.test_series import rand_series
+        rng = random.Random(23)
+        cases = 0
+        for n in range(1, 5):
+            for ncols in range(1, 6):
+                for order in range(7):
+                    a = _unit_matrix(rng, n, 2, order)
+                    columns = [[rand_series(rng, 2, order, terms=3)
+                                for _ in range(n)] for _ in range(ncols)]
+                    got = series_solve(a, columns)
+                    assert len(got) == ncols
+                    for col, sol in zip(columns, got):
+                        assert sol == ref_series_solve(a, col)
+                    cases += 1
+        assert cases == 4 * 5 * 7
+
+    def test_non_unit_pivot_raises_like_the_oracle(self):
+        from tests.test_series import rand_series
+        rng = random.Random(24)
+        for n in range(1, 5):
+            a = _unit_matrix(rng, n, 2, 3)
+            # a last row that vanishes at the origin: A(0) is singular
+            a[-1] = [x - x.constant_term() for x in a[-1]]
+            columns = [[rand_series(rng, 2, 3) for _ in range(n)]
+                       for _ in range(3)]
+            with pytest.raises(SeriesError, match="pivot is not a unit"):
+                ref_series_solve(a, columns[0])
+            with pytest.raises(SeriesError, match="pivot is not a unit"):
+                series_solve(a, columns)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from crjet.invariants import h_tensor
 from crjet.mappings import (
     AmbientMap,
     MappingError,
+    _Pullback,
     pushforward_data,
     restrict,
     solve_levi_reflection,
@@ -25,6 +27,7 @@ from tests.conftest import (
     identity_map,
     m2_rho,
     m3_rho,
+    random_nondegenerate_model,
     rotation,
     sigma,
     tau,
@@ -47,8 +50,44 @@ def data_for(F):
     return pushforward_data(F, build_frame(F.source), build_frame(F.target))
 
 
-def tensor_pair(data):
-    return (h_tensor(data.source_frame, 1), h_tensor(data.target_frame, 1))
+def pull_for(data):
+    return _Pullback(data.source_frame, data.target_frame, data.imap)
+
+
+class DirectPullback:
+    """Oracle for _Pullback: every tensor from its own chain cache, and
+    every target entry composed with the map again on every read."""
+
+    def __init__(self, data, kmax):
+        self.source_frame = data.source_frame
+        self.imap = list(data.imap)
+        self._source = h_tensor(data.source_frame, 1)
+        self._target = {k: h_tensor(data.target_frame, k)
+                        for k in range(kmax + 2)}
+
+    def source(self, k):
+        assert k == 1
+        return self._source
+
+    def entry(self, abar, D):
+        tensor = self._target[len(abar)]
+        raw = tensor.transverse(abar) if D == "T" else tensor.h(abar, D)
+        return raw.compose(self.imap)
+
+
+def dilation_pair(seed, N, order):
+    """(z, w) -> (lam z, mu w) with seeded rational factors, from a seeded
+    unit-Levi germ onto its image germ."""
+    rng = random.Random(seed)
+    Ms = random_nondegenerate_model(seed, N, order)
+    scale = [Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+             for _ in range(N)]
+    inverse = [ambient_var(N, v, order) * (1 / scale[v % N])
+               for v in range(2 * N)]
+    # times mu, so the image germ keeps Im w as its transverse part
+    Mt = from_defining(scale[-1] * Ms.rho.compose(inverse), N)
+    return AmbientMap([scale[j] * ambient_var(N, j, order) for j in range(N)],
+                      Ms, Mt)
 
 
 class TestAmbientMap:
@@ -207,13 +246,13 @@ class TestReflectionBase:
                   rotation(M), tau(M, HALF), tau(M, CScalar(0, Fraction(1, 3))),
                   sigma(M, HALF)):
             P = data_for(F)
-            rep = verify_reflection_base(P, tensor_pair(P))
+            rep = verify_reflection_base(P, pull_for(P))
             assert rep.ok and rep.checked == 5
 
     def test_two_variable_maps(self):
         for F in (swap_c3(heis(3)), m3_auto(from_defining(m3_rho(8), 3))):
             P = data_for(F)
-            rep = verify_reflection_base(P, tensor_pair(P))
+            rep = verify_reflection_base(P, pull_for(P))
             assert rep.ok and rep.checked == 22
 
 
@@ -221,21 +260,44 @@ class TestTransportRecursion:
     def test_identity_low_orders(self):
         P = data_for(identity_map(heis(2)))
         for k in (0, 1):
-            rep = verify_transport_recursion(P, None, k)
+            rep = verify_transport_recursion(P, pull_for(P), k)
             assert rep.ok and rep.checked == 2
 
     def test_quadric_maps_k1(self):
         M = heis(2)
         for F in (dilation(M, 2), tau(M, HALF), sigma(M, HALF)):
-            rep = verify_transport_recursion(data_for(F), None, 1)
+            P = data_for(F)
+            rep = verify_transport_recursion(P, pull_for(P), 1)
             assert rep.ok
 
     def test_explicit_tensor_family(self):
         P = data_for(m3_auto(from_defining(m3_rho(8), 3)))
-        tensors = (h_tensor(P.source_frame, 1), h_tensor(P.target_frame, 1),
-                   h_tensor(P.target_frame, 1), h_tensor(P.target_frame, 2))
-        rep = verify_transport_recursion(P, tensors, 1)
+        pull = pull_for(P)
+        rep = verify_transport_recursion(P, pull, 1)
         assert rep.ok and rep.checked == 12
+        # one tensor per length, shared by the next level
+        one, two = pull.target(1), pull.target(2)
+        assert verify_transport_recursion(P, pull, 2).ok
+        assert pull.target(1) is one and pull.target(2) is two
+
+
+class TestSharedPullback:
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_matches_direct_composition(self, N):
+        for seed in range(3):
+            kmax = 1 + seed
+            P = data_for(dilation_pair(seed, N, kmax + 4))
+            pull, direct = pull_for(P), DirectPullback(P, kmax)
+            reports = [verify_reflection_base(P, pull)]
+            want = [verify_reflection_base(P, direct)]
+            for k in range(1, kmax + 1):
+                reports.append(verify_transport_recursion(P, pull, k))
+                want.append(verify_transport_recursion(P, direct, k))
+            assert reports == want
+            assert all(rep.ok for rep in reports)
+            conj = P.conjugated()
+            assert solve_levi_reflection(conj, pull) == \
+                solve_levi_reflection(conj, direct)
 
 
 class TestSolveLeviReflection:
@@ -245,7 +307,7 @@ class TestSolveLeviReflection:
                   tau(M, HALF), sigma(M, HALF)):
             P = data_for(F)
             gamma, eta = solve_levi_reflection(
-                P.conjugated(), tensor_pair(P), P.source_frame)
+                P.conjugated(), pull_for(P))
             for A in range(P.n):
                 assert eta[A].agrees(P.eta[A])
                 for B in range(P.n):
@@ -254,7 +316,7 @@ class TestSolveLeviReflection:
     def test_roundtrip_two_variables(self):
         P = data_for(swap_c3(heis(3)))
         gamma, eta = solve_levi_reflection(
-            P.conjugated(), tensor_pair(P), P.source_frame)
+            P.conjugated(), pull_for(P))
         for A in range(P.n):
             assert eta[A].agrees(P.eta[A])
             for B in range(P.n):
@@ -264,8 +326,7 @@ class TestSolveLeviReflection:
         M2 = from_defining(m2_rho(8), 2)
         P = data_for(identity_map(M2))
         with pytest.raises(MappingError):
-            solve_levi_reflection(P.conjugated(), tensor_pair(P),
-                                  P.source_frame)
+            solve_levi_reflection(P.conjugated(), pull_for(P))
 
 
 class TestComposition:
