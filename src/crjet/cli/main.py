@@ -51,12 +51,16 @@ MAX_BASIS_MONOMIALS = 5_000
 # unknowns) takes about 4 s and 90 MB; at --degree 11 (10920) 10 s and
 # 200 MB
 MAX_TANGENCY_UNKNOWNS = 6_000
-# most ordered index words a chain or bracket-word enumeration may reach:
-# every word of length 0 to L over n = N - 1 indices, sum n^k of them.
-# At --kmax 8 on C^3 (1023 words) analyze takes 0.04 s on the quadric and
-# reflect 19 s on a unit-Levi pair: each word of a reflect costs composed
-# target entries, at an order that grows with --kmax
-MAX_CHAIN_WORDS = 1_024
+# most ordered index words a filtration, chain or bracket-word enumeration
+# may reach: every word of length 0 to L over n = N - 1 indices, sum n^k of
+# them.  analyze at its default bounds counts 335923 words on C^7 and takes
+# 23 s and 140 MB on the quadric; --kmax 16 on C^3 (262143 words) takes
+# 9 s and 150 MB
+MAX_CHAIN_WORDS = 400_000
+# the same count for reflect, whose words each cost composed target entries
+# at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
+# takes 19 s on a unit-Levi pair
+MAX_REFLECT_WORDS = 1_024
 
 
 def _resolve_order(args, kmax, *docs):
@@ -95,20 +99,29 @@ def _resolve_order(args, kmax, *docs):
     return order
 
 
-def _check_chain_words(N, kmax, length):
+def _check_chain_words(N, length, bound, source="--kmax",
+                       limit=MAX_CHAIN_WORDS, name="MAX_CHAIN_WORDS"):
     """Refuse a run that enumerates the ordered index words of lengths 0
-    to length over N - 1 indices when they number more than
-    MAX_CHAIN_WORDS."""
+    to length over N - 1 indices when they number more than limit; bound
+    names the option or default that set length, and source is where the
+    error points."""
     n = N - 1
     count, level = 0, 1
     for _ in range(length + 1):
         count += level
-        if count > MAX_CHAIN_WORDS:
-            raise ParseError("--kmax", None, 0,
-                             f"--kmax {kmax} on C^{N} needs more than "
-                             f"MAX_CHAIN_WORDS = {MAX_CHAIN_WORDS} ordered "
-                             "index words")
+        if count > limit:
+            raise ParseError(source, None, 0,
+                             f"{bound} on C^{N} needs more than {name} = "
+                             f"{limit} ordered index words")
         level *= n
+
+
+def _kmax_bound(args, kmax, from_n=False):
+    """How the message of a refused word count names kmax; from_n marks a
+    default of N - 1."""
+    if args.kmax is not None:
+        return f"--kmax {kmax}"
+    return f"the default --kmax {kmax}" + (" = N - 1" if from_n else "")
 
 
 def _tangency_unknowns(N, degree, weights):
@@ -180,7 +193,7 @@ def _run_analyze(args):
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
     # the filtration reads chains up to lmax = kmax + 1
-    _check_chain_words(n + 1, kmax, kmax + 1)
+    _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax, True))
     order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     F = build_frame(M)
@@ -237,12 +250,11 @@ def _run_verify(args):
     kmax = args.kmax if args.kmax is not None else 1
     # the recursion suite reads chains up to kmax + 1, and the filtration
     # of the leading and commutator suites up to its default lmax = n + 1
-    lengths = [0]
     if "recursion" in tokens:
-        lengths.append(kmax + 1)
+        _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax))
     if "leading" in tokens or "commutators" in tokens:
-        lengths.append(n + 1)
-    _check_chain_words(n + 1, kmax, max(lengths))
+        _check_chain_words(n + 1, n + 1, f"lmax = N = {n + 1} of the "
+                           "leading and commutator suites", doc.source)
     order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     F = build_frame(M)
@@ -284,7 +296,9 @@ def _run_reflect(args):
         raise ParseError(args.map, None, 0, "reflect needs a map document")
     kmax = args.kmax if args.kmax is not None else 1
     # the recursion at level k reads target chains up to k + 1
-    _check_chain_words(src_doc.scalar("N"), kmax, kmax + 1)
+    _check_chain_words(src_doc.scalar("N"), kmax + 1,
+                       _kmax_bound(args, kmax), limit=MAX_REFLECT_WORDS,
+                       name="MAX_REFLECT_WORDS")
     order = _resolve_order(args, kmax,
                            ("the source document's order", src_doc),
                            ("the target document's order", tgt_doc))
@@ -454,7 +468,7 @@ def _run_scan(args):
     doc = _load_model(args, "scan needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    _check_chain_words(n + 1, kmax, kmax)
+    _check_chain_words(n + 1, kmax, _kmax_bound(args, kmax, True))
     order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     report = nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax)

@@ -17,8 +17,9 @@ the conjugated data alone.
 
 Those three readers share one _Pullback, which lives for one reflect call
 and is then dropped; nothing is cached on the frames or at module level.
-It holds one chain cache per frame, the h tensors of each frame keyed by
-length, and each target entry composed with the map's intrinsic
+It holds the source frame's length-1 h tensor, the only source tensor
+the readers use; one chain cache for the target frame and its h tensors
+keyed by length; and each target entry composed with the map's intrinsic
 components, keyed by (abar, D), or (abar, "T") for the transverse entry:
 the length of abar is the length of its tensor.  So every tensor is built
 once, and the length-(k+1) entries that the level-k recursion reads are
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .hypersurface import (
@@ -246,9 +248,9 @@ def pushforward_data(F: AmbientMap, frame_src: Frame,
 
 
 class _Pullback:
-    """h tensors of the source and target frames of one map, and target
-    entries composed with the map's intrinsic components, each computed
-    once.
+    """The length-1 h tensor of the source frame, the h tensors of the
+    target frame, and target entries composed with the map's intrinsic
+    components, each computed once.
 
     Returned tensors and series are shared between callers and must not be
     mutated.
@@ -257,23 +259,21 @@ class _Pullback:
     def __init__(self, frame_src: Frame, frame_tgt: Frame, imap):
         self.source_frame = frame_src
         self._subs = list(imap)
-        self._chains = (_ChainCache(frame_src), _ChainCache(frame_tgt))
+        self._chain = _ChainCache(frame_tgt)
         self._tensors = {}
         self._entries = {}
 
-    def _tensor(self, side: int, k: int) -> HTensor:
-        tensor = self._tensors.get((side, k))
-        if tensor is None:
-            chain = self._chains[side]
-            tensor = h_tensor(chain.frame, k, chain)
-            self._tensors[side, k] = tensor
-        return tensor
-
-    def source(self, k: int) -> HTensor:
-        return self._tensor(0, k)
+    @cached_property
+    def source1(self) -> HTensor:
+        """The source frame's h tensor of length 1."""
+        return h_tensor(self.source_frame, 1)
 
     def target(self, k: int) -> HTensor:
-        return self._tensor(1, k)
+        tensor = self._tensors.get(k)
+        if tensor is None:
+            tensor = h_tensor(self._chain.frame, k, self._chain)
+            self._tensors[k] = tensor
+        return tensor
 
     def entry(self, abar: tuple, D) -> TruncatedSeries:
         """Target entry h(abar, D), or the transverse entry when D is "T",
@@ -295,7 +295,7 @@ def verify_reflection_base(data: PushforwardData,
     entries composed with the map.  Each identity must give the zero
     series; violations carry an identity label and the offending indices.
     """
-    src = pull.source(1)
+    src = pull.source1
     n = data.n
     Fm = data.source_frame
     pairing = intrinsic_pairing(n)
@@ -355,7 +355,7 @@ def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
     pull supplies the length-1 source tensor and the target entries of
     lengths 1, k and k+1 composed with the map.
     """
-    src = pull.source(1)
+    src = pull.source1
     n = data.n
     Fm = data.source_frame
     pairing = intrinsic_pairing(n)
@@ -412,7 +412,7 @@ def solve_levi_reflection(conj: ConjugateData, pull: _Pullback):
     length-1 target entries composed with the map; it reads neither gamma
     nor eta.
     """
-    src = pull.source(1)
+    src = pull.source1
     frame_src = pull.source_frame
     n = frame_src.n
     xi = conj.xi

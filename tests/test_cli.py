@@ -523,17 +523,23 @@ class TestVerbs:
         dilation.write_text("kind = map\nN = 3\nf1 = 2*z1\nf2 = 2*z2\n"
                             "f3 = 4*w\n", encoding="utf-8")
         q, d = str(quadric), str(dilation)
-        limit = "MAX_CHAIN_WORDS = 1024 ordered index words"
+        limit = "MAX_CHAIN_WORDS = 400000 ordered index words"
         start = time.perf_counter()
         for argv in (["analyze", q, "--kmax", "20"],
-                     ["reflect", q, q, d, "--kmax", "20"],
                      ["verify", q, "--check", "recursion", "--kmax", "20"],
                      ["scan", q, "--scan", "0", "--kmax", "20"],
-                     ["analyze", q, "--kmax", "9"]):
+                     ["analyze", q, "--kmax", "17"]):
             code, out, errtext = run(capsys, argv)
             assert (code, out) == (2, ""), argv
             assert (f"--kmax {argv[-1]} on C^3 needs more than {limit}"
                     in errtext)
+        # reflect has its own, lower limit
+        for kmax in ("20", "9"):
+            code, out, errtext = run(capsys, ["reflect", q, q, d, "--kmax",
+                                              kmax])
+            assert (code, out) == (2, "")
+            assert (f"--kmax {kmax} on C^3 needs more than "
+                    "MAX_REFLECT_WORDS = 1024 ordered index words" in errtext)
         # on C^2 each length adds one word, counted without enumerating
         code, out, errtext = run(capsys, ["analyze", docs["heis"], "--kmax",
                                           "100000000"])
@@ -543,6 +549,31 @@ class TestVerbs:
         # 1023 words run
         code, out, _ = run(capsys, ["analyze", q, "--kmax", "8"])
         assert code == 0 and "pass: true" in out
+
+    def test_chain_words_budget_at_default_bounds(self, tmp_path, capsys):
+        # analyze and verify at their default bounds on C^5 count 1365
+        # words up to lmax = N = 5 and run
+        def quadric(N):
+            path = tmp_path / f"quadric{N}.crj"
+            terms = " - ".join(f"z{j}*conj(z{j})" for j in range(1, N))
+            path.write_text(f"kind = hypersurface\nN = {N}\n"
+                            f"rho = Im(w) - {terms}\n", encoding="utf-8")
+            return str(path)
+
+        q5 = quadric(5)
+        for argv in (["analyze", q5], ["verify", q5]):
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and "pass: true" in out, argv
+        # on C^8 they are refused, naming N as the source of the length
+        q8 = quadric(8)
+        limit = "on C^8 needs more than MAX_CHAIN_WORDS = 400000"
+        code, out, errtext = run(capsys, ["analyze", q8])
+        assert (code, out) == (2, "")
+        assert f"the default --kmax 7 = N - 1 {limit}" in errtext
+        code, out, errtext = run(capsys, ["verify", q8, "--order", "20"])
+        assert (code, out) == (2, "")
+        assert (f"{q8}: lmax = N = 8 of the leading and commutator suites "
+                f"{limit}") in errtext
 
     def test_aut_flat_plane_violates_bound(self, docs, capsys):
         # Im w = 0 is neither finitely nondegenerate nor minimal, so the

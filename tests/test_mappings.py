@@ -61,13 +61,9 @@ class DirectPullback:
     def __init__(self, data, kmax):
         self.source_frame = data.source_frame
         self.imap = list(data.imap)
-        self._source = h_tensor(data.source_frame, 1)
+        self.source1 = h_tensor(data.source_frame, 1)
         self._target = {k: h_tensor(data.target_frame, k)
                         for k in range(kmax + 2)}
-
-    def source(self, k):
-        assert k == 1
-        return self._source
 
     def entry(self, abar, D):
         tensor = self._target[len(abar)]
