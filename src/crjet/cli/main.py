@@ -4,9 +4,9 @@ Verbs: analyze, verify, reflect, reconstruct, aut, scan.  Every verb
 prints one canonical report (text, or JSON with --json) and exits 0 when
 all requested verifications pass, 1 when some check fails, and 2 on bad
 input.  The truncation order is taken from --order, then the document
-(for reflect, the source and target documents, which must agree), then
-the CRJET_ORDER environment variable, then the default 2*(kmax+2); an
-error that runs out of truncation order names which of these set it.
+(for reflect, the source, target and map documents, which must agree),
+then the CRJET_ORDER environment variable, then the default 2*(kmax+2);
+an error that runs out of truncation order names which of these set it.
 """
 
 from __future__ import annotations
@@ -48,9 +48,17 @@ MAX_BASIS_MONOMIALS = 5_000
 # most real unknowns one aut call may solve for: aut --degree D on C^N has
 # 2N * C(N + D, D) of them, and every restriction and equation row is kept
 # alive for the call.  The C^4 quadric at --degree 9 --order 14 (5720
-# unknowns) takes about 4 s and 90 MB; at --degree 11 (10920) 10 s and
-# 200 MB
+# unknowns) takes about 4 s and 90 MB, but MAX_TANGENCY_ENTRIES below
+# refuses it
 MAX_TANGENCY_UNKNOWNS = 6_000
+# most unknowns times chart monomials one aut call may reach: each real
+# unknown's restriction holds up to C(2N - 1 + t, t) monomials of the
+# (2N - 1)-variable chart at tangency order t = order - 1, and the
+# truncation order drives the cost as much as the unknown count does.  A
+# generic C^3 germ at --degree 10 --order 14 (1716 unknowns times 8568
+# monomials) takes about 16 s and 116 MB; the C^4 quadric at --degree 5
+# and the default order 10 (1008 times 11440) takes 0.3 s
+MAX_TANGENCY_ENTRIES = 12_000_000
 # most ordered index words a filtration, chain or bracket-word enumeration
 # may reach: every word of length 0 to L over n = N - 1 indices, sum n^k of
 # them.  analyze at its default bounds counts 335923 words on C^7 and takes
@@ -301,7 +309,8 @@ def _run_reflect(args):
                        name="MAX_REFLECT_WORDS")
     order = _resolve_order(args, kmax,
                            ("the source document's order", src_doc),
-                           ("the target document's order", tgt_doc))
+                           ("the target document's order", tgt_doc),
+                           ("the map document's order", map_doc))
     Ms = build_hypersurface(src_doc, order)
     Mt = build_hypersurface(tgt_doc, order)
     F = build_map(map_doc, Ms, Mt)
@@ -440,8 +449,16 @@ def _run_aut(args):
                     f"unknowns, more than {limit}")
         raise ParseError("--degree", None, 0, need)
     order = _resolve_order(args, n, ("the document's order", doc))
-    M = build_hypersurface(doc, order)
     use_order = order - 1
+    monomials = math.comb(2 * n + 1 + max(use_order, 0), max(use_order, 0))
+    if count * monomials > MAX_TANGENCY_ENTRIES:
+        raise ParseError("--order", None, 0,
+                         f"{count} real tangency unknowns times {monomials} "
+                         f"chart monomials up to tangency order {use_order} "
+                         f"is more than MAX_TANGENCY_ENTRIES = "
+                         f"{MAX_TANGENCY_ENTRIES} ({args.order_origin}); "
+                         "lower --order or --degree")
+    M = build_hypersurface(doc, order)
     shared = tangency_restrictions(M, args.degree, use_order, weights)
     hol = holomorphic_degeneracy_test(M, args.degree, use_order, weights,
                                       shared)

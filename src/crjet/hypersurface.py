@@ -29,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import series_matrix_inverse, solve_unique
-from .series import CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted, SeriesError, TruncatedSeries
+from .series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
+                     SeriesError, TruncatedSeries, derivation, dot)
 
 
 class GeometryError(ValueError):
@@ -134,13 +135,7 @@ class VectorFieldOp(_DenseCoefficients):
     __slots__ = ()
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        if f.order < 1:
-            raise OrderExhausted("cannot differentiate an order-0 series")
-        out = TruncatedSeries.zero(self.nvars, min(self.order, f.order - 1))
-        for v, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * f.derive(v)
-        return out
+        return derivation(self.coeffs, f)
 
     def bracket(self, other: "VectorFieldOp") -> "VectorFieldOp":
         if self.nvars != other.nvars:
@@ -159,11 +154,8 @@ class OneForm(_DenseCoefficients):
     def pair(self, X: VectorFieldOp) -> TruncatedSeries:
         if self.nvars != X.nvars:
             raise SeriesError("pairing across different charts")
-        out = TruncatedSeries.zero(self.nvars, min(self.order, X.order))
-        for v in range(self.nvars):
-            if not self.coeffs[v].is_zero() and not X.coeffs[v].is_zero():
-                out = out + self.coeffs[v] * X.coeffs[v]
-        return out
+        return dot(zip(self.coeffs, X.coeffs), min(self.order, X.order),
+                   self.nvars)
 
 
 class TwoFormEvaluator:
@@ -200,25 +192,25 @@ class TwoFormEvaluator:
         return sign * got
 
     def __call__(self, X: VectorFieldOp, Y: VectorFieldOp) -> TruncatedSeries:
-        out = TruncatedSeries.zero(
-            self.nvars, min(self.order, X.order, Y.order)
-        )
+        # sum over u < v of c_uv (X_u Y_v - X_v Y_u), skipping zero X_u
+        pairs = []
         for (u, v), c in self.coeffs.items():
-            out = out + c * (
-                X.coeffs[u] * Y.coeffs[v] - X.coeffs[v] * Y.coeffs[u]
-            )
-        return out
+            if not X.coeffs[u].is_zero():
+                pairs.append((c * X.coeffs[u], Y.coeffs[v]))
+            if not X.coeffs[v].is_zero():
+                pairs.append((-(c * X.coeffs[v]), Y.coeffs[u]))
+        return dot(pairs, min(self.order, X.order, Y.order), self.nvars)
 
     def contract(self, X: VectorFieldOp) -> OneForm:
         """Interior product X -| d omega as a one-form."""
-        base = TruncatedSeries.zero(self.nvars, min(self.order, X.order))
-        out = [base] * self.nvars
+        pairs = [[] for _ in range(self.nvars)]
         for (u, v), c in self.coeffs.items():
             if not X.coeffs[u].is_zero():
-                out[v] = out[v] + X.coeffs[u] * c
+                pairs[v].append((X.coeffs[u], c))
             if not X.coeffs[v].is_zero():
-                out[u] = out[u] - X.coeffs[v] * c
-        return OneForm(out)
+                pairs[u].append((-X.coeffs[v], c))
+        order = min(self.order, X.order)
+        return OneForm([dot(p, order, self.nvars) for p in pairs])
 
 
 def exterior_derivative(omega: OneForm) -> TwoFormEvaluator:

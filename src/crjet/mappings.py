@@ -43,7 +43,7 @@ from .hypersurface import (
 )
 from .invariants import CheckReport, HTensor, _ChainCache, h_tensor
 from .linalg import rank, series_solve
-from .series import SeriesError, TruncatedSeries
+from .series import SeriesError, TruncatedSeries, dot
 
 HALF = Fraction(1, 2)
 
@@ -193,13 +193,8 @@ def _pullback(form: OneForm, imap) -> OneForm:
     nv = len(subs)
     pulled = [(cu.compose(subs), imap[u])
               for u, cu in enumerate(form.coeffs) if not cu.is_zero()]
-    coeffs = []
-    for v in range(nv):
-        acc = TruncatedSeries.zero(nv, subs[0].order - 1)
-        for pu, mu in pulled:
-            acc = acc + pu * mu.derive(v)
-        coeffs.append(acc)
-    return OneForm(coeffs)
+    return OneForm([dot([(pu, mu.derive(v)) for pu, mu in pulled],
+                        subs[0].order - 1, nv) for v in range(nv)])
 
 
 def pushforward_data(F: AmbientMap, frame_src: Frame,
@@ -364,36 +359,35 @@ def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
             for C in range(n)]
     h1 = [[pull.entry((I,), H) for H in range(n)] for I in range(n)]
 
+    # the products with gbar do not depend on abar: negated once here
+    pairs_H_I = [(H, I) for H in range(n) for I in range(n)]
+    gamma_gbar = [[[-(gamma[H][B] * gbar[I][C]) for H, I in pairs_H_I]
+                   for C in range(n)] for B in range(n)]
+    eta_gbar = [[-(eta[H] * gbar[I][C]) for H, I in pairs_H_I]
+                for C in range(n)]
+
     checked, violations = 0, []
     for abar in product(range(n), repeat=k):
         hk = [pull.entry(abar, D) for D in range(n)]
         hkT = pull.entry(abar, "T")
-        hk1 = [[pull.entry(abar + (I,), H) for H in range(n)]
-               for I in range(n)]
+        # the length-(k+1) entry less its transverse correction, per (H, I)
+        diff = [pull.entry(abar + (I,), H) - hkT * h1[I][H]
+                for H, I in pairs_H_I]
+        eta_hk = [eta[H] * hk[H] for H in range(n)]
         for B in range(n):
+            inner = dot(zip((gamma[D][B] for D in range(n)), hk))
             for C in range(n):
-                inner = gamma[0][B] * hk[0]
-                for D in range(1, n):
-                    inner = inner + gamma[D][B] * hk[D]
-                res = Fm.Lbar[C].apply(inner)
-                for H in range(n):
-                    for I in range(n):
-                        res = res - gamma[H][B] * gbar[I][C] * hk1[I][H] \
-                            + gamma[H][B] * gbar[I][C] * hkT * h1[I][H]
-                    res = res + eta[H] * hk[H] * src.h((C,), B)
+                res = Fm.Lbar[C].apply(inner) + dot(
+                    list(zip(gamma_gbar[B][C], diff))
+                    + [(e, src.h((C,), B)) for e in eta_hk])
                 checked += 1
                 if not res.is_zero():
                     violations.append(("gamma-recursion", abar, B, C))
+        inner = dot(zip(eta, hk))
         for C in range(n):
-            inner = eta[0] * hk[0]
-            for D in range(1, n):
-                inner = inner + eta[D] * hk[D]
-            res = Fm.Lbar[C].apply(inner)
-            for H in range(n):
-                for I in range(n):
-                    res = res - eta[H] * gbar[I][C] * hk1[I][H] \
-                        + eta[H] * gbar[I][C] * hkT * h1[I][H]
-                res = res + eta[H] * hk[H] * src.transverse((C,))
+            res = Fm.Lbar[C].apply(inner) + dot(
+                list(zip(eta_gbar[C], diff))
+                + [(e, src.transverse((C,))) for e in eta_hk])
             checked += 1
             if not res.is_zero():
                 violations.append(("eta-recursion", abar, C))
@@ -416,13 +410,8 @@ def solve_levi_reflection(conj: ConjugateData, pull: _Pullback):
     frame_src = pull.source_frame
     n = frame_src.n
     xi = conj.xi
-    G = [[None] * n for _ in range(n)]
-    for A in range(n):
-        for D in range(n):
-            acc = conj.gammabar[0][A] * pull.entry((0,), D)
-            for C in range(1, n):
-                acc = acc + conj.gammabar[C][A] * pull.entry((C,), D)
-            G[A][D] = acc
+    G = [[dot((conj.gammabar[C][A], pull.entry((C,), D)) for C in range(n))
+          for D in range(n)] for A in range(n)]
     try:
         columns = [[xi * src.h((A,), B) for A in range(n)]
                    for B in range(n)]

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .hypersurface import Frame, GeometryError, exterior_derivative
-from .series import OrderExhausted, TruncatedSeries
+from .series import OrderExhausted, TruncatedSeries, dot
 
 
 def _sorted_word(word):
@@ -325,14 +325,10 @@ def _basis(nvars: int, degree: int, order: int):
 def _verify_reduction(memo: _Memo, word, Fbar, leading, tail,
                       degree) -> bool:
     basis_order = degree + len(word) + 2
+    terms = list(leading.items()) + [(K, -c) for K, c in tail.items()]
     for mono in _basis(2 * memo.F.n + 1, degree, basis_order):
         lhs = memo.commutator_on(word, Fbar, mono)
-        rhs = None
-        for K, coeff in sorted(leading.items()):
-            term = coeff * memo.word_on(K, "T", mono)
-            rhs = term if rhs is None else rhs + term
-        for K, coeff in sorted(tail.items()):
-            rhs = rhs - coeff * memo.word_on(K, "T", mono)
+        rhs = dot([(c, memo.word_on(K, "T", mono)) for K, c in terms])
         if not lhs.agrees(rhs):
             return False
     return True
@@ -346,13 +342,9 @@ def _verify_weighted(memo: _Memo, J, Fbar, p, b_coeffs, degree) -> bool:
     for _ in range(p):
         hp = hp * h1
     for mono in _basis(nv, degree, basis_order):
-        lhs = None
-        for W, b in sorted(b_coeffs.items()):
-            term = b * memo.commutator_on(W, Fbar, mono)
-            lhs = term if lhs is None else lhs + term
         rhs = hp * memo.word_on(J, "T", mono)
-        if lhs is None:
-            lhs = TruncatedSeries.zero(nv, rhs.order)
+        lhs = dot([(b, memo.commutator_on(W, Fbar, mono))
+                   for W, b in b_coeffs.items()], rhs.order, nv)
         if not lhs.agrees(rhs):
             return False
     return True

@@ -22,9 +22,26 @@ most the order, so a product term that passes the degree cut never carries
 from one field into the next.
 
 :class:`CScalar` and exponent tuples stay the public boundary: the
-constructor, ``coeff``, ``terms``, ``recenter``, ``eval_at`` and the
-printers convert, while every ring and calculus operation works on the
-packed form.
+constructor, ``coeff``, ``terms`` and the printers convert, while every
+ring and calculus operation works on the packed form.
+
+Sums of products have one kernel, the multiply-accumulate of Monagan and
+Pearce ("Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  :func:`dot` computes sum a * b over a
+list of series pairs: every product goes into one dict of packed keys,
+over the least common denominator of the products, and the result is
+reduced once.  Its order is the least of the orders of every pair (a
+pair with a zero factor counts too) and of an explicit ``order``, which
+is the order the running sum ``out = out + a * b`` gives, so the result
+is that sum, stored identically.  :func:`derivation` feeds the same
+accumulator sum_v c_v * d f / d x_v, reading each derivative straight
+from f's keys; ``VectorFieldOp.apply`` is this sum.
+
+``recenter`` and ``eval_at`` work on the packed numerators too.  They
+translate one variable at a time: with p_j = g / q and E the largest
+exponent of x_j, each power x_j^e becomes the binomial expansion of
+(x_j + p_j)^e, all over the one denominator q^E.  ``eval_at`` keeps only
+the degree-0 part of each expansion, and a zero coordinate costs nothing.
 
 Example:
 
@@ -313,6 +330,92 @@ def _product(a, b) -> "TruncatedSeries":
     return _reduced(a.nvars, order, out, a._den * b._den)
 
 
+def _sum_of_products(nvars, order, parts) -> "TruncatedSeries":
+    """Sum of the products a * b, as one series at this order.
+
+    parts holds (a_items, a_den, b_items, b_den): the packed items and the
+    denominator of each nonzero factor.  Every product is accumulated into
+    one dict over the least common denominator of the products, and the
+    result is reduced once.
+    """
+    den = lcm(*(ad * bd for _, ad, _, bd in parts))
+    lim = (order + 1) << (_BITS * nvars)
+    out = {}
+    for a_items, ad, b_items, bd in parts:
+        f = den // (ad * bd)
+        if f != 1:
+            a_items = [(k, (re * f, im * f)) for k, (re, im) in a_items
+                       if k < lim]
+        _mul_into(out, a_items, b_items, lim)
+    return _reduced(nvars, order, out, den)
+
+
+def dot(pairs, order=None, nvars=None) -> "TruncatedSeries":
+    """Sum of a * b over the (a, b) pairs of series.
+
+    The result's order is the least of the orders of every pair, zero
+    factors included, and of order when it is given; it equals the sum
+    that adding the products one by one would give.  nvars and order are
+    needed when pairs is empty.
+    """
+    pairs = list(pairs)
+    for a, b in pairs:
+        if nvars is None:
+            nvars = a.nvars
+        if a.nvars != nvars or b.nvars != nvars:
+            raise SeriesError(f"nvars mismatch: {a.nvars} and {b.nvars} "
+                              f"in a dot product over {nvars}")
+        low = min(a.order, b.order)
+        if order is None or low < order:
+            order = low
+    if order is None or nvars is None:
+        raise SeriesError("a dot product of no pairs needs nvars and order")
+    _check_order(order)
+    return _sum_of_products(nvars, order, [
+        (a._terms.items(), a._den, b._terms.items(), b._den)
+        for a, b in pairs if a._terms and b._terms])
+
+
+def derivation(coeffs, f) -> "TruncatedSeries":
+    """Sum over v of coeffs[v] * (d f / d x_v), as one dot product.
+
+    Each derivative is fed to the accumulator from f's packed keys, and
+    no derivative or product series is built.  The order is the least of
+    the coefficients' orders and f.order - 1.
+    """
+    if f.order < 1:
+        raise OrderExhausted("cannot differentiate an order-0 series")
+    nvars = f.nvars
+    if len(coeffs) != nvars:
+        raise SeriesError(f"{len(coeffs)} coefficients for a series in "
+                          f"{nvars} variables")
+    order = f.order - 1
+    for c in coeffs:
+        if c.nvars != nvars:
+            raise SeriesError(f"nvars mismatch: {c.nvars} vs {nvars}")
+        order = min(order, c.order)
+    parts = []
+    for v, c in enumerate(coeffs):
+        if c._terms:
+            deriv = _derivative_items(f, v)
+            if deriv:
+                parts.append((c._terms.items(), c._den, deriv, f._den))
+    return _sum_of_products(nvars, order, parts)
+
+
+def _derivative_items(s, var) -> list:
+    """Packed items of d s / d x_var, over the denominator of s."""
+    shift = _BITS * (s.nvars - 1 - var)
+    # one less in the exponent field and one less in the degree field
+    step = (1 << shift) + (1 << (_BITS * s.nvars))
+    out = []
+    for k, (re, im) in s._terms.items():
+        e = (k >> shift) & _MASK
+        if e:
+            out.append((k - step, (re * e, im * e)))
+    return out
+
+
 def _scaled(s, c: CScalar) -> "TruncatedSeries":
     cr, ci, cd = _split(c)
     if not (cr or ci):
@@ -526,15 +629,8 @@ class TruncatedSeries:
             raise SeriesError(f"variable index {var} out of range")
         if self.order == 0:
             raise OrderExhausted("cannot differentiate an order-0 series")
-        shift = _BITS * (self.nvars - 1 - var)
-        # one less in the exponent field and one less in the degree field
-        step = (1 << shift) + (1 << (_BITS * self.nvars))
-        out = {}
-        for k, (re, im) in self._terms.items():
-            e = (k >> shift) & _MASK
-            if e:
-                out[k - step] = (re * e, im * e)
-        return _reduced(self.nvars, self.order - 1, out, self._den)
+        return _reduced(self.nvars, self.order - 1,
+                        dict(_derivative_items(self, var)), self._den)
 
     def conjugate(self, pairing) -> "TruncatedSeries":
         """Complex conjugation: conjugate coefficients, swap paired exponents."""
@@ -686,54 +782,75 @@ class TruncatedSeries:
         Stored terms are taken as the complete polynomial; the expansion is
         exact and keeps the same order.
         """
-        point = [CScalar.coerce(p) for p in point]
-        if len(point) != self.nvars:
-            raise SeriesError("point length must equal nvars")
-        out = {}
-        for a, c in self.terms():
-            # expand prod_j (x_j + p_j)^{a_j} by binomials
-            expansion = {(0,) * self.nvars: c}
-            for j, e in enumerate(a):
-                if e == 0:
-                    continue
-                p = point[j]
-                nxt = {}
-                powers = [CS_ONE]
-                for _ in range(e):
-                    powers.append(powers[-1] * p)
-                for b, cb in expansion.items():
-                    for k in range(e + 1):
-                        w = cb * comb(e, k) * powers[e - k]
-                        if w.is_zero():
-                            continue
-                        g = b[:j] + (k,) + b[j + 1:]
-                        acc = nxt.get(g, CS_ZERO) + w
-                        if acc.is_zero():
-                            nxt.pop(g, None)
-                        else:
-                            nxt[g] = acc
-                expansion = nxt
-            for g, w in expansion.items():
-                acc = out.get(g, CS_ZERO) + w
-                if acc.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = acc
-        return TruncatedSeries(self.nvars, self.order, out)
+        terms, den = self._translated(point, keep=True)
+        return _reduced(self.nvars, self.order, terms, den)
 
     def eval_at(self, point) -> CScalar:
         """Exact evaluation of polynomial data at a point."""
+        terms, den = self._translated(point, keep=False)
+        pair = terms.get(0)
+        return CS_ZERO if pair is None else _scalar(*pair, den)
+
+    def _translated(self, point, keep):
+        """Numerators and denominator of the stored polynomial at x + point.
+
+        One variable at a time, each term's power x_j^e becomes the
+        binomial expansion of (x_j + p_j)^e over the denominator q^E of
+        p_j = g / q, E the largest exponent of x_j present: the part of
+        degree b is C(e, b) * g^(e-b) * q^(E-e+b) / q^E.  With keep false
+        only b = 0 is kept, which evaluates x_j at p_j.
+        """
         point = [CScalar.coerce(p) for p in point]
-        if len(point) != self.nvars:
+        n = self.nvars
+        if len(point) != n:
             raise SeriesError("point length must equal nvars")
-        total = CS_ZERO
-        for a, c in self.terms():
-            v = c
-            for j, e in enumerate(a):
-                for _ in range(e):
-                    v = v * point[j]
-            total = total + v
-        return total
+        terms, den = self._terms, self._den
+        for j, p in enumerate(point):
+            shift = _BITS * (n - 1 - j)
+            step = (1 << shift) + (1 << (_BITS * n))
+            top = max(((k >> shift) & _MASK for k in terms), default=0)
+            if not top:
+                continue
+            if p.is_zero():
+                if not keep:
+                    terms = {k: v for k, v in terms.items()
+                             if not (k >> shift) & _MASK}
+                continue
+            gr, gi, q = _split(p)
+            # g^m * q^(top-m) for m = 0..top
+            powers = [(1, 0)]
+            for _ in range(top):
+                pr, pi = powers[-1]
+                powers.append((pr * gr - pi * gi, pr * gi + pi * gr))
+            powers = [(pr * q ** (top - m), pi * q ** (top - m))
+                      for m, (pr, pi) in enumerate(powers)]
+            # weights[e] lists (key offset, (re, im)) for each kept b
+            weights = {}
+            out = {}
+            get = out.get
+            for k, (re, im) in terms.items():
+                e = (k >> shift) & _MASK
+                ws = weights.get(e)
+                if ws is None:
+                    ws = [(step * (e - b), comb(e, b) * powers[e - b][0],
+                           comb(e, b) * powers[e - b][1])
+                          for b in (range(e + 1) if keep else (0,))]
+                    weights[e] = ws
+                for off, wr, wi in ws:
+                    key = k - off
+                    nr = re * wr - im * wi
+                    ni = re * wi + im * wr
+                    old = get(key)
+                    if old is not None:
+                        nr += old[0]
+                        ni += old[1]
+                        if not (nr or ni):
+                            del out[key]
+                            continue
+                    out[key] = (nr, ni)
+            terms = out
+            den *= q ** top
+        return terms, den
 
     # ------------------------------------------------------------------
 

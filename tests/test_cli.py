@@ -513,6 +513,35 @@ class TestVerbs:
             code, out, _ = run(capsys, argv)
             assert code == 0 and "pass: true" in out
 
+    def test_aut_order_budget(self, tmp_path, docs, capsys):
+        # a generic C^3 germ at --degree 10 --order 14 passes the unknowns
+        # budget with 1716 unknowns, but its 8568 chart monomials up to
+        # tangency order 13 put it over the entries budget: refused before
+        # the model is built
+        p = tmp_path / "generic3.crj"
+        p.write_text("kind = hypersurface\nN = 3\nrho = Im(w) - "
+                     "Re(z1*conj(z1)) - Im(z1^2*conj(z2)) + 3*Im(z2^2) + "
+                     "Re(z1*z2*Re(w))\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10",
+                                          "--order", "14"])
+        assert (code, out) == (2, "")
+        assert ("1716 real tangency unknowns times 8568 chart monomials up "
+                "to tangency order 13 is more than MAX_TANGENCY_ENTRIES = "
+                "12000000 (truncation order 14 from --order); lower --order "
+                "or --degree") in errtext
+        # an order from the document is named as such
+        p.write_text(p.read_text() + "order = 14\n", encoding="utf-8")
+        code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10"])
+        assert (code, out) == (2, "")
+        assert "(truncation order 14 from the document's order)" in errtext
+        assert time.perf_counter() - start < 5.0
+        # a lower order is accepted
+        p.write_text(p.read_text().replace("order = 14", "order = 4"),
+                     encoding="utf-8")
+        code, out, _ = run(capsys, ["aut", str(p), "--degree", "2"])
+        assert code == 0 and "pass: true" in out
+
     def test_chain_words_budget(self, tmp_path, docs, capsys):
         # on C^3 the words of lengths 0 to L number 2^(L+1) - 1: refused
         # before the model is built
@@ -677,6 +706,29 @@ class TestVerbs:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert "order: 9" in out
+
+    def test_reflect_reads_the_map_order(self, docs, capsys, tmp_path):
+        source = tmp_path / "source.crj"
+        source.write_text(HEIS + "order = 4\n", encoding="utf-8")
+        mapping = tmp_path / "map.crj"
+        # a map order that agrees is accepted
+        mapping.write_text(DILATION + "order = 4\n", encoding="utf-8")
+        argv = ["reflect", str(source), docs["heis"], str(mapping)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "order: 4" in out
+        # alone it sets the order
+        code, out, _ = run(capsys, ["reflect", docs["heis"], docs["heis"],
+                                    str(mapping)])
+        assert code == 0
+        assert "order: 4" in out
+        # one that disagrees is bad input naming both documents
+        mapping.write_text(DILATION + "order = 2\n", encoding="utf-8")
+        code, out, errtext = run(capsys, argv)
+        assert (code, out) == (2, "")
+        line = DILATION.count("\n") + 1
+        assert (f"{mapping}:{line}:1: order 2 disagrees with order 4 of "
+                f"{source}" in errtext)
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, errtext = run(capsys, ["analyze", str(tmp_path / "no.crj")])
