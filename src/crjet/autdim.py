@@ -22,6 +22,7 @@ an obstruction witness, never a degeneracy certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .hypersurface import Hypersurface, _DenseCoefficients, intrinsic_pairing
@@ -117,6 +118,47 @@ def _holo_exponents(N: int, d: int, weights, j: int):
             yield from rec(pos + 1, left - e * wt[pos], acc + (e,))
 
     yield from rec(0, bound, ())
+
+
+def tangency_terms(M: Hypersurface, d: int, order: int, weights=None,
+                   limit=None) -> int:
+    """Bound on the graph terms up to order of the restrictions that
+    tangency_restrictions(M, d, order, weights) builds, counted from
+    supports without building any of them.
+
+    z^alpha d rho/dz_j restricts to z^beta (s + i phi)^k R_j, where alpha
+    is beta followed by k and R_j is the restricted gradient entry, so its
+    terms lie in beta + supp((s + i phi)^k R_j).  A product of series with
+    positive coefficients has exactly the sum of the supports as its
+    support, so the bound is plain multiplication of such series.
+    Candidates are counted by ascending k, and a count above limit is
+    returned as soon as it passes it.
+    """
+    N = M.N
+    if order < 0:
+        return 0
+    subs = M.graph_substitution()
+    w = subs[N - 1].truncate(order).indicator()
+    grads = [M.rho.derive(j).compose(subs).truncate(order).indicator()
+             for j in range(N)]
+    powers = [TruncatedSeries.constant(w.nvars, 1, order)]
+    below = {}     # (j, k) -> terms of (s + i phi)^k R_j up to each degree
+    candidates = sorted(((alpha[N - 1], j, sum(alpha) - alpha[N - 1])
+                         for j in range(N)
+                         for alpha in _holo_exponents(N, d, weights, j)))
+    count = 0
+    for k, j, shift in candidates:
+        if shift > order:
+            continue
+        if (j, k) not in below:
+            while len(powers) <= k:
+                powers.append(powers[-1] * w)
+            below[j, k] = list(accumulate(
+                (powers[k] * grads[j]).degree_counts()))
+        count += below[j, k][order - shift]
+        if limit is not None and count > limit:
+            break
+    return count
 
 
 def tangency_restrictions(M: Hypersurface, d: int, order: int,

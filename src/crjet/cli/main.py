@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ..autdim import (AutError, _holo_exponents, aut_bound,
                       holomorphic_degeneracy_test, infinitesimal_aut_dim,
-                      tangency_restrictions)
+                      tangency_restrictions, tangency_terms)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
                           nondegeneracy_scan, verify_bracket_pairing,
@@ -48,17 +48,17 @@ MAX_BASIS_MONOMIALS = 5_000
 # most real unknowns one aut call may solve for: aut --degree D on C^N has
 # 2N * C(N + D, D) of them, and every restriction and equation row is kept
 # alive for the call.  The C^4 quadric at --degree 9 --order 14 (5720
-# unknowns) takes about 4 s and 90 MB, but MAX_TANGENCY_ENTRIES below
-# refuses it
+# unknowns) takes about 4 s and 90 MB; at --degree 11 (10920) 10 s and
+# 200 MB
 MAX_TANGENCY_UNKNOWNS = 6_000
-# most unknowns times chart monomials one aut call may reach: each real
-# unknown's restriction holds up to C(2N - 1 + t, t) monomials of the
-# (2N - 1)-variable chart at tangency order t = order - 1, and the
-# truncation order drives the cost as much as the unknown count does.  A
-# generic C^3 germ at --degree 10 --order 14 (1716 unknowns times 8568
-# monomials) takes about 16 s and 116 MB; the C^4 quadric at --degree 5
-# and the default order 10 (1008 times 11440) takes 0.3 s
-MAX_TANGENCY_ENTRIES = 12_000_000
+# most graph terms aut's tangency restrictions may hold up to the tangency
+# order, bounded by autdim.tangency_terms from supports once the model is
+# built: the order drives the cost as much as the unknowns do.  A generic
+# C^3 germ at --degree 10 --order 14 (1716 unknowns, 62370 terms) takes
+# about 16 s and 116 MB; the C^4 quadric at --degree 9 --order 14 (32064
+# terms) 4 s, and the C^5 quadric at --degree 3 and the default order 12
+# (1100 terms) 0.4 s
+MAX_TANGENCY_TERMS = 50_000
 # most ordered index words a filtration, chain or bracket-word enumeration
 # may reach: every word of length 0 to L over n = N - 1 indices, sum n^k of
 # them.  analyze at its default bounds counts 335923 words on C^7 and takes
@@ -450,15 +450,19 @@ def _run_aut(args):
         raise ParseError("--degree", None, 0, need)
     order = _resolve_order(args, n, ("the document's order", doc))
     use_order = order - 1
-    monomials = math.comb(2 * n + 1 + max(use_order, 0), max(use_order, 0))
-    if count * monomials > MAX_TANGENCY_ENTRIES:
-        raise ParseError("--order", None, 0,
-                         f"{count} real tangency unknowns times {monomials} "
-                         f"chart monomials up to tangency order {use_order} "
-                         f"is more than MAX_TANGENCY_ENTRIES = "
-                         f"{MAX_TANGENCY_ENTRIES} ({args.order_origin}); "
-                         "lower --order or --degree")
     M = build_hypersurface(doc, order)
+    # a restriction holds at most every chart monomial up to the tangency
+    # order, so only a run that could pass the budget counts its terms
+    dense = count // 2 * math.comb(2 * n + 1 + max(use_order, 0), 2 * n + 1)
+    if dense > MAX_TANGENCY_TERMS and tangency_terms(
+            M, args.degree, use_order, weights,
+            MAX_TANGENCY_TERMS) > MAX_TANGENCY_TERMS:
+        raise ParseError("--order", None, 0,
+                         f"--degree {args.degree} at tangency order "
+                         f"{use_order} needs more than MAX_TANGENCY_TERMS = "
+                         f"{MAX_TANGENCY_TERMS} restricted tangency terms "
+                         f"({args.order_origin}); lower the truncation "
+                         "order or --degree")
     shared = tangency_restrictions(M, args.degree, use_order, weights)
     hol = holomorphic_degeneracy_test(M, args.degree, use_order, weights,
                                       shared)

@@ -513,6 +513,20 @@ class TruncatedSeries:
         return [(_unpack(k, nvars), _scalar(re, im, den))
                 for k, (re, im) in sorted(self._terms.items())]
 
+    def degree_counts(self) -> list:
+        """Number of stored terms of each total degree 0 to order."""
+        counts = [0] * (self.order + 1)
+        shift = _BITS * self.nvars
+        for k in self._terms:
+            counts[k >> shift] += 1
+        return counts
+
+    def indicator(self) -> "TruncatedSeries":
+        """Coefficient 1 at every stored term: products of indicators have
+        no cancellation, so their support is the sum of the supports."""
+        return _make(self.nvars, self.order,
+                     dict.fromkeys(self._terms, (1, 0)), 1)
+
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
         """Terms of total degree exactly d."""
         if d > self.order:

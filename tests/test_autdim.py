@@ -13,7 +13,8 @@ from math import factorial
 import pytest
 
 from crjet.autdim import (AutError, FormalVectorField, aut_bound,
-                          holomorphic_degeneracy_test, infinitesimal_aut_dim)
+                          holomorphic_degeneracy_test, infinitesimal_aut_dim,
+                          tangency_restrictions, tangency_terms)
 from crjet.hypersurface import ambient_pairing, ambient_var, from_defining
 from crjet.linalg import rank
 from crjet.series import CS_ONE, CScalar, TruncatedSeries
@@ -241,3 +242,45 @@ class TestInfinitesimalDim:
             infinitesimal_aut_dim(heis(2, 5), 3, 4, weights=WT)
         with pytest.raises(AutError, match="usable truncation"):
             infinitesimal_aut_dim(heis(2, 5), 1, 5)
+
+
+def graph_dependent_c2(order=8):
+    """Im w = |z|^2 (1 + Re w): the graph depends on s, so powers of the
+    transverse substitution carry phi."""
+    z, zb = ambient_var(2, 0, order), ambient_var(2, 2, order)
+    w, wb = ambient_var(2, 1, order), ambient_var(2, 3, order)
+    half = CScalar(1, 0) / 2
+    return from_defining(im_w(2, order) - z * zb * (1 + half * (w + wb)), 2)
+
+
+class TestTangencyTerms:
+    CASES = ((lambda: heis(3, 7), 2, 6, None),
+             (lambda: heis(2, 9), 2, 6, WT),
+             (lambda: from_defining(m3_rho(7), 3), 3, 6, None),
+             (lambda: from_defining(m2_rho(8), 2), 2, 7, None),
+             (graph_dependent_c2, 3, 7, None))
+
+    @staticmethod
+    def built_terms(M, d, order, weights):
+        return sum(len(R.truncate(order).terms())
+                   for _, _, R in tangency_restrictions(M, d, order, weights))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_bounds_the_built_restrictions(self, case):
+        make, d, order, weights = self.CASES[case]
+        M = make()
+        bound = tangency_terms(M, d, order, weights)
+        built = self.built_terms(M, d, order, weights)
+        assert bound >= built > 0
+        if case < 4:
+            # model germs restrict without cancellation: the bound is exact
+            assert bound == built
+
+    def test_stops_past_the_limit(self):
+        M = graph_dependent_c2()
+        full = tangency_terms(M, 3, 7)
+        stopped = tangency_terms(M, 3, 7, limit=10)
+        assert 10 < stopped < full
+
+    def test_negative_order_counts_nothing(self):
+        assert tangency_terms(heis(2, 5), 2, -1) == 0

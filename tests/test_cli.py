@@ -513,11 +513,10 @@ class TestVerbs:
             code, out, _ = run(capsys, argv)
             assert code == 0 and "pass: true" in out
 
-    def test_aut_order_budget(self, tmp_path, docs, capsys):
+    def test_aut_terms_budget(self, tmp_path, docs, capsys):
         # a generic C^3 germ at --degree 10 --order 14 passes the unknowns
-        # budget with 1716 unknowns, but its 8568 chart monomials up to
-        # tangency order 13 put it over the entries budget: refused before
-        # the model is built
+        # budget with 1716 unknowns, but its restrictions would hold 62370
+        # terms up to tangency order 13: refused before any is built
         p = tmp_path / "generic3.crj"
         p.write_text("kind = hypersurface\nN = 3\nrho = Im(w) - "
                      "Re(z1*conj(z1)) - Im(z1^2*conj(z2)) + 3*Im(z2^2) + "
@@ -526,10 +525,10 @@ class TestVerbs:
         code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10",
                                           "--order", "14"])
         assert (code, out) == (2, "")
-        assert ("1716 real tangency unknowns times 8568 chart monomials up "
-                "to tangency order 13 is more than MAX_TANGENCY_ENTRIES = "
-                "12000000 (truncation order 14 from --order); lower --order "
-                "or --degree") in errtext
+        assert ("--degree 10 at tangency order 13 needs more than "
+                "MAX_TANGENCY_TERMS = 50000 restricted tangency terms "
+                "(truncation order 14 from --order); lower the truncation "
+                "order or --degree") in errtext
         # an order from the document is named as such
         p.write_text(p.read_text() + "order = 14\n", encoding="utf-8")
         code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10"])
@@ -541,6 +540,19 @@ class TestVerbs:
                      encoding="utf-8")
         code, out, _ = run(capsys, ["aut", str(p), "--degree", "2"])
         assert code == 0 and "pass: true" in out
+
+    def test_aut_terms_budget_counts_sparse_models(self, tmp_path, capsys):
+        # the terms of a model germ stay sparse at any order: the C^5
+        # quadric runs at the default degree and order 12, and at
+        # --degree 3 (560 unknowns, 1100 terms)
+        p = tmp_path / "quadric5.crj"
+        p.write_text("kind = hypersurface\nN = 5\nrho = Im(w)" + "".join(
+            f" - z{j}*conj(z{j})" for j in range(1, 5)) + "\n",
+            encoding="utf-8")
+        for extra in ([], ["--degree", "3"]):
+            code, out, _ = run(capsys, ["aut", str(p)] + extra)
+            assert code == 0 and "pass: true" in out
+            assert "order: 12" in out
 
     def test_chain_words_budget(self, tmp_path, docs, capsys):
         # on C^3 the words of lengths 0 to L number 2^(L+1) - 1: refused

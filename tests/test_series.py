@@ -88,6 +88,25 @@ class TestMul:
         assert prod.is_zero() and prod.order == 3
 
 
+class TestSupport:
+    def test_degree_counts(self):
+        s = TruncatedSeries(2, 4, {(0, 0): 3, (1, 0): CS_I, (0, 1): -1,
+                                   (2, 1): Fraction(1, 2)})
+        assert s.degree_counts() == [1, 2, 0, 1, 0]
+        assert TruncatedSeries.zero(2, 1).degree_counts() == [0, 0]
+
+    def test_indicator_products_have_the_summed_support(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            a, b = rand_series(rng, 3, 5), rand_series(rng, 3, 5)
+            ia, ib = a.indicator(), b.indicator()
+            assert ia == TruncatedSeries(3, 5, {e: 1 for e, _ in a.terms()})
+            summed = {tuple(x + y for x, y in zip(e, f))
+                      for e, _ in a.terms() for f, _ in b.terms()}
+            assert ({e for e, _ in (ia * ib).terms()}
+                    == {e for e in summed if sum(e) <= 5})
+
+
 class TestAgrees:
     def test_compares_up_to_the_lower_order(self):
         z = TruncatedSeries.variable(1, 0, 5)
