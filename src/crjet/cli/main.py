@@ -12,6 +12,7 @@ an error that runs out of truncation order names which of these set it.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -59,11 +60,13 @@ MAX_TANGENCY_UNKNOWNS = 6_000
 # terms) 4 s, and the C^5 quadric at --degree 3 and the default order 12
 # (1100 terms) 0.4 s
 MAX_TANGENCY_TERMS = 50_000
-# most ordered index words a filtration, chain or bracket-word enumeration
-# may reach: every word of length 0 to L over n = N - 1 indices, sum n^k of
-# them.  analyze at its default bounds counts 335923 words on C^7 and takes
-# 23 s and 140 MB on the quadric; --kmax 16 on C^3 (262143 words) takes
-# 9 s and 150 MB
+# most ordered index words one enumeration may reach: every word of length
+# 0 to L over n = N - 1 indices, sum n^k of them.  The filtration reads
+# only the sorted words, but extrinsic_k0 and the verify suites still walk
+# the ordered ones, and this count guards them.  analyze --kmax 16 on the
+# C^3 germ Im w = |z1|^4 (262143 words, all walked by extrinsic_k0, which
+# finds no k0) takes 7 s and 155 MB; analyze at its default bounds on the
+# C^7 quadric (335923 words) takes 0.4 s, as extrinsic_k0 stops at k0 = 1
 MAX_CHAIN_WORDS = 400_000
 # the same count for reflect, whose words each cost composed target entries
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
@@ -200,7 +203,8 @@ def _run_analyze(args):
     doc = _load_model(args, "analyze needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    # the filtration reads chains up to lmax = kmax + 1
+    # extrinsic_k0 walks the ordered words up to kmax; the count runs to
+    # the filtration's lmax = kmax + 1
     _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax, True))
     order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
@@ -503,7 +507,11 @@ def _run_scan(args):
     return tree, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged,
+    since every call fills a fresh namespace and an append action copies
+    its default list before appending."""
     parser = argparse.ArgumentParser(
         prog="crjet",
         description="Exact computations on real-analytic hypersurface "

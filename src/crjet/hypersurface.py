@@ -306,13 +306,6 @@ def _apply_holo_change(rho: TruncatedSeries, N: int, P):
     return rho.compose(subs)
 
 
-def _matmul(A, B, N):
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(N)), CS_ZERO) for j in range(N)]
-        for i in range(N)
-    ]
-
-
 def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
     """Normalize a real defining series to graph form Im w = phi(z, zb, s).
 
@@ -337,6 +330,8 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
 
     # Stage 1: swap a coordinate with the largest |gradient entry|^2 into the
     # transverse slot when Im(d rho / d w)(0) = 0; ties take the lowest index.
+    # Each change acts on P as a row operation and on the gradient by the
+    # chain rule; rho is rewritten once, with the product P.
     P = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
     if grad[N - 1].im == 0:
         best, best_size = None, Fraction(0)
@@ -345,30 +340,21 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
             if size > best_size:
                 best, best_size = j, size
         if best != N - 1:
-            S = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
-            S[best][best] = CS_ZERO
-            S[N - 1][N - 1] = CS_ZERO
-            S[best][N - 1] = CS_ONE
-            S[N - 1][best] = CS_ONE
-            P = _matmul(S, P, N)
-            rho = _apply_holo_change(rho, N, S)
-            grad = _holo_gradient(rho, N)
+            P[best], P[N - 1] = P[N - 1], P[best]
+            grad[best], grad[N - 1] = grad[N - 1], grad[best]
         if grad[N - 1].im == 0:
-            D = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
-            D[N - 1][N - 1] = CS_I
-            P = _matmul(D, P, N)
-            rho = _apply_holo_change(rho, N, D)
-            grad = _holo_gradient(rho, N)
+            # w' = i w
+            P[N - 1] = [CS_I * c for c in P[N - 1]]
+            grad[N - 1] = -CS_I * grad[N - 1]
     if grad[N - 1].im == 0:
         raise GeometryError("defining series has vanishing differential at 0")
 
     # Stage 2: shear w' = 2i * (holomorphic linear part) so the linear part
     # of rho becomes exactly Im w'.
-    Sh = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
-    for j in range(N):
-        Sh[N - 1][j] = CScalar(0, 2) * grad[j]
-    P = _matmul(Sh, P, N)
-    rho = _apply_holo_change(rho, N, Sh)
+    shear = [CScalar(0, 2) * g for g in grad]
+    P[N - 1] = [sum((shear[k] * P[k][j] for k in range(N)), CS_ZERO)
+                for j in range(N)]
+    rho = _apply_holo_change(rho, N, P)
 
     # Stage 3: Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so
     # the t-derivative is a unit at the origin.
@@ -398,11 +384,85 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
 # frames
 
 
+class FrameWords:
+    """Iterated contracted derivatives and brackets of one frame along
+    words of its Lbar fields, each built once, prefix by prefix.
+
+    chain(abar) differentiates theta along Lbar_{abar}, the first listed
+    index first.  The result is a holomorphic form: its pairings with every
+    Lbar field vanish, so it decomposes as sum_D h(abar, D) theta^D +
+    transverse(abar) theta.  bracket(abar, D) is the iterated bracket
+    [Lbar_{a_k}, ..., [Lbar_{a_1}, L_D]], the first listed index innermost.
+    Indices are 0-based.
+
+    The Lbar fields of a graph frame commute, so by the Jacobi identity
+    chain, h and transverse depend only on the multiset of abar: they are
+    keyed by the sorted word.  Brackets are keyed by the ordered word.  A
+    word longer than the frame order raises OrderExhausted.  Returned forms,
+    fields and series are shared between callers and must not be mutated.
+    """
+
+    __slots__ = ("order", "T", "L", "Lbar", "_chains", "_h", "_transverse",
+                 "_brackets")
+
+    def __init__(self, frame):
+        # the frame's parts, not the frame: without a reference cycle a
+        # dropped frame is freed at once, not by the cycle collector
+        self.order, self.T, self.L, self.Lbar = \
+            frame.order, frame.T, frame.L, frame.Lbar
+        self._chains = {(): frame.theta}
+        self._h = {}
+        self._transverse = {}
+        self._brackets = {((), D): L for D, L in enumerate(frame.L)}
+
+    def _fits(self, abar):
+        if len(abar) > self.order:
+            raise OrderExhausted(
+                f"length {len(abar)} exceeds frame order {self.order}")
+
+    def chain(self, abar) -> OneForm:
+        key = tuple(sorted(abar))
+        omega = self._chains.get(key)
+        if omega is None:
+            self._fits(key)
+            omega = exterior_derivative(self.chain(key[:-1])).contract(
+                self.Lbar[key[-1]])
+            self._chains[key] = omega
+        return omega
+
+    def h(self, abar, D: int) -> TruncatedSeries:
+        key = (tuple(sorted(abar)), D)
+        value = self._h.get(key)
+        if value is None:
+            value = self._h[key] = self.chain(key[0]).pair(self.L[D])
+        return value
+
+    def transverse(self, abar) -> TruncatedSeries:
+        key = tuple(sorted(abar))
+        value = self._transverse.get(key)
+        if value is None:
+            value = self._transverse[key] = self.chain(key).pair(self.T)
+        return value
+
+    def bracket(self, abar, D: int) -> VectorFieldOp:
+        key = (tuple(abar), D)
+        field = self._brackets.get(key)
+        if field is None:
+            self._fits(abar)
+            field = self.Lbar[abar[-1]].bracket(self.bracket(abar[:-1], D))
+            self._brackets[key] = field
+        return field
+
+
 class Frame:
-    """Tangential frame T, L_A, Lbar_A with the dual coframe on one chart."""
+    """Tangential frame T, L_A, Lbar_A with the dual coframe on one chart.
+
+    words is the frame's one FrameWords: every chain, h entry and bracket
+    word read from the frame is built there, once.
+    """
 
     __slots__ = ("n", "order", "T", "L", "Lbar", "theta", "thetaA",
-                 "thetaAbar", "hyp")
+                 "thetaAbar", "hyp", "words")
 
     def __init__(self, n, T, L, Lbar, theta, thetaA, thetaAbar, hyp):
         object.__setattr__(self, "n", n)
@@ -414,6 +474,7 @@ class Frame:
         object.__setattr__(self, "thetaA", tuple(thetaA))
         object.__setattr__(self, "thetaAbar", tuple(thetaAbar))
         object.__setattr__(self, "hyp", hyp)
+        object.__setattr__(self, "words", FrameWords(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("Frame is immutable")

@@ -5,7 +5,9 @@ derivatives of the characteristic form give the h tensors, their values at
 the origin drive the span filtration E_k / kernel filtration F_k, and
 identity checks confirm the tensor calculus against independent code paths
 (plain derivatives and iterated brackets here; the operator certificates
-live in ``crjet.operators``).
+live in ``crjet.operators``).  Chains, h entries and bracket words all come
+from the frame's one word engine, ``Frame.words``, so the filtration and
+every suite run on one frame build each of them once.
 """
 
 from __future__ import annotations
@@ -39,72 +41,6 @@ class Unbounded:
 
 def is_finite(value) -> bool:
     return isinstance(value, int)
-
-
-# ---------------------------------------------------------------------------
-# tensor entries
-
-
-class HTensor:
-    """Contracted-derivative entries for index tuples of one fixed length.
-
-    h(abar, D) pairs the iterated contracted derivative of theta along
-    Lbar_{abar} with L_D; transverse(abar) pairs it with T.  Indices are
-    0-based.  At the origin the entries are symmetric in the abar slots.
-    """
-
-    def __init__(self, n: int, k: int, with_d: dict, transverse: dict):
-        self.n = n
-        self.k = k
-        self._with_d = dict(with_d)
-        self._transverse = dict(transverse)
-
-    def h(self, abar, D: int) -> TruncatedSeries:
-        return self._with_d[(tuple(abar), D)]
-
-    def transverse(self, abar) -> TruncatedSeries:
-        return self._transverse[tuple(abar)]
-
-
-class _ChainCache:
-    """Prefix-sharing cache of the iterated contracted derivatives of theta
-    for one frame.
-
-    get(abar) differentiates theta along Lbar_{abar}, the first listed index
-    first.  The result is a holomorphic form: its pairings with every Lbar
-    field vanish, so it decomposes as sum_D h_D theta^D + h theta.
-    """
-
-    def __init__(self, frame: Frame):
-        self.frame = frame
-        self.store = {(): frame.theta}
-
-    def get(self, abar: tuple):
-        if abar not in self.store:
-            prev = self.get(abar[:-1])
-            self.store[abar] = exterior_derivative(prev).contract(
-                self.frame.Lbar[abar[-1]])
-        return self.store[abar]
-
-
-def _components(F: Frame, omega):
-    """(transverse, [h_D]) coefficients of a holomorphic form."""
-    return omega.pair(F.T), [omega.pair(LD) for LD in F.L]
-
-
-def h_tensor(F: Frame, k: int, _cache: _ChainCache | None = None) -> HTensor:
-    """All tensor entries for index tuples of length exactly k."""
-    if k > F.order:
-        raise OrderExhausted(f"length {k} exceeds frame order {F.order}")
-    cache = _cache if _cache is not None else _ChainCache(F)
-    with_d, transverse = {}, {}
-    for abar in itertools.product(range(F.n), repeat=k):
-        omega = cache.get(abar)
-        t, hs = _components(F, omega)
-        transverse[abar] = t
-        for D in range(F.n):
-            with_d[(abar, D)] = hs[D]
-    return HTensor(F.n, k, with_d, transverse)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +102,6 @@ class FiltrationReport:
     typemax: int = 0
 
 
-def _ell1_value(F: Frame, r: int):
-    """First nonzero theta-pairing among bracket words of length r, or None."""
-    for abar in itertools.product(range(F.n), repeat=r):
-        for D in range(F.n):
-            acc = F.L[D]
-            for a in abar:
-                acc = F.Lbar[a].bracket(acc)
-            if not F.theta.pair(acc).constant_term().is_zero():
-                return (abar, D)
-    return None
-
-
 def _finite_type(F: Frame, typemax: int):
     """Breadth-first scan of iterated commutators of the CR fields."""
     gens = list(F.L) + list(F.Lbar)
@@ -216,16 +140,22 @@ def intrinsic_filtration(F: Frame, kmax=None, lmax=None, typemax=None):
         raise OrderExhausted(
             f"bounds need order {budget}, frame has {F.order}")
 
-    cache = _ChainCache(F)
+    # chains and entries depend only on the multiset of indices, so each
+    # scan reads the sorted words alone; the first ell0 witness in product
+    # order is sorted too, since its sorted permutation is no larger
+    words = F.words
+
+    def sorted_words(length):
+        return itertools.combinations_with_replacement(range(n), length)
+
     span = SpanTracker(n + 1)
     kernel_rows = []
     Ek_dims, Fk_dims, rk, Fk_bases = [], [], [], []
     k0 = None
     for k in range(kmax + 1):
-        tensor = h_tensor(F, k, cache)
-        for abar in itertools.product(range(n), repeat=k):
-            t0 = tensor.transverse(abar).constant_term()
-            row = [tensor.h(abar, D).constant_term() for D in range(n)]
+        for abar in sorted_words(k):
+            t0 = words.transverse(abar).constant_term()
+            row = [words.h(abar, D).constant_term() for D in range(n)]
             span.add([t0] + row)
             if any(not c.is_zero() for c in row):
                 kernel_rows.append(row)
@@ -243,30 +173,25 @@ def intrinsic_filtration(F: Frame, kmax=None, lmax=None, typemax=None):
     if kmax >= 1:
         levi_rank = rk[1]
     else:
-        t1 = h_tensor(F, 1, cache)
-        levi_rank = rank([[t1.h((A,), B).constant_term() for B in range(n)]
-                          for A in range(n)])
+        levi_rank = rank([[words.h((A,), B).constant_term()
+                           for B in range(n)] for A in range(n)])
 
-    ell0, witness = None, None
+    ell0 = ell1 = witness = None
     for ell in range(1, lmax + 1):
-        tensor = h_tensor(F, ell, cache)
-        for abar in itertools.product(range(n), repeat=ell):
-            for D in range(n):
-                if not tensor.h(abar, D).constant_term().is_zero():
-                    ell0, witness = ell, (abar, D)
-                    break
-            if ell0 is not None:
-                break
-        if ell0 is not None:
+        witness = next(((abar, D) for abar in sorted_words(ell)
+                        for D in range(n)
+                        if not words.h(abar, D).constant_term().is_zero()),
+                       None)
+        if witness is not None:
+            ell0 = ell
+            break
+    for r in range(1, lmax + 1):
+        if any(not F.theta.pair(words.bracket(abar, D)).constant_term()
+               .is_zero() for abar in sorted_words(r) for D in range(n)):
+            ell1 = r
             break
     if ell0 is None:
         ell0 = Unbounded("lmax", lmax)
-
-    ell1 = None
-    for r in range(1, lmax + 1):
-        if _ell1_value(F, r) is not None:
-            ell1 = r
-            break
     if ell1 is None:
         ell1 = Unbounded("lmax", lmax)
 
@@ -299,12 +224,12 @@ def verify_derivative_recursion(F: Frame, k: int, samples=None) -> CheckReport:
     extended by C must equal the Lbar_C derivative of the shorter entry,
     plus the structure-pairing correction (identically zero for graph
     frames, computed anyway), plus the transverse entry times the length-one
-    entry.
+    entry.  Entries come from contracted chains, keyed by sorted words, so
+    an unsorted tuple also checks their symmetry.
     """
     n = F.n
-    cache = _ChainCache(F)
-    tensors = {j: h_tensor(F, j, cache) for j in range(k + 2)}
-    t1 = tensors[1]
+    words = F.words
+    h1 = [[words.h((C,), D) for D in range(n)] for C in range(n)]
     dthetaA = [exterior_derivative(form) for form in F.thetaA]
     combos = []
     for j in range(k + 1):
@@ -316,42 +241,37 @@ def verify_derivative_recursion(F: Frame, k: int, samples=None) -> CheckReport:
         combos = random.Random(0).sample(combos, samples)
     violations = []
     for abar, C, D in combos:
-        tk = tensors[len(abar)]
-        tk1 = tensors[len(abar) + 1]
-        res = tk1.h(abar + (C,), D) - F.Lbar[C].apply(tk.h(abar, D)) \
-            - tk.transverse(abar) * t1.h((C,), D)
+        res = words.h(abar + (C,), D) - F.Lbar[C].apply(words.h(abar, D)) \
+            - words.transverse(abar) * h1[C][D]
         for B in range(n):
-            res = res - tk.h(abar, B) * dthetaA[B](F.Lbar[C], F.L[D])
+            res = res - words.h(abar, B) * dthetaA[B](F.Lbar[C], F.L[D])
         if not res.is_zero():
             violations.append((abar, C, D))
     return CheckReport(name="derivative-recursion", ok=not violations,
                        checked=len(combos), violations=tuple(violations))
 
 
-def verify_leading_order_reduction(F: Frame, filtration=None) -> CheckReport:
+def verify_leading_order_reduction(F: Frame, filtration) -> CheckReport:
     """Tensor entries at 0 reduce to plain derivatives within the first
     nonvanishing length.
 
     Vacuous when no tuple length up to the bound has a nonzero entry at 0.
     """
-    filt = filtration if filtration is not None else intrinsic_filtration(F)
-    if not is_finite(filt.ell0):
+    if not is_finite(filtration.ell0):
         return CheckReport(name="leading-order-reduction", ok=True,
                            checked=0, vacuous=True,
-                           note=f"no nonzero entry at 0 ({filt.ell0})")
-    ell0 = filt.ell0
+                           note=f"no nonzero entry at 0 ({filtration.ell0})")
+    ell0 = filtration.ell0
     n = F.n
-    cache = _ChainCache(F)
+    words = F.words
     checked, violations = 0, []
     for r in range(2, ell0 + 1):
-        tr = h_tensor(F, r, cache)
-        tr1 = h_tensor(F, r - 1, cache)
         for j in range(0, ell0 - r + 1):
             for abar in itertools.product(range(n), repeat=r):
                 for cbar in itertools.product(range(n), repeat=j):
                     for D in range(n):
-                        lhs = tr.h(abar, D)
-                        rhs = F.Lbar[abar[-1]].apply(tr1.h(abar[:-1], D))
+                        lhs = words.h(abar, D)
+                        rhs = F.Lbar[abar[-1]].apply(words.h(abar[:-1], D))
                         for c in reversed(cbar):
                             lhs = F.Lbar[c].apply(lhs)
                             rhs = F.Lbar[c].apply(rhs)
@@ -360,48 +280,43 @@ def verify_leading_order_reduction(F: Frame, filtration=None) -> CheckReport:
                             violations.append((abar, cbar, D))
     # full collapse at the critical length: all derivatives, one contraction
     if ell0 >= 2:
-        t_full = h_tensor(F, ell0, cache)
-        t_one = h_tensor(F, 1, cache)
         for abar in itertools.product(range(n), repeat=ell0):
             for D in range(n):
-                val = t_one.h((abar[0],), D)
+                val = words.h((abar[0],), D)
                 for a in abar[1:]:
                     val = F.Lbar[a].apply(val)
                 checked += 1
-                if val.constant_term() != t_full.h(abar, D).constant_term():
+                if val.constant_term() != words.h(abar, D).constant_term():
                     violations.append((abar, "collapse", D))
     return CheckReport(name="leading-order-reduction", ok=not violations,
                        checked=checked, violations=tuple(violations))
 
 
-def verify_bracket_pairing(F: Frame, filtration=None) -> CheckReport:
+def verify_bracket_pairing(F: Frame, filtration) -> CheckReport:
     """Iterated-bracket pairings at 0 equal minus the tensor entries.
 
     Checked for every bracket length up to the first nonvanishing one; also
     confirms the derivative-based and bracket-based first nonvanishing
-    lengths agree (as markers when both are unbounded).
+    lengths agree (as markers when both are unbounded).  Brackets are kept
+    by ordered word and entries by sorted word, so an unsorted word also
+    checks that the two sides are symmetric alike.
     """
-    filt = filtration if filtration is not None else intrinsic_filtration(F)
-    if filt.ell0 != filt.ell1:
+    if filtration.ell0 != filtration.ell1:
         return CheckReport(name="bracket-pairing", ok=False, checked=0,
-                           violations=((filt.ell0, filt.ell1),),
+                           violations=((filtration.ell0, filtration.ell1),),
                            note="first nonvanishing lengths disagree")
-    if not is_finite(filt.ell0):
+    if not is_finite(filtration.ell0):
         return CheckReport(name="bracket-pairing", ok=True, checked=0,
                            vacuous=True,
-                           note=f"both lengths unbounded ({filt.ell0})")
+                           note=f"both lengths unbounded ({filtration.ell0})")
     n = F.n
-    cache = _ChainCache(F)
+    words = F.words
     checked, violations = 0, []
-    for r in range(1, filt.ell0 + 1):
-        tensor = h_tensor(F, r, cache)
+    for r in range(1, filtration.ell0 + 1):
         for abar in itertools.product(range(n), repeat=r):
             for D in range(n):
-                acc = F.L[D]
-                for a in abar:
-                    acc = F.Lbar[a].bracket(acc)
-                lhs = F.theta.pair(acc).constant_term()
-                rhs = -tensor.h(abar, D).constant_term()
+                lhs = F.theta.pair(words.bracket(abar, D)).constant_term()
+                rhs = -words.h(abar, D).constant_term()
                 checked += 1
                 if lhs != rhs:
                     violations.append((abar, D))
@@ -417,7 +332,7 @@ def verify_frame_structure(F: Frame) -> CheckReport:
     the two-form of theta on the same pair equals the entry itself.
     """
     n = F.n
-    t1 = h_tensor(F, 1)
+    h1 = [[F.words.h((A,), B) for B in range(n)] for A in range(n)]
     dtheta = exterior_derivative(F.theta)
     dthetaA = [exterior_derivative(form) for form in F.thetaA]
     checked, violations = 0, []
@@ -436,9 +351,9 @@ def verify_frame_structure(F: Frame) -> CheckReport:
                        F.thetaA[C].pair(br).is_zero()
                        and F.thetaAbar[C].pair(br).is_zero())
             record("characteristic-pairing", (A, B),
-                   (F.theta.pair(br) + t1.h((A,), B)).is_zero())
+                   (F.theta.pair(br) + h1[A][B]).is_zero())
             record("two-form-value", (A, B),
-                   (dtheta(F.Lbar[A], F.L[B]) - t1.h((A,), B)).is_zero())
+                   (dtheta(F.Lbar[A], F.L[B]) - h1[A][B]).is_zero())
             record("cr-commute", (A, B),
                    F.L[A].bracket(F.L[B]).is_zero())
             for C in range(n):
@@ -508,8 +423,8 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
 
 
 __all__ = [
-    "CheckReport", "FiltrationReport", "HTensor", "PointResult",
-    "ScanReport", "Unbounded", "extrinsic_k0", "h_tensor",
+    "CheckReport", "FiltrationReport", "PointResult",
+    "ScanReport", "Unbounded", "extrinsic_k0",
     "intrinsic_filtration", "is_finite", "nondegeneracy_scan",
     "verify_bracket_pairing", "verify_derivative_recursion",
     "verify_frame_structure", "verify_leading_order_reduction",

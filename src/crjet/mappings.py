@@ -16,21 +16,18 @@ Levi pairings nondegenerate at 0 it reconstructs (gamma, eta) from xi and
 the conjugated data alone.
 
 Those three readers share one _Pullback, which lives for one reflect call
-and is then dropped; nothing is cached on the frames or at module level.
-It holds the source frame's length-1 h tensor, the only source tensor
-the readers use; one chain cache for the target frame and its h tensors
-keyed by length; and each target entry composed with the map's intrinsic
-components, keyed by (abar, D), or (abar, "T") for the transverse entry:
-the length of abar is the length of its tensor.  So every tensor is built
-once, and the length-(k+1) entries that the level-k recursion reads are
-the very series that level k+1 reads as its own.
+and is then dropped.  It holds each target entry composed with the map's
+intrinsic components, keyed by (sorted abar, D), or (sorted abar, "T") for
+the transverse entry.  The raw entries of both germs come from their
+frames' words (``Frame.words``), which build every chain once.  So each
+entry is composed once, and the length-(k+1) entries that the level-k
+recursion reads are the very series that level k+1 reads as its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 from .hypersurface import (
@@ -41,7 +38,7 @@ from .hypersurface import (
     from_defining,
     intrinsic_pairing,
 )
-from .invariants import CheckReport, HTensor, _ChainCache, h_tensor
+from .invariants import CheckReport
 from .linalg import rank, series_solve
 from .series import SeriesError, TruncatedSeries, dot
 
@@ -243,42 +240,30 @@ def pushforward_data(F: AmbientMap, frame_src: Frame,
 
 
 class _Pullback:
-    """The length-1 h tensor of the source frame, the h tensors of the
-    target frame, and target entries composed with the map's intrinsic
-    components, each computed once.
+    """Target entries composed with the map's intrinsic components, each
+    computed once.
 
-    Returned tensors and series are shared between callers and must not be
-    mutated.
+    Entries depend only on the multiset of abar, so they are keyed by the
+    sorted word.  Returned series are shared between callers and must not
+    be mutated.
     """
 
     def __init__(self, frame_src: Frame, frame_tgt: Frame, imap):
         self.source_frame = frame_src
+        self._words = frame_tgt.words
         self._subs = list(imap)
-        self._chain = _ChainCache(frame_tgt)
-        self._tensors = {}
         self._entries = {}
-
-    @cached_property
-    def source1(self) -> HTensor:
-        """The source frame's h tensor of length 1."""
-        return h_tensor(self.source_frame, 1)
-
-    def target(self, k: int) -> HTensor:
-        tensor = self._tensors.get(k)
-        if tensor is None:
-            tensor = h_tensor(self._chain.frame, k, self._chain)
-            self._tensors[k] = tensor
-        return tensor
 
     def entry(self, abar: tuple, D) -> TruncatedSeries:
         """Target entry h(abar, D), or the transverse entry when D is "T",
         composed with the map."""
-        series = self._entries.get((abar, D))
+        key = (tuple(sorted(abar)), D)
+        series = self._entries.get(key)
         if series is None:
-            tensor = self.target(len(abar))
-            raw = tensor.transverse(abar) if D == "T" else tensor.h(abar, D)
+            words = self._words
+            raw = words.transverse(abar) if D == "T" else words.h(abar, D)
             series = raw.compose(self._subs)
-            self._entries[abar, D] = series
+            self._entries[key] = series
         return series
 
 
@@ -286,13 +271,14 @@ def verify_reflection_base(data: PushforwardData,
                            pull: _Pullback) -> CheckReport:
     """Residuals of the five first-order transport identities.
 
-    pull supplies the length-1 source tensor and the length-1 target
-    entries composed with the map.  Each identity must give the zero
-    series; violations carry an identity label and the offending indices.
+    The source entries come from the source frame's words, and pull
+    supplies the length-1 target entries composed with the map.  Each
+    identity must give the zero series; violations carry an identity label
+    and the offending indices.
     """
-    src = pull.source1
     n = data.n
     Fm = data.source_frame
+    src = Fm.words
     pairing = intrinsic_pairing(n)
     xi, eta, gamma = data.xi, data.eta, data.gamma
     gbar = [[gamma[C][A].conjugate(pairing) for A in range(n)]
@@ -347,12 +333,13 @@ def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
     For each bar tuple of length k, differentiating the gamma- or
     eta-contracted target entry along a conjugate field must reproduce the
     length-(k+1) entry minus the transverse and Levi correction terms.
-    pull supplies the length-1 source tensor and the target entries of
-    lengths 1, k and k+1 composed with the map.
+    The source entries come from the source frame's words, and pull
+    supplies the target entries of lengths 1, k and k+1 composed with the
+    map.
     """
-    src = pull.source1
     n = data.n
     Fm = data.source_frame
+    src = Fm.words
     pairing = intrinsic_pairing(n)
     eta, gamma = data.eta, data.gamma
     gbar = [[gamma[C][A].conjugate(pairing) for A in range(n)]
@@ -402,12 +389,12 @@ def solve_levi_reflection(conj: ConjugateData, pull: _Pullback):
     sum_C gammabar^C_A hhat_{CbD} is a unit matrix at 0 exactly when both
     germs are Levi-nondegenerate there, and then gamma solves the
     Levi-transport rows while eta solves the xi-derivative rows, all in
-    one elimination.  pull supplies the length-1 source tensor and the
-    length-1 target entries composed with the map; it reads neither gamma
-    nor eta.
+    one elimination.  The source entries come from the source frame's
+    words, and pull supplies the length-1 target entries composed with the
+    map; neither reads gamma or eta.
     """
-    src = pull.source1
     frame_src = pull.source_frame
+    src = frame_src.words
     n = frame_src.n
     xi = conj.xi
     G = [[dot((conj.gammabar[C][A], pull.entry((C,), D)) for C in range(n))

@@ -10,7 +10,7 @@ word lattice, then re-verifies everything by acting on a monomial basis
 through independent operator compositions.
 
 One ``_Memo`` lives for one call of ``operator_certificates`` and is then
-dropped; nothing is cached on the frame or at module level.  It holds the
+dropped; it is not kept on the frame or at module level.  It holds the
 h rows of the characteristic two-form, the chosen conjugate index, the
 T-pushdown and commutator tables, and the applications L^W(Lbar f), L^W f,
 [L^W, L_Fbar] f and L^K(T f) on each basis monomial f, named by its

@@ -79,8 +79,9 @@ def test_criterion_04_identity_suites_zero_residual():
     for M in models:
         F = build_frame(M)
         recursion = verify_derivative_recursion(F, 2)
-        leading = verify_leading_order_reduction(F)
-        pairing = verify_bracket_pairing(F)
+        filt = intrinsic_filtration(F)
+        leading = verify_leading_order_reduction(F, filt)
+        pairing = verify_bracket_pairing(F, filt)
         structure = verify_frame_structure(F)
         for rep in (recursion, leading, pairing, structure):
             assert rep.ok, (M, rep.name, rep.violations[:3])

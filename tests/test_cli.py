@@ -1,9 +1,13 @@
 """Command-line layer: grammar positions, document round-trips, verbs."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,26 @@ components = 1
 jet_order = 1
 f1 = 1
 f1_1 = 2
+"""
+
+SYSTEM_PLANE = """\
+kind = system
+axes = 2
+components = 1
+jet_order = 1
+d11_f1 = 0
+d12_f1 = 0
+d22_f1 = 0
+"""
+
+JET_PLANE = """\
+kind = jet
+axes = 2
+components = 1
+jet_order = 1
+f1 = 1
+f1_1 = 2
+f1_2 = -1/2
 """
 
 
@@ -348,7 +372,9 @@ def docs(tmp_path, monkeypatch):
     paths = {}
     for name, text in [("heis", HEIS), ("m2", M2), ("m3", M3),
                        ("plane", PLANE), ("dilation", DILATION),
-                       ("line_sys", SYSTEM_LINE), ("line_jet", JET_LINE)]:
+                       ("line_sys", SYSTEM_LINE), ("line_jet", JET_LINE),
+                       ("plane_sys", SYSTEM_PLANE),
+                       ("plane_jet", JET_PLANE)]:
         p = tmp_path / f"{name}.crj"
         p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
@@ -762,6 +788,23 @@ class TestVerbs:
         jfirst = run(capsys, ["aut", docs["heis"], "--json"])
         jsecond = run(capsys, ["aut", docs["heis"], "--json"])
         assert jfirst == jsecond
+
+    def test_reused_parser_answers_as_a_fresh_process(self, docs, capsys):
+        # main builds its parser once per process: no call may see what an
+        # earlier one parsed, an appended --grid least of all
+        plane = ["reconstruct", docs["plane_sys"], docs["plane_jet"]]
+        calls = [plane + ["--grid", "0:1:3", "--grid=-1/2:0:2", "--json"],
+                 plane + ["--grid", "0:1/2:2"],
+                 plane + ["--target-order", "2"],
+                 ["analyze", docs["m3"], "--json"]]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "crjet.cli"] + argv,
+                                   capture_output=True, text=True, env=env,
+                                   timeout=120)
+            assert fresh.returncode == 0, fresh.stderr
+            assert run(capsys, argv) == (0, fresh.stdout, fresh.stderr), argv
 
     @pytest.mark.parametrize("opener, closer", [
         ("(", ")"), ("- ", ""), ("conj(", ")")])

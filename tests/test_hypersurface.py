@@ -10,12 +10,15 @@ from crjet.hypersurface import (
     GeometryError,
     OneForm,
     VectorFieldOp,
+    _apply_holo_change,
+    _holo_gradient,
     ambient_var,
     build_frame,
     exterior_derivative,
     from_defining,
     intrinsic_pairing,
 )
+from crjet.linalg import rank
 from crjet.series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 from tests.conftest import (
     adapt_frame,
@@ -28,6 +31,7 @@ from tests.conftest import (
     random_phi,
     re_w,
 )
+from tests.test_invariants import linear_change, random_invertible
 
 
 class TestFromDefining:
@@ -106,6 +110,86 @@ class TestFromDefining:
         zb = ambient_var(2, 2, 4)
         with pytest.raises(GeometryError):
             from_defining(z * zb, 2)
+
+
+def stepwise_linear_change(rho, N):
+    """Oracle for the linear stages of from_defining: each change a matrix
+    product on P and a rewrite of rho, with the gradient read afresh from
+    the rewritten rho.  Returns the final rho, P and the stages taken."""
+
+    def matmul(A, B):
+        return [[sum((A[i][k] * B[k][j] for k in range(N)), CS_ZERO)
+                 for j in range(N)] for i in range(N)]
+
+    def identity():
+        return [[CS_ONE if i == j else CS_ZERO for j in range(N)]
+                for i in range(N)]
+
+    grad = _holo_gradient(rho, N)
+    P, taken = identity(), []
+    if grad[N - 1].im == 0:
+        best, best_size = None, Fraction(0)
+        for j in range(N):
+            size = grad[j].abs2()
+            if size > best_size:
+                best, best_size = j, size
+        if best != N - 1:
+            S = identity()
+            S[best][best] = S[N - 1][N - 1] = CS_ZERO
+            S[best][N - 1] = S[N - 1][best] = CS_ONE
+            P = matmul(S, P)
+            rho = _apply_holo_change(rho, N, S)
+            grad = _holo_gradient(rho, N)
+            taken.append("swap")
+        if grad[N - 1].im == 0:
+            D = identity()
+            D[N - 1][N - 1] = CS_I
+            P = matmul(D, P)
+            rho = _apply_holo_change(rho, N, D)
+            grad = _holo_gradient(rho, N)
+            taken.append("diagonal")
+    Sh = identity()
+    for j in range(N):
+        Sh[N - 1][j] = CScalar(0, 2) * grad[j]
+    P = matmul(Sh, P)
+    rho = _apply_holo_change(rho, N, Sh)
+    return rho, P, tuple(taken)
+
+
+class TestLinearChangeOnce:
+    """from_defining applies its swap, phase and shear as one change; the
+    result must equal the stepwise changes exactly."""
+
+    @staticmethod
+    def w_rows(rng, N):
+        """Rows giving w in the new coordinates: generic, a swap from z1, a
+        swap then a phase, a phase alone, and a tie between z1 and w."""
+        e = [[CS_ONE if i == j else CS_ZERO for j in range(N)]
+             for i in range(N)]
+        return [random_invertible(rng, N)[0], e[0], [CS_I * c for c in e[0]],
+                [CS_I * c for c in e[N - 1]],
+                [CS_I * (a + b) for a, b in zip(e[0], e[N - 1])]]
+
+    def test_matches_stepwise_changes(self):
+        rng = random.Random(2610)
+        taken = set()
+        for N, order in ((2, 5), (3, 4)):
+            for _ in range(2):
+                base = graph_rho(random_phi(rng, N - 1, order), N, order)
+                for row in self.w_rows(rng, N):
+                    A = random_invertible(rng, N)
+                    A[N - 1] = row
+                    if rank(A) < N:
+                        continue
+                    rho = linear_change(base, N, A)
+                    want_rho, want_P, stages = stepwise_linear_change(rho, N)
+                    M = from_defining(rho, N)
+                    assert M.rho == want_rho and M.change == want_P, stages
+                    # the graph of an already normalized rho is solved by
+                    # Newton alone, with no linear change
+                    assert M.phi == from_defining(want_rho, N).phi
+                    taken.add(stages)
+        assert taken == {(), ("swap",), ("swap", "diagonal"), ("diagonal",)}
 
 
 class TestBuildFrame:

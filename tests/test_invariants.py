@@ -12,9 +12,7 @@ from crjet.hypersurface import (
 )
 from crjet.invariants import (
     Unbounded,
-    _ChainCache,
     extrinsic_k0,
-    h_tensor,
     intrinsic_filtration,
     is_finite,
     nondegeneracy_scan,
@@ -27,19 +25,22 @@ from crjet.series import CScalar, TruncatedSeries
 from tests.conftest import (adapt_frame, graph_rho, heis, heisenberg_rho,
                             m2_rho, m3_rho, m4_rho, random_model,
                             random_nondegenerate_model, random_phi)
+from tests.test_words import OrderedWords
 
 
 def frame_for(rho, N):
     return build_frame(from_defining(rho, N))
 
 
-def symmetric_at_zero(tensor) -> bool:
-    """Every entry at 0 is unchanged by permuting its abar slots."""
-    for abar in itertools.product(range(tensor.n), repeat=tensor.k):
-        for D in range(tensor.n):
-            v = tensor.h(abar, D).constant_term()
+def symmetric_at_zero(F, k) -> bool:
+    """Every length-k entry at 0, each built along its own ordered word, is
+    unchanged by permuting its abar slots."""
+    oracle = OrderedWords(F)
+    for abar in itertools.product(range(F.n), repeat=k):
+        for D in range(F.n):
+            v = oracle.h(abar, D).constant_term()
             for perm in itertools.permutations(abar):
-                if tensor.h(perm, D).constant_term() != v:
+                if oracle.h(perm, D).constant_term() != v:
                     return False
     return True
 
@@ -47,11 +48,11 @@ def symmetric_at_zero(tensor) -> bool:
 class TestLieChain:
     def test_empty_tuple_is_theta(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        assert _ChainCache(F).get(()) == F.theta
+        assert F.words.chain(()) == F.theta
 
     def test_heisenberg_single_step(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        omega = _ChainCache(F).get((0,))
+        omega = F.words.chain((0,))
         got = omega.pair(F.L[0]).constant_term()
         want = exterior_derivative(F.theta)(F.Lbar[0], F.L[0]).constant_term()
         assert got == want == CScalar(0, -2)
@@ -59,7 +60,7 @@ class TestLieChain:
     def test_stays_holomorphic(self):
         F = frame_for(m3_rho(8), 3)
         for abar in [(0,), (1, 0), (0, 0, 1)]:
-            omega = _ChainCache(F).get(abar)
+            omega = F.words.chain(abar)
             for B in range(F.n):
                 assert omega.pair(F.Lbar[B]).is_zero()
 
@@ -67,25 +68,22 @@ class TestLieChain:
 class TestHTensor:
     def test_heisenberg_levi_value(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        t1 = h_tensor(F, 1)
-        assert t1.h((0,), 0).constant_term() == CScalar(0, -2)
+        assert F.words.h((0,), 0).constant_term() == CScalar(0, -2)
 
     def test_degenerate_levi_value(self):
         F = frame_for(m2_rho(6), 2)
-        t1 = h_tensor(F, 1)
-        assert t1.h((0,), 0).constant_term() == CScalar(0)
+        assert F.words.h((0,), 0).constant_term() == CScalar(0)
 
     def test_zero_length_convention(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        t0 = h_tensor(F, 0)
-        assert t0.transverse(()).constant_term() == CScalar(1)
-        assert t0.h((), 0).is_zero()
+        assert F.words.transverse(()).constant_term() == CScalar(1)
+        assert F.words.h((), 0).is_zero()
 
     def test_symmetry_at_zero(self):
         for seed, N in [(300, 2), (301, 3)]:
             F = build_frame(random_model(seed, N, 7))
             for k in (2, 3):
-                assert symmetric_at_zero(h_tensor(F, k))
+                assert symmetric_at_zero(F, k)
 
     def test_defining_rescale_covariance(self):
         # rescaling the defining series rescales the characteristic form and
@@ -94,8 +92,8 @@ class TestHTensor:
         F1 = frame_for(rho1, 2)
         M2 = from_defining(TruncatedSeries.constant(4, 4, 6) * rho1, 2)
         F2 = build_frame(M2)
-        a = h_tensor(F1, 1).h((0,), 0).constant_term()
-        b = h_tensor(F2, 1).h((0,), 0).constant_term()
+        a = F1.words.h((0,), 0).constant_term()
+        b = F2.words.h((0,), 0).constant_term()
         assert b == 4 * a
         r1 = intrinsic_filtration(F1)
         r2 = intrinsic_filtration(F2)
@@ -231,9 +229,8 @@ class TestAdaptedFrame:
         r = intrinsic_filtration(F)
         G = adapt_frame(M, F, r)
         # trailing field spans the Levi kernel: its pairing row vanishes
-        t1 = h_tensor(G, 1)
         for A in range(G.n):
-            assert t1.h((A,), G.n - 1).constant_term().is_zero()
+            assert G.words.h((A,), G.n - 1).constant_term().is_zero()
 
     def test_idempotent_dimensions(self):
         M = from_defining(m3_rho(8), 3)
@@ -271,12 +268,12 @@ class TestDerivativeRecursion:
 class TestLeadingOrderReduction:
     def test_heisenberg_thin(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        rep = verify_leading_order_reduction(F)
+        rep = verify_leading_order_reduction(F, intrinsic_filtration(F))
         assert rep.ok and not rep.vacuous
 
     def test_two_step_zero_levi(self):
         F = frame_for(m4_rho(8), 3)
-        rep = verify_leading_order_reduction(F)
+        rep = verify_leading_order_reduction(F, intrinsic_filtration(F))
         assert rep.ok and rep.checked > 0
 
     def test_vacuous_for_unbounded(self):
@@ -289,20 +286,20 @@ class TestLeadingOrderReduction:
 class TestBracketPairing:
     def test_heisenberg_value(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        rep = verify_bracket_pairing(F)
+        rep = verify_bracket_pairing(F, intrinsic_filtration(F))
         assert rep.ok and rep.checked == 1
         B = F.Lbar[0].bracket(F.L[0])
         assert F.theta.pair(B).constant_term() == CScalar(0, 2)
 
     def test_two_step(self):
         F = frame_for(m4_rho(8), 3)
-        rep = verify_bracket_pairing(F)
+        rep = verify_bracket_pairing(F, intrinsic_filtration(F))
         assert rep.ok and rep.checked > 4
 
     def test_random_models(self):
         for seed in (340, 341):
             F = build_frame(random_model(seed, 2, 7))
-            assert verify_bracket_pairing(F).ok
+            assert verify_bracket_pairing(F, intrinsic_filtration(F)).ok
 
     def test_unbounded_case_vacuous(self):
         F = frame_for(m2_rho(10), 2)

@@ -1,6 +1,6 @@
 """Package layout: every public top-level function or class in src/ has a
-caller in src/.  Helpers that only tests need live in tests/, as fixtures
-or oracles."""
+caller in src/, and every import in src/ is used by its module.  Helpers
+that only tests need live in tests/, as fixtures or oracles."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,43 @@ def unreferenced_definitions(root=SRC) -> list:
 
 def test_every_public_definition_has_a_caller_in_src():
     assert unreferenced_definitions() == []
+
+
+def unused_imports(root=SRC) -> list:
+    """Names a module in the package imports and never reads; a name listed
+    in the module's __all__ counts as read."""
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused.extend(f"{path.relative_to(root).as_posix()}::{name}"
+                      for name in sorted(imported - used))
+    return unused
+
+
+def test_every_import_in_src_is_used():
+    assert unused_imports() == []
+
+
+def test_unused_import_is_caught(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from functools import cached_property, reduce\n"
+        "import itertools\nimport os.path\nfrom .x import Hidden\n"
+        "__all__ = ['Hidden']\n\n"
+        "def f(xs):\n    return reduce(max, itertools.chain(xs))\n",
+        encoding="utf-8")
+    assert unused_imports(tmp_path) == ["mod.py::cached_property",
+                                        "mod.py::os"]

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from crjet.hypersurface import ambient_var, build_frame, from_defining
-from crjet.invariants import h_tensor
 from crjet.mappings import (
     AmbientMap,
     MappingError,
@@ -32,6 +31,7 @@ from tests.conftest import (
     sigma,
     tau,
 )
+from tests.test_words import OrderedWords
 
 
 def m3_auto(M):
@@ -55,19 +55,17 @@ def pull_for(data):
 
 
 class DirectPullback:
-    """Oracle for _Pullback: every tensor from its own chain cache, and
-    every target entry composed with the map again on every read."""
+    """Oracle for _Pullback: every target entry built along its own ordered
+    word, and composed with the map again on every read."""
 
-    def __init__(self, data, kmax):
+    def __init__(self, data):
         self.source_frame = data.source_frame
         self.imap = list(data.imap)
-        self.source1 = h_tensor(data.source_frame, 1)
-        self._target = {k: h_tensor(data.target_frame, k)
-                        for k in range(kmax + 2)}
+        self._target = OrderedWords(data.target_frame)
 
     def entry(self, abar, D):
-        tensor = self._target[len(abar)]
-        raw = tensor.transverse(abar) if D == "T" else tensor.h(abar, D)
+        target = self._target
+        raw = target.transverse(abar) if D == "T" else target.h(abar, D)
         return raw.compose(self.imap)
 
 
@@ -271,10 +269,11 @@ class TestTransportRecursion:
         pull = pull_for(P)
         rep = verify_transport_recursion(P, pull, 1)
         assert rep.ok and rep.checked == 12
-        # one tensor per length, shared by the next level
-        one, two = pull.target(1), pull.target(2)
+        # one composed entry per sorted word, shared by the next level
+        one, two = pull.entry((1,), 0), pull.entry((1, 0), "T")
         assert verify_transport_recursion(P, pull, 2).ok
-        assert pull.target(1) is one and pull.target(2) is two
+        assert pull.entry((1,), 0) is one
+        assert pull.entry((0, 1), "T") is two
 
 
 class TestSharedPullback:
@@ -283,7 +282,7 @@ class TestSharedPullback:
         for seed in range(3):
             kmax = 1 + seed
             P = data_for(dilation_pair(seed, N, kmax + 4))
-            pull, direct = pull_for(P), DirectPullback(P, kmax)
+            pull, direct = pull_for(P), DirectPullback(P)
             reports = [verify_reflection_base(P, pull)]
             want = [verify_reflection_base(P, direct)]
             for k in range(1, kmax + 1):

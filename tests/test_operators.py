@@ -7,7 +7,6 @@ import pytest
 
 from crjet.hypersurface import (Frame, GeometryError, build_frame,
                                 exterior_derivative, from_defining)
-from crjet.invariants import h_tensor
 from crjet.operators import (
     CommutatorCertificate,
     _basis,
@@ -95,7 +94,7 @@ class TestBracketReduction:
         assert cert.p == 1
         assert set(cert.leading) == {(0,)}
         lead = cert.leading[(0,)]
-        h11 = h_tensor(F, 1).h((0,), 0)
+        h11 = F.words.h((0,), 0)
         assert lead.agrees(2 * h11)
 
     def test_mixed_word_leading_shape(self):
@@ -103,19 +102,17 @@ class TestBracketReduction:
         # the matching Levi entry
         F = build_frame(random_nondegenerate_model(410, 3, 8))
         Fb = _Memo(F).conjugate_index()
-        t1 = h_tensor(F, 1)
         cert = _reduction(_Memo(F), (0, 1), Fb, 3)
         assert cert.verified
         assert set(cert.leading) == {(0,), (1,)}
-        assert cert.leading[(1,)].agrees(t1.h((Fb,), 0))
-        assert cert.leading[(0,)].agrees(t1.h((Fb,), 1))
+        assert cert.leading[(1,)].agrees(F.words.h((Fb,), 0))
+        assert cert.leading[(0,)].agrees(F.words.h((Fb,), 1))
 
     def test_three_letter_multiplicity(self):
         F = build_frame(random_nondegenerate_model(411, 2, 8))
-        t1 = h_tensor(F, 1)
         cert = _reduction(_Memo(F), (0, 0, 0), None, 3)
         assert cert.verified
-        assert cert.leading[(0, 0)].agrees(3 * t1.h((0,), 0))
+        assert cert.leading[(0, 0)].agrees(3 * F.words.h((0,), 0))
 
     def test_verification_on_monomials(self):
         for seed, N in [(412, 2), (413, 3)]:
