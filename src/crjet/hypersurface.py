@@ -17,18 +17,22 @@ in the chart (z_1..z_n, zb_1..zb_n, s).
     Lbar_j = d/dzb_j + a_j d/ds,   a_j = -i phi_{zb_j} / (1 + i phi_s),
     L_j = conjugate(Lbar_j),
 
-and the dual coframe theta, theta^A, theta^Abar by inverting the frame
-coefficient matrix.  In this frame every bracket of frame fields is a
-multiple of d/ds and each theta^A is an exact differential, so all structure
-pairings of d theta^A against frame pairs vanish identically; downstream
-identity checks rely on that shape.
+and its dual coframe in closed form,
+
+    theta = ds - sum_j conj(a_j) dz_j - sum_j a_j dzb_j,
+    theta^A = dz_A,   theta^Abar = dzb_A.
+
+In this frame every bracket of frame fields is a multiple of d/ds and each
+theta^A is an exact differential, so all structure pairings of d theta^A
+against frame pairs vanish identically; downstream identity checks rely on
+that shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import series_matrix_inverse, solve_unique
+from .linalg import solve_unique
 from .series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
                      SeriesError, TruncatedSeries, derivation, dot)
 
@@ -245,11 +249,9 @@ class Hypersurface:
     def __setattr__(self, name, value):
         raise AttributeError("Hypersurface is immutable")
 
-    def graph_substitution(self, order=None):
+    def graph_substitution(self):
         """Ambient-to-intrinsic substitution list (z, s+i phi, zb, s-i phi)."""
-        n = self.n
-        W = self.order if order is None else min(order, self.order)
-        phi = self.phi.truncate(W)
+        n, W, phi = self.n, self.order, self.phi
         nv = 2 * n + 1
         subs = [TruncatedSeries.variable(nv, j, W) for j in range(n)]
         s = TruncatedSeries.variable(nv, 2 * n, W)
@@ -479,12 +481,6 @@ class Frame:
     def __setattr__(self, name, value):
         raise AttributeError("Frame is immutable")
 
-    def fields(self):
-        return (self.T,) + self.L + self.Lbar
-
-    def forms(self):
-        return (self.theta,) + self.thetaA + self.thetaAbar
-
     def __repr__(self):
         return f"Frame(n={self.n}, order={self.order})"
 
@@ -509,12 +505,9 @@ def build_frame(M: Hypersurface) -> Frame:
         Lbar.append(VectorFieldOp(coeffs))
     L = [X.conjugate(pairing) for X in Lbar]
 
-    # dual coframe: invert the matrix whose columns are T, L_A, Lbar_A
-    columns = [T] + L + Lbar
-    mat = [[columns[c].coeffs[v] for c in range(nv)] for v in range(nv)]
-    inv = series_matrix_inverse(mat)
-    forms = [OneForm(inv[r]) for r in range(nv)]
-    theta = forms[0]
-    thetaA = forms[1:n + 1]
-    thetaAbar = forms[n + 1:]
-    return Frame(n, T, L, Lbar, theta, thetaA, thetaAbar, M)
+    # dual coframe in closed form: theta kills each L_j and Lbar_j through
+    # its dz_j and dzb_j slots, and theta^A, theta^Abar are dz_A, dzb_A
+    theta = OneForm([-X.coeffs[2 * n] for X in L + Lbar] + [one])
+    dz = [OneForm([one if v == u else zero for v in range(nv)])
+          for u in range(2 * n)]
+    return Frame(n, T, L, Lbar, theta, dz[:n], dz[n:], M)

@@ -13,7 +13,6 @@ every suite run on one frame build each of them once.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .hypersurface import (
@@ -122,23 +121,19 @@ def _finite_type(F: Frame, typemax: int):
     return Unbounded("typemax", typemax)
 
 
-def intrinsic_filtration(F: Frame, kmax=None, lmax=None, typemax=None):
+def intrinsic_filtration(F: Frame, kmax=None):
     """Filtration dimensions at the origin and the derived integers.
 
     kmax defaults to the ambient dimension minus one; the tuple-length and
-    commutator-length bounds default to kmax + 1.
+    commutator-length bounds lmax and typemax are kmax + 1.
     """
     n = F.n
     if kmax is None:
         kmax = n  # ambient dimension minus one
-    if lmax is None:
-        lmax = kmax + 1
-    if typemax is None:
-        typemax = kmax + 1
-    budget = max(kmax, lmax, typemax - 1)
-    if budget > F.order:
+    lmax = typemax = kmax + 1
+    if lmax > F.order:
         raise OrderExhausted(
-            f"bounds need order {budget}, frame has {F.order}")
+            f"bounds need order {lmax}, frame has {F.order}")
 
     # chains and entries depend only on the multiset of indices, so each
     # scan reads the sorted words alone; the first ell0 witness in product
@@ -217,7 +212,7 @@ class CheckReport:
     note: str = ""
 
 
-def verify_derivative_recursion(F: Frame, k: int, samples=None) -> CheckReport:
+def verify_derivative_recursion(F: Frame, k: int) -> CheckReport:
     """Extending a tuple by one index equals a derivative plus tensor terms.
 
     For every tuple length j <= k and indices C, D the entry with the tuple
@@ -237,8 +232,6 @@ def verify_derivative_recursion(F: Frame, k: int, samples=None) -> CheckReport:
             for C in range(n):
                 for D in range(n):
                     combos.append((abar, C, D))
-    if samples is not None and samples < len(combos):
-        combos = random.Random(0).sample(combos, samples)
     violations = []
     for abar, C, D in combos:
         res = words.h(abar + (C,), D) - F.Lbar[C].apply(words.h(abar, D)) \

@@ -123,24 +123,6 @@ class JetVector:
     def is_exact(self) -> bool:
         return all(not isinstance(v, float) for v in self.values.values())
 
-    @classmethod
-    def from_series(cls, components, k: int) -> "JetVector":
-        """Read the k-jet off a tuple of real series in q variables."""
-        components = list(components)
-        if not components:
-            raise JetError("need at least one component")
-        q = components[0].nvars
-        values = {}
-        for i, f in enumerate(components):
-            if f.nvars != q:
-                raise JetError("components must share one variable space")
-            for beta in jet_exponents(q, k):
-                c = f.coeff(beta)
-                if not c.is_real():
-                    raise JetError("jet extraction needs real series")
-                values[(i, beta)] = c.re * _beta_factorial(beta)
-        return cls(q, len(components), k, values)
-
     def __eq__(self, other):
         if not isinstance(other, JetVector):
             return NotImplemented
@@ -160,14 +142,13 @@ class CompleteSystem:
 
     rhs maps (j, alpha) with |alpha| = k + 1 to a series on the system
     chart (jet unknowns in layout order, then x_1..x_q) giving that
-    derivative of component j.  box, when set, bounds each position axis
-    by an open interval; evaluation is plain polynomial arithmetic and
-    therefore deterministic.
+    derivative of component j.  Evaluation is plain polynomial arithmetic
+    and therefore deterministic.
     """
 
-    __slots__ = ("q", "m", "k", "rhs", "box", "layout", "nvars")
+    __slots__ = ("q", "m", "k", "rhs", "layout", "nvars")
 
-    def __init__(self, q: int, m: int, k: int, rhs, box=None):
+    def __init__(self, q: int, m: int, k: int, rhs):
         layout = unknown_layout(q, m, k)
         nvars = len(layout) + q
         rhs = dict(rhs)
@@ -182,15 +163,10 @@ class CompleteSystem:
                 raise JetError(
                     f"rhs entries must be series in the {nvars} chart "
                     "variables")
-        if box is not None:
-            box = tuple(tuple(b) for b in box)
-            if len(box) != q or any(len(b) != 2 for b in box):
-                raise JetError("box needs one (lo, hi) pair per axis")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "box", box)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "nvars", nvars)
 
@@ -225,7 +201,7 @@ def reduce_to_first_order(S: CompleteSystem) -> CompleteSystem:
                     S.nvars, pos[(i, up)], order)
             else:
                 rhs[(p, e_a)] = S.rhs[(i, up)]
-    return CompleteSystem(S.q, len(S.layout), 0, rhs, box=S.box)
+    return CompleteSystem(S.q, len(S.layout), 0, rhs)
 
 
 def reduce_jet(jet: JetVector) -> JetVector:
@@ -247,7 +223,6 @@ class ReconstructionResult:
     values: dict
     step: float
     axis_order: tuple
-    max_deviation: float | None = None
 
 
 # Most fourth-order substeps one integrate call may take; the walk is
@@ -368,7 +343,7 @@ def _compile_stepper(rows, q, a, fail):
 
 
 def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
-              truth=None, axis_order=None) -> ReconstructionResult:
+              axis_order=None) -> ReconstructionResult:
     """Tabulate the map with k-jet lambda0 on an axis-aligned grid.
 
     Marching is sequential: the first axis in axis_order is integrated
@@ -378,12 +353,10 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     at most the requested size and advanced with the classical
     fourth-order one-step rule, so a fixed step gives identical output on
     every run.  Negative grid values are reached by marching backward
-    from 0.  truth, when supplied, is evaluated on each grid point and
-    the maximum deviation of any component is reported.  A non-finite
-    state or a grid outside the declared box aborts with the offending
-    location; a walk of more than MAX_RK4_SUBSTEPS substeps, a step that
-    is not finite, and a coefficient, jet value or grid value beyond the
-    float range, are refused before marching.
+    from 0.  A non-finite state aborts with the offending location; a
+    walk of more than MAX_RK4_SUBSTEPS substeps, a step that is not
+    finite, and a coefficient, jet value or grid value beyond the float
+    range, are refused before marching.
 
     The rule, in float arithmetic: each rhs is 0.0 + t_1 + t_2 + ... over
     its monomials in terms() order, each monomial ((c*v_a)*v_b)... in
@@ -407,14 +380,6 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     grid = tuple(tuple(sorted(_to_float(g, f"grid value on axis {a + 1}")
                               for g in axis))
                  for a, axis in enumerate(grid))
-    if S.box is not None:
-        for a, axis in enumerate(grid):
-            lo, hi = S.box[a]
-            for g in axis:
-                if not (lo < g < hi):
-                    raise JetError(
-                        f"grid value {g} on axis {a + 1} leaves the "
-                        f"declared box ({lo}, {hi})")
     if axis_order is None:
         axis_order = tuple(range(S.q))
     else:
@@ -469,17 +434,8 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
                 walk(depth + 1, u, coords2)
 
     walk(0, state0, [0.0] * S.q)
-
-    max_dev = None
-    if truth is not None:
-        max_dev = 0.0
-        for pt, fv in values.items():
-            tv = truth(pt)
-            for j in range(S.m):
-                max_dev = max(max_dev, abs(fv[j] - float(tv[j])))
     return ReconstructionResult(values=values, step=step,
-                                axis_order=axis_order,
-                                max_deviation=max_dev)
+                                axis_order=axis_order)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
+from .series import CS_ONE, CS_ZERO, CScalar, SeriesError
 
 
 def _integer_row(vec):
@@ -255,13 +255,3 @@ def series_solve(rows, columns):
                                     for a, b in zip(aug[i][col + 1:], piv)]
     return [[aug[i][n + j] for i in range(n)] for j in range(m)]
 
-
-def series_matrix_inverse(rows):
-    """Inverse of a square series matrix with invertible constant term."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    ident = [[TruncatedSeries.constant(nvars, 1 if i == j else 0,
-                                       rows[i][j].order)
-              for i in range(n)] for j in range(n)]
-    cols = series_solve(rows, ident)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

@@ -10,11 +10,11 @@ word lattice, then re-verifies everything by acting on a monomial basis
 through independent operator compositions.
 
 One ``_Memo`` lives for one call of ``operator_certificates`` and is then
-dropped; it is not kept on the frame or at module level.  It holds the
-h rows of the characteristic two-form, the chosen conjugate index, the
-T-pushdown and commutator tables, and the applications L^W(Lbar f), L^W f,
-[L^W, L_Fbar] f and L^K(T f) on each basis monomial f, named by its
-exponents and order.
+dropped; it is not kept on the frame or at module level.  It reads the
+Levi rows h_{FbarE} from the frame's F.words, where they are built once per
+frame, and holds the chosen conjugate index, the T-pushdown and commutator
+tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f and
+L^K(T f) on each basis monomial f, named by its exponents and order.
 Tables and applications are memoized by the exact suffix of the word:
 L^(w0, rest) f = L_w0(L^rest f), never re-sorted through the commutativity
 of the L fields, so every series is the same composition, in the same order,
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hypersurface import Frame, GeometryError, exterior_derivative
+from .hypersurface import Frame, GeometryError
 from .series import OrderExhausted, TruncatedSeries, dot
 
 
@@ -70,31 +70,18 @@ class _Memo:
 
     def __init__(self, F: Frame):
         self.F = F
-        self._two_form = None
-        self._h_rows = {}
         self._conjugate = None
         self._pushdowns = {}
         self._tables = {}
         self._applied = {}
         self._commutators = {}
 
-    def h_row(self, Fbar: int):
-        """Series h_{FbarE} for all E, via the characteristic two-form."""
-        row = self._h_rows.get(Fbar)
-        if row is None:
-            F = self.F
-            if self._two_form is None:
-                self._two_form = exterior_derivative(F.theta)
-            row = [self._two_form(F.Lbar[Fbar], F.L[E]) for E in range(F.n)]
-            self._h_rows[Fbar] = row
-        return row
-
     def conjugate_index(self) -> int:
         """Lexicographically smallest index with nonzero pairing against
         L_1."""
         if self._conjugate is None:
             for Fb in range(self.F.n):
-                if not self.h_row(Fb)[0].constant_term().is_zero():
+                if not self.F.words.h((Fb,), 0).constant_term().is_zero():
                     self._conjugate = Fb
                     break
             else:
@@ -135,8 +122,8 @@ class _Memo:
             else:
                 head, rest = word[0], word[1:]
                 out = _left_compose(self.F, head, self.table(rest, Fbar))
-                for K, f in _scale_table(self.pushdown(rest),
-                                         self.h_row(Fbar)[head]).items():
+                h = self.F.words.h((Fbar,), head)
+                for K, f in _scale_table(self.pushdown(rest), h).items():
                     _dadd(out, K, f)
             self._tables[key] = out
         return out
@@ -205,12 +192,11 @@ def _reduction(memo: _Memo, word, Fbar, verify_degree):
         Fbar = memo.conjugate_index()
     m = len(word)
     table = memo.table(word, Fbar)
-    h_row = memo.h_row(Fbar)
     leading = {}
     for E in sorted(set(word)):
         shorter = list(word)
         shorter.remove(E)
-        leading[tuple(shorter)] = word.count(E) * h_row[E]
+        leading[tuple(shorter)] = word.count(E) * F.words.h((Fbar,), E)
     tail = {}
     for K, d in table.items():
         if len(K) == m - 1:
@@ -262,7 +248,7 @@ def _weighted(memo: _Memo, J, Fbar, verify_degree):
     J = _sorted_word(J)
     if Fbar is None:
         Fbar = memo.conjugate_index()
-    h1 = memo.h_row(Fbar)[0]
+    h1 = F.words.h((Fbar,), 0)
     if h1.constant_term().is_zero():
         raise GeometryError("pivot pairing vanishes at 0 for this index")
     p = len(J) - sum(1 for E in J if E == 0) + 2
@@ -337,7 +323,7 @@ def _verify_reduction(memo: _Memo, word, Fbar, leading, tail,
 def _verify_weighted(memo: _Memo, J, Fbar, p, b_coeffs, degree) -> bool:
     nv = 2 * memo.F.n + 1
     basis_order = degree + len(J) + 3
-    h1 = memo.h_row(Fbar)[0]
+    h1 = memo.F.words.h((Fbar,), 0)
     hp = TruncatedSeries.constant(nv, 1, h1.order)
     for _ in range(p):
         hp = hp * h1
@@ -356,6 +342,15 @@ def operator_certificates(F: Frame, m: int, Fbar=None, verify_degree=None):
     if m < 1:
         raise OrderExhausted("word length must be at least 1")
     memo = _Memo(F)
+    # the Levi row differentiates theta once and a word of length m applies
+    # m - 1 more fields to it
+    if F.order < m:
+        # without a conjugate index there is no certificate at any order;
+        # say so wherever the Levi row is known
+        if Fbar is None and F.order >= 1:
+            memo.conjugate_index()
+        raise OrderExhausted(f"operator certificates of word length {m} "
+                             f"need frame order {m}, frame has {F.order}")
     certs = []
     for word in itertools.combinations_with_replacement(range(F.n), m):
         certs.append(_reduction(memo, word, Fbar, verify_degree))

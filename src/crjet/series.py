@@ -498,12 +498,6 @@ class TruncatedSeries:
         pair = self._terms.get(0)
         return CS_ZERO if pair is None else _scalar(*pair, self._den)
 
-    def degree(self) -> int:
-        """Largest stored total degree, or -1 for a stored-zero series."""
-        if not self._terms:
-            return -1
-        return max(self._terms) >> (_BITS * self.nvars)
-
     def is_zero(self) -> bool:
         return not self._terms
 

@@ -231,3 +231,10 @@ def adapt_frame(M, frame, filtration):
     newThetaAbar = [f.conjugate(pairing) for f in newThetaA]
     return Frame(n, frame.T, newL, newLbar, frame.theta, newThetaA,
                  newThetaAbar, M)
+
+
+def max_deviation(result, truth) -> float:
+    """Largest deviation of any component of an integrate result from the
+    closed form truth(point) over its grid."""
+    return max((abs(v - float(t)) for pt, vals in result.values.items()
+                for v, t in zip(vals, truth(pt))), default=0.0)

@@ -467,11 +467,30 @@ class TestVerbs:
 
     def test_verify_vacuous_certificates(self, docs, capsys):
         # no Levi pivot at the origin: certificate batches degrade to
-        # vacuous passes instead of inventing operators
-        code, out, _ = run(capsys, ["verify", docs["m2"],
-                                    "--check", "operators"])
-        assert code == 0
-        assert "vacuous: true" in out
+        # vacuous passes instead of inventing operators, also at orders
+        # too low to build the certificates
+        for order in ([], ["--order", "2"], ["--order", "3"]):
+            code, out, _ = run(capsys, ["verify", docs["m2"],
+                                        "--check", "operators"] + order)
+            assert code == 0
+            assert out.count("vacuous: true") == 2
+
+    @pytest.mark.parametrize("order, message", [
+        ("1", "word length 2 need frame order 2, frame has 0"),
+        ("2", "word length 2 need frame order 2, frame has 1"),
+        ("3", "word length 3 need frame order 3, frame has 2"),
+        ("4", None)])
+    def test_operator_certificates_name_their_order_bound(self, docs, capsys,
+                                                         order, message):
+        code, out, errtext = run(capsys, ["verify", docs["heis"], "--check",
+                                          "operators", "--order", order])
+        if message is None:
+            assert (code, errtext) == (0, "")
+            assert "pass: true" in out
+        else:
+            assert (code, out) == (2, "")
+            assert errtext == (f"error: operator certificates of {message} "
+                               f"(truncation order {order} from --order)\n")
 
     def test_reflect_dilation(self, docs, capsys):
         code, out, _ = run(capsys, ["reflect", docs["heis"], docs["heis"],
@@ -936,3 +955,122 @@ class TestIntegratorInput:
         assert time.perf_counter() - start < 5.0
         assert (code, out) == (2, "")
         assert "more than MAX_GRID_POINTS = 100000 grid points" in errtext
+
+
+# seeded exit contract: each verb on mutated documents and flag values.
+# The flat plane fails aut's bound (exit 1); a rho with no linear part,
+# the 2, 3 dilation of the quadric and a line jet for a plane system are
+# bad input (exit 2)
+SINGULAR = HEIS.replace("Im(w) - ", "")
+WRONG_DILATION = DILATION.replace("4*w", "3*w")
+EXIT_DOCS = {
+    "analyze": (HEIS, M3, M2, SINGULAR), "verify": (HEIS, M3, M2, SINGULAR),
+    "scan": (HEIS, M3, M2, SINGULAR), "aut": (HEIS, M3, M2, PLANE),
+    "reflect": ((HEIS, HEIS, DILATION), (HEIS, HEIS, WRONG_DILATION)),
+    "reconstruct": ((SYSTEM_LINE, JET_LINE), (SYSTEM_PLANE, JET_PLANE),
+                    (SYSTEM_PLANE, JET_LINE)),
+}
+EXIT_PIECES = ("", "0", "1", "-1", "3", "1/0", "1/3", "99", "10^40", "z9",
+               "w", "zb1", "conj(", ")", "*", "^", "+", "Im(w)", "=", "\n",
+               "kind = map\n", "N = 1\n", "order = 2\n", "# ", "\u00e9",
+               "1e5", "f1 = z1\n", "jet_order = 3\n")
+EXIT_FLAGS = {
+    "analyze": {"--kmax": ("0", "1", "2", "3", "-1", "x"),
+                "--scan": ("0", "1/2", "0,1/2", "-1,0,1", "a", "0,1/0")},
+    "verify": {"--kmax": ("0", "1", "2", "3", "-1"),
+               "--check": ("frame", "recursion", "operators", "leading",
+                           "commutators", "leading,commutators", "bogus",
+                           ""),
+               "--degree": ("0", "1", "2", "3", "-1")},
+    "scan": {"--kmax": ("0", "1", "2", "x"),
+             "--scan": ("0", "0,1/2", "1/3", "x", "", "1/0")},
+    "aut": {"--degree": ("0", "1", "2", "3", "-3"),
+            "--weights": ("1,2", "1,1", "1,1,2", "0,1", "1", "a")},
+    "reflect": {"--kmax": ("0", "1", "2", "3", "-1")},
+    "reconstruct": {"--target-order": ("0", "2", "4", "-1"),
+                    "--grid": ("0:1:3", "-1:1:5", "0:1:0", "a", "1:0:2",
+                               "0:1e400:2"),
+                    "--step": ("0.1", "0.01", "0", "-1", "nan", "inf"),
+                    "--axis-order": ("1", "2,1", "1,2", "x", "1,1")},
+}
+EXIT_ORDERS = ("0", "1", "2", "3", "4", "6", "8", "-1", "x")
+# scan needs a grid and reconstruct a request; most cases give one
+EXIT_NEEDS = {"scan": "--scan=0", "reconstruct": "--target-order=2"}
+
+
+def mutate_document(rng, text):
+    """One seeded edit: a span replaced by a piece, a line dropped or
+    doubled, or (None) the file left unwritten."""
+    lines = text.splitlines(keepends=True)
+    roll = rng.randrange(3) if rng.random() < 0.95 else None
+    if roll is None:
+        return None
+    if roll == 1 and len(lines) > 1:
+        del lines[rng.randrange(len(lines))]
+        return "".join(lines)
+    if roll == 2:
+        i = rng.randrange(len(lines))
+        lines.insert(i, lines[i])
+        return "".join(lines)
+    i = rng.randrange(len(text) + 1)
+    j = min(len(text), i + rng.randrange(4))
+    return text[:i] + rng.choice(EXIT_PIECES) + text[j:]
+
+
+def exit_contract_cases(seed, per_verb):
+    rng = random.Random(seed)
+    for verb, bases in EXIT_DOCS.items():
+        for _ in range(per_verb):
+            base = rng.choice(bases)
+            texts = [base] if isinstance(base, str) else list(base)
+            if rng.random() < 0.4:
+                i = rng.randrange(len(texts))
+                texts[i] = mutate_document(rng, texts[i])
+            flags = [f"{flag}={rng.choice(values)}"
+                     for flag, values in EXIT_FLAGS[verb].items()
+                     if rng.random() < 0.4]
+            if verb in EXIT_NEEDS and rng.random() < 0.8 and not any(
+                    f.split("=")[0] in ("--scan", "--target-order", "--grid")
+                    for f in flags):
+                flags.append(EXIT_NEEDS[verb])
+            if rng.random() < 0.4:
+                flags.append(f"--order={rng.choice(EXIT_ORDERS)}")
+            if rng.random() < 0.5:
+                flags.append("--json")
+            yield verb, texts, flags
+
+
+class TestExitContract:
+    def test_seeded_inputs(self, tmp_path, capsys, monkeypatch):
+        """main returns 0, 1 or 2 and raises only argparse's SystemExit(2);
+        exit 1 comes with pass: false, exit 0 with pass: true, and exit 2
+        with no report."""
+        monkeypatch.delenv("CRJET_ORDER", raising=False)
+        codes = []
+        for case, (verb, texts, flags) in enumerate(
+                exit_contract_cases(11, 30)):
+            paths = []
+            for i, text in enumerate(texts):
+                path = tmp_path / f"c{case}_{i}.crj"
+                if text is not None:
+                    path.write_text(text, encoding="utf-8")
+                paths.append(str(path))
+            argv = [verb] + paths + flags
+            where = (argv, texts)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the command line
+                assert exc.code == 2, where
+                code = 2
+            out, _ = capsys.readouterr()
+            assert code in (0, 1, 2), where
+            codes.append(code)
+            if code == 2:
+                assert out == "", where
+                continue
+            passed = json.loads(out)["pass"] if "--json" in flags else \
+                "\npass: true\n" in "\n" + out
+            assert passed == (code == 0), where
+        assert len(codes) == 180
+        assert set(codes) == {0, 1, 2}
+

@@ -18,16 +18,18 @@ from crjet.hypersurface import (
     from_defining,
     intrinsic_pairing,
 )
-from crjet.linalg import rank
+from crjet.linalg import rank, series_solve
 from crjet.series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 from tests.conftest import (
     adapt_frame,
     graph_rho,
+    heis,
     heisenberg_rho,
     im_w,
     intrinsic_var,
     m3_rho,
     random_model,
+    random_nondegenerate_model,
     random_phi,
     re_w,
 )
@@ -207,11 +209,11 @@ class TestBuildFrame:
         assert F.theta.coeffs[2] == TruncatedSeries.constant(3, 1, 5)
 
     def test_duality_pairings(self):
-        for seed in range(2):
-            M = random_model(200 + seed, 2, 6)
-            F = build_frame(M)
-            fields = F.fields()
-            forms = F.forms()
+        for seed, N, order in [(200, 2, 6), (201, 2, 6), (202, 3, 6),
+                               (203, 4, 5)]:
+            F = build_frame(random_model(seed, N, order))
+            fields = (F.T,) + F.L + F.Lbar
+            forms = (F.theta,) + F.thetaA + F.thetaAbar
             for r, form in enumerate(forms):
                 for c, field in enumerate(fields):
                     want = TruncatedSeries.constant(
@@ -259,6 +261,44 @@ class TestBuildFrame:
                 for X in fields:
                     for Y in fields:
                         assert ev(X, Y).is_zero()
+
+
+def inverse_coframe(F):
+    """Coframe oracle: theta, theta^A and theta^Abar as the rows of the
+    inverse of the matrix whose columns are T, L_A, Lbar_A, solved over the
+    series ring; asserts the inverse before returning it."""
+    nv = 2 * F.n + 1
+    columns = (F.T,) + F.L + F.Lbar
+    mat = [[X.coeffs[v] for X in columns] for v in range(nv)]
+    ident = [[TruncatedSeries.constant(nv, 1 if i == j else 0, F.order)
+              for i in range(nv)] for j in range(nv)]
+    cols = series_solve(mat, ident)
+    inv = [[cols[j][i] for j in range(nv)] for i in range(nv)]
+    for i in range(nv):
+        for j in range(nv):
+            acc = TruncatedSeries.zero(nv, F.order)
+            for k in range(nv):
+                acc = acc + mat[i][k] * inv[k][j]
+            assert acc == ident[j][i]
+    forms = [OneForm(row) for row in inv]
+    return forms[0], tuple(forms[1:F.n + 1]), tuple(forms[F.n + 1:])
+
+
+class TestCoframeOracle:
+    @pytest.mark.parametrize("N, order", [(2, 6), (3, 6), (4, 5)])
+    def test_closed_form_equals_inverse(self, N, order):
+        # series equality is equality in storage: order, common
+        # denominator and every stored term
+        models = [heis(N, order)]
+        for seed in range(6):
+            models.append(random_model(seed, N, order))
+            models.append(random_nondegenerate_model(seed, N, order))
+        for M in models:
+            F = build_frame(M)
+            theta, thetaA, thetaAbar = inverse_coframe(F)
+            assert F.theta == theta
+            assert F.thetaA == thetaA
+            assert F.thetaAbar == thetaAbar
 
 
 class TestBracket:
@@ -384,8 +424,9 @@ class TestAdaptFrame:
         G = adapt_frame(M, F, filt)
         assert at0(G.L[1]) == at0(F.L[1])  # e2 direction lands last
         # duality still holds at the adapted frame
-        for r, form in enumerate(G.forms()):
-            for c, field in enumerate(G.fields()):
+        forms = (G.theta,) + G.thetaA + G.thetaAbar
+        for r, form in enumerate(forms):
+            for c, field in enumerate((G.T,) + G.L + G.Lbar):
                 want = TruncatedSeries.constant(5, 1 if r == c else 0, G.order)
                 got = form.pair(field)
                 assert got.truncate(want.order) == want.truncate(got.order)

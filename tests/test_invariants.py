@@ -259,11 +259,6 @@ class TestDerivativeRecursion:
             F = build_frame(random_model(seed, 2, 6))
             assert verify_derivative_recursion(F, 3).ok
 
-    def test_sampled_subset(self):
-        F = build_frame(random_model(332, 3, 6))
-        rep = verify_derivative_recursion(F, 2, samples=10)
-        assert rep.ok and rep.checked == 10
-
 
 class TestLeadingOrderReduction:
     def test_heisenberg_thin(self):

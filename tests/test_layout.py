@@ -1,11 +1,15 @@
 """Package layout: every public top-level function or class in src/ has a
-caller in src/, and every import in src/ is used by its module.  Helpers
-that only tests need live in tests/, as fixtures or oracles."""
+caller in src/, every import in src/ is used by its module, and every name
+the benchmark tracer wraps exists.  Helpers that only tests need live in
+tests/, as fixtures or oracles."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "crjet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "crjet"
 
 
 def unreferenced_definitions(root=SRC) -> list:
@@ -73,3 +77,24 @@ def test_unused_import_is_caught(tmp_path):
         encoding="utf-8")
     assert unused_imports(tmp_path) == ["mod.py::cached_property",
                                         "mod.py::os"]
+
+
+def test_every_traced_name_exists():
+    """The benchmark tracer wraps the modules in MODULES and the methods in
+    METHODS by name; a name dropped from src/ fails here, not only in a
+    traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "crjet_bench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for names in tracing.MODULES.values():
+        for name in names:
+            importlib.import_module(name)
+    missing = [f"{module}.{cls}.{method}"
+               for module, classes in tracing.METHODS.items()
+               for cls, methods in classes.items()
+               for method in methods
+               if method not in getattr(importlib.import_module(module),
+                                        cls).__dict__]
+    assert missing == []
+
