@@ -31,6 +31,11 @@ HALF = Fraction(1, 2)
 # expression: each level costs the recursive-descent parser several stack
 # frames, and the cap keeps it well inside Python's recursion limit
 MAX_NESTING = 100
+# largest product of the exponents along nested powers in one expression,
+# the series exponent limit: evaluation multiplies series of that degree
+# or coefficients of that many digits, and without the cap (2/3)^1000000
+# in a rho took 51 s to build on a 2-core machine
+MAX_EXPONENT = 65_535
 
 
 class ParseError(ValueError):
@@ -44,6 +49,17 @@ class ParseError(ValueError):
             super().__init__(f"{source}: {message}")
         else:
             super().__init__(f"{source}:{line}:{col}: {message}")
+
+
+def _integer(tok, source) -> int:
+    """Value of an int token; Python converts at most
+    sys.get_int_max_str_digits() digits (4300 by default)."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(source, tok[2], tok[3],
+                         f"integer literal of {len(tok[1])} digits is too "
+                         "long to convert") from None
 
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[+\-*^()/=,]|\S")
@@ -150,13 +166,17 @@ class _ExprParser:
             etok = self.take()
             if etok[0] != "int":
                 self.error("exponent must be a non-negative integer", etok)
-            return ("pow", node, int(etok[1]))
+            node = ("pow", node, _integer(etok, self.source))
+            product = exponent_product(node)
+            if product > MAX_EXPONENT:
+                self.error(f"nested powers multiply to exponent {product}, "
+                           f"more than MAX_EXPONENT = {MAX_EXPONENT}", tok)
         return node
 
     def atom(self):
         tok = self.take()
         if tok[0] == "int":
-            value = Fraction(int(tok[1]))
+            num, den = _integer(tok, self.source), 1
             nxt = self.peek()
             if nxt and nxt[1] == "/":
                 self.take()
@@ -164,10 +184,10 @@ class _ExprParser:
                 if dtok[0] != "int":
                     self.error("rational literal needs an integer "
                                "denominator", dtok)
-                if int(dtok[1]) == 0:
+                den = _integer(dtok, self.source)
+                if den == 0:
                     self.error("zero denominator", dtok)
-                value = Fraction(int(tok[1]), int(dtok[1]))
-            return ("num", value)
+            return ("num", Fraction(num, den))
         if tok[0] == "name":
             name = tok[1]
             if name in FUNCTIONS:
@@ -230,11 +250,49 @@ def degree_bound(node) -> int:
     return out
 
 
-def _fold(first, spine, walk):
-    """Evaluate a binary spine left to right with walk on each operand."""
-    out = walk(first)
+def exponent_product(node) -> int:
+    """Largest product of the exponents along nested powers in node; 1
+    when node has no power."""
+    kind = node[0]
+    if kind in ("num", "var"):
+        return 1
+    if kind == "call":
+        return exponent_product(node[2])
+    if kind == "neg":
+        return exponent_product(node[1])
+    if kind == "pow":
+        return exponent_product(node[1]) * node[2]
+    first, spine = _spine(node)
+    return max([exponent_product(first)]
+               + [exponent_product(right) for _, _, right in spine])
+
+
+def eval_expr(node, env, nvars, order, pairing=None):
+    """Evaluate on a chart of nvars variables at the given order; env maps
+    each variable name to its series."""
+    kind = node[0]
+    if kind == "num":
+        return TruncatedSeries.constant(nvars, CScalar(node[1]), order)
+    if kind == "var":
+        return env[node[1]]
+    if kind == "neg":
+        return -eval_expr(node[1], env, nvars, order, pairing)
+    if kind == "pow":
+        if node[2] == 0:
+            return TruncatedSeries.constant(nvars, 1, order)
+        return eval_expr(node[1], env, nvars, order, pairing) ** node[2]
+    if kind == "call":
+        inner = eval_expr(node[2], env, nvars, order, pairing)
+        flipped = inner.conjugate(pairing)
+        if node[1] == "conj":
+            return flipped
+        if node[1] == "Re":
+            return HALF * (inner + flipped)
+        return CScalar(0, -HALF) * (inner - flipped)
+    first, spine = _spine(node)
+    out = eval_expr(first, env, nvars, order, pairing)
     for kind, _, right in spine:
-        b = walk(right)
+        b = eval_expr(right, env, nvars, order, pairing)
         if kind == "add":
             out = out + b
         elif kind == "sub":
@@ -242,33 +300,6 @@ def _fold(first, spine, walk):
         else:
             out = out * b
     return out
-
-
-def eval_expr(node, env, order, pairing=None):
-    """Evaluate on the chart given by env: variable name -> series."""
-    kind = node[0]
-    if kind == "num":
-        some = next(iter(env.values()))
-        return TruncatedSeries.constant(some.nvars, CScalar(node[1]), order)
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -eval_expr(node[1], env, order, pairing)
-    if kind == "pow":
-        if node[2] == 0:
-            some = next(iter(env.values()))
-            return TruncatedSeries.constant(some.nvars, 1, order)
-        return eval_expr(node[1], env, order, pairing) ** node[2]
-    if kind == "call":
-        inner = eval_expr(node[2], env, order, pairing)
-        flipped = inner.conjugate(pairing)
-        if node[1] == "conj":
-            return flipped
-        if node[1] == "Re":
-            return HALF * (inner + flipped)
-        return CScalar(0, -HALF) * (inner - flipped)
-    return _fold(*_spine(node),
-                 lambda sub: eval_expr(sub, env, order, pairing))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +417,7 @@ def parse_document(text, source="<string>") -> InputDocument:
             if len(toks) != 1 or toks[0][0] != "int":
                 raise ParseError(source, lineno, toks[0][3] if toks else col,
                                  f"{key} must be a plain integer")
-            value = int(toks[0][1])
+            value = _integer(toks[0], source)
             lo, hi = allowed[key]
             if value < lo or (hi is not None and value > hi):
                 top = hi if hi is not None else "inf"
@@ -470,7 +501,9 @@ def _canonical_key(key, kind, scalars, source, lineno, col):
         q = scalars["axes"][0]
         beta = _exponent_from_digits(m.group(2) or "", q,
                                      source, lineno, col)
-        return jet_coordinate_name(int(m.group(1)) - 1, beta)
+        # the component stays a digit string: it may be too long for int
+        suffix = _digits_from_exponent(beta)
+        return f"f{m.group(1)}" + (f"_{suffix}" if suffix else "")
     return key
 
 
@@ -496,7 +529,7 @@ def build_hypersurface(doc: InputDocument, order: int) -> Hypersurface:
                          f"expected a hypersurface document, got {doc.kind}")
     N = doc.scalar("N")
     pairing = ambient_pairing(N)
-    rho = eval_expr(doc.expression("rho"), _ambient_env(N, order),
+    rho = eval_expr(doc.expression("rho"), _ambient_env(N, order), 2 * N,
                     order, pairing)
     if rho.conjugate(pairing) != rho:
         line, col = doc.position("rho")
@@ -515,8 +548,8 @@ def build_map(doc: InputDocument, source_M: Hypersurface,
                          f"map is in C^{N} but the germs live in "
                          f"C^{source_M.N} and C^{target_M.N}")
     env = _ambient_env(N, source_M.order)
-    comps = [eval_expr(doc.expression(f"f{j + 1}"), env, source_M.order)
-             for j in range(N)]
+    comps = [eval_expr(doc.expression(f"f{j + 1}"), env, 2 * N,
+                       source_M.order) for j in range(N)]
     return AmbientMap(comps, source_M, target_M)
 
 
@@ -538,25 +571,9 @@ def build_system(doc: InputDocument) -> CompleteSystem:
         line, col = doc.position(key)
         beta = _exponent_from_digits(match.group(1), q,
                                      doc.source, line, col)
-        rhs[(int(match.group(2)) - 1, beta)] = eval_expr(node, env, order)
+        rhs[(int(match.group(2)) - 1, beta)] = eval_expr(node, env, nvars,
+                                                         order)
     return CompleteSystem(q, m, k, rhs)
-
-
-def eval_constant(node) -> CScalar:
-    kind = node[0]
-    if kind == "num":
-        return CScalar(node[1])
-    if kind == "neg":
-        return -eval_constant(node[1])
-    if kind == "pow":
-        base = eval_constant(node[1])
-        out = CScalar(1)
-        for _ in range(node[2]):
-            out = out * base
-        return out
-    if kind in _BINARY:
-        return _fold(*_spine(node), eval_constant)
-    raise ValueError(f"not a constant expression ({kind})")
 
 
 def build_jet(doc: InputDocument) -> JetVector:
@@ -572,7 +589,9 @@ def build_jet(doc: InputDocument) -> JetVector:
         line, col = doc.position(key)
         beta = _exponent_from_digits(match.group(2) or "", q,
                                      doc.source, line, col)
-        value = eval_constant(node)
+        # a jet document has no variables: its values are constants, the
+        # series of an empty chart at order 0
+        value = eval_expr(node, {}, 0, 0).constant_term()
         if not value.is_real():
             raise ParseError(doc.source, line, col,
                              f"jet entry {key} must be real")

@@ -301,11 +301,13 @@ def _run_reflect(args):
     src_doc = load_document(args.source)
     tgt_doc = load_document(args.target)
     map_doc = load_document(args.map)
-    if src_doc.kind != "hypersurface" or tgt_doc.kind != "hypersurface":
-        raise ParseError(args.source, None, 0,
-                         "reflect needs two hypersurface documents")
+    for doc in (src_doc, tgt_doc):
+        if doc.kind != "hypersurface":
+            raise ParseError(doc.source, None, 0,
+                             "reflect needs two hypersurface documents")
     if map_doc.kind != "map":
-        raise ParseError(args.map, None, 0, "reflect needs a map document")
+        raise ParseError(map_doc.source, None, 0,
+                         "reflect needs a map document")
     kmax = args.kmax if args.kmax is not None else 1
     # the recursion at level k reads target chains up to k + 1
     _check_chain_words(src_doc.scalar("N"), kmax + 1,
@@ -599,7 +601,14 @@ def main(argv=None) -> int:
             message += f" ({args.order_origin})"
         print(f"error: {message}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit(tree, args.json))
+    try:
+        text = emit(tree, args.json)
+    except ValueError:  # str() refuses an int of too many digits
+        print("error: a report value has a numerator or denominator of more "
+              f"than {sys.get_int_max_str_digits()} digits, the most Python "
+              "prints (sys.get_int_max_str_digits())", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
     return 0 if passed else 1
 
 

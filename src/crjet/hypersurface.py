@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import solve_unique
 from .series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
                      SeriesError, TruncatedSeries, derivation, dot)
 
@@ -283,25 +282,21 @@ def _holo_gradient(rho: TruncatedSeries, N: int):
     return grad
 
 
-def _apply_holo_change(rho: TruncatedSeries, N: int, P):
-    """Rewrite rho in coordinates zeta = P (z, w); exact for linear P."""
-    # old holomorphic coordinates in terms of new: old = P^{-1} zeta
-    cols = []
-    ident = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
-    for j in range(N):
-        cols.append(solve_unique(P, [ident[i][j] for i in range(N)]))
+def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
+    """Rewrite rho in coordinates zeta = P (z, w), given Q = P^{-1}: the
+    old holomorphic coordinates are Q zeta."""
     W = rho.order
     subs = []
     for i in range(N):
         acc = TruncatedSeries.zero(2 * N, W)
         for j in range(N):
-            if not cols[j][i].is_zero():
-                acc = acc + cols[j][i] * ambient_var(N, j, W)
+            if not Q[i][j].is_zero():
+                acc = acc + Q[i][j] * ambient_var(N, j, W)
         subs.append(acc)
     for i in range(N):
         acc = TruncatedSeries.zero(2 * N, W)
         for j in range(N):
-            c = cols[j][i].conj()
+            c = Q[i][j].conj()
             if not c.is_zero():
                 acc = acc + c * ambient_var(N, N + j, W)
         subs.append(acc)
@@ -332,9 +327,11 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
 
     # Stage 1: swap a coordinate with the largest |gradient entry|^2 into the
     # transverse slot when Im(d rho / d w)(0) = 0; ties take the lowest index.
-    # Each change acts on P as a row operation and on the gradient by the
-    # chain rule; rho is rewritten once, with the product P.
+    # Each change acts on P as a row operation, on its inverse Q as the
+    # inverse column operation and on the gradient by the chain rule; rho
+    # is rewritten once, with the product Q.
     P = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
+    Q = [list(row) for row in P]
     if grad[N - 1].im == 0:
         best, best_size = None, Fraction(0)
         for j in range(N):
@@ -343,20 +340,30 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
                 best, best_size = j, size
         if best != N - 1:
             P[best], P[N - 1] = P[N - 1], P[best]
+            for row in Q:
+                row[best], row[N - 1] = row[N - 1], row[best]
             grad[best], grad[N - 1] = grad[N - 1], grad[best]
         if grad[N - 1].im == 0:
             # w' = i w
             P[N - 1] = [CS_I * c for c in P[N - 1]]
+            for row in Q:
+                row[N - 1] = -CS_I * row[N - 1]
             grad[N - 1] = -CS_I * grad[N - 1]
     if grad[N - 1].im == 0:
         raise GeometryError("defining series has vanishing differential at 0")
 
     # Stage 2: shear w' = 2i * (holomorphic linear part) so the linear part
-    # of rho becomes exactly Im w'.
+    # of rho becomes exactly Im w'.  Its inverse solves for the coordinate
+    # u that w' replaced: u = (w' - sum_{k < N-1} shear_k zeta_k) /
+    # shear_{N-1}.
     shear = [CScalar(0, 2) * g for g in grad]
     P[N - 1] = [sum((shear[k] * P[k][j] for k in range(N)), CS_ZERO)
                 for j in range(N)]
-    rho = _apply_holo_change(rho, N, P)
+    for row in Q:
+        last = row[N - 1] / shear[N - 1]
+        row[:N - 1] = [c - shear[k] * last for k, c in enumerate(row[:N - 1])]
+        row[N - 1] = last
+    rho = _apply_holo_change(rho, N, Q)
 
     # Stage 3: Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so
     # the t-derivative is a unit at the origin.

@@ -6,19 +6,20 @@ position.  Whatever such a system admits as a solution is pinned down by
 its k-jet at 0: reduce_to_first_order rewrites the system with the jet
 entries as new unknowns, integrate marches the reduced system axis by
 axis with a classical fourth-order stepper, and taylor_propagate grows
-the jet formally degree by degree, cross-checking the overdetermined
-mixed partials.
+the jet formally and exactly degree by degree, cross-checking the
+overdetermined mixed partials.
 
 Chart conventions used throughout: the unknowns of a system are the jet
 entries (i, beta) in the order of unknown_layout, followed by the q
 position variables.  Reduction keeps that chart, so top-order right-hand
 sides transfer verbatim.
 
-integrate is the only floating-point code.  Before marching it compiles,
-per axis, one straight-line RK4 stepper from generated source: the state
-lives in locals, the other axes' coordinates are bound once per call,
-the substep loop runs inside, and each right-hand side is one literal
-sum of monomials.  The generated source holds only generated names and
+integrate is the only floating-point code; taylor_propagate reads every
+jet value, a float included, as the Fraction it equals.  Before marching
+integrate compiles, per axis, one straight-line RK4 stepper from
+generated source: the state lives in locals, the other axes' coordinates
+are bound once per call, the substep loop runs inside, and each
+right-hand side is one literal sum of monomials.  The generated source holds only generated names and
 the repr of finite floats; values beyond the float range are refused
 first.  Grid values are printed in shortest round-trip form, so the
 stepper keeps the exact operation order of term-by-term evaluation (the
@@ -93,8 +94,9 @@ class JetVector:
     """Coordinates of a k-jet at 0 of a map R^q -> R^m.
 
     values[(i, beta)] is the beta-derivative of component i at 0, for
-    every exponent with |beta| <= k; entries are Fractions or ints in the
-    exact regime and floats otherwise.
+    every exponent with |beta| <= k.  Entries are ints, Fractions or
+    floats: integrate reads them as floats and taylor_propagate as the
+    Fractions they equal.
     """
 
     __slots__ = ("q", "m", "k", "values")
@@ -119,9 +121,6 @@ class JetVector:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def is_exact(self) -> bool:
-        return all(not isinstance(v, float) for v in self.values.values())
 
     def __eq__(self, other):
         if not isinstance(other, JetVector):
@@ -458,18 +457,16 @@ def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
     Degree by degree, every derivative of the next order is read off the
     expansion of a top-order rhs entry around the current jet; each way of
     splitting an exponent gives a candidate value and all candidates must
-    agree.  Agreement is exact while every coordinate is rational; once a
-    float enters, candidates may differ by a relative 1e-10 and the
-    returned jet carries floats.
+    agree exactly.  The jet's entries enter as Fraction(v), so the
+    returned jet holds Fractions.
     """
     if lambda0.q != S.q or lambda0.m != S.m or lambda0.k != S.k:
         raise JetError("initial jet does not match the system signature")
+    vals = {key: Fraction(v) for key, v in lambda0.values.items()}
     if target_order <= S.k:
-        keep = {key: v for key, v in lambda0.values.items()
+        keep = {key: v for key, v in vals.items()
                 if sum(key[1]) <= target_order}
         return JetVector(S.q, S.m, target_order, keep)
-    exact = lambda0.is_exact()
-    vals = {key: Fraction(v) for key, v in lambda0.values.items()}
     q, m, k = S.q, S.m, S.k
     for d in range(k + 1, target_order + 1):
         t = d - k - 1
@@ -502,19 +499,10 @@ def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
                     candidates.append(c.re * _beta_factorial(delta))
                 value = candidates[0]
                 for other in candidates[1:]:
-                    if exact:
-                        bad = other != value
-                    else:
-                        scale = max(1.0, abs(float(value)),
-                                    abs(float(other)))
-                        bad = abs(float(other) - float(value)) \
-                            > 1e-10 * scale
-                    if bad:
+                    if other != value:
                         raise JetError(
                             f"inconsistent mixed partials for component "
                             f"{j}, exponent {alpha}: {value} vs {other}; "
                             "the system admits no solution with this jet")
                 vals[(j, alpha)] = value
-    if not exact:
-        vals = {key: float(v) for key, v in vals.items()}
     return JetVector(q, m, target_order, vals)

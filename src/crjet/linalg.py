@@ -19,15 +19,14 @@ convention of TruncatedSeries.
   positive integer: a reduction then scales a row by a rational integer
   only, and content removal keeps entries at the size of the row's
   primitive form instead of letting them grow with the number of steps.
-- Exit.  Only reduced_echelon, nullspace and solve_unique divide, by each
-  pivot row's lead, when they hand values back: Fraction when every entry
-  given was an int or a Fraction, CScalar when any was a CScalar (and for
-  a matrix with no entries).  rank and SpanTracker never leave the
-  integers.
+- Exit.  Only nullspace divides, by each pivot row's lead, when it hands
+  values back: Fraction when every entry given was an int or a Fraction,
+  CScalar when any was a CScalar (and for a matrix with no entries).  rank
+  and SpanTracker never leave the integers.
 
-A reduced row echelon form is unique, so the pivots, reduced rows and
-nullspace basis (one vector per free column) depend on neither the pivot
-rule nor the scaling of the integer rows.
+A reduced row echelon form is unique, so the pivots and the nullspace
+basis (one vector per free column, read off the cleared pivot rows)
+depend on neither the pivot rule nor the scaling of the integer rows.
 """
 
 from __future__ import annotations
@@ -149,23 +148,6 @@ def _echelon(rows, clear: bool):
     return echelon, cplx or empty
 
 
-def _value(re: int, im: int, den: int, cplx: bool):
-    if cplx:
-        return CScalar(Fraction(re, den), Fraction(im, den))
-    return Fraction(re, den)
-
-
-def reduced_echelon(rows) -> dict:
-    """Reduced row echelon form of dense or {column: value} rows as
-    {pivot column: {column: value}}, with 1 at each pivot."""
-    echelon, cplx = _echelon(rows, True)
-    out = {}
-    for p, row in echelon.items():
-        den = row[p][0]
-        out[p] = {c: _value(re, im, den, cplx) for c, (re, im) in row.items()}
-    return out
-
-
 def rank(rows) -> int:
     return len(_echelon(rows, False)[0])
 
@@ -188,17 +170,9 @@ def nullspace(rows, ncols=None):
         den = row[p][0]
         for c, (re, im) in row.items():
             if c != p:
-                free[c][p] = _value(-re, -im, den, cplx)
+                free[c][p] = CScalar(Fraction(-re, den), Fraction(-im, den)) \
+                    if cplx else Fraction(-re, den)
     return list(free.values())
-
-
-def solve_unique(rows, rhs):
-    """Solve A x = b for square invertible A; raises on singular input."""
-    n = len(rows)
-    red = reduced_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
-    if sorted(red) != list(range(n)):
-        raise SeriesError("singular linear system")
-    return [red[i].get(n, 0 * red[i][i]) for i in range(n)]
 
 
 class SpanTracker:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from crjet.hypersurface import (Frame, GeometryError, ambient_var,
                                 from_defining, intrinsic_pairing)
-from crjet.linalg import SpanTracker, solve_unique
+from crjet.linalg import SpanTracker, nullspace
 from crjet.mappings import AmbientMap, MappingError
 from crjet.series import CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 
@@ -219,9 +219,10 @@ def adapt_frame(M, frame, filtration):
     pairing = intrinsic_pairing(n)
     newLbar = [X.conjugate(pairing) for X in newL]
 
-    ident = [[CS_ONE if i == j else CS_ZERO for j in range(n)] for i in range(n)]
-    Cinv_cols = [solve_unique(C, [ident[i][j] for i in range(n)])
-                 for j in range(n)]
+    # column j of C^-1 solves C x = e_j: the nullspace of [C | -e_j] is
+    # spanned by (x, 1)
+    Cinv_cols = [nullspace([C[i] + [-CS_ONE if i == j else CS_ZERO]
+                            for i in range(n)])[0][:n] for j in range(n)]
     newThetaA = []
     for A in range(n):
         acc = frame.thetaA[0].scaled(Cinv_cols[0][A])

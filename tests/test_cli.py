@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from crjet.cli.documents import (FUNCTIONS, ParseError, _spine,
-                                 build_hypersurface, build_jet, build_map,
-                                 build_system, degree_bound, parse_document)
+from crjet import operators
+from crjet.cli.documents import (FUNCTIONS, MAX_EXPONENT, ParseError,
+                                 _spine, build_hypersurface, build_jet,
+                                 build_map, build_system, degree_bound,
+                                 exponent_product, parse_document)
 from crjet.cli.main import main
 from crjet.hypersurface import from_defining
 from crjet.jets import taylor_propagate
@@ -217,6 +219,47 @@ class TestGrammar:
         assert (e.line, e.col) == (4, nested(99).splitlines()[3].rindex("-")
                                    + 1)
 
+    def test_exponent_budget(self):
+        # nested powers multiply: each is within MAX_EXPONENT, the nest
+        # is not, and the error points at the power that passes it
+        def rho(power):
+            return HEIS.replace("z1*conj(z1)", f"{power}*z1*conj(z1)")
+        for power in ("(2/3)^65535", "((2/3)^255)^257", "(z1^300)^0",
+                      "((2/3)^300 + z1^9)^218"):
+            assert exponent_product(
+                parse_document(rho(power)).expression("rho")) <= MAX_EXPONENT
+        for power, product in (("(2/3)^65536", 65536),
+                               ("((2/3)^300)^300", 90000),
+                               ("(1 + (w^300)^2 - 1)^300", 180000),
+                               ("-(conj((2/3)^256))^256", 65536)):
+            text = rho(power)
+            e = err(text)
+            assert (f"nested powers multiply to exponent {product}, more "
+                    "than MAX_EXPONENT = 65535") in str(e)
+            assert (e.line, e.col) == (4, text.splitlines()[3].rindex("^")
+                                       + 1)
+        # each power is checked once its exponent is read, so a zeroth
+        # power around an oversized one does not hide it
+        text = rho("(2^99999)^0")
+        e = err(text)
+        assert "exponent 99999" in str(e)
+        assert e.col == text.splitlines()[3].index("^") + 1
+
+    def test_long_integer_literal(self):
+        # Python converts at most 4300 digits by default: a longer literal
+        # is bad input wherever it stands, never a ValueError
+        digits = "1" * 5000
+        for text in (HEIS.replace("z1*conj(z1)", digits + "*z1*conj(z1)"),
+                     HEIS.replace("z1*conj(z1)", f"1/{digits}*z1*conj(z1)"),
+                     HEIS.replace("conj(z1)", f"conj(z1)^{digits}"),
+                     HEIS.replace("N = 2", f"N = {digits}")):
+            e = err(text)
+            assert "integer literal of 5000 digits is too long" in str(e)
+            assert e.col == text.splitlines()[e.line - 1].index(digits) + 1
+        # a jet key keeps its component as digits, unconverted
+        e = err(JET_LINE + f"f{digits} = 1\n")
+        assert f"unknown declaration 'f{digits}'" in str(e)
+
     def test_missing_kind(self):
         e = err("N = 2\nrho = Im(w)\n")
         assert e.line is None
@@ -357,6 +400,19 @@ class TestBuilders:
         with pytest.raises(ParseError):
             parse_document(text.replace("-3/2", "x1"))  # no chart in jets
 
+    def test_constant_evaluation_against_oracle(self):
+        # jet values go through the series evaluator on an empty chart;
+        # seeded constant expressions must equal the CScalar walk
+        rng = random.Random(2000)
+        for _ in range(300):
+            doc = parse_document("kind = jet\naxes = 1\ncomponents = 1\n"
+                                 "jet_order = 0\nf1 = "
+                                 + random_constant(rng, 4) + "\n")
+            want = ref_eval_constant(doc.expression("f1"))
+            assert want.is_real()
+            got = build_jet(doc).values[(0, (0,))]
+            assert type(got) is Fraction and got == want.re, doc
+
     def test_long_constant_chains(self):
         text = JET_LINE.replace("f1 = 1", "f1 = " + " + ".join(["1"] * 3000))
         text = text.replace("f1_1 = 2", "f1_1 = " + "*".join(["1"] * 3000)
@@ -364,6 +420,54 @@ class TestBuilders:
         jet = build_jet(parse_document(text))
         assert jet.values[(0, (0,))] == 3000
         assert jet.values[(0, (1,))] == Fraction(3, 2)
+
+
+def ref_eval_constant(node) -> CScalar:
+    """A constant expression in CScalar arithmetic, each power by repeated
+    multiplication: the oracle for the values of jet documents."""
+    kind = node[0]
+    if kind == "num":
+        return CScalar(node[1])
+    if kind == "neg":
+        return -ref_eval_constant(node[1])
+    if kind == "pow":
+        base = ref_eval_constant(node[1])
+        out = CScalar(1)
+        for _ in range(node[2]):
+            out = out * base
+        return out
+    first, spine = _spine(node)
+    out = ref_eval_constant(first)
+    for kind, _, right in spine:
+        value = ref_eval_constant(right)
+        if kind == "add":
+            out = out + value
+        elif kind == "sub":
+            out = out - value
+        else:
+            out = out * value
+    return out
+
+
+def random_constant(rng, depth) -> str:
+    """Constant expression text: rationals, signs, powers, redundant
+    parentheses and operator chains, some of them long."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return str(rng.randint(0, 9))
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+    roll = rng.randrange(4)
+    inner = random_constant(rng, depth - 1)
+    if roll == 0:
+        others = [random_constant(rng, depth - 1)
+                  for _ in range(rng.choice((1, 2, 12)))]
+        return "(" + inner + "".join(rng.choice((" + ", " - ", "*")) + p
+                                     for p in others) + ")"
+    if roll == 1:
+        return "-" + inner
+    if roll == 2:
+        return f"({inner})^{rng.randint(0, 4)}"
+    return f"(({inner}))"
 
 
 @pytest.fixture()
@@ -469,11 +573,60 @@ class TestVerbs:
         # no Levi pivot at the origin: certificate batches degrade to
         # vacuous passes instead of inventing operators, also at orders
         # too low to build the certificates
+        note = ("    note: no conjugate index pairs with the first field at "
+                "0; the construction needs a nonzero first-column pairing "
+                "(reorder the frame so a nondegenerate direction comes "
+                "first)\n")
         for order in ([], ["--order", "2"], ["--order", "3"]):
             code, out, _ = run(capsys, ["verify", docs["m2"],
                                         "--check", "operators"] + order)
             assert code == 0
             assert out.count("vacuous: true") == 2
+            assert out.count(note) == 2
+
+    def certificate_run(self, tmp_path, capsys):
+        p = tmp_path / "quadric3.crj"
+        p.write_text("kind = hypersurface\nN = 3\n"
+                     "rho = Im(w) - z1*conj(z1) - z2*conj(z2)\n",
+                     encoding="utf-8")
+        code, out, _ = run(capsys, ["verify", str(p), "--check", "operators",
+                                    "--json"])
+        return code, json.loads(out)
+
+    def test_failed_verification_fails_the_run(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a certificate whose monomial verification fails is a violation,
+        # never a vacuous pass
+        monkeypatch.setattr(operators, "_verify_reduction",
+                            lambda *args: False)
+        code, report = self.certificate_run(tmp_path, capsys)
+        assert (code, report["pass"]) == (1, False)
+        for check in report["checks"]:
+            assert not check["ok"] and not check["vacuous"]
+            assert check["violations"] > 0
+
+    def test_inconsistent_table_fails_the_run(self, tmp_path, capsys,
+                                              monkeypatch):
+        # with both verifications forced to pass, a corrupted commutator
+        # table still fails through the consistency checks
+        monkeypatch.setattr(operators, "_verify_reduction",
+                            lambda *args: True)
+        monkeypatch.setattr(operators, "_verify_weighted",
+                            lambda *args: True)
+        table = operators._Memo.table
+
+        def corrupted(memo, word, Fbar):
+            out = table(memo, word, Fbar)
+            if len(word) == 2:
+                out = {K: 2 * d for K, d in out.items()}
+            return out
+
+        monkeypatch.setattr(operators._Memo, "table", corrupted)
+        code, report = self.certificate_run(tmp_path, capsys)
+        assert (code, report["pass"]) == (1, False)
+        for check in report["checks"]:
+            assert not check["ok"] and not check["vacuous"]
+            assert check["violations"] > 0
 
     @pytest.mark.parametrize("order, message", [
         ("1", "word length 2 need frame order 2, frame has 0"),
@@ -882,6 +1035,41 @@ def reconstruct(tmp_path, capsys, rhs="f1", jet="1", argv=()):
                         *argv])
 
 
+class TestLargeValues:
+    """Powers evaluate by squaring; a power past MAX_EXPONENT and a value
+    with more digits than Python prints are bad input."""
+
+    def test_jet_power(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, out, errtext = reconstruct(tmp_path, capsys, jet="(1/2)^14000",
+                                         argv=["--target-order", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, errtext) == (0, "")
+        assert f"  f1: 1/{2 ** 14000}\n" in out
+
+    def test_power_past_the_budget(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, out, errtext = reconstruct(tmp_path, capsys,
+                                         jet="(1/2)^300000",
+                                         argv=["--target-order", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert errtext.endswith("jet.crj:5:11: nested powers multiply to "
+                                "exponent 300000, more than MAX_EXPONENT = "
+                                "65535\n")
+
+    def test_value_too_long_to_print(self, tmp_path, capsys):
+        # 2^65535 has 19729 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, errtext = reconstruct(tmp_path, capsys, jet="(1/2)^65535",
+                                         argv=["--target-order", "1"])
+        assert (code, out) == (2, "")
+        assert errtext == ("error: a report value has a numerator or "
+                           f"denominator of more than {limit} digits, the "
+                           "most Python prints "
+                           "(sys.get_int_max_str_digits())\n")
+
+
 class TestIntegratorInput:
     """Values outside the float range and walks beyond the named budgets
     are bad input: exit 2 with a message, before any marching."""
@@ -1040,37 +1228,121 @@ def exit_contract_cases(seed, per_verb):
             yield verb, texts, flags
 
 
+# edits of one expression's right-hand side: nested operators, calls and
+# signs, powers at and past MAX_EXPONENT, values near and past the digits
+# Python prints, a literal too long to convert, and a stray piece
+EXPR_EDITS = (
+    *(lambda e, k=k: f"({e})^{k}" for k in (0, 1, 2, 300, 65536)),
+    *(lambda e, c=c: f"{e}*{c}"
+      for c in ("(1/3)^9000", "(1/3)^9100", "((2/3)^15)^17",
+                "((2/3)^300)^300", "(1 + w)^3", "1" * 5000)),
+    lambda e: f"-(-({e}))",
+    lambda e: f"conj(conj({e}))",
+    lambda e: f"Re({e}) + Im({e})*0",
+    lambda e: "(" * 99 + e + ")" * 99,
+    lambda e: "(" * 101 + e + ")" * 101,
+    lambda e: f"{e} + (w - w)^9*z1",
+    lambda e: f"{e}^",
+    lambda e: f"{e})",
+)
+SCALAR_KEYS = ("kind", "N", "order", "axes", "components", "jet_order")
+
+
+def mutate_expression(rng, text):
+    """One seeded edit of the right-hand side of one expression."""
+    lines = text.splitlines(keepends=True)
+    exprs = [i for i, line in enumerate(lines) if "=" in line
+             and line.split("=")[0].strip() not in SCALAR_KEYS]
+    i = rng.choice(exprs)
+    key, rhs = lines[i].split("=", 1)
+    lines[i] = f"{key}= {rng.choice(EXPR_EDITS)(rhs.strip())}\n"
+    return "".join(lines)
+
+
+def expression_cases(seed, per_verb):
+    rng = random.Random(seed)
+    for verb, bases in EXIT_DOCS.items():
+        for _ in range(per_verb):
+            base = rng.choice(bases)
+            texts = [base] if isinstance(base, str) else list(base)
+            i = rng.randrange(len(texts))
+            texts[i] = mutate_expression(rng, texts[i])
+            flags = [EXIT_NEEDS[verb]] if verb in EXIT_NEEDS else []
+            if rng.random() < 0.5:
+                flags.append("--json")
+            yield verb, texts, flags
+
+
+def assert_exit_contract(tmp_path, capsys, cases) -> list:
+    """Run each case; main returns 0, 1 or 2 and raises only argparse's
+    SystemExit(2); exit 1 comes with pass: false, exit 0 with pass: true,
+    and exit 2 with no report.  Returns the exit codes."""
+    codes = []
+    for case, (verb, texts, flags) in enumerate(cases):
+        paths = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"c{case}_{i}.crj"
+            if text is not None:
+                path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        argv = [verb] + paths + flags
+        where = (argv, texts)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            assert exc.code == 2, where
+            code = 2
+        out, _ = capsys.readouterr()
+        assert code in (0, 1, 2), where
+        codes.append(code)
+        if code == 2:
+            assert out == "", where
+            continue
+        passed = json.loads(out)["pass"] if "--json" in flags else \
+            "\npass: true\n" in "\n" + out
+        assert passed == (code == 0), where
+    return codes
+
+
 class TestExitContract:
     def test_seeded_inputs(self, tmp_path, capsys, monkeypatch):
-        """main returns 0, 1 or 2 and raises only argparse's SystemExit(2);
-        exit 1 comes with pass: false, exit 0 with pass: true, and exit 2
-        with no report."""
+        """Mutated documents, missing files and flag values."""
         monkeypatch.delenv("CRJET_ORDER", raising=False)
-        codes = []
-        for case, (verb, texts, flags) in enumerate(
-                exit_contract_cases(11, 30)):
-            paths = []
-            for i, text in enumerate(texts):
-                path = tmp_path / f"c{case}_{i}.crj"
-                if text is not None:
-                    path.write_text(text, encoding="utf-8")
-                paths.append(str(path))
-            argv = [verb] + paths + flags
-            where = (argv, texts)
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refused the command line
-                assert exc.code == 2, where
-                code = 2
-            out, _ = capsys.readouterr()
-            assert code in (0, 1, 2), where
-            codes.append(code)
-            if code == 2:
-                assert out == "", where
-                continue
-            passed = json.loads(out)["pass"] if "--json" in flags else \
-                "\npass: true\n" in "\n" + out
-            assert passed == (code == 0), where
+        codes = assert_exit_contract(tmp_path, capsys,
+                                     exit_contract_cases(11, 30))
         assert len(codes) == 180
         assert set(codes) == {0, 1, 2}
 
+    def test_expression_mutations(self, tmp_path, capsys, monkeypatch):
+        """Edits inside expressions, the flags left valid."""
+        monkeypatch.delenv("CRJET_ORDER", raising=False)
+        codes = assert_exit_contract(tmp_path, capsys,
+                                     expression_cases(12, 20))
+        assert len(codes) == 120
+        assert {0, 2} <= set(codes)
+
+    def test_wrong_kind_in_each_position(self, docs, capsys):
+        """A document of another kind in any argument position of any verb
+        is bad input, and the message names that document."""
+        kinds = {"hypersurface": docs["heis"], "map": docs["dilation"],
+                 "system": docs["line_sys"], "jet": docs["line_jet"]}
+        positions = {"analyze": ("hypersurface",),
+                     "verify": ("hypersurface",),
+                     "scan": ("hypersurface",), "aut": ("hypersurface",),
+                     "reflect": ("hypersurface", "hypersurface", "map"),
+                     "reconstruct": ("system", "jet")}
+        checked = 0
+        for verb, wanted in positions.items():
+            flags = [EXIT_NEEDS[verb]] if verb in EXIT_NEEDS else []
+            for i, kind in enumerate(wanted):
+                for other, path in kinds.items():
+                    if other == kind:
+                        continue
+                    paths = [kinds[k] for k in wanted]
+                    paths[i] = path
+                    code, out, errtext = run(capsys, [verb] + paths + flags)
+                    assert (code, out) == (2, ""), (verb, i, other)
+                    assert errtext.startswith(f"error: {path}: "), \
+                        (verb, i, other, errtext)
+                    checked += 1
+        assert checked == 27

@@ -116,8 +116,9 @@ class TestFromDefining:
 
 def stepwise_linear_change(rho, N):
     """Oracle for the linear stages of from_defining: each change a matrix
-    product on P and a rewrite of rho, with the gradient read afresh from
-    the rewritten rho.  Returns the final rho, P and the stages taken."""
+    product on P and a rewrite of rho by the change's own inverse, with
+    the gradient read afresh from the rewritten rho.  Returns the final
+    rho, P and the stages taken."""
 
     def matmul(A, B):
         return [[sum((A[i][k] * B[k][j] for k in range(N)), CS_ZERO)
@@ -140,21 +141,27 @@ def stepwise_linear_change(rho, N):
             S[best][best] = S[N - 1][N - 1] = CS_ZERO
             S[best][N - 1] = S[N - 1][best] = CS_ONE
             P = matmul(S, P)
-            rho = _apply_holo_change(rho, N, S)
+            rho = _apply_holo_change(rho, N, S)  # a swap is its own inverse
             grad = _holo_gradient(rho, N)
             taken.append("swap")
         if grad[N - 1].im == 0:
-            D = identity()
+            D, Dinv = identity(), identity()
             D[N - 1][N - 1] = CS_I
+            Dinv[N - 1][N - 1] = -CS_I
             P = matmul(D, P)
-            rho = _apply_holo_change(rho, N, D)
+            rho = _apply_holo_change(rho, N, Dinv)
             grad = _holo_gradient(rho, N)
             taken.append("diagonal")
-    Sh = identity()
+    Sh, Shinv = identity(), identity()
     for j in range(N):
         Sh[N - 1][j] = CScalar(0, 2) * grad[j]
+    # the last row of the inverse solves Sh's last row for the old w
+    for j in range(N - 1):
+        Shinv[N - 1][j] = -Sh[N - 1][j] / Sh[N - 1][N - 1]
+    Shinv[N - 1][N - 1] = 1 / Sh[N - 1][N - 1]
+    assert matmul(Shinv, Sh) == identity()
     P = matmul(Sh, P)
-    rho = _apply_holo_change(rho, N, Sh)
+    rho = _apply_holo_change(rho, N, Shinv)
     return rho, P, tuple(taken)
 
 

@@ -145,10 +145,6 @@ class TestJetVector:
         with pytest.raises(JetError):
             jet_from_series([TruncatedSeries(1, 2, {(1,): CS_I})], 1)
 
-    def test_exactness_flag(self):
-        assert JetVector(1, 1, 0, {(0, (0,)): Fraction(1, 3)}).is_exact()
-        assert not JetVector(1, 1, 0, {(0, (0,)): 0.5}).is_exact()
-
 
 class TestReduce:
     def test_second_derivative_system(self):
@@ -457,7 +453,7 @@ class TestTaylorPropagate:
         jet = JetVector(1, 1, 0, {(0, (0,)): 1})
         out = taylor_propagate(exp_system(), jet, 6)
         assert all(out[(0, (d,))] == 1 for d in range(7))
-        assert out.is_exact()
+        assert all(type(v) is Fraction for v in out.values.values())
 
     def test_plane_jet_with_cross_checks(self):
         jet = JetVector(2, 1, 0, {(0, (0, 0)): HALF})
@@ -479,10 +475,17 @@ class TestTaylorPropagate:
             taylor_propagate(S, j0, 2)
 
     def test_float_regime(self):
-        jet = JetVector(2, 1, 0, {(0, (0, 0)): 0.5})
-        out = taylor_propagate(plane_system(), jet, 2)
-        assert not out.is_exact()
-        assert out[(0, (1, 1))] == pytest.approx(1.0, abs=1e-12)
+        # a float entry enters as the Fraction it equals, and propagation
+        # stays exact: 0.1 is not 1/10
+        for value in (0.5, 0.1):
+            jet = JetVector(2, 1, 0, {(0, (0, 0)): value})
+            out = taylor_propagate(plane_system(), jet, 2)
+            want = taylor_propagate(
+                plane_system(), JetVector(2, 1, 0, {(0, (0, 0)): Fraction(
+                    value)}), 2)
+            assert out == want
+            assert all(type(v) is Fraction for v in out.values.values())
+        assert out[(0, (1, 1))] == 2 * Fraction(0.1) != Fraction(1, 5)
 
     def test_agrees_with_integration(self):
         jet = JetVector(1, 1, 0, {(0, (0,)): 1})

@@ -11,9 +11,7 @@ from crjet.linalg import (
     SpanTracker,
     nullspace,
     rank,
-    reduced_echelon,
     series_solve,
-    solve_unique,
 )
 from crjet.series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
 
@@ -252,12 +250,6 @@ class TestAgainstDenseKernel:
             exact = _exact(rows)
             sparse = _sparse(rng, rows)
             dense, pivots = dense_rref(exact)
-            red = reduced_echelon(rows)
-            assert sorted(red) == pivots
-            for r, p in enumerate(pivots):
-                assert [red[p].get(c, 0) for c in range(ncols)] == dense[r]
-            assert red == ref_reduced_echelon(exact)
-            assert reduced_echelon(sparse) == red
             assert rank(rows) == rank(sparse) == len(pivots)
 
             basis = nullspace(rows, ncols=ncols)
@@ -269,17 +261,17 @@ class TestAgainstDenseKernel:
             assert all(type(x) is want for v in basis for x in v)
 
             if nrows == ncols:
+                # A x = b for invertible A: the nullspace of [A | b] is
+                # spanned by (-x, 1), read off its cleared pivot rows
                 rhs = [_entry(rng, kind) for _ in range(nrows)]
+                got = nullspace([list(r) + [b] for r, b in zip(rows, rhs)],
+                                ncols=ncols + 1)
                 try:
                     want = dense_solve(exact, _exact([rhs])[0])
                 except SeriesError:
-                    with pytest.raises(SeriesError):
-                        solve_unique(rows, rhs)
+                    assert rank(rows) < nrows
                 else:
-                    got = solve_unique(rows, rhs)
-                    assert got == want
-                    assert kind not in ("complex", "bigc") or all(
-                        isinstance(x, CScalar) for x in got)
+                    assert got == [[-x for x in want] + [1]]
 
             tracker, oracle, ref = SpanTracker(ncols), DenseSpan(), RefSpan()
             for vec, exact_vec, sparse_vec in zip(rows, exact, sparse):
@@ -378,18 +370,8 @@ class TestExactRank:
         rows = [[C(0), C(1)], [C(0), C(2)]]
         _, pivots = dense_rref(rows)
         assert pivots == [1]
-        assert sorted(reduced_echelon(rows)) == [1]
-
-
-class TestSolveUnique:
-    def test_two_by_two(self):
-        a = [[C(1), C(1)], [C(1), C(-1)]]
-        x = solve_unique(a, [C(3), C(1)])
-        assert x == [C(2), C(1)]
-
-    def test_singular_raises(self):
-        with pytest.raises(SeriesError):
-            solve_unique([[C(1), C(1)], [C(2), C(2)]], [C(1), C(1)])
+        # column 0 is the one free column
+        assert nullspace(rows) == [[C(1), C(0)]]
 
 
 class TestSpanTracker:
