@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 
 from .hypersurface import Hypersurface, _DenseCoefficients, intrinsic_pairing
 from .linalg import nullspace
@@ -77,9 +77,10 @@ class TangencySystem:
     complex problem and (j, alpha, part) with part 0/1 for the real and
     imaginary split; equations holds the exact constraint rows as sparse
     {column: value} dicts, a column indexing unknowns and every stored
-    value nonzero, CScalar for the complex problem and Fraction for the
-    real one.  solution_dim is the nullspace dimension (complex or
-    real, matching the problem) and basis realizes it as vector fields.
+    value nonzero, each row scaled to integers: Gaussian-integer CScalar
+    for the complex problem and int for the real one.  solution_dim is
+    the nullspace dimension (complex or real, matching the problem) and
+    basis realizes it as vector fields.
     """
 
     kind: str
@@ -181,7 +182,7 @@ def tangency_restrictions(M: Hypersurface, d: int, order: int,
     # A candidate monomial constrains nothing unless its product with the
     # gradient entry reaches the cutoff; a variable absent from rho gives
     # genuinely free candidates and stays exempt.
-    mindeg = [min((sum(e) for e, _ in g.terms()), default=None)
+    mindeg = [next((e for e, c in enumerate(g.degree_counts()) if c), None)
               for g in grads]
     out = []
     for j in range(N):
@@ -215,7 +216,8 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real,
             unknowns.append((j, alpha))
             residuals.append(Rc)
 
-    # entries[e][t]: coefficient of the graph monomial e in residual t
+    # entries[e][t]: numerators and denominator of the coefficient of the
+    # graph monomial e in residual t
     entries = {}
     for t, (key, Rfull) in enumerate(zip(unknowns, residuals)):
         Req = Rfull.truncate(order)
@@ -224,21 +226,27 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real,
                 f"order {order} is too small for degree bound {d}: "
                 f"candidate {key} only contributes beyond it, so the "
                 "system is vacuous there")
-        for e, c in Req.terms():
-            entries.setdefault(e, {})[t] = c
+        den, items = Req.numerators()
+        for e, (re, im) in items:
+            entries.setdefault(e, {})[t] = (re, im, den)
 
+    # each row is scaled by the least common denominator of its entries:
+    # integer rows with the same nullspace
     rows = []
     for e in sorted(entries):
         row = entries[e]
+        scale = lcm(*(den for _, _, den in row.values()))
+        row = {t: (re * (scale // den), im * (scale // den))
+               for t, (re, im, den) in row.items()}
         if real:
-            re_row = {t: c.re for t, c in row.items() if c.re}
-            im_row = {t: c.im for t, c in row.items() if c.im}
+            re_row = {t: re for t, (re, _) in row.items() if re}
+            im_row = {t: im for t, (_, im) in row.items() if im}
             if re_row:
                 rows.append(re_row)
             if im_row:
                 rows.append(im_row)
         else:
-            rows.append(row)
+            rows.append({t: CScalar(re, im) for t, (re, im) in row.items()})
 
     vecs = nullspace(rows, ncols=len(unknowns))
     fields = []

@@ -60,6 +60,14 @@ MAX_TANGENCY_UNKNOWNS = 6_000
 # terms) 4 s, and the C^5 quadric at --degree 3 and the default order 12
 # (1100 terms) 0.4 s
 MAX_TANGENCY_TERMS = 50_000
+# most decimal digits of any integer in the normalized rho's exact
+# coefficients (their common denominator and every numerator part),
+# checked once the model is built and before aut eliminates: elimination
+# cost grows with coefficient size.  The cubic C^3 model with its
+# Re(z1^2 zb2) term scaled by ((2/3)^100)^200 (9543 digits) takes about
+# 1.7 s at the default bounds, and scaled by ((2/3)^255)^257 (31269
+# digits) about 15 s
+MAX_RHO_DIGITS = 10_000
 # most ordered index words one enumeration may reach: every word of length
 # 0 to L over n = N - 1 indices, sum n^k of them.  The filtration reads
 # only the sorted words, but extrinsic_k0 and the verify suites still walk
@@ -433,6 +441,20 @@ def _run_reconstruct(args):
     return tree, True
 
 
+def _check_rho_digits(doc, M):
+    """Refuse a model whose normalized rho holds an integer of more than
+    MAX_RHO_DIGITS decimal digits."""
+    den, items = M.rho.numerators()
+    limit = 10 ** MAX_RHO_DIGITS
+    if den >= limit or any(abs(re) >= limit or abs(im) >= limit
+                           for _, (re, im) in items):
+        line, col = doc.position("rho")
+        raise ParseError(doc.source, line, col,
+                         "the normalized rho's exact coefficients need more "
+                         f"than MAX_RHO_DIGITS = {MAX_RHO_DIGITS} decimal "
+                         "digits; aut's elimination cost grows with them")
+
+
 def _run_aut(args):
     doc = _load_model(args, "aut needs a hypersurface document")
     n = doc.scalar("N") - 1
@@ -457,6 +479,7 @@ def _run_aut(args):
     order = _resolve_order(args, n, ("the document's order", doc))
     use_order = order - 1
     M = build_hypersurface(doc, order)
+    _check_rho_digits(doc, M)
     # a restriction holds at most every chart monomial up to the tangency
     # order, so only a run that could pass the budget counts its terms
     dense = count // 2 * math.comb(2 * n + 1 + max(use_order, 0), 2 * n + 1)

@@ -3,13 +3,23 @@
 A hypersurface through the origin of C^N is described by a real defining
 series rho in the ambient variables (z_1..z_n, w, zb_1..zb_n, wb), n = N-1.
 `from_defining` applies an invertible linear holomorphic change so that the
-linear part of rho becomes Im w, then solves rho = 0 for t = Im w by Newton
-iteration on series.  The result is a graph
+linear part of rho becomes Im w (an identity change leaves rho as it is),
+then solves rho = 0 for t = Im w by Newton iteration on series.  The result
+is a graph
 
     Im w = phi(z, zb, s),        s = Re w,
 
 with phi real, phi(0) = 0, d phi(0) = 0.  All intrinsic computation happens
 in the chart (z_1..z_n, zb_1..zb_n, s).
+
+Newton runs at doubling precision (Brent and Kung, "Fast algorithms for
+manipulating formal power series", J. ACM 25, 1978): a step that starts
+from phi exact through degree c leaves it exact through degree 2c + 1,
+so each step only needs about twice the order of the one before.  For a
+germ of order W the steps run at orders W // 2^k, from the first at most
+3 (phi = 0 is exact through degree 1) up to W, where they stop: terms
+above the germ's order are unknown, and the graph at order W is exact.
+A germ builds its graph substitution once and every restriction reuses it.
 
 `build_frame` produces the tangential frame
 
@@ -235,7 +245,7 @@ class Hypersurface:
     (z, w)_normalized = P (z, w)_original.
     """
 
-    __slots__ = ("N", "n", "order", "rho", "phi", "change")
+    __slots__ = ("N", "n", "order", "rho", "phi", "change", "_subs")
 
     def __init__(self, N, rho, phi, change):
         object.__setattr__(self, "N", N)
@@ -244,20 +254,18 @@ class Hypersurface:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "change", change)
+        object.__setattr__(self, "_subs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypersurface is immutable")
 
-    def graph_substitution(self):
-        """Ambient-to-intrinsic substitution list (z, s+i phi, zb, s-i phi)."""
-        n, W, phi = self.n, self.order, self.phi
-        nv = 2 * n + 1
-        subs = [TruncatedSeries.variable(nv, j, W) for j in range(n)]
-        s = TruncatedSeries.variable(nv, 2 * n, W)
-        subs.append(s + CS_I * phi)
-        subs.extend(TruncatedSeries.variable(nv, n + j, W) for j in range(n))
-        subs.append(s - CS_I * phi)
-        return subs
+    def graph_substitution(self) -> tuple:
+        """Ambient-to-intrinsic substitution (z, s+i phi, zb, s-i phi),
+        built on first use and shared by every later call."""
+        if self._subs is None:
+            object.__setattr__(self, "_subs",
+                               _graph_substitution(self.n, self.phi))
+        return self._subs
 
     def restrict(self, ambient_series: TruncatedSeries) -> TruncatedSeries:
         """Restrict an ambient series to M in the intrinsic chart."""
@@ -272,6 +280,17 @@ class Hypersurface:
         return f"Hypersurface(N={self.N}, order={self.order})"
 
 
+def _graph_substitution(n: int, phi: TruncatedSeries) -> tuple:
+    """(z, s+i phi, zb, s-i phi) on the intrinsic chart, at phi's order."""
+    W, nv = phi.order, 2 * n + 1
+    s = TruncatedSeries.variable(nv, 2 * n, W)
+    i_phi = CS_I * phi
+    return (tuple(TruncatedSeries.variable(nv, j, W) for j in range(n))
+            + (s + i_phi,)
+            + tuple(TruncatedSeries.variable(nv, n + j, W) for j in range(n))
+            + (s - i_phi,))
+
+
 def _holo_gradient(rho: TruncatedSeries, N: int):
     alpha0 = [0] * (2 * N)
     grad = []
@@ -284,7 +303,11 @@ def _holo_gradient(rho: TruncatedSeries, N: int):
 
 def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
     """Rewrite rho in coordinates zeta = P (z, w), given Q = P^{-1}: the
-    old holomorphic coordinates are Q zeta."""
+    old holomorphic coordinates are Q zeta.  The identity Q leaves rho
+    as it is."""
+    if all(Q[i][j] == (CS_ONE if i == j else CS_ZERO)
+           for i in range(N) for j in range(N)):
+        return rho
     W = rho.order
     subs = []
     for i in range(N):
@@ -308,7 +331,13 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
 
     The input is treated as exact polynomial data at its stated order; one
     extra order of rho is reconstructed internally so the Newton update
-    divides by a full-order derivative.
+    divides by a full-order derivative.  The Newton steps run at orders
+    W // 2^k, k = K, ..., 1, 0, for the least K with W // 2^K <= 3: [3, 6]
+    for W = 6 and [2, 4, 8] for W = 8.  Each step at least doubles the
+    degree through which phi is exact, and the schedule stops at the
+    germ's order W, past which rho's terms are unknown.  Every call checks
+    that the result's residual vanishes and that phi is real with no
+    constant or linear terms.
     """
     if N < 2:
         raise GeometryError("need at least one CR direction (N >= 2)")
@@ -357,27 +386,35 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
     # u that w' replaced: u = (w' - sum_{k < N-1} shear_k zeta_k) /
     # shear_{N-1}.
     shear = [CScalar(0, 2) * g for g in grad]
-    P[N - 1] = [sum((shear[k] * P[k][j] for k in range(N)), CS_ZERO)
+    # P is a scaled permutation here, so most products below are zero
+    P[N - 1] = [sum((shear[k] * P[k][j] for k in range(N)
+                     if shear[k] and P[k][j]), CS_ZERO)
                 for j in range(N)]
     for row in Q:
         last = row[N - 1] / shear[N - 1]
-        row[:N - 1] = [c - shear[k] * last for k, c in enumerate(row[:N - 1])]
+        if last:
+            row[:N - 1] = [c - shear[k] * last if shear[k] else c
+                           for k, c in enumerate(row[:N - 1])]
         row[N - 1] = last
     rho = _apply_holo_change(rho, N, Q)
 
     # Stage 3: Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so
-    # the t-derivative is a unit at the origin.
+    # the t-derivative is a unit at the origin.  phi = 0 is exact through
+    # degree 1, so the first step may run at order 3.
     W = rho.order
     n = N - 1
     rho_ext = rho.extended(W + 1)
     rho_t = CS_I * (rho_ext.derive(N - 1) - rho_ext.derive(2 * N - 1))
-    phi = TruncatedSeries.zero(2 * n + 1, W)
-    steps = max(1, (W + 1 - 1).bit_length())  # ceil(log2(W + 1))
-    for _ in range(steps):
-        hyp = Hypersurface(N, rho_ext, phi, P)
-        subs = hyp.graph_substitution()
-        res = rho_ext.compose(subs)
-        dres = rho_t.compose(subs)
+    K = 0
+    while W >> K > 3:
+        K += 1
+    phi = TruncatedSeries.zero(2 * n + 1, W >> K)
+    for k in range(K, -1, -1):
+        d = W >> k
+        phi = phi.extended(d)
+        subs = _graph_substitution(n, phi)
+        res = rho_ext.truncate(d).compose(subs)
+        dres = rho_t.truncate(d).compose(subs)
         phi = phi - res * dres.invert_unit()
     final = Hypersurface(N, rho, phi, P)
     if not final.defining_residual().is_zero():

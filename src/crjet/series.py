@@ -480,8 +480,12 @@ class TruncatedSeries:
     def variable(cls, nvars: int, idx: int, order: int) -> "TruncatedSeries":
         if not 0 <= idx < nvars:
             raise SeriesError(f"variable index {idx} out of range")
-        alpha = tuple(1 if i == idx else 0 for i in range(nvars))
-        return cls(nvars, order, {alpha: CS_ONE})
+        _check_order(order)
+        if order < 1:
+            alpha = tuple(1 if i == idx else 0 for i in range(nvars))
+            raise OrderExhausted(f"stored term {alpha} exceeds order {order}")
+        key = (1 << (_BITS * nvars)) | (1 << (_BITS * (nvars - 1 - idx)))
+        return _make(nvars, order, {key: (1, 0)}, 1)
 
     # ------------------------------------------------------------------
     # inspection
@@ -506,6 +510,14 @@ class TruncatedSeries:
         nvars, den = self.nvars, self._den
         return [(_unpack(k, nvars), _scalar(re, im, den))
                 for k, (re, im) in sorted(self._terms.items())]
+
+    def numerators(self) -> tuple:
+        """(den, items): the stored Gaussian-integer numerator pairs over
+        the common denominator den, as (key, (re, im)) items.  A key is the
+        monomial's exponent fields as one integer: distinct monomials have
+        distinct keys, and keys sort as the exponent tuples do."""
+        low = (1 << (_BITS * self.nvars)) - 1
+        return self._den, [(k & low, v) for k, v in self._terms.items()]
 
     def degree_counts(self) -> list:
         """Number of stored terms of each total degree 0 to order."""

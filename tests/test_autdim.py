@@ -15,11 +15,13 @@ import pytest
 from crjet.autdim import (AutError, FormalVectorField, aut_bound,
                           holomorphic_degeneracy_test, infinitesimal_aut_dim,
                           tangency_restrictions, tangency_terms)
-from crjet.hypersurface import ambient_pairing, ambient_var, from_defining
+from crjet.hypersurface import (ambient_pairing, ambient_var, from_defining,
+                                intrinsic_pairing)
 from crjet.linalg import rank
-from crjet.series import CS_ONE, CScalar, TruncatedSeries
+from crjet.series import CS_I, CS_ONE, CScalar, TruncatedSeries
 
-from tests.conftest import heis, im_w, m2_rho, m3_rho
+from tests.conftest import (heis, im_w, m2_rho, m3_rho, random_model,
+                            random_nondegenerate_model)
 
 WT = (1, 2)
 
@@ -284,3 +286,69 @@ class TestTangencyTerms:
 
     def test_negative_order_counts_nothing(self):
         assert tangency_terms(heis(2, 5), 2, -1) == 0
+
+
+def oracle_rows(restrictions, order, real):
+    """Equation rows read through terms(): CScalar entries for the complex
+    problem, Fraction for the real one, rows in exponent-tuple order."""
+    pairing = None
+    residuals = []
+    for _, _, Rc in restrictions:
+        if real:
+            pairing = pairing or intrinsic_pairing(Rc.nvars // 2)
+            Rcc = Rc.conjugate(pairing)
+            residuals += [Rc + Rcc, CS_I * (Rc - Rcc)]
+        else:
+            residuals.append(Rc)
+    entries = {}
+    for t, R in enumerate(residuals):
+        for e, c in R.truncate(order).terms():
+            entries.setdefault(e, {})[t] = c
+    rows = []
+    for e in sorted(entries):
+        row = entries[e]
+        if real:
+            for part in ("re", "im"):
+                got = {t: getattr(c, part) for t, c in row.items()
+                       if getattr(c, part)}
+                if got:
+                    rows.append(got)
+        else:
+            rows.append(row)
+    return rows
+
+
+class TestIntegerRows:
+    """Each tangency row is its terms()-read row scaled by a positive
+    rational, with integer entries, in the same order."""
+
+    def test_rows_are_scaled_oracle_rows(self):
+        checked = 0
+        for seed in range(3):
+            for N in (2, 3):
+                for build in (random_model, random_nondegenerate_model):
+                    M = build(seed, N, 5)
+                    shared = tangency_restrictions(M, 1, 4)
+                    for real, solve in ((False, holomorphic_degeneracy_test),
+                                        (True, infinitesimal_aut_dim)):
+                        try:
+                            system = solve(M, 1, 4, restrictions=shared)
+                        except AutError:
+                            continue
+                        want = oracle_rows(shared, 4, real)
+                        assert len(system.equations) == len(want)
+                        for got, ref in zip(system.equations, want):
+                            assert got.keys() == ref.keys()
+                            t = next(iter(got))
+                            scale = CScalar.coerce(got[t]) / ref[t]
+                            assert scale.is_real() and scale.re > 0
+                            for t, x in got.items():
+                                if real:
+                                    assert type(x) is int
+                                    assert x == scale.re * ref[t]
+                                else:
+                                    assert x.re.denominator == 1
+                                    assert x.im.denominator == 1
+                                    assert x == scale * ref[t]
+                            checked += 1
+        assert checked > 100

@@ -752,6 +752,53 @@ class TestVerbs:
             assert code == 0 and "pass: true" in out
             assert "order: 12" in out
 
+    def test_rho_digits_budget(self, tmp_path, capsys):
+        # the cubic C^3 model with one term scaled by ((2/3)^255)^257, a
+        # denominator of 31269 digits: refused once the model is built,
+        # before aut eliminates
+        def cubic(scale):
+            p = tmp_path / "cubic.crj"
+            p.write_text("kind = hypersurface\nN = 3\nrho = Im(w) - "
+                         f"z1*conj(z1) - {scale}*1/2*(z1^2*conj(z2) + "
+                         "conj(z1)^2*z2)\n", encoding="utf-8")
+            return str(p)
+
+        start = time.perf_counter()
+        path = cubic("((2/3)^255)^257")
+        code, out, errtext = run(capsys, ["aut", path])
+        assert (code, out) == (2, "")
+        assert errtext == (
+            f"error: {path}:3:1: the normalized rho's exact coefficients "
+            "need more than MAX_RHO_DIGITS = 10000 decimal digits; aut's "
+            "elimination cost grows with them\n")
+        assert time.perf_counter() - start < 5.0
+        # analyze does not eliminate and still runs
+        code, out, _ = run(capsys, ["analyze", path])
+        assert code == 0 and "pass: true" in out
+        # a coefficient of 4772 digits is accepted
+        code, out, _ = run(capsys, ["aut", cubic("((2/3)^100)^100")])
+        assert code == 0 and "pass: true" in out
+
+    def test_rho_digits_budget_accepts_default_runs(self, tmp_path, capsys):
+        # every default-bound aut run on the quadrics up to C^7, and the
+        # benchmark's cubic and weighted runs
+        for N in range(2, 8):
+            p = tmp_path / f"quadric{N}.crj"
+            p.write_text(f"kind = hypersurface\nN = {N}\nrho = Im(w)" +
+                         "".join(f" - z{j}*conj(z{j})" for j in range(1, N))
+                         + "\n", encoding="utf-8")
+            code, out, _ = run(capsys, ["aut", str(p)])
+            assert code == 0 and "pass: true" in out, N
+        p = tmp_path / "cubic.crj"
+        p.write_text("kind = hypersurface\nN = 3\nrho = Im(w) - "
+                     "z1*conj(z1) - 1/2*(z1^2*conj(z2) + conj(z1)^2*z2)\n",
+                     encoding="utf-8")
+        code, out, _ = run(capsys, ["aut", str(p), "--degree", "3"])
+        assert code == 0 and "pass: true" in out
+        code, out, _ = run(capsys, ["aut", str(tmp_path / "quadric2.crj"),
+                                    "--weights", "1,2"])
+        assert code == 0 and "dim: 8" in out
+
     def test_chain_words_budget(self, tmp_path, docs, capsys):
         # on C^3 the words of lengths 0 to L number 2^(L+1) - 1: refused
         # before the model is built

@@ -1,11 +1,14 @@
-"""Differential tests of the packed sum-of-products and translation kernels.
+"""Differential tests of the packed sum-of-products, translation and
+constructor kernels.
 
 The oracles below are the code paths the kernels replaced: the
 per-coefficient loop of ``VectorFieldOp.apply``, the running sum of
-products that ``dot`` stands for, and the ``CScalar`` term-by-term
-``recenter`` and ``eval_at``.  On seeded random series the kernels must
+products that ``dot`` stands for, the ``CScalar`` term-by-term
+``recenter`` and ``eval_at``, and ``variable`` built from its exponent
+tuple through the constructor.  On seeded random series the kernels must
 give the same storage (nvars, order, denominator and packed terms) and
-raise the same exceptions.
+raise the same exceptions.  ``numerators`` must read back the terms that
+``terms()`` gives.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from math import comb
 import pytest
 
 from crjet.hypersurface import VectorFieldOp
-from crjet.series import (CS_ONE, CS_ZERO, CScalar, OrderExhausted,
-                          SeriesError, TruncatedSeries, dot)
+from crjet.series import (CS_ONE, CS_ZERO, EXPONENT_LIMIT, CScalar,
+                          OrderExhausted, SeriesError, TruncatedSeries, dot)
 from tests.test_series import packed, ref_coeff, ref_series
 
 
@@ -41,6 +44,14 @@ def oracle_dot(pairs, order=None, nvars=None):
     if out is None:
         raise SeriesError("a dot product of no pairs needs nvars and order")
     return out
+
+
+def oracle_variable(nvars, idx, order):
+    """x_idx through the constructor, from its exponent tuple."""
+    if not 0 <= idx < nvars:
+        raise SeriesError(f"variable index {idx} out of range")
+    alpha = tuple(1 if i == idx else 0 for i in range(nvars))
+    return TruncatedSeries(nvars, order, {alpha: CS_ONE})
 
 
 def oracle_recenter(s, point):
@@ -247,3 +258,33 @@ class TestTranslation:
                 got = outcome(new, point)
                 assert got == outcome(old, s, point)
                 assert got[0] in (SeriesError, TypeError)
+
+
+class TestVariable:
+    def test_matches_constructor(self):
+        for nvars in range(1, 8):
+            for idx in range(-1, nvars + 1):
+                for order in list(range(-1, 13)) + [EXPONENT_LIMIT,
+                                                   EXPONENT_LIMIT + 1]:
+                    got = outcome(TruncatedSeries.variable, nvars, idx, order)
+                    assert got == outcome(oracle_variable, nvars, idx,
+                                          order), (nvars, idx, order)
+
+    def test_order_zero_raises(self):
+        with pytest.raises(OrderExhausted) as exc:
+            TruncatedSeries.variable(3, 1, 0)
+        assert str(exc.value) == "stored term (0, 1, 0) exceeds order 0"
+
+
+class TestNumerators:
+    def test_reads_back_the_terms(self):
+        rng = random.Random(4411)
+        for trial in range(200):
+            nvars = rng.randrange(1, 6)
+            s = random_series(rng, nvars, rng.randrange(0, 7))
+            den, items = s.numerators()
+            got = [(Fraction(re, den), Fraction(im, den))
+                   for _, (re, im) in sorted(items)]
+            # distinct monomials, keys sorted as the exponent tuples are
+            assert got == [(c.re, c.im) for _, c in sorted(s.terms())], trial
+            assert len({k for k, _ in items}) == len(items)

@@ -329,9 +329,14 @@ class TestTangencyAgainstOracle:
                             except AutError:
                                 continue  # vacuous at this order
                             ncols = len(system.unknowns)
+                            # real rows hold ints; the oracle divides, so
+                            # it is fed Fractions
                             dense = [[row.get(c, 0 * x) for c in range(ncols)]
                                      for row in system.equations
                                      for x in [next(iter(row.values()))]]
+                            dense = [[x if isinstance(x, CScalar)
+                                      else Fraction(x) for x in r]
+                                     for r in dense]
                             want = ref_nullspace(dense, ncols)
                             got = [self._vector(system, Y)
                                    for Y in system.basis]
