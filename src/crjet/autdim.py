@@ -27,7 +27,7 @@ from math import comb, lcm
 
 from .hypersurface import Hypersurface, _DenseCoefficients, intrinsic_pairing
 from .linalg import nullspace
-from .series import CS_I, CS_ONE, CScalar, TruncatedSeries
+from .series import CS_I, CS_ONE, CScalar, TruncatedSeries, derivation
 
 
 class AutError(ValueError):
@@ -58,15 +58,8 @@ class FormalVectorField(_DenseCoefficients):
             raise AutError("coefficients must be holomorphic")
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        out = None
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            term = c * f.derive(j)
-            out = term if out is None else out + term
-        if out is None:
-            return TruncatedSeries.zero(self.nvars, max(f.order - 1, 0))
-        return out
+        zero = TruncatedSeries.zero(self.nvars, self.order)
+        return derivation(self.coeffs + (zero,) * len(self.coeffs), f)
 
 
 @dataclass(frozen=True)

@@ -69,12 +69,12 @@ MAX_TANGENCY_TERMS = 50_000
 # digits) about 15 s
 MAX_RHO_DIGITS = 10_000
 # most ordered index words one enumeration may reach: every word of length
-# 0 to L over n = N - 1 indices, sum n^k of them.  The filtration reads
-# only the sorted words, but extrinsic_k0 and the verify suites still walk
-# the ordered ones, and this count guards them.  analyze --kmax 16 on the
-# C^3 germ Im w = |z1|^4 (262143 words, all walked by extrinsic_k0, which
-# finds no k0) takes 7 s and 155 MB; analyze at its default bounds on the
-# C^7 quadric (335923 words) takes 0.4 s, as extrinsic_k0 stops at k0 = 1
+# 0 to L over n = N - 1 indices, sum n^k of them.  The filtration and
+# extrinsic_k0 walk only the sorted words, so analyze and scan stay well
+# under a second at the limit: analyze --kmax 16 on the C^3 germ
+# Im w = |z1|^4 (262143 ordered words, no k0 found) takes 0.3 s, and at
+# its default bounds on the C^7 quadric (335923 words) 0.4 s.  The verify
+# suites still walk the ordered words, and this count guards them
 MAX_CHAIN_WORDS = 400_000
 # the same count for reflect, whose words each cost composed target entries
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
@@ -211,8 +211,7 @@ def _run_analyze(args):
     doc = _load_model(args, "analyze needs a hypersurface document")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
-    # extrinsic_k0 walks the ordered words up to kmax; the count runs to
-    # the filtration's lmax = kmax + 1
+    # the count runs to the filtration's lmax = kmax + 1
     _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax, True))
     order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
@@ -241,7 +240,7 @@ def _run_analyze(args):
         "agreement": {"k0_paths": agree_k0, "ell0_ell1": agree_ell},
         "pass": passed,
     }
-    if args.scan:
+    if args.scan is not None:
         tree["scan"] = _scan_tree(
             nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax))
     return tree, passed
@@ -421,7 +420,7 @@ def _run_reconstruct(args):
         tree["target_order"] = args.target_order
     if args.grid:
         axis_order = None
-        if args.axis_order:
+        if args.axis_order is not None:
             axis_order = []
             for tok in args.axis_order.split(","):
                 try:
@@ -459,7 +458,7 @@ def _run_aut(args):
     doc = _load_model(args, "aut needs a hypersurface document")
     n = doc.scalar("N") - 1
     weights = None
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = tuple(int(t) for t in args.weights.split(","))
         except ValueError:

@@ -508,9 +508,9 @@ class Frame:
     """
 
     __slots__ = ("n", "order", "T", "L", "Lbar", "theta", "thetaA",
-                 "thetaAbar", "hyp", "words")
+                 "thetaAbar", "words")
 
-    def __init__(self, n, T, L, Lbar, theta, thetaA, thetaAbar, hyp):
+    def __init__(self, n, T, L, Lbar, theta, thetaA, thetaAbar):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "order", T.order)
         object.__setattr__(self, "T", T)
@@ -519,7 +519,6 @@ class Frame:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "thetaA", tuple(thetaA))
         object.__setattr__(self, "thetaAbar", tuple(thetaAbar))
-        object.__setattr__(self, "hyp", hyp)
         object.__setattr__(self, "words", FrameWords(self))
 
     def __setattr__(self, name, value):
@@ -554,4 +553,4 @@ def build_frame(M: Hypersurface) -> Frame:
     theta = OneForm([-X.coeffs[2 * n] for X in L + Lbar] + [one])
     dz = [OneForm([one if v == u else zero for v in range(nv)])
           for u in range(2 * n)]
-    return Frame(n, T, L, Lbar, theta, dz[:n], dz[n:], M)
+    return Frame(n, T, L, Lbar, theta, dz[:n], dz[n:])

@@ -51,7 +51,10 @@ def extrinsic_k0(M: Hypersurface, kmax: int):
 
     Uses the ambient tangential antiholomorphic fields applied to the
     holomorphic gradient of the defining series, with exact incremental
-    rank tracking.
+    rank tracking.  Each field annihilates rho identically, so a bracket
+    of two of them is a multiple of d/dwb that kills rho, hence zero: the
+    fields commute up to the truncation order, and only sorted words are
+    walked.
     """
     N, n, W = M.N, M.n, M.rho.order
     if kmax + 1 > W:
@@ -77,7 +80,8 @@ def extrinsic_k0(M: Hypersurface, kmax: int):
         if tracker.dim == N:
             return k
         level = {word + (j,): [fields[j].apply(s) for s in vec]
-                 for word, vec in level.items() for j in range(n)}
+                 for word, vec in level.items()
+                 for j in range(word[-1] if word else 0, n)}
     return Unbounded("kmax", kmax)
 
 
@@ -95,7 +99,6 @@ class FiltrationReport:
     ell1: object
     m0: object
     Fk_bases: tuple = field(repr=False)
-    ell0_witness: object = None
     kmax: int = 0
     lmax: int = 0
     typemax: int = 0
@@ -136,8 +139,7 @@ def intrinsic_filtration(F: Frame, kmax=None):
             f"bounds need order {lmax}, frame has {F.order}")
 
     # chains and entries depend only on the multiset of indices, so each
-    # scan reads the sorted words alone; the first ell0 witness in product
-    # order is sorted too, since its sorted permutation is no larger
+    # scan reads the sorted words alone
     words = F.words
 
     def sorted_words(length):
@@ -171,13 +173,10 @@ def intrinsic_filtration(F: Frame, kmax=None):
         levi_rank = rank([[words.h((A,), B).constant_term()
                            for B in range(n)] for A in range(n)])
 
-    ell0 = ell1 = witness = None
+    ell0 = ell1 = None
     for ell in range(1, lmax + 1):
-        witness = next(((abar, D) for abar in sorted_words(ell)
-                        for D in range(n)
-                        if not words.h(abar, D).constant_term().is_zero()),
-                       None)
-        if witness is not None:
+        if any(not words.h(abar, D).constant_term().is_zero()
+               for abar in sorted_words(ell) for D in range(n)):
             ell0 = ell
             break
     for r in range(1, lmax + 1):
@@ -194,8 +193,7 @@ def intrinsic_filtration(F: Frame, kmax=None):
     return FiltrationReport(
         n=n, Ek_dims=tuple(Ek_dims), Fk_dims=tuple(Fk_dims), rk=tuple(rk),
         k0=k0, levi_rank=levi_rank, ell0=ell0, ell1=ell1, m0=m0,
-        Fk_bases=tuple(Fk_bases), ell0_witness=witness,
-        kmax=kmax, lmax=lmax, typemax=typemax)
+        Fk_bases=tuple(Fk_bases), kmax=kmax, lmax=lmax, typemax=typemax)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,10 @@ def verify_derivative_recursion(F: Frame, k: int) -> CheckReport:
     plus the structure-pairing correction (identically zero for graph
     frames, computed anyway), plus the transverse entry times the length-one
     entry.  Entries come from contracted chains, keyed by sorted words, so
-    an unsorted tuple also checks their symmetry.
+    every ordering of a tuple reads the same cached entries and repeats
+    the same residual; the symmetry itself is checked by the bracket
+    pairing and leading-order suites, which read ordered brackets and
+    derivatives.
     """
     n = F.n
     words = F.words
@@ -325,7 +326,8 @@ def verify_frame_structure(F: Frame) -> CheckReport:
     the two-form of theta on the same pair equals the entry itself.
     """
     n = F.n
-    h1 = [[F.words.h((A,), B) for B in range(n)] for A in range(n)]
+    words = F.words
+    h1 = [[words.h((A,), B) for B in range(n)] for A in range(n)]
     dtheta = exterior_derivative(F.theta)
     dthetaA = [exterior_derivative(form) for form in F.thetaA]
     checked, violations = 0, []
@@ -338,7 +340,7 @@ def verify_frame_structure(F: Frame) -> CheckReport:
 
     for A in range(n):
         for B in range(n):
-            br = F.Lbar[A].bracket(F.L[B])
+            br = words.bracket((A,), B)
             for C in range(n):
                 record("bracket-transverse", (A, B, C),
                        F.thetaA[C].pair(br).is_zero()

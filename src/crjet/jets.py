@@ -3,16 +3,16 @@
 A complete system of order k prescribes every derivative of order k + 1 of
 an unknown map f: R^q -> R^m as a polynomial in the k-jet of f and the
 position.  Whatever such a system admits as a solution is pinned down by
-its k-jet at 0: reduce_to_first_order rewrites the system with the jet
-entries as new unknowns, integrate marches the reduced system axis by
-axis with a classical fourth-order stepper, and taylor_propagate grows
-the jet formally and exactly degree by degree, cross-checking the
-overdetermined mixed partials.
+its k-jet at 0: integrate marches the jet entries axis by axis with a
+classical fourth-order stepper, and taylor_propagate grows the jet
+formally and exactly degree by degree, cross-checking the overdetermined
+mixed partials.
 
 Chart conventions used throughout: the unknowns of a system are the jet
 entries (i, beta) in the order of unknown_layout, followed by the q
-position variables.  Reduction keeps that chart, so top-order right-hand
-sides transfer verbatim.
+position variables.  integrate marches every jet entry at once, in that
+chart: the derivative of an entry along an axis is the shifted entry
+below the top order, and the system's rhs polynomial at the top order.
 
 integrate is the only floating-point code; taylor_propagate reads every
 jet value, a float included, as the Fraction it equals.  Before marching
@@ -177,40 +177,6 @@ class CompleteSystem:
                 f"unknowns={len(self.layout)})")
 
 
-def reduce_to_first_order(S: CompleteSystem) -> CompleteSystem:
-    """Equivalent order-0 system whose unknowns are the jet entries.
-
-    An axis derivative of a jet entry either shifts the exponent, staying
-    among the unknowns, or reads the supplied top-order polynomial; mixed
-    partials are identified through the exponent arithmetic.  The chart is
-    unchanged, so original rhs series are reused verbatim.  An order-0
-    input is returned as is.
-    """
-    if S.k == 0:
-        return S
-    pos = {key: p for p, key in enumerate(S.layout)}
-    order = max(s.order for s in S.rhs.values())
-    rhs = {}
-    for a in range(S.q):
-        e_a = tuple(1 if v == a else 0 for v in range(S.q))
-        for p, (i, beta) in enumerate(S.layout):
-            up = _add(beta, e_a)
-            if sum(up) <= S.k:
-                rhs[(p, e_a)] = TruncatedSeries.variable(
-                    S.nvars, pos[(i, up)], order)
-            else:
-                rhs[(p, e_a)] = S.rhs[(i, up)]
-    return CompleteSystem(S.q, len(S.layout), 0, rhs)
-
-
-def reduce_jet(jet: JetVector) -> JetVector:
-    """Initial vector of the reduced system: jet entries in layout order."""
-    layout = unknown_layout(jet.q, jet.m, jet.k)
-    zero = (0,) * jet.q
-    vals = {(p, zero): jet.values[key] for p, key in enumerate(layout)}
-    return JetVector(jet.q, len(layout), 0, vals)
-
-
 # ----------------------------------------------------------------------
 # numeric reconstruction
 
@@ -300,12 +266,12 @@ def _rhs_lines(target, terms, names) -> list:
 
 
 def _compile_stepper(rows, q, a, fail):
-    """Straight-line RK4 for axis a of a reduced system.
+    """Straight-line RK4 for axis a of a system's jet entries.
 
     rows[j] lists the (float coefficient, variable indices) terms of the
-    rhs of unknown j along axis a.  The stepper(state, coords, t0, h,
-    nsub) takes nsub substeps of size h from x_{a+1} = t0, the other
-    positions frozen at coords, and returns the new state; it calls
+    derivative of jet entry j along axis a.  The stepper(state, coords,
+    t0, h, nsub) takes nsub substeps of size h from x_{a+1} = t0, the
+    other positions frozen at coords, and returns the new state; it calls
     fail(x) at the first substep ending in a non-finite state.  Every
     float operation happens in the order of the rule in integrate, so
     the results are bit-identical to evaluating it term by term.
@@ -387,24 +353,28 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
             raise JetError("axis_order must permute the axes")
     _check_budget(grid, axis_order, step)
 
-    # reduced unknown p is the jet entry S.layout[p]: the names below
-    # refer to the system as given
-    R = reduce_to_first_order(S)
-    lam = reduce_jet(lambda0) if S.k > 0 else lambda0
-    zero = (0,) * S.q
-    state0 = [_to_float(lam.values[(p, zero)], f"jet value d^{beta} f{i + 1}")
-              for p, (i, beta) in enumerate(S.layout)]
-    rows = [[None] * R.m for _ in range(S.q)]
-    for (p, alpha), s in R.rhs.items():
-        i, beta = S.layout[p]
-        row = []
-        for e, c in s.terms():
-            if not c.is_real():
-                raise JetError("numeric marching needs real rhs polynomials")
-            row.append((_to_float(c.re, f"a coefficient of the rhs of "
-                                  f"d^{_add(beta, alpha)} f{i + 1}"),
-                        tuple(v for v, n in enumerate(e) for _ in range(n))))
-        rows[alpha.index(1)][p] = row
+    state0 = [_to_float(lambda0.values[(i, beta)], f"jet value d^{beta} "
+                        f"f{i + 1}") for i, beta in S.layout]
+    # rows[a][p] is the derivative of jet entry S.layout[p] along axis a:
+    # the shifted entry below the top order, the rhs polynomial at it
+    pos = {key: p for p, key in enumerate(S.layout)}
+    rows = [[None] * len(S.layout) for _ in range(S.q)]
+    for a in range(S.q):
+        e_a = tuple(1 if v == a else 0 for v in range(S.q))
+        for p, (i, beta) in enumerate(S.layout):
+            up = _add(beta, e_a)
+            if sum(up) <= S.k:
+                rows[a][p] = [(1.0, (pos[(i, up)],))]
+                continue
+            row = rows[a][p] = []
+            for e, c in S.rhs[(i, up)].terms():
+                if not c.is_real():
+                    raise JetError(
+                        "numeric marching needs real rhs polynomials")
+                row.append((_to_float(c.re, f"a coefficient of the rhs of "
+                                      f"d^{up} f{i + 1}"),
+                            tuple(v for v, n in enumerate(e)
+                                  for _ in range(n))))
 
     def stepper(a):
         def fail(x):

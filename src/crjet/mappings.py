@@ -151,13 +151,15 @@ class PushforwardData:
     """Transport data (xi, eta^A, gamma^A_B) of a map between framed germs.
 
     gamma[A][B] is the coefficient of the target field A in the image of
-    the source field B.  imap carries the intrinsic components so target
-    quantities can be composed with the map.
+    the source field B, and gbar[A][B] is its conjugate.  imap carries the
+    intrinsic components so target quantities can be composed with the
+    map.
     """
 
     xi: TruncatedSeries
     eta: tuple
     gamma: tuple
+    gbar: tuple
     imap: tuple
     source_frame: Frame
     target_frame: Frame
@@ -167,22 +169,15 @@ class PushforwardData:
         return len(self.eta)
 
     def conjugated(self) -> "ConjugateData":
-        pairing = intrinsic_pairing(self.n)
-        gbar = tuple(tuple(self.gamma[C][A].conjugate(pairing)
-                           for A in range(self.n)) for C in range(self.n))
-        ebar = tuple(e.conjugate(pairing) for e in self.eta)
-        return ConjugateData(xi=self.xi, gammabar=gbar, etabar=ebar,
-                             imap=self.imap)
+        return ConjugateData(xi=self.xi, gammabar=self.gbar)
 
 
 @dataclass(frozen=True)
 class ConjugateData:
-    """The reflected inputs: xi together with conj(gamma) and conj(eta)."""
+    """The reflected inputs: xi together with conj(gamma)."""
 
     xi: TruncatedSeries
     gammabar: tuple
-    etabar: tuple
-    imap: tuple
 
 
 def _pullback(form: OneForm, imap) -> OneForm:
@@ -235,8 +230,10 @@ def pushforward_data(F: AmbientMap, frame_src: Frame,
     if rank(g0) != n:
         raise MappingError("map is not a diffeomorphism at 0 "
                            "(CR Jacobian singular)")
-    return PushforwardData(xi=xi, eta=eta, gamma=gamma, imap=tuple(imap),
-                           source_frame=frame_src, target_frame=frame_tgt)
+    gbar = tuple(tuple(g.conjugate(pairing) for g in row) for row in gamma)
+    return PushforwardData(xi=xi, eta=eta, gamma=gamma, gbar=gbar,
+                           imap=tuple(imap), source_frame=frame_src,
+                           target_frame=frame_tgt)
 
 
 class _Pullback:
@@ -280,9 +277,7 @@ def verify_reflection_base(data: PushforwardData,
     Fm = data.source_frame
     src = Fm.words
     pairing = intrinsic_pairing(n)
-    xi, eta, gamma = data.xi, data.eta, data.gamma
-    gbar = [[gamma[C][A].conjugate(pairing) for A in range(n)]
-            for C in range(n)]
+    xi, eta, gamma, gbar = data.xi, data.eta, data.gamma, data.gbar
     hhat = [[pull.entry((C,), D) for D in range(n)] for C in range(n)]
     hhatT = [pull.entry((C,), "T") for C in range(n)]
 
@@ -318,9 +313,10 @@ def verify_reflection_base(data: PushforwardData,
             res = Fm.Lbar[A].apply(eta[C]) + eta[C] * src.transverse((A,))
             record("eta-derivative", (A, C), res)
     for A in range(n):
+        tbar = src.transverse((A,)).conjugate(pairing)
         for C in range(n):
             res = Fm.T.apply(gamma[C][A]) - Fm.L[A].apply(eta[C]) \
-                - eta[C] * src.transverse((A,)).conjugate(pairing)
+                - eta[C] * tbar
             record("transverse-derivative", (A, C), res)
     return CheckReport(name="reflection-base", ok=not violations,
                        checked=checked, violations=tuple(violations))
@@ -340,10 +336,7 @@ def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
     n = data.n
     Fm = data.source_frame
     src = Fm.words
-    pairing = intrinsic_pairing(n)
-    eta, gamma = data.eta, data.gamma
-    gbar = [[gamma[C][A].conjugate(pairing) for A in range(n)]
-            for C in range(n)]
+    eta, gamma, gbar = data.eta, data.gamma, data.gbar
     h1 = [[pull.entry((I,), H) for H in range(n)] for I in range(n)]
 
     # the products with gbar do not depend on abar: negated once here

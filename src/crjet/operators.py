@@ -249,11 +249,7 @@ def _weighted(memo: _Memo, J, verify_degree):
     Fbar = memo.conjugate_index()
     h1 = F.words.h((Fbar,), 0)
     p = len(J) - sum(1 for E in J if E == 0) + 2
-
-    target = h1
-    for _ in range(p - 1):
-        target = target * h1
-    rhs = {J: target}
+    rhs = {J: h1 ** p}
 
     def order_key(K):
         return (-len(K), -sum(1 for E in K if E != 0), K)
@@ -313,10 +309,7 @@ def _verify_reduction(memo: _Memo, word, Fbar, leading, tail,
 def _verify_weighted(memo: _Memo, J, Fbar, p, b_coeffs, degree) -> bool:
     nv = 2 * memo.F.n + 1
     basis_order = degree + len(J) + 3
-    h1 = memo.F.words.h((Fbar,), 0)
-    hp = TruncatedSeries.constant(nv, 1, h1.order)
-    for _ in range(p):
-        hp = hp * h1
+    hp = memo.F.words.h((Fbar,), 0) ** p
     for mono in _basis(nv, degree, basis_order):
         rhs = hp * memo.word_on(J, "T", mono)
         lhs = dot([(b, memo.commutator_on(W, Fbar, mono))

@@ -163,17 +163,13 @@ class CScalar:
 
     def render(self) -> str:
         """Canonical exact string: 'p/q', 'p/q*i', or 'p/q+r/s*i'."""
-
-        def rat(q: Fraction) -> str:
-            return str(q)
-
         if self.im == 0:
-            return rat(self.re)
-        imag = f"{rat(self.im)}*i"
+            return str(self.re)
+        imag = f"{self.im}*i"
         if self.re == 0:
             return imag
         sep = "+" if self.im > 0 else ""
-        return f"{rat(self.re)}{sep}{imag}"
+        return f"{self.re}{sep}{imag}"
 
 
 CS_ZERO = CScalar(0)
@@ -784,14 +780,6 @@ class TruncatedSeries:
             for k, (re, im) in part.items():
                 out[k] = (re * f, im * f)
         return _reduced(self.nvars, order, out, norm ** (order + 1))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, CScalar)):
-            c = CScalar.coerce(other)
-            return self * (CS_ONE / c)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self * other.invert_unit()
 
     # ------------------------------------------------------------------
     # polynomial-only operations

@@ -180,7 +180,7 @@ def sigma(M, c):
 # frames adapted to a filtration
 
 
-def adapt_frame(M, frame, filtration):
+def adapt_frame(frame, filtration):
     """Reorder the CR frame by constants so trailing fields span each kernel.
 
     The filtration report supplies, at the origin, a descending chain of
@@ -231,7 +231,7 @@ def adapt_frame(M, frame, filtration):
         newThetaA.append(acc)
     newThetaAbar = [f.conjugate(pairing) for f in newThetaA]
     return Frame(n, frame.T, newL, newLbar, frame.theta, newThetaA,
-                 newThetaAbar, M)
+                 newThetaAbar)
 
 
 def max_deviation(result, truth) -> float:

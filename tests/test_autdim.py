@@ -106,6 +106,28 @@ class TestFieldBasics:
         right = Y.apply(f) * g + f * Y.apply(g)
         assert left == right.truncate(left.order)
 
+    def test_apply_matches_derive_and_sum(self):
+        # apply is one derivation over the padded coefficients; the oracle
+        # derives f along each nonzero coefficient and sums the products
+        def derive_and_sum(Y, f):
+            out = None
+            for j, c in enumerate(Y.coeffs):
+                if not c.is_zero():
+                    term = c * f.derive(j)
+                    out = term if out is None else out + term
+            return out
+
+        M = heis(2, 9)
+        f = M.rho * ambient_var(2, 3, 9) + ambient_var(2, 1, 9) ** 3
+        fields = su21_generators(M) + [c2_field(M, {}, {Z: 1})] + list(
+            infinitesimal_aut_dim(M, 2, 8, weights=WT).basis)
+        for Y in fields:
+            for g in (M.rho, f):
+                assert Y.apply(g) == derive_and_sum(Y, g)
+        M3 = degenerate_c3(5)
+        for Y in holomorphic_degeneracy_test(M3, 1, 4).basis:
+            assert Y.apply(M3.rho) == derive_and_sum(Y, M3.rho)
+
     def test_zero_field(self):
         M = heis(2, 6)
         Y = c2_field(M, {}, {})

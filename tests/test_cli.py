@@ -492,6 +492,19 @@ def run(capsys, argv):
 
 
 class TestVerbs:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "heis", "--scan", ""],
+        ["aut", "heis", "--weights", ""],
+        ["reconstruct", "line_sys", "line_jet", "--grid", "0:1:2",
+         "--axis-order", ""],
+    ])
+    def test_empty_flag_value_is_bad_input(self, docs, capsys, argv):
+        # an empty value is given, not absent: it is refused like ","
+        argv = [docs.get(a, a) for a in argv]
+        code, out, errtext = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert errtext.startswith(f"error: {argv[-2]}: ")
+
     def test_analyze_quadric(self, docs, capsys):
         code, out, _ = run(capsys, ["analyze", docs["heis"]])
         assert code == 0

@@ -428,7 +428,7 @@ class TestAdaptFrame:
         e1 = [CS_ONE, CS_ZERO]
         e2 = [CS_ZERO, CS_ONE]
         filt = _StubFiltration([[e1, e2], [e2]])
-        G = adapt_frame(M, F, filt)
+        G = adapt_frame(F, filt)
         assert at0(G.L[1]) == at0(F.L[1])  # e2 direction lands last
         # duality still holds at the adapted frame
         forms = (G.theta,) + G.thetaA + G.thetaAbar
@@ -443,7 +443,7 @@ class TestAdaptFrame:
         F = build_frame(M)
         v = [CS_ONE, CScalar(2)]
         filt = _StubFiltration([[[CS_ONE, CS_ZERO], v], [v]])
-        G = adapt_frame(M, F, filt)
+        G = adapt_frame(F, filt)
         assert at0(G.L[1])[:2] == [CS_ONE, CScalar(2)]
         # brackets stay transverse under constant changes
         B = G.L[0].bracket(G.Lbar[1])
@@ -454,4 +454,4 @@ class TestAdaptFrame:
         M = from_defining(heisenberg_rho(2, 6), 2)
         F = build_frame(M)
         with pytest.raises(GeometryError):
-            adapt_frame(M, F, _StubFiltration([[[CS_ONE, CS_ZERO]]]))
+            adapt_frame(F, _StubFiltration([[[CS_ONE, CS_ZERO]]]))

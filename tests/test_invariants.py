@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from crjet.hypersurface import (
+    VectorFieldOp,
     ambient_var,
     build_frame,
     exterior_derivative,
@@ -20,7 +21,7 @@ from crjet.invariants import (
     verify_derivative_recursion,
     verify_leading_order_reduction,
 )
-from crjet.linalg import rank
+from crjet.linalg import SpanTracker, rank
 from crjet.series import CScalar, TruncatedSeries
 from tests.conftest import (adapt_frame, graph_rho, heis, heisenberg_rho,
                             m2_rho, m3_rho, m4_rho, random_model,
@@ -102,7 +103,47 @@ class TestHTensor:
         assert r1.Ek_dims == r2.Ek_dims
 
 
+def ordered_extrinsic_k0(M, kmax):
+    """extrinsic_k0 walking every ordered word: the gradient-span route
+    without relying on the ambient fields commuting."""
+    N, n, W = M.N, M.n, M.rho.order
+    rho = M.rho
+    grad = [rho.derive(j) for j in range(n)] + [rho.derive(N - 1)]
+    wb_inv = rho.derive(2 * N - 1).invert_unit()
+    fields = []
+    for j in range(n):
+        coeffs = [TruncatedSeries.zero(2 * N, W - 1) for _ in range(2 * N)]
+        coeffs[N + j] = TruncatedSeries.constant(2 * N, 1, W - 1)
+        coeffs[2 * N - 1] = -(rho.derive(N + j) * wb_inv)
+        fields.append(VectorFieldOp(coeffs))
+    tracker = SpanTracker(N)
+    level = {(): grad}
+    for k in range(kmax + 1):
+        for word in sorted(level):
+            tracker.add([s.constant_term() for s in level[word]])
+        if tracker.dim == N:
+            return k
+        level = {word + (j,): [fields[j].apply(s) for s in vec]
+                 for word, vec in level.items() for j in range(n)}
+    return Unbounded("kmax", kmax)
+
+
 class TestExtrinsicK0:
+    def test_sorted_words_match_ordered_walk(self):
+        # the ambient fields commute, so the sorted words span what the
+        # ordered ones do at every length
+        seen = set()
+        for N in (2, 3, 4):
+            for maker in (random_model, random_nondegenerate_model):
+                for seed in range(12):
+                    for kmax in range(5):
+                        M = maker(700 + seed, N, kmax + 3)
+                        got = extrinsic_k0(M, kmax)
+                        assert got == ordered_extrinsic_k0(M, kmax), \
+                            (maker, seed, N, kmax)
+                        seen.add(got)
+        assert {1, 2, 3, 4, Unbounded("kmax", 4)} <= seen
+
     def test_heisenberg_plane(self):
         M = from_defining(heisenberg_rho(2, 6), 2)
         assert extrinsic_k0(M, 3) == 1
@@ -227,7 +268,7 @@ class TestAdaptedFrame:
         M = from_defining(m3_rho(8), 3)
         F = build_frame(M)
         r = intrinsic_filtration(F)
-        G = adapt_frame(M, F, r)
+        G = adapt_frame(F, r)
         # trailing field spans the Levi kernel: its pairing row vanishes
         for A in range(G.n):
             assert G.words.h((A,), G.n - 1).constant_term().is_zero()
@@ -236,7 +277,7 @@ class TestAdaptedFrame:
         M = from_defining(m3_rho(8), 3)
         F = build_frame(M)
         r1 = intrinsic_filtration(F)
-        G = adapt_frame(M, F, r1)
+        G = adapt_frame(F, r1)
         r2 = intrinsic_filtration(G)
         assert r1.Ek_dims == r2.Ek_dims
         assert r1.Fk_dims == r2.Fk_dims

@@ -15,8 +15,6 @@ from crjet.jets import (
     integrate,
     jet_exponents,
     multi_indices,
-    reduce_jet,
-    reduce_to_first_order,
     taylor_propagate,
     unknown_layout,
 )
@@ -68,6 +66,40 @@ def jet_to_series(jv: JetVector) -> tuple:
                 coeffs[beta] = CScalar(v / _beta_factorial(beta))
         comps.append(TruncatedSeries(jv.q, jv.k, coeffs))
     return tuple(comps)
+
+
+def reduce_to_first_order(S: CompleteSystem) -> CompleteSystem:
+    """Equivalent order-0 system whose unknowns are the jet entries.
+
+    An axis derivative of a jet entry either shifts the exponent, staying
+    among the unknowns, or reads the supplied top-order polynomial.  The
+    chart is unchanged, so the rhs series are reused verbatim.  An order-0
+    input is returned as is.  integrate marches the same rows without
+    building this system; reference_integrate below marches this one.
+    """
+    if S.k == 0:
+        return S
+    pos = {key: p for p, key in enumerate(S.layout)}
+    order = max(s.order for s in S.rhs.values())
+    rhs = {}
+    for a in range(S.q):
+        e_a = tuple(1 if v == a else 0 for v in range(S.q))
+        for p, (i, beta) in enumerate(S.layout):
+            up = tuple(b + d for b, d in zip(beta, e_a))
+            if sum(up) <= S.k:
+                rhs[(p, e_a)] = TruncatedSeries.variable(
+                    S.nvars, pos[(i, up)], order)
+            else:
+                rhs[(p, e_a)] = S.rhs[(i, up)]
+    return CompleteSystem(S.q, len(S.layout), 0, rhs)
+
+
+def reduce_jet(jet: JetVector) -> JetVector:
+    """Initial vector of the reduced system: jet entries in layout order."""
+    layout = unknown_layout(jet.q, jet.m, jet.k)
+    zero = (0,) * jet.q
+    vals = {(p, zero): jet.values[key] for p, key in enumerate(layout)}
+    return JetVector(jet.q, len(layout), 0, vals)
 
 
 def exp_system(order=6):
@@ -248,7 +280,8 @@ class TestIntegrate:
 
 # ----------------------------------------------------------------------
 # reference integrator: the term-by-term evaluator that the compiled
-# steppers replaced, kept as the oracle for their bit-identity
+# steppers replaced, marching the reduced first-order system, kept as the
+# oracle for the bit-identity of the steppers and of integrate's rows
 
 
 def _monomial_table(series):
@@ -393,8 +426,9 @@ def random_case(rng):
 
 
 class TestCompiledStepper:
-    """integrate against the term-by-term oracle: every grid value and
-    every blow-up message is bit-identical."""
+    """integrate against the term-by-term oracle, which marches the
+    reduced first-order system: every grid value and every blow-up
+    message is bit-identical."""
 
     def test_random_systems(self):
         rng = random.Random(2024)

@@ -46,6 +46,13 @@ def swap_c3(M):
                        ambient_var(3, 2, W)], M, M)
 
 
+def rotate_c3(M):
+    # (z1, z2) -> (-z2, z1): unitary, with a non-symmetric gamma
+    W = M.order
+    return AmbientMap([-ambient_var(3, 1, W), ambient_var(3, 0, W),
+                       ambient_var(3, 2, W)], M, M)
+
+
 def data_for(F):
     return pushforward_data(F, build_frame(F.source), build_frame(F.target))
 
@@ -197,6 +204,17 @@ class TestPushforwardData:
         assert not P.eta[0].is_zero()
         assert P.eta[0].constant_term() == CScalar(HALF)
 
+    def test_gamma_conjugated_once(self):
+        rotated = data_for(rotate_c3(heis(3)))
+        assert rotated.gamma[0][1] != rotated.gamma[1][0]
+        for P in (data_for(sigma(heis(2), HALF)), rotated):
+            pairing = tuple(list(range(P.n, 2 * P.n)) + list(range(P.n))
+                            + [2 * P.n])
+            assert P.gbar == tuple(
+                tuple(g.conjugate(pairing) for g in row) for row in P.gamma)
+            conj = P.conjugated()
+            assert conj.gammabar is P.gbar and conj.xi is P.xi
+
     def test_collapsed_map_rejected(self):
         M = heis(2)
         zero = TruncatedSeries.zero(4, M.order)
@@ -244,7 +262,8 @@ class TestReflectionBase:
             assert rep.ok and rep.checked == 5
 
     def test_two_variable_maps(self):
-        for F in (swap_c3(heis(3)), m3_auto(from_defining(m3_rho(8), 3))):
+        for F in (swap_c3(heis(3)), rotate_c3(heis(3)),
+                  m3_auto(from_defining(m3_rho(8), 3))):
             P = data_for(F)
             rep = verify_reflection_base(P, pull_for(P))
             assert rep.ok and rep.checked == 22

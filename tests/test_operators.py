@@ -469,8 +469,7 @@ class TestAgainstUnmemoizedPath:
         if twisted:
             z2 = TruncatedSeries.variable(2 * F.n + 1, 1, F.order)
             L = (F.L[0].scaled(1 + z2),) + F.L[1:]
-            F = Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar,
-                      F.hyp)
+            F = Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar)
             f = monomial(F, (1, 0, 0, 0, 0))
             assert apply_word(F, (0, 1), f) != apply_word(F, (1, 0), f)
         memo = _Memo(F)

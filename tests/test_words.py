@@ -13,11 +13,11 @@ import itertools
 
 import pytest
 
-from crjet.hypersurface import (Frame, build_frame, exterior_derivative,
-                                from_defining)
-from crjet.invariants import intrinsic_filtration
+from crjet.hypersurface import (Frame, VectorFieldOp, build_frame,
+                                exterior_derivative, from_defining)
+from crjet.invariants import intrinsic_filtration, verify_frame_structure
 from crjet.series import OrderExhausted, TruncatedSeries
-from tests.conftest import (adapt_frame, heisenberg_rho, m3_rho,
+from tests.conftest import (adapt_frame, heis, heisenberg_rho, m3_rho,
                             random_model, random_nondegenerate_model)
 
 
@@ -57,7 +57,7 @@ def twisted(F):
     the Lbar fields are untouched and still commute."""
     z2 = TruncatedSeries.variable(2 * F.n + 1, 1, F.order)
     L = (F.L[0].scaled(1 + z2),) + F.L[1:]
-    return Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar, F.hyp)
+    return Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar)
 
 
 def seeded_frames():
@@ -72,13 +72,13 @@ def seeded_frames():
                 F = build_frame(M)
                 label = f"{maker.__name__}-{seed}-C{N}"
                 out.append(pytest.param(F, id=label))
-                G = adapt_frame(M, F, intrinsic_filtration(F, kmax=2))
+                G = adapt_frame(F, intrinsic_filtration(F, kmax=2))
                 out.append(pytest.param(G, id=label + "-adapted"))
                 if N > 2:
                     out.append(pytest.param(twisted(F), id=label + "-twisted"))
     M = from_defining(m3_rho(6), 3)
     F = build_frame(M)
-    G = adapt_frame(M, F, intrinsic_filtration(F))
+    G = adapt_frame(F, intrinsic_filtration(F))
     out.append(pytest.param(G, id="m3-adapted"))
     return out
 
@@ -117,6 +117,26 @@ def test_entries_are_built_once():
     assert words.bracket((0, 1), 1) is words.bracket((0, 1), 1)
     assert words.chain(()) is F.theta
     assert words.bracket((), 1) is F.L[1]
+
+
+def test_mixed_brackets_built_once_per_frame(monkeypatch):
+    # the frame-structure suite and the filtration's ell1 scan both read
+    # [Lbar_A, L_B]; the frame's words build each of them once
+    F = build_frame(heis(3, 6))
+    built = []
+    bracket = VectorFieldOp.bracket
+
+    def counting(self, other):
+        for A, X in enumerate(F.Lbar):
+            for B, Y in enumerate(F.L):
+                if self is X and other is Y:
+                    built.append((A, B))
+        return bracket(self, other)
+
+    monkeypatch.setattr(VectorFieldOp, "bracket", counting)
+    assert verify_frame_structure(F).ok
+    intrinsic_filtration(F)
+    assert sorted(built) == [(A, B) for A in range(F.n) for B in range(F.n)]
 
 
 def test_word_longer_than_frame_order():
