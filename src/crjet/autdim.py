@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, lcm
 
-from .hypersurface import Hypersurface, _DenseCoefficients, intrinsic_pairing
+from .hypersurface import DenseCoefficients, Hypersurface, intrinsic_pairing
 from .linalg import nullspace
 from .series import CS_I, CS_ONE, CScalar, TruncatedSeries, derivation
 
@@ -41,7 +41,7 @@ def aut_bound(N: int) -> int:
     return (2 * N - 1) * comb(4 * N - 3, 2 * N - 2)
 
 
-class FormalVectorField(_DenseCoefficients):
+class FormalVectorField(DenseCoefficients):
     """Holomorphic polynomial field sum a_j d/dz_j on the ambient chart.
 
     Coefficients are N truncated series in the holomorphic variables only;
@@ -112,6 +112,20 @@ def _holo_exponents(N: int, d: int, weights, j: int):
             yield from rec(pos + 1, left - e * wt[pos], acc + (e,))
 
     yield from rec(0, bound, ())
+
+
+def tangency_unknowns(N: int, d: int, weights, limit: int) -> int:
+    """Real unknowns of the tangency problems, counted without building
+    them; a weighted count stops once it passes limit."""
+    if weights is None:
+        return 2 * N * comb(N + d, d)
+    count = 0
+    for j in range(N):
+        for _ in _holo_exponents(N, d, weights, j):
+            count += 2
+            if count > limit:
+                return count
+    return count
 
 
 def tangency_terms(M: Hypersurface, d: int, order: int, weights=None,

@@ -336,18 +336,14 @@ class InputDocument:
 _SYSTEM_KEY = re.compile(r"^d([1-9]+)_f([1-9][0-9]*)$")
 _JET_KEY = re.compile(r"^f([1-9][0-9]*)(?:_([1-9]+))?$")
 
+# the integer keys of each kind with their ranges; all but order are
+# required
 _SCALAR_KEYS = {
     "hypersurface": {"N": (2, None), "order": (1, None)},
     "map": {"N": (2, None), "order": (1, None)},
     "system": {"axes": (1, 9), "components": (1, None),
                "jet_order": (0, None)},
     "jet": {"axes": (1, 9), "components": (1, None), "jet_order": (0, None)},
-}
-_REQUIRED_SCALARS = {
-    "hypersurface": ("N",),
-    "map": ("N",),
-    "system": ("axes", "components", "jet_order"),
-    "jet": ("axes", "components", "jet_order"),
 }
 
 
@@ -369,6 +365,10 @@ def _digits_from_exponent(beta) -> str:
 def jet_coordinate_name(i, beta) -> str:
     suffix = _digits_from_exponent(beta)
     return f"f{i + 1}" + (f"_{suffix}" if suffix else "")
+
+
+def _rhs_name(j, alpha) -> str:
+    return f"d{_digits_from_exponent(alpha)}_f{j + 1}"
 
 
 def _chart_names(q, m, k):
@@ -424,8 +424,8 @@ def parse_document(text, source="<string>") -> InputDocument:
                 raise ParseError(source, lineno, toks[0][3],
                                  f"{key} must lie in [{lo}, {top}]")
             scalars[key] = (value, (lineno, col))
-    for key in _REQUIRED_SCALARS[kind]:
-        if key not in scalars:
+    for key in allowed:
+        if key != "order" and key not in scalars:
             raise ParseError(source, None, 0,
                              f"missing '{key}' declaration")
 
@@ -444,7 +444,7 @@ def parse_document(text, source="<string>") -> InputDocument:
         allow_conj = False
         if kind == "system":
             names = frozenset(_chart_names(q, m, k))
-            needed = {f"d{_digits_from_exponent(alpha)}_f{j + 1}"
+            needed = {_rhs_name(j, alpha)
                       for j in range(m) for alpha in multi_indices(q, k + 1)}
         else:
             names = frozenset()
@@ -524,9 +524,6 @@ def _ambient_env(N, order):
 
 
 def build_hypersurface(doc: InputDocument, order: int) -> Hypersurface:
-    if doc.kind != "hypersurface":
-        raise ParseError(doc.source, None, 0,
-                         f"expected a hypersurface document, got {doc.kind}")
     N = doc.scalar("N")
     pairing = ambient_pairing(N)
     rho = eval_expr(doc.expression("rho"), _ambient_env(N, order), 2 * N,
@@ -539,9 +536,6 @@ def build_hypersurface(doc: InputDocument, order: int) -> Hypersurface:
 
 def build_map(doc: InputDocument, source_M: Hypersurface,
               target_M: Hypersurface) -> AmbientMap:
-    if doc.kind != "map":
-        raise ParseError(doc.source, None, 0,
-                         f"expected a map document, got {doc.kind}")
     N = doc.scalar("N")
     if N != source_M.N or N != target_M.N:
         raise ParseError(doc.source, None, 0,
@@ -554,46 +548,35 @@ def build_map(doc: InputDocument, source_M: Hypersurface,
 
 
 def build_system(doc: InputDocument) -> CompleteSystem:
-    if doc.kind != "system":
-        raise ParseError(doc.source, None, 0,
-                         f"expected a system document, got {doc.kind}")
     q = doc.scalar("axes")
     m = doc.scalar("components")
     k = doc.scalar("jet_order")
     names = _chart_names(q, m, k)
     nvars = len(names)
-    order = max([1] + [degree_bound(node) for _, node in doc.expressions])
+    exprs = dict(doc.expressions)
+    order = max([1] + [degree_bound(node) for node in exprs.values()])
     env = {name: TruncatedSeries.variable(nvars, idx, order)
            for name, idx in names.items()}
-    rhs = {}
-    for key, node in doc.expressions:
-        match = _SYSTEM_KEY.match(key)
-        line, col = doc.position(key)
-        beta = _exponent_from_digits(match.group(1), q,
-                                     doc.source, line, col)
-        rhs[(int(match.group(2)) - 1, beta)] = eval_expr(node, env, nvars,
-                                                         order)
+    rhs = {(j, alpha): eval_expr(exprs[_rhs_name(j, alpha)], env, nvars,
+                                 order)
+           for alpha in multi_indices(q, k + 1) for j in range(m)}
     return CompleteSystem(q, m, k, rhs)
 
 
 def build_jet(doc: InputDocument) -> JetVector:
-    if doc.kind != "jet":
-        raise ParseError(doc.source, None, 0,
-                         f"expected a jet document, got {doc.kind}")
     q = doc.scalar("axes")
     m = doc.scalar("components")
     k = doc.scalar("jet_order")
+    exprs = dict(doc.expressions)
     values = {}
-    for key, node in doc.expressions:
-        match = _JET_KEY.match(key)
-        line, col = doc.position(key)
-        beta = _exponent_from_digits(match.group(2) or "", q,
-                                     doc.source, line, col)
+    for i, beta in unknown_layout(q, m, k):
+        key = jet_coordinate_name(i, beta)
         # a jet document has no variables: its values are constants, the
         # series of an empty chart at order 0
-        value = eval_expr(node, {}, 0, 0).constant_term()
+        value = eval_expr(exprs[key], {}, 0, 0).constant_term()
         if not value.is_real():
+            line, col = doc.position(key)
             raise ParseError(doc.source, line, col,
                              f"jet entry {key} must be real")
-        values[(int(match.group(1)) - 1, beta)] = value.re
+        values[(i, beta)] = value.re
     return JetVector(q, m, k, values)

@@ -16,12 +16,13 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
-from ..autdim import (AutError, _holo_exponents, aut_bound,
-                      holomorphic_degeneracy_test, infinitesimal_aut_dim,
-                      tangency_restrictions, tangency_terms)
+from ..autdim import (AutError, aut_bound, holomorphic_degeneracy_test,
+                      infinitesimal_aut_dim, tangency_restrictions,
+                      tangency_terms, tangency_unknowns)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
                           nondegeneracy_scan, verify_bracket_pairing,
@@ -29,7 +30,7 @@ from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
                           verify_frame_structure,
                           verify_leading_order_reduction)
 from ..jets import JetError, integrate, taylor_propagate
-from ..mappings import (MappingError, _Pullback, pushforward_data,
+from ..mappings import (MappingError, Pullback, pushforward_data,
                         solve_levi_reflection, verify_reflection_base,
                         verify_transport_recursion)
 from ..operators import operator_certificates
@@ -37,7 +38,7 @@ from ..series import OrderExhausted, SeriesError
 from .documents import (ParseError, build_hypersurface, build_jet,
                         build_map, build_system, jet_coordinate_name,
                         load_document)
-from .report import SCHEMA_VERSION, emit, scalar_text
+from .report import SCHEMA_VERSION, emit
 
 CHECK_TOKENS = ("frame", "recursion", "leading", "commutators", "operators")
 # most points one reconstruct grid may tabulate; every point is built
@@ -80,6 +81,12 @@ MAX_CHAIN_WORDS = 400_000
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
 # takes 19 s on a unit-Levi pair
 MAX_REFLECT_WORDS = 1_024
+# most jet coefficients reconstruct --target-order T may expand: degree d
+# reads every unknown's Taylor coefficients up to d - k - 1, which sums to
+# m * C(q + k, q) * C(q + T - k, q + 1) over the degrees k + 1 to T.  The
+# line system d11_f1 = 0 at T = 500 (249500 of them) takes about 0.5 s as
+# a fresh process on a 2-core machine, and at T = 2000 about 9 s
+MAX_TAYLOR_TERMS = 250_000
 
 
 def _resolve_order(args, kmax, *docs):
@@ -143,20 +150,6 @@ def _kmax_bound(args, kmax, from_n=False):
     return f"the default --kmax {kmax}" + (" = N - 1" if from_n else "")
 
 
-def _tangency_unknowns(N, degree, weights):
-    """Real unknowns of aut's tangency problems, counted without building
-    them; a weighted count stops once it passes MAX_TANGENCY_UNKNOWNS."""
-    if weights is None:
-        return 2 * N * math.comb(N + degree, degree)
-    count = 0
-    for j in range(N):
-        for _ in _holo_exponents(N, degree, weights, j):
-            count += 2
-            if count > MAX_TANGENCY_UNKNOWNS:
-                return count
-    return count
-
-
 def _check_tree(rep: CheckReport) -> dict:
     return {"name": rep.name, "ok": rep.ok, "checked": rep.checked,
             "vacuous": rep.vacuous, "note": rep.note,
@@ -176,7 +169,27 @@ def _operator_check(F, m, degree) -> CheckReport:
                        note=f"monomial basis degree {degree}")
 
 
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
+
+
+def _check_exponents(spec, flag):
+    """Refuse an exponent of more than the digits Python converts in the
+    rationals of a flag value, before Fraction reads them: Fraction builds
+    10^e arithmetically, past the limit that refuses a long plain literal,
+    and Fraction('1e10000000') alone takes seconds."""
+    limit = sys.get_int_max_str_digits()
+    for match in _EXPONENT.finditer(spec):
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if limit and (len(digits) > len(str(limit))
+                      or int(digits or 0) > limit):
+            raise ParseError(flag, None, 0,
+                             f"exponent {match.group()!r} is more than "
+                             f"{limit}, the most digits Python converts "
+                             "(sys.get_int_max_str_digits())")
+
+
 def _scan_points(spec, n):
+    _check_exponents(spec, "--scan")
     try:
         values = [Fraction(tok) for tok in spec.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError):
@@ -190,8 +203,7 @@ def _scan_points(spec, n):
 def _scan_tree(report) -> dict:
     points = []
     for r in report.results:
-        entry = {"z": "(" + ", ".join(v.render() for v in r.z) + ")",
-                 "s": r.s, "status": r.status}
+        entry = {"z": r.z, "s": r.s, "status": r.status}
         if r.status == "ok":
             entry["k0"] = r.k0
             entry["nondegenerate"] = r.nondegenerate
@@ -200,15 +212,17 @@ def _scan_tree(report) -> dict:
             "nondegenerate_count": report.nondegenerate_count}
 
 
-def _load_model(args, kind_error):
-    doc = load_document(args.file)
-    if doc.kind != "hypersurface":
-        raise ParseError(doc.source, None, 0, kind_error)
+def _load(path, kind, verb):
+    """The document at path, refused unless it is of the given kind."""
+    doc = load_document(path)
+    if doc.kind != kind:
+        raise ParseError(doc.source, None, 0,
+                         f"{verb} needs a {kind} document")
     return doc
 
 
 def _run_analyze(args):
-    doc = _load_model(args, "analyze needs a hypersurface document")
+    doc = _load(args.file, "hypersurface", "analyze")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
     # the count runs to the filtration's lmax = kmax + 1
@@ -222,8 +236,6 @@ def _run_analyze(args):
     agree_ell = filt.ell0 == filt.ell1
     passed = agree_k0 and agree_ell
     tree = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "analyze",
         "model": {"N": M.N, "n": M.n, "order": order, "kmax": kmax,
                   "lmax": filt.lmax, "typemax": filt.typemax},
         "filtration": {
@@ -247,7 +259,7 @@ def _run_analyze(args):
 
 
 def _run_verify(args):
-    doc = _load_model(args, "verify needs a hypersurface document")
+    doc = _load(args.file, "hypersurface", "verify")
     n = doc.scalar("N") - 1
     tokens = [t.strip() for t in args.check.split(",") if t.strip()]
     if not tokens:
@@ -294,27 +306,15 @@ def _run_verify(args):
             for m in (2, 3):
                 reports.append(_operator_check(F, m, args.degree))
     passed = all(r.ok for r in reports)
-    tree = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "verify",
-        "model": {"N": M.N, "n": n, "order": order, "kmax": kmax},
-        "checks": [_check_tree(r) for r in reports],
-        "pass": passed,
-    }
-    return tree, passed
+    return {"model": {"N": M.N, "n": n, "order": order, "kmax": kmax},
+            "checks": [_check_tree(r) for r in reports],
+            "pass": passed}, passed
 
 
 def _run_reflect(args):
-    src_doc = load_document(args.source)
-    tgt_doc = load_document(args.target)
-    map_doc = load_document(args.map)
-    for doc in (src_doc, tgt_doc):
-        if doc.kind != "hypersurface":
-            raise ParseError(doc.source, None, 0,
-                             "reflect needs two hypersurface documents")
-    if map_doc.kind != "map":
-        raise ParseError(map_doc.source, None, 0,
-                         "reflect needs a map document")
+    src_doc = _load(args.source, "hypersurface", "reflect")
+    tgt_doc = _load(args.target, "hypersurface", "reflect")
+    map_doc = _load(args.map, "map", "reflect")
     kmax = args.kmax if args.kmax is not None else 1
     # the recursion at level k reads target chains up to k + 1
     _check_chain_words(src_doc.scalar("N"), kmax + 1,
@@ -329,7 +329,7 @@ def _run_reflect(args):
     F = build_map(map_doc, Ms, Mt)
     Fs, Ft = build_frame(F.source), build_frame(F.target)
     data = pushforward_data(F, Fs, Ft)
-    pull = _Pullback(Fs, Ft, data.imap)
+    pull = Pullback(Fs, Ft, data.imap)
 
     reports = [verify_reflection_base(data, pull)]
     for k in range(1, kmax + 1):
@@ -349,20 +349,16 @@ def _run_reflect(args):
                                    note=str(exc)))
 
     passed = all(r.ok for r in reports)
-    tree = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "reflect",
+    return {
         "order": order,
-        "base_point": [scalar_text(v) for v in F.base_point],
+        "base_point": list(F.base_point),
         "xi0": data.xi.constant_term(),
         "eta0": [e.constant_term() for e in data.eta],
-        "gamma0": ["(" + ", ".join(
-            data.gamma[A][B].constant_term().render()
-            for B in range(n)) + ")" for A in range(n)],
+        "gamma0": [tuple(g.constant_term() for g in row)
+                   for row in data.gamma],
         "checks": [_check_tree(r) for r in reports],
         "pass": passed,
-    }
-    return tree, passed
+    }, passed
 
 
 def _parse_grid(specs, q):
@@ -373,6 +369,7 @@ def _parse_grid(specs, q):
                          f"need one spec or {q}, got {len(specs)}")
     grid, points = [], 1
     for spec in specs:
+        _check_exponents(spec, "--grid")
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParseError("--grid", None, 0,
@@ -399,17 +396,32 @@ def _parse_grid(specs, q):
     return grid
 
 
+def _check_taylor_terms(doc, target_order):
+    """Refuse a --target-order whose expansions would read more than
+    MAX_TAYLOR_TERMS jet coefficients, counted from the system document."""
+    q, m, k = doc.scalar("axes"), doc.scalar("components"), \
+        doc.scalar("jet_order")
+    count = m * math.comb(q + k, q) \
+        * math.comb(q + max(target_order - k, 0), q + 1)
+    if count > MAX_TAYLOR_TERMS:
+        raise ParseError("--target-order", None, 0,
+                         f"--target-order {target_order} expands more than "
+                         f"MAX_TAYLOR_TERMS = {MAX_TAYLOR_TERMS} jet "
+                         f"coefficients of a system with axes = {q}, "
+                         f"components = {m} and jet_order = {k}")
+
+
 def _run_reconstruct(args):
-    system_doc = load_document(args.system)
-    jet_doc = load_document(args.jet)
+    system_doc = _load(args.system, "system", "reconstruct")
+    jet_doc = _load(args.jet, "jet", "reconstruct")
+    if args.target_order is not None:
+        _check_taylor_terms(system_doc, args.target_order)
     S = build_system(system_doc)
     jet = build_jet(jet_doc)
     if args.target_order is None and not args.grid:
         raise ParseError(args.system, None, 0,
                          "nothing to do: give --target-order and/or --grid")
     tree = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "reconstruct",
         "system": {"axes": S.q, "components": S.m, "jet_order": S.k},
         "pass": True,
     }
@@ -455,7 +467,7 @@ def _check_rho_digits(doc, M):
 
 
 def _run_aut(args):
-    doc = _load_model(args, "aut needs a hypersurface document")
+    doc = _load(args.file, "hypersurface", "aut")
     n = doc.scalar("N") - 1
     weights = None
     if args.weights is not None:
@@ -465,7 +477,8 @@ def _run_aut(args):
             raise ParseError("--weights", None, 0,
                              f"expected comma-separated integers, "
                              f"got {args.weights!r}")
-    count = _tangency_unknowns(n + 1, args.degree, weights)
+    count = tangency_unknowns(n + 1, args.degree, weights,
+                              MAX_TANGENCY_UNKNOWNS)
     if count > MAX_TANGENCY_UNKNOWNS:
         limit = f"MAX_TANGENCY_UNKNOWNS = {MAX_TANGENCY_UNKNOWNS}"
         if weights:
@@ -497,9 +510,7 @@ def _run_aut(args):
     real = infinitesimal_aut_dim(M, args.degree, use_order, weights, shared)
     bound = aut_bound(M.N)
     passed = real.solution_dim <= bound
-    tree = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "aut",
+    return {
         "model": {"N": M.N, "n": M.n, "order": order},
         "degree": args.degree,
         "tangency_order": use_order,
@@ -509,26 +520,19 @@ def _run_aut(args):
         "real": {"dim": real.solution_dim, "note": real.note},
         "inequality": "satisfied" if passed else "violated",
         "pass": passed,
-    }
-    return tree, passed
+    }, passed
 
 
 def _run_scan(args):
-    doc = _load_model(args, "scan needs a hypersurface document")
+    doc = _load(args.file, "hypersurface", "scan")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
     _check_chain_words(n + 1, kmax, _kmax_bound(args, kmax, True))
     order = _resolve_order(args, kmax, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     report = nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax)
-    tree = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "scan",
-        "model": {"N": M.N, "n": M.n, "order": order},
-        "scan": _scan_tree(report),
-        "pass": True,
-    }
-    return tree, True
+    return {"model": {"N": M.N, "n": M.n, "order": order},
+            "scan": _scan_tree(report), "pass": True}, True
 
 
 @functools.cache
@@ -615,7 +619,7 @@ def main(argv=None) -> int:
             if value is not None and value < 0:
                 raise ParseError("--" + flag.replace("_", "-"), None, 0,
                                  f"must be non-negative, got {value}")
-        tree, passed = _RUNNERS[args.verb](args)
+        body, passed = _RUNNERS[args.verb](args)
     except (ParseError, SeriesError, GeometryError, MappingError,
             JetError, AutError, OSError) as exc:
         message = str(exc)
@@ -624,7 +628,8 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     try:
-        text = emit(tree, args.json)
+        text = emit({"schema_version": SCHEMA_VERSION, "verb": args.verb,
+                     **body}, args.json)
     except ValueError:  # str() refuses an int of too many digits
         print("error: a report value has a numerator or denominator of more "
               f"than {sys.get_int_max_str_digits()} digits, the most Python "

@@ -1,11 +1,13 @@
 """Canonical report rendering.
 
-Reports are plain trees of dicts, lists and scalars.  The text form sorts
-every key, renders exact rationals as p/q, keeps floats in shortest
-round-trip form, and never embeds timestamps or environment data, so the
-same tree always produces the same bytes.  The JSON form converts the
-exact scalar types to their canonical strings and delegates the rest to
-the standard encoder with sorted keys.
+Reports are plain trees of dicts, lists and scalars; a tuple of scalars is
+a scalar too, rendered as (a, b).  The text form sorts every key, renders
+exact rationals as p/q, keeps floats in shortest round-trip form, and
+never embeds timestamps or environment data, so the same tree always
+produces the same bytes.  The JSON form converts the exact scalar types
+and tuples to their canonical strings and delegates the rest to the
+standard encoder with sorted keys.  Every value is rendered here, so an
+integer of more digits than Python prints fails in emit alone.
 """
 
 from __future__ import annotations
@@ -23,20 +25,20 @@ _SCALARS = (str, bool, int, float, Fraction, CScalar, Unbounded,
 
 
 def scalar_text(value) -> str:
+    if isinstance(value, tuple):
+        return "(" + ", ".join(scalar_text(v) for v in value) + ")"
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, CScalar):
         return value.render()
-    if isinstance(value, (Unbounded, Fraction, int)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # str of a float is its shortest round-trip form
 
 
 def _is_scalar(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_is_scalar(v) for v in value)
     return isinstance(value, _SCALARS)
 
 
@@ -50,9 +52,9 @@ def _block(node, indent) -> list:
                 lines.append(f"{pad}{key}: {scalar_text(value)}")
             elif isinstance(value, dict) and not value:
                 lines.append(f"{pad}{key}: {{}}")
-            elif isinstance(value, (list, tuple)) and not value:
+            elif isinstance(value, list) and not value:
                 lines.append(f"{pad}{key}: []")
-            elif isinstance(value, (list, tuple)) \
+            elif isinstance(value, list) \
                     and all(_is_scalar(v) for v in value):
                 inner = ", ".join(scalar_text(v) for v in value)
                 lines.append(f"{pad}{key}: [{inner}]")
@@ -60,7 +62,7 @@ def _block(node, indent) -> list:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_block(value, indent + 2))
         return lines
-    if isinstance(node, (list, tuple)):
+    if isinstance(node, list):
         for item in node:
             if _is_scalar(item):
                 lines.append(f"{pad}- {scalar_text(item)}")
@@ -75,9 +77,9 @@ def _block(node, indent) -> list:
 def _jsonable(node):
     if isinstance(node, dict):
         return {key: _jsonable(value) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
+    if isinstance(node, list):
         return [_jsonable(value) for value in node]
-    if isinstance(node, (CScalar, Unbounded, Fraction)):
+    if isinstance(node, (tuple, CScalar, Unbounded, Fraction)):
         return scalar_text(node)
     return node
 

@@ -72,7 +72,7 @@ def ambient_var(N: int, index: int, order: int) -> TruncatedSeries:
 # first-order operators and one-forms on a chart
 
 
-class _DenseCoefficients:
+class DenseCoefficients:
     """Immutable dense tuple of series on one chart, at a common order.
 
     The shell of every field and form type: construction truncates the
@@ -142,7 +142,7 @@ class _DenseCoefficients:
                 f"coeffs={list(self.coeffs)!r})")
 
 
-class VectorFieldOp(_DenseCoefficients):
+class VectorFieldOp(DenseCoefficients):
     """First-order differential operator sum_v c_v(x) d/dx_v on a chart."""
 
     __slots__ = ()
@@ -159,7 +159,7 @@ class VectorFieldOp(_DenseCoefficients):
         )
 
 
-class OneForm(_DenseCoefficients):
+class OneForm(DenseCoefficients):
     """Differential form sum_v w_v(x) dx_v on a chart."""
 
     __slots__ = ()

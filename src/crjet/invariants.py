@@ -13,7 +13,7 @@ every suite run on one frame build each of them once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hypersurface import (
     Frame,
@@ -23,8 +23,8 @@ from .hypersurface import (
     exterior_derivative,
     from_defining,
 )
-from .linalg import SpanTracker, nullspace, rank
-from .series import CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted, TruncatedSeries
+from .linalg import SpanTracker, rank
+from .series import CS_I, CScalar, OrderExhausted, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ class FiltrationReport:
     ell0: object
     ell1: object
     m0: object
-    Fk_bases: tuple = field(repr=False)
     kmax: int = 0
     lmax: int = 0
     typemax: int = 0
@@ -145,33 +144,26 @@ def intrinsic_filtration(F: Frame, kmax=None):
     def sorted_words(length):
         return itertools.combinations_with_replacement(range(n), length)
 
-    span = SpanTracker(n + 1)
-    kernel_rows = []
-    Ek_dims, Fk_dims, rk, Fk_bases = [], [], [], []
+    # E_k is spanned by the (transverse, h) rows at 0 of the words up to
+    # length k, and F_k is the kernel of their h parts: dim F_k = n - rank
+    span, kernel = SpanTracker(n + 1), SpanTracker(n)
+    Ek_dims, Fk_dims, rk = [], [], []
     k0 = None
     for k in range(kmax + 1):
         for abar in sorted_words(k):
             t0 = words.transverse(abar).constant_term()
             row = [words.h(abar, D).constant_term() for D in range(n)]
             span.add([t0] + row)
-            if any(not c.is_zero() for c in row):
-                kernel_rows.append(row)
+            kernel.add(row)
         Ek_dims.append(span.dim)
-        basis = nullspace(kernel_rows, ncols=n) if kernel_rows else \
-            [[CS_ONE if i == j else CS_ZERO for i in range(n)]
-             for j in range(n)]
-        Fk_bases.append(tuple(tuple(v) for v in basis))
-        Fk_dims.append(len(basis))
-        rk.append(n - len(basis))
-        if k0 is None and len(basis) == 0:
+        Fk_dims.append(n - kernel.dim)
+        rk.append(kernel.dim)
+        if k0 is None and kernel.dim == n:
             k0 = k
     if k0 is None:
         k0 = Unbounded("kmax", kmax)
-    if kmax >= 1:
-        levi_rank = rk[1]
-    else:
-        levi_rank = rank([[words.h((A,), B).constant_term()
-                           for B in range(n)] for A in range(n)])
+    levi_rank = rank([[words.h((A,), B).constant_term() for B in range(n)]
+                      for A in range(n)])
 
     ell0 = ell1 = None
     for ell in range(1, lmax + 1):
@@ -193,7 +185,7 @@ def intrinsic_filtration(F: Frame, kmax=None):
     return FiltrationReport(
         n=n, Ek_dims=tuple(Ek_dims), Fk_dims=tuple(Fk_dims), rk=tuple(rk),
         k0=k0, levi_rank=levi_rank, ell0=ell0, ell1=ell1, m0=m0,
-        Fk_bases=tuple(Fk_bases), kmax=kmax, lmax=lmax, typemax=typemax)
+        kmax=kmax, lmax=lmax, typemax=typemax)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ germs, and solve_levi_reflection inverts the Levi-step identity: with both
 Levi pairings nondegenerate at 0 it reconstructs (gamma, eta) from xi and
 the conjugated data alone.
 
-Those three readers share one _Pullback, which lives for one reflect call
+Those three readers share one Pullback, which lives for one reflect call
 and is then dropped.  It holds each target entry composed with the map's
 intrinsic components, keyed by (sorted abar, D), or (sorted abar, "T") for
 the transverse entry.  The raw entries of both germs come from their
@@ -236,7 +236,7 @@ def pushforward_data(F: AmbientMap, frame_src: Frame,
                            target_frame=frame_tgt)
 
 
-class _Pullback:
+class Pullback:
     """Target entries composed with the map's intrinsic components, each
     computed once.
 
@@ -265,7 +265,7 @@ class _Pullback:
 
 
 def verify_reflection_base(data: PushforwardData,
-                           pull: _Pullback) -> CheckReport:
+                           pull: Pullback) -> CheckReport:
     """Residuals of the five first-order transport identities.
 
     The source entries come from the source frame's words, and pull
@@ -322,7 +322,7 @@ def verify_reflection_base(data: PushforwardData,
                        checked=checked, violations=tuple(violations))
 
 
-def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
+def verify_transport_recursion(data: PushforwardData, pull: Pullback,
                                k: int) -> CheckReport:
     """Residuals of the two k-indexed transport identities.
 
@@ -375,7 +375,7 @@ def verify_transport_recursion(data: PushforwardData, pull: _Pullback,
                        checked=checked, violations=tuple(violations))
 
 
-def solve_levi_reflection(conj: ConjugateData, pull: _Pullback):
+def solve_levi_reflection(conj: ConjugateData, pull: Pullback):
     """Reconstruct (gamma, eta) from xi and the conjugated data.
 
     Inverts the Levi-transport identity: the pairing matrix

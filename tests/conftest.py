@@ -3,6 +3,7 @@ maps between them, and frames adapted to a filtration."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -180,17 +181,31 @@ def sigma(M, c):
 # frames adapted to a filtration
 
 
-def adapt_frame(frame, filtration):
+def kernel_bases(F, kmax=None) -> list:
+    """Oracle for the kernel filtration at the origin: a nullspace basis
+    of F_k for k = 0..kmax (default n, as in intrinsic_filtration), where
+    F_k is the kernel of the h rows at 0 of the words up to length k."""
+    n = F.n
+    rows, bases = [], []
+    for k in range(n + 1 if kmax is None else kmax + 1):
+        for abar in itertools.combinations_with_replacement(range(n), k):
+            rows.append([F.words.h(abar, D).constant_term()
+                         for D in range(n)])
+        bases.append(nullspace(rows, ncols=n))
+    return bases
+
+
+def adapt_frame(frame, bases):
     """Reorder the CR frame by constants so trailing fields span each kernel.
 
-    The filtration report supplies, at the origin, a descending chain of
-    kernel subspaces in frame coordinates; the returned frame applies a
-    constant invertible change so that for every stage k the final fields
-    L_{r_k+1}, ..., L_n span stage k's kernel.  Constant changes keep every
-    frame bracket proportional to T and every d theta^A zero.
+    bases is a descending chain of kernel subspaces at the origin in frame
+    coordinates, one basis per stage, as kernel_bases returns it; the
+    returned frame applies a constant invertible change so that for every
+    stage k the final fields L_{r_k+1}, ..., L_n span stage k's kernel.
+    Constant changes keep every frame bracket proportional to T and every
+    d theta^A zero.
     """
     n = frame.n
-    bases = list(filtration.Fk_bases)
     for basis in bases:
         for vec in basis:
             if len(vec) != n:

@@ -21,7 +21,7 @@ from crjet.invariants import (extrinsic_k0, intrinsic_filtration,
                               verify_frame_structure,
                               verify_leading_order_reduction)
 from crjet.jets import CompleteSystem, JetVector, integrate
-from crjet.mappings import (_Pullback, pushforward_data,
+from crjet.mappings import (Pullback, pushforward_data,
                             solve_levi_reflection, tangency_residual,
                             verify_reflection_base,
                             verify_transport_recursion)
@@ -98,7 +98,7 @@ def test_criterion_05_reflection_suite_exact():
     for F in maps:
         Fs, Ft = build_frame(F.source), build_frame(F.target)
         data = pushforward_data(F, Fs, Ft)
-        pull = _Pullback(Fs, Ft, data.imap)
+        pull = Pullback(Fs, Ft, data.imap)
         base = verify_reflection_base(data, pull)
         assert base.ok and not base.vacuous
         for k in (1, 2):

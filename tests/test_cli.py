@@ -16,8 +16,10 @@ from crjet.cli.documents import (FUNCTIONS, MAX_EXPONENT, ParseError,
                                  _spine, build_hypersurface, build_jet,
                                  build_map, build_system, degree_bound,
                                  exponent_product, parse_document)
-from crjet.cli.main import main
+from crjet.cli.main import MAX_TAYLOR_TERMS, main
+from crjet.cli.report import emit
 from crjet.hypersurface import from_defining
+from crjet.invariants import Unbounded
 from crjet.jets import taylor_propagate
 from crjet.series import CScalar
 from tests.conftest import heis, m3_rho
@@ -685,6 +687,64 @@ class TestVerbs:
         got = sorted(v for (v,) in points.values())
         assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
 
+    @pytest.mark.parametrize("order, code", [(500, 0), (501, 2), (2000, 2)])
+    def test_target_order_budget(self, docs, capsys, order, code):
+        # the line system expands 2 * C(T, 2) jet coefficients up to T:
+        # 249500 at T = 500, 250500 at T = 501
+        start = time.perf_counter()
+        got, out, errtext = run(capsys, ["reconstruct", docs["line_sys"],
+                                         docs["line_jet"], "--target-order",
+                                         str(order)])
+        assert time.perf_counter() - start < 5.0
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert errtext == (
+                f"error: --target-order: --target-order {order} expands "
+                f"more than MAX_TAYLOR_TERMS = {MAX_TAYLOR_TERMS} jet "
+                "coefficients of a system with axes = 1, components = 1 "
+                "and jet_order = 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "heis", "--scan", "1e5000"],
+        ["analyze", "heis", "--scan", "0,1E-5_000"],
+        ["scan", "heis", "--scan", "1e" + "9" * 5000],
+        ["reconstruct", "line_sys", "line_jet", "--grid", "0:1e+5000:2"],
+    ])
+    def test_exponent_past_the_digit_limit(self, docs, capsys, argv):
+        # Fraction would build 10^e past the limit that refuses a long
+        # plain literal; the flag is refused before any Fraction is built
+        argv = [docs.get(a, a) for a in argv]
+        start = time.perf_counter()
+        code, out, errtext = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert errtext.startswith(f"error: {argv[-2]}: exponent '")
+        assert errtext.endswith(
+            f" is more than {sys.get_int_max_str_digits()}, the most digits "
+            "Python converts (sys.get_int_max_str_digits())\n")
+
+    @pytest.mark.parametrize("argv, wrong, kind", [
+        (["analyze", "line_jet"], 1, "hypersurface"),
+        (["verify", "dilation"], 1, "hypersurface"),
+        (["scan", "line_sys", "--scan", "0"], 1, "hypersurface"),
+        (["aut", "line_jet"], 1, "hypersurface"),
+        (["reflect", "dilation", "heis", "dilation"], 1, "hypersurface"),
+        (["reflect", "heis", "line_sys", "dilation"], 2, "hypersurface"),
+        (["reflect", "heis", "heis", "heis"], 3, "map"),
+        (["reconstruct", "line_jet", "line_jet", "--target-order", "2"], 1,
+         "system"),
+        (["reconstruct", "line_sys", "line_sys", "--target-order", "2"], 2,
+         "jet"),
+    ])
+    def test_wrong_kind_message(self, docs, capsys, argv, wrong, kind):
+        # one message for every verb and position, naming the document
+        argv = [docs.get(a, a) for a in argv]
+        code, out, errtext = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert errtext == (f"error: {argv[wrong]}: {argv[0]} needs a {kind} "
+                           "document\n")
+
     def test_reconstruct_needs_a_request(self, docs, capsys):
         code, _, errtext = run(capsys, ["reconstruct", docs["line_sys"],
                                         docs["line_jet"]])
@@ -1128,6 +1188,42 @@ class TestLargeValues:
                            f"denominator of more than {limit} digits, the "
                            "most Python prints "
                            "(sys.get_int_max_str_digits())\n")
+
+
+TOO_LONG_TO_PRINT = ("error: a report value has a numerator or denominator "
+                     f"of more than {sys.get_int_max_str_digits()} digits, "
+                     "the most Python prints (sys.get_int_max_str_digits())\n")
+
+
+class TestReportValues:
+    """Every report value is rendered in report.emit, behind main's digit
+    guard, wherever it sits in the tree."""
+
+    @pytest.mark.parametrize("argv, map_text", [
+        (["scan", "heis", "--scan", "1e4300"], None),
+        (["analyze", "heis", "--scan", "1e4300"], None),
+        (["reflect", "heis", "heis", "map"],
+         "f1 = (3/2)^10000*z1\nf2 = (3/2)^20000*w\n"),
+        (["reflect", "heis", "heis", "map"], "f1 = z1\nf2 = 10^5000 + w\n"),
+    ])
+    def test_value_too_long_to_print(self, docs, tmp_path, capsys, argv,
+                                     map_text):
+        if map_text is not None:
+            path = tmp_path / "map.crj"
+            path.write_text("kind = map\nN = 2\n" + map_text,
+                            encoding="utf-8")
+            docs = {**docs, "map": str(path)}
+        code, out, errtext = run(capsys, [docs.get(a, a) for a in argv])
+        assert (code, out, errtext) == (2, "", TOO_LONG_TO_PRINT)
+
+    def test_tuple_of_scalars_is_one_scalar(self):
+        pair = (CScalar(1, 2), Fraction(-1, 3), Unbounded("kmax", 2))
+        text = "(1+2*i, -1/3, inf@kmax=2)"
+        tree = {"value": pair, "list": [pair, 1], "items": [{"a": 1}, pair]}
+        assert emit(tree) == (f"items:\n  - a: 1\n  - {text}\n"
+                              f"list: [{text}, 1]\nvalue: {text}\n")
+        assert json.loads(emit(tree, json_mode=True)) == {
+            "items": [{"a": 1}, text], "list": [text, 1], "value": text}
 
 
 class TestIntegratorInput:

@@ -415,11 +415,6 @@ def at0(X):
     return [c.constant_term() for c in X.coeffs]
 
 
-class _StubFiltration:
-    def __init__(self, bases):
-        self.Fk_bases = bases
-
-
 class TestAdaptFrame:
     def test_reorders_to_kernel(self):
         # kernel chain: full space, then span{e2}
@@ -427,8 +422,7 @@ class TestAdaptFrame:
         F = build_frame(M)
         e1 = [CS_ONE, CS_ZERO]
         e2 = [CS_ZERO, CS_ONE]
-        filt = _StubFiltration([[e1, e2], [e2]])
-        G = adapt_frame(F, filt)
+        G = adapt_frame(F, [[e1, e2], [e2]])
         assert at0(G.L[1]) == at0(F.L[1])  # e2 direction lands last
         # duality still holds at the adapted frame
         forms = (G.theta,) + G.thetaA + G.thetaAbar
@@ -442,8 +436,7 @@ class TestAdaptFrame:
         M = from_defining(m3_rho(6), 3)
         F = build_frame(M)
         v = [CS_ONE, CScalar(2)]
-        filt = _StubFiltration([[[CS_ONE, CS_ZERO], v], [v]])
-        G = adapt_frame(F, filt)
+        G = adapt_frame(F, [[[CS_ONE, CS_ZERO], v], [v]])
         assert at0(G.L[1])[:2] == [CS_ONE, CScalar(2)]
         # brackets stay transverse under constant changes
         B = G.L[0].bracket(G.Lbar[1])
@@ -454,4 +447,4 @@ class TestAdaptFrame:
         M = from_defining(heisenberg_rho(2, 6), 2)
         F = build_frame(M)
         with pytest.raises(GeometryError):
-            adapt_frame(F, _StubFiltration([[[CS_ONE, CS_ZERO]]]))
+            adapt_frame(F, [[[CS_ONE, CS_ZERO]]])

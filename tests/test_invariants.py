@@ -21,11 +21,12 @@ from crjet.invariants import (
     verify_derivative_recursion,
     verify_leading_order_reduction,
 )
-from crjet.linalg import SpanTracker, rank
+from crjet.linalg import SpanTracker, nullspace, rank
 from crjet.series import CScalar, TruncatedSeries
 from tests.conftest import (adapt_frame, graph_rho, heis, heisenberg_rho,
-                            m2_rho, m3_rho, m4_rho, random_model,
-                            random_nondegenerate_model, random_phi)
+                            kernel_bases, m2_rho, m3_rho, m4_rho,
+                            random_model, random_nondegenerate_model,
+                            random_phi)
 from tests.test_words import OrderedWords
 
 
@@ -253,6 +254,30 @@ class TestIntrinsicFiltration:
                     seen.add(r.k0)
         assert seen == {1, 2, 3, Unbounded("kmax", 3)}
 
+    def test_ranks_match_kernel_bases(self):
+        # one span tracker against the nullspace oracle at every level, and
+        # the Levi rank against the length-one h matrix at 0, at every kmax
+        seen = set()
+        for N, order in ((2, 6), (3, 6), (4, 5)):
+            for maker in (random_model, random_nondegenerate_model):
+                for seed in range(620, 625):
+                    F = build_frame(maker(seed, N, order))
+                    n = F.n
+                    h1 = [[F.words.h((A,), B).constant_term()
+                           for B in range(n)] for A in range(n)]
+                    levi = n - len(nullspace(h1, ncols=n))
+                    for kmax in range(4):
+                        r = intrinsic_filtration(F, kmax=kmax)
+                        sizes = tuple(len(b) for b in kernel_bases(F, kmax))
+                        case = (maker.__name__, seed, N, kmax)
+                        assert r.Fk_dims == sizes, case
+                        assert r.rk == tuple(n - d for d in sizes), case
+                        assert r.levi_rank == levi, case
+                        seen.update((n, d) for d in r.Fk_dims)
+        # the seeds reach proper kernels, which a rank slip would move
+        assert {(n, d) for n, d in seen if 0 < d < n} == {(2, 1), (3, 1),
+                                                          (3, 2)}
+
     def test_prop_consequences_on_random_models(self):
         for seed, N in [(320, 2), (321, 3), (322, 3)]:
             F = build_frame(random_model(seed, N, 7))
@@ -267,8 +292,7 @@ class TestAdaptedFrame:
     def test_adapts_to_levi_kernel(self):
         M = from_defining(m3_rho(8), 3)
         F = build_frame(M)
-        r = intrinsic_filtration(F)
-        G = adapt_frame(F, r)
+        G = adapt_frame(F, kernel_bases(F))
         # trailing field spans the Levi kernel: its pairing row vanishes
         for A in range(G.n):
             assert G.words.h((A,), G.n - 1).constant_term().is_zero()
@@ -277,7 +301,7 @@ class TestAdaptedFrame:
         M = from_defining(m3_rho(8), 3)
         F = build_frame(M)
         r1 = intrinsic_filtration(F)
-        G = adapt_frame(F, r1)
+        G = adapt_frame(F, kernel_bases(F))
         r2 = intrinsic_filtration(G)
         assert r1.Ek_dims == r2.Ek_dims
         assert r1.Fk_dims == r2.Fk_dims

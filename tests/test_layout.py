@@ -1,7 +1,8 @@
 """Package layout: every public top-level function or class in src/ has a
-caller in src/, every import in src/ is used by its module, and every name
-the benchmark tracer wraps exists.  Helpers that only tests need live in
-tests/, as fixtures or oracles."""
+caller in src/, every import in src/ is used by its module, no module
+imports another's private name, and every name the benchmark tracer wraps
+exists.  Helpers that only tests need live in tests/, as fixtures or
+oracles."""
 
 import ast
 import importlib
@@ -77,6 +78,28 @@ def test_unused_import_is_caught(tmp_path):
         encoding="utf-8")
     assert unused_imports(tmp_path) == ["mod.py::cached_property",
                                         "mod.py::os"]
+
+
+def private_imports(root=SRC) -> list:
+    """Underscore names a module in the package imports from another
+    module."""
+    return [f"{path.relative_to(root).as_posix()}::{alias.name}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_import_across_modules():
+    assert private_imports() == []
+
+
+def test_private_import_is_caught(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "from .x import Public, _hidden\nfrom .y import _Shell as Shell\n",
+        encoding="utf-8")
+    assert private_imports(tmp_path) == ["mod.py::_hidden", "mod.py::_Shell"]
 
 
 def test_every_traced_name_exists():

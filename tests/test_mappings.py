@@ -9,7 +9,7 @@ from crjet.hypersurface import ambient_var, build_frame, from_defining
 from crjet.mappings import (
     AmbientMap,
     MappingError,
-    _Pullback,
+    Pullback,
     pushforward_data,
     restrict,
     solve_levi_reflection,
@@ -58,11 +58,11 @@ def data_for(F):
 
 
 def pull_for(data):
-    return _Pullback(data.source_frame, data.target_frame, data.imap)
+    return Pullback(data.source_frame, data.target_frame, data.imap)
 
 
 class DirectPullback:
-    """Oracle for _Pullback: every target entry built along its own ordered
+    """Oracle for Pullback: every target entry built along its own ordered
     word, and composed with the map again on every read."""
 
     def __init__(self, data):

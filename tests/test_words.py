@@ -17,8 +17,9 @@ from crjet.hypersurface import (Frame, VectorFieldOp, build_frame,
                                 exterior_derivative, from_defining)
 from crjet.invariants import intrinsic_filtration, verify_frame_structure
 from crjet.series import OrderExhausted, TruncatedSeries
-from tests.conftest import (adapt_frame, heis, heisenberg_rho, m3_rho,
-                            random_model, random_nondegenerate_model)
+from tests.conftest import (adapt_frame, heis, heisenberg_rho,
+                            kernel_bases, m3_rho, random_model,
+                            random_nondegenerate_model)
 
 
 class OrderedWords:
@@ -72,13 +73,13 @@ def seeded_frames():
                 F = build_frame(M)
                 label = f"{maker.__name__}-{seed}-C{N}"
                 out.append(pytest.param(F, id=label))
-                G = adapt_frame(F, intrinsic_filtration(F, kmax=2))
+                G = adapt_frame(F, kernel_bases(F, kmax=2))
                 out.append(pytest.param(G, id=label + "-adapted"))
                 if N > 2:
                     out.append(pytest.param(twisted(F), id=label + "-twisted"))
     M = from_defining(m3_rho(6), 3)
     F = build_frame(M)
-    G = adapt_frame(F, intrinsic_filtration(F))
+    G = adapt_frame(F, kernel_bases(F))
     out.append(pytest.param(G, id="m3-adapted"))
     return out
 
