@@ -85,7 +85,7 @@ MAX_REFLECT_WORDS = 1_024
 # reads every unknown's Taylor coefficients up to d - k - 1, which sums to
 # m * C(q + k, q) * C(q + T - k, q + 1) over the degrees k + 1 to T.  The
 # line system d11_f1 = 0 at T = 500 (249500 of them) takes about 0.5 s as
-# a fresh process on a 2-core machine, and at T = 2000 about 9 s
+# a fresh process on a 2-core machine, and at T = 2000 about 5 s
 MAX_TAYLOR_TERMS = 250_000
 
 
