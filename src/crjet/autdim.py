@@ -4,15 +4,16 @@ A holomorphic polynomial vector field Y = sum a_j(z, w) d/dz_j (the last
 slot differentiates along the transverse variable) is tangent to the germ
 when the defining series divides Y rho; on a graph chart divisibility is
 plain restriction, so the condition is that Y rho composed with the graph
-substitution vanishes.  Two linear problems on truncated data follow.
-The complex one asks for Y rho = 0 on M: a nonzero solution is a
-holomorphic direction the germ does not see, and evidence of holomorphic
-degeneracy.  The real one asks for Re Y tangent to M, encoded as
-Y rho + conj(Y rho) = 0 on M with the coefficient space split into real
-unknowns; its solution space is the polynomial symmetry algebra cut at a
-degree.  Both reduce to exact nullspace computations over the rationals.
-aut_bound is the closed-form ceiling for the real dimension on finitely
-nondegenerate minimal germs.
+substitution vanishes.  The real problem asks for Re Y tangent to M,
+encoded as Y rho + conj(Y rho) = 0 on M with the coefficient space split
+into real unknowns; its solution space is the polynomial symmetry algebra
+cut at a degree, found by one exact nullspace computation over the
+rationals.  The complex problem, Y rho = 0 on M, asks for a holomorphic
+direction the germ does not see, evidence of holomorphic degeneracy; its
+solutions are the real ones whose multiple by i is a solution too, so its
+dimension is read off the real solution space.  aut_bound is the
+closed-form ceiling for the real dimension on finitely nondegenerate
+minimal germs.
 
 Truncated runs certify truncated statements only: a zero dimension rules
 out candidates up to the stated degree and order, while a positive one is
@@ -26,7 +27,7 @@ from itertools import accumulate
 from math import comb, lcm
 
 from .hypersurface import DenseCoefficients, Hypersurface, intrinsic_pairing
-from .linalg import nullspace
+from .linalg import nullspace, rank
 from .series import CS_I, CS_ONE, CScalar, TruncatedSeries, derivation
 
 
@@ -64,27 +65,47 @@ class FormalVectorField(DenseCoefficients):
 
 @dataclass(frozen=True)
 class TangencySystem:
-    """Solved truncated tangency problem with its certificate data.
+    """Solved truncated real tangency problem with its certificate data.
 
-    unknowns lists the candidate coefficient monomials, (j, alpha) for the
-    complex problem and (j, alpha, part) with part 0/1 for the real and
-    imaginary split; equations holds the exact constraint rows as sparse
-    {column: value} dicts, a column indexing unknowns and every stored
-    value nonzero, each row scaled to integers: Gaussian-integer CScalar
-    for the complex problem and int for the real one.  solution_dim is
-    the nullspace dimension (complex or real, matching the problem) and
-    basis realizes it as vector fields.
+    unknowns lists the candidate coefficient monomials as (j, alpha, part),
+    part 0/1 for the real and imaginary split, and the two parts of a
+    candidate are adjacent; equations holds the exact constraint rows as
+    sparse {column: int} dicts, a column indexing unknowns and every stored
+    value nonzero, each row scaled to integers.  vectors is the nullspace
+    basis over the unknowns, one Fraction list per real dimension;
+    holomorphic_dim is the complex dimension of its part closed under
+    multiplication by i, the fields with Y rho = 0 on M.
     """
 
-    kind: str
     d: int
     order: int
     weights: tuple | None
     unknowns: tuple
     equations: tuple
-    solution_dim: int
-    basis: tuple
+    vectors: tuple
+    holomorphic_dim: int
     note: str
+    holomorphic_note: str
+
+    @property
+    def solution_dim(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> tuple:
+        """One field per nullspace vector, built on request at the germ
+        order order + 1 that the solve needs at least."""
+        N, W = len(self.unknowns[0][1]) // 2, self.order + 1
+        fields = []
+        for v in self.vectors:
+            coeffs = [{} for _ in range(N)]
+            for t in range(0, len(v), 2):
+                if v[t] or v[t + 1]:
+                    j, alpha, _ = self.unknowns[t]
+                    coeffs[j][alpha] = CScalar(v[t], v[t + 1])
+            fields.append(FormalVectorField(
+                [TruncatedSeries(2 * N, W, c) for c in coeffs]))
+        return tuple(fields)
 
 
 def _holo_exponents(N: int, d: int, weights, j: int):
@@ -174,10 +195,8 @@ def tangency_restrictions(M: Hypersurface, d: int, order: int,
     """Candidate monomials with their restricted gradient products.
 
     One entry (j, alpha, R) per candidate monomial z^alpha of coefficient
-    a_j, where R is z^alpha * d rho/dz_j restricted to the graph.  Both
-    tangency problems are linear in these restrictions: build them once
-    and pass them to holomorphic_degeneracy_test and infinitesimal_aut_dim
-    with the same M, d, order and weights.
+    a_j, where R is z^alpha * d rho/dz_j restricted to the graph: the
+    tangency residual of a field is linear in these restrictions.
     """
     N, W = M.N, M.order
     if d < 0:
@@ -205,23 +224,23 @@ def tangency_restrictions(M: Hypersurface, d: int, order: int,
     return tuple(out)
 
 
-def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real,
-                    restrictions):
-    N, W = M.N, M.order
-    if restrictions is None:
-        restrictions = tangency_restrictions(M, d, order, weights)
-    pairing = intrinsic_pairing(N - 1)
+def infinitesimal_aut_dim(M: Hypersurface, d: int, order: int,
+                          weights=None) -> TangencySystem:
+    """Real dimension of degree-d fields with Re Y tangent to the germ,
+    and the complex dimension of those with Y rho = 0 on M.
+
+    Each complex coefficient splits into two real unknowns, so the first
+    dimension is over the reals.  With R(Y) the restriction of Y rho, the
+    real solutions V solve R + conj R = 0 and the complex ones H solve
+    R = 0; R is C-linear and conjugation keeps degrees, so H = V cap iV
+    and dim_C H = dim V - rank(V cup iV) / 2, from one elimination.
+    """
+    pairing = intrinsic_pairing(M.N - 1)
     unknowns, residuals = [], []
-    for j, alpha, Rc in restrictions:
-        if real:
-            Rcc = Rc.conjugate(pairing)
-            unknowns.append((j, alpha, 0))
-            residuals.append(Rc + Rcc)
-            unknowns.append((j, alpha, 1))
-            residuals.append(CS_I * (Rc - Rcc))
-        else:
-            unknowns.append((j, alpha))
-            residuals.append(Rc)
+    for j, alpha, Rc in tangency_restrictions(M, d, order, weights):
+        Rcc = Rc.conjugate(pairing)
+        unknowns += [(j, alpha, 0), (j, alpha, 1)]
+        residuals += [Rc + Rcc, CS_I * (Rc - Rcc)]
 
     # entries[e][t]: numerators and denominator of the coefficient of the
     # graph monomial e in residual t
@@ -237,81 +256,33 @@ def _solve_tangency(M: Hypersurface, d: int, order: int, weights, real,
         for e, (re, im) in items:
             entries.setdefault(e, {})[t] = (re, im, den)
 
-    # each row is scaled by the least common denominator of its entries:
-    # integer rows with the same nullspace
+    # each row is scaled by the least common denominator of its entries,
+    # then split into its real and imaginary parts: integer rows with the
+    # same nullspace
     rows = []
     for e in sorted(entries):
         row = entries[e]
         scale = lcm(*(den for _, _, den in row.values()))
-        row = {t: (re * (scale // den), im * (scale // den))
-               for t, (re, im, den) in row.items()}
-        if real:
-            re_row = {t: re for t, (re, _) in row.items() if re}
-            im_row = {t: im for t, (_, im) in row.items() if im}
-            if re_row:
-                rows.append(re_row)
-            if im_row:
-                rows.append(im_row)
-        else:
-            rows.append({t: CScalar(re, im) for t, (re, im) in row.items()})
+        for part in (0, 1):
+            got = {t: x[part] * (scale // x[2]) for t, x in row.items()
+                   if x[part]}
+            if got:
+                rows.append(got)
 
     vecs = nullspace(rows, ncols=len(unknowns))
-    fields = []
-    for v in vecs:
-        comps = [TruncatedSeries.zero(2 * N, W) for _ in range(N)]
-        for t, key in enumerate(unknowns):
-            if not v[t]:
-                continue
-            c = CScalar.coerce(v[t])  # real problems solve in Fraction
-            if real and key[2]:
-                c = c * CS_I
-            comps[key[0]] = comps[key[0]] + TruncatedSeries(
-                2 * N, W, {key[1]: c})
-        fields.append(FormalVectorField(comps))
-    return tuple(unknowns), tuple(rows), tuple(fields)
-
-
-def holomorphic_degeneracy_test(M: Hypersurface, d: int, order: int,
-                                weights=None,
-                                restrictions=None) -> TangencySystem:
-    """Complex tangency problem Y rho = 0 on M for degree-d coefficients.
-
-    A zero dimension certifies there is no tangent holomorphic field
-    within the degree and order tested; a positive dimension exhibits
-    witnesses and is evidence of degeneracy, not a proof, since the
-    defect could appear above the truncation.  restrictions, when given,
-    is tangency_restrictions(M, d, order, weights), computed once for both
-    problems.
-    """
-    unknowns, rows, fields = _solve_tangency(M, d, order, weights, False,
-                                             restrictions)
-    dim = len(fields)
-    if dim == 0:
-        note = (f"no tangent holomorphic field with coefficient degree "
-                f"<= {d}: no obstruction found up to order {order}")
+    # i (x + iy) = -y + ix on each adjacent (real, imaginary) pair
+    turned = [[x for t in range(0, len(v), 2) for x in (-v[t + 1], v[t])]
+              for v in vecs]
+    dim = len(vecs)
+    hol = dim - rank(vecs + turned) // 2
+    if hol == 0:
+        hol_note = (f"no tangent holomorphic field with coefficient degree "
+                    f"<= {d}: no obstruction found up to order {order}")
     else:
-        note = (f"{dim} independent tangent fields up to order {order}; "
-                "degeneracy evidence at this truncation")
-    return TangencySystem(kind="holomorphic", d=d, order=order,
-                          weights=weights, unknowns=unknowns,
-                          equations=rows, solution_dim=dim, basis=fields,
-                          note=note)
-
-
-def infinitesimal_aut_dim(M: Hypersurface, d: int, order: int,
-                          weights=None, restrictions=None) -> TangencySystem:
-    """Real dimension of degree-d fields with Re Y tangent to the germ.
-
-    Each complex coefficient splits into two real unknowns, so the
-    dimension is over the reals; the basis realizes one field per
-    dimension and every member has zero real tangency residual to the
-    stated order.  restrictions is as for holomorphic_degeneracy_test.
-    """
-    unknowns, rows, fields = _solve_tangency(M, d, order, weights, True,
-                                             restrictions)
-    dim = len(fields)
-    return TangencySystem(kind="real", d=d, order=order, weights=weights,
-                          unknowns=unknowns, equations=rows,
-                          solution_dim=dim, basis=fields,
-                          note=f"real tangency dimension {dim} at degree "
-                               f"{d}, order {order}")
+        hol_note = (f"{hol} independent tangent fields up to order "
+                    f"{order}; degeneracy evidence at this truncation")
+    return TangencySystem(
+        d=d, order=order, weights=weights, unknowns=tuple(unknowns),
+        equations=tuple(rows), vectors=tuple(vecs), holomorphic_dim=hol,
+        note=f"real tangency dimension {dim} at degree {d}, order {order}",
+        holomorphic_note=hol_note)

@@ -20,8 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from ..autdim import (AutError, aut_bound, holomorphic_degeneracy_test,
-                      infinitesimal_aut_dim, tangency_restrictions,
+from ..autdim import (AutError, aut_bound, infinitesimal_aut_dim,
                       tangency_terms, tangency_unknowns)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
@@ -74,8 +73,9 @@ MAX_RHO_DIGITS = 10_000
 # extrinsic_k0 walk only the sorted words, so analyze and scan stay well
 # under a second at the limit: analyze --kmax 16 on the C^3 germ
 # Im w = |z1|^4 (262143 ordered words, no k0 found) takes 0.3 s, and at
-# its default bounds on the C^7 quadric (335923 words) 0.4 s.  The verify
-# suites still walk the ordered words, and this count guards them
+# its default bounds on the C^7 quadric (335923 words) 0.4 s.  verify's
+# leading and commutators suites walk the ordered words on purpose, and
+# the recursion suites the sorted ones; the ordered count bounds them all
 MAX_CHAIN_WORDS = 400_000
 # the same count for reflect, whose words each cost composed target entries
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
@@ -504,20 +504,18 @@ def _run_aut(args):
                          f"{MAX_TANGENCY_TERMS} restricted tangency terms "
                          f"({args.order_origin}); lower the truncation "
                          "order or --degree")
-    shared = tangency_restrictions(M, args.degree, use_order, weights)
-    hol = holomorphic_degeneracy_test(M, args.degree, use_order, weights,
-                                      shared)
-    real = infinitesimal_aut_dim(M, args.degree, use_order, weights, shared)
+    aut = infinitesimal_aut_dim(M, args.degree, use_order, weights)
     bound = aut_bound(M.N)
-    passed = real.solution_dim <= bound
+    passed = aut.solution_dim <= bound
     return {
         "model": {"N": M.N, "n": M.n, "order": order},
         "degree": args.degree,
         "tangency_order": use_order,
         "weights": list(weights) if weights else "none",
         "bound": bound,
-        "holomorphic": {"dim": hol.solution_dim, "note": hol.note},
-        "real": {"dim": real.solution_dim, "note": real.note},
+        "holomorphic": {"dim": aut.holomorphic_dim,
+                        "note": aut.holomorphic_note},
+        "real": {"dim": aut.solution_dim, "note": aut.note},
         "inequality": "satisfied" if passed else "violated",
         "pass": passed,
     }, passed

@@ -205,36 +205,38 @@ class CheckReport:
 def verify_derivative_recursion(F: Frame, k: int) -> CheckReport:
     """Extending a tuple by one index equals a derivative plus tensor terms.
 
-    For every tuple length j <= k and indices C, D the entry with the tuple
-    extended by C must equal the Lbar_C derivative of the shorter entry,
-    plus the structure-pairing correction (identically zero for graph
-    frames, computed anyway), plus the transverse entry times the length-one
-    entry.  Entries come from contracted chains, keyed by sorted words, so
-    every ordering of a tuple reads the same cached entries and repeats
-    the same residual; the symmetry itself is checked by the bracket
-    pairing and leading-order suites, which read ordered brackets and
-    derivatives.
+    For every sorted tuple of length j <= k and indices C, D the entry with
+    the tuple extended by C must equal the Lbar_C derivative of the shorter
+    entry, plus the structure-pairing correction (identically zero for
+    graph frames, computed anyway), plus the transverse entry times the
+    length-one entry.  Entries come from contracted chains, keyed by sorted
+    words, so every ordering of a tuple reads the same cached entries and
+    repeats the same residual: only sorted tuples are walked.  The
+    symmetry itself is checked by the bracket pairing and leading-order
+    suites, which read ordered brackets and derivatives.
     """
     n = F.n
     words = F.words
     h1 = [[words.h((C,), D) for D in range(n)] for C in range(n)]
     dthetaA = [exterior_derivative(form) for form in F.thetaA]
-    combos = []
+    # the structure pairings do not depend on the tuple: evaluated once
+    pairings = [[[dthetaA[B](F.Lbar[C], F.L[D]) for B in range(n)]
+                 for D in range(n)] for C in range(n)]
+    checked, violations = 0, []
     for j in range(k + 1):
-        for abar in itertools.product(range(n), repeat=j):
+        for abar in itertools.combinations_with_replacement(range(n), j):
             for C in range(n):
                 for D in range(n):
-                    combos.append((abar, C, D))
-    violations = []
-    for abar, C, D in combos:
-        res = words.h(abar + (C,), D) - F.Lbar[C].apply(words.h(abar, D)) \
-            - words.transverse(abar) * h1[C][D]
-        for B in range(n):
-            res = res - words.h(abar, B) * dthetaA[B](F.Lbar[C], F.L[D])
-        if not res.is_zero():
-            violations.append((abar, C, D))
+                    res = words.h(abar + (C,), D) \
+                        - F.Lbar[C].apply(words.h(abar, D)) \
+                        - words.transverse(abar) * h1[C][D]
+                    for B in range(n):
+                        res = res - words.h(abar, B) * pairings[C][D][B]
+                    checked += 1
+                    if not res.is_zero():
+                        violations.append((abar, C, D))
     return CheckReport(name="derivative-recursion", ok=not violations,
-                       checked=len(combos), violations=tuple(violations))
+                       checked=checked, violations=tuple(violations))
 
 
 def verify_leading_order_reduction(F: Frame, filtration) -> CheckReport:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
 from .hypersurface import (
     Frame,
@@ -331,7 +331,8 @@ def verify_transport_recursion(data: PushforwardData, pull: Pullback,
     length-(k+1) entry minus the transverse and Levi correction terms.
     The source entries come from the source frame's words, and pull
     supplies the target entries of lengths 1, k and k+1 composed with the
-    map.
+    map.  Entries are keyed by sorted words, so every ordering of a tuple
+    repeats the same residual: only sorted tuples are walked.
     """
     n = data.n
     Fm = data.source_frame
@@ -347,7 +348,7 @@ def verify_transport_recursion(data: PushforwardData, pull: Pullback,
                 for C in range(n)]
 
     checked, violations = 0, []
-    for abar in product(range(n), repeat=k):
+    for abar in combinations_with_replacement(range(n), k):
         hk = [pull.entry(abar, D) for D in range(n)]
         hkT = pull.entry(abar, "T")
         # the length-(k+1) entry less its transverse correction, per (H, I)

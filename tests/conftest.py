@@ -1,5 +1,6 @@
 """Shared model builders: defining series for the hypersurfaces under test,
-maps between them, and frames adapted to a filtration."""
+maps between them, frames adapted to a filtration, and the complex
+tangency problem solved on its own."""
 
 from __future__ import annotations
 
@@ -7,11 +8,12 @@ import itertools
 import random
 from fractions import Fraction
 
+from crjet.autdim import AutError, FormalVectorField, tangency_restrictions
 from crjet.hypersurface import (Frame, GeometryError, ambient_var,
                                 from_defining, intrinsic_pairing)
 from crjet.linalg import SpanTracker, nullspace
 from crjet.mappings import AmbientMap, MappingError
-from crjet.series import CS_ONE, CS_ZERO, CScalar, TruncatedSeries
+from crjet.series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 
 HALF = Fraction(1, 2)
 
@@ -247,6 +249,63 @@ def adapt_frame(frame, bases):
     newThetaAbar = [f.conjugate(pairing) for f in newThetaA]
     return Frame(n, frame.T, newL, newLbar, frame.theta, newThetaA,
                  newThetaAbar)
+
+
+# ----------------------------------------------------------------------
+# tangency problems assembled through terms()
+
+
+def tangency_rows(restrictions, order, real):
+    """Equation rows read through terms(): CScalar entries for the complex
+    problem, Fraction for the real one, rows in exponent-tuple order."""
+    pairing = None
+    residuals = []
+    for _, _, Rc in restrictions:
+        if real:
+            pairing = pairing or intrinsic_pairing(Rc.nvars // 2)
+            Rcc = Rc.conjugate(pairing)
+            residuals += [Rc + Rcc, CS_I * (Rc - Rcc)]
+        else:
+            residuals.append(Rc)
+    entries = {}
+    for t, R in enumerate(residuals):
+        for e, c in R.truncate(order).terms():
+            entries.setdefault(e, {})[t] = c
+    rows = []
+    for e in sorted(entries):
+        row = entries[e]
+        if real:
+            for part in ("re", "im"):
+                got = {t: getattr(c, part) for t, c in row.items()
+                       if getattr(c, part)}
+                if got:
+                    rows.append(got)
+        else:
+            rows.append(row)
+    return rows
+
+
+def holomorphic_oracle(M, d, order, weights=None):
+    """Oracle for the complex tangency problem Y rho = 0 on M, assembled
+    and eliminated on its own over CScalar: (unknowns, rows, vectors,
+    fields), with one unknown (j, alpha) per candidate monomial and one
+    field per nullspace vector.  Raises AutError where the restrictions
+    do, and where a candidate contributes only beyond the order."""
+    restrictions = tangency_restrictions(M, d, order, weights)
+    for j, alpha, R in restrictions:
+        if R.truncate(order).is_zero() and not R.is_zero():
+            raise AutError(f"candidate {(j, alpha)} is vacuous at order "
+                           f"{order}")
+    unknowns = [(j, alpha) for j, alpha, _ in restrictions]
+    rows = tangency_rows(restrictions, order, False)
+    vectors = nullspace(rows, ncols=len(unknowns))
+    N, W = M.N, M.order
+    fields = [FormalVectorField([
+        TruncatedSeries(2 * N, W, {alpha: v[t]
+                                   for t, (j, alpha) in enumerate(unknowns)
+                                   if j == i and v[t]})
+        for i in range(N)]) for v in vectors]
+    return unknowns, rows, vectors, fields
 
 
 def max_deviation(result, truth) -> float:

@@ -8,20 +8,23 @@ hand below and anchor both residual functions and the real-dimension
 solver.
 """
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from crjet.autdim import (AutError, FormalVectorField, aut_bound,
-                          holomorphic_degeneracy_test, infinitesimal_aut_dim,
-                          tangency_restrictions, tangency_terms)
+                          infinitesimal_aut_dim, tangency_restrictions,
+                          tangency_terms)
+from crjet.cli.main import main
 from crjet.hypersurface import (ambient_pairing, ambient_var, from_defining,
                                 intrinsic_pairing)
 from crjet.linalg import rank
 from crjet.series import CS_I, CS_ONE, CScalar, TruncatedSeries
 
-from tests.conftest import (heis, im_w, m2_rho, m3_rho, random_model,
-                            random_nondegenerate_model)
+from tests.conftest import (heis, holomorphic_oracle, im_w, m2_rho, m3_rho,
+                            random_model, random_nondegenerate_model,
+                            tangency_rows)
 
 WT = (1, 2)
 
@@ -125,7 +128,7 @@ class TestFieldBasics:
             for g in (M.rho, f):
                 assert Y.apply(g) == derive_and_sum(Y, g)
         M3 = degenerate_c3(5)
-        for Y in holomorphic_degeneracy_test(M3, 1, 4).basis:
+        for Y in holomorphic_oracle(M3, 1, 4)[3]:
             assert Y.apply(M3.rho) == derive_and_sum(Y, M3.rho)
 
     def test_zero_field(self):
@@ -169,48 +172,64 @@ class TestResidualOracles:
 
 
 class TestDegeneracyTest:
+    """The holomorphic dimension read off the real solution space, and the
+    complex oracle's witnesses and shapes."""
+
     def test_heisenberg_plane_has_no_tangent_field(self):
-        sys = holomorphic_degeneracy_test(heis(2, 8), 2, 6)
-        assert sys.solution_dim == 0
-        assert sys.basis == ()
-        assert "no obstruction found up to order 6" in sys.note
+        sys = infinitesimal_aut_dim(heis(2, 8), 2, 6)
+        assert sys.holomorphic_dim == 0
+        assert "no obstruction found up to order 6" in sys.holomorphic_note
+        assert holomorphic_oracle(heis(2, 8), 2, 6)[2] == []
 
     def test_quartic_model_has_no_tangent_field(self):
         M = from_defining(m2_rho(9), 2)
-        assert holomorphic_degeneracy_test(M, 2, 8).solution_dim == 0
+        assert infinitesimal_aut_dim(M, 2, 8).holomorphic_dim == 0
 
     def test_absent_variable_gives_free_directions(self):
         M = degenerate_c3(5)
-        sys = holomorphic_degeneracy_test(M, 1, 4)
+        sys = infinitesimal_aut_dim(M, 1, 4)
+        assert sys.holomorphic_dim == 4
+        assert sys.holomorphic_note == ("4 independent tangent fields up to "
+                                        "order 4; degeneracy evidence at "
+                                        "this truncation")
         # exactly the four monomial multiples of d/dz2 of degree <= 1
-        assert sys.solution_dim == 4
-        assert any(Y.coeffs[1].terms() == [((0,) * 6, CS_ONE)] for Y in sys.basis)
-        for Y in sys.basis:
+        fields = holomorphic_oracle(M, 1, 4)[3]
+        assert len(fields) == 4
+        assert any(Y.coeffs[1].terms() == [((0,) * 6, CS_ONE)]
+                   for Y in fields)
+        for Y in fields:
             assert Y.coeffs[0].is_zero() and Y.coeffs[2].is_zero()
             assert holomorphic_residual(M, Y).is_zero()
 
     def test_unknown_and_equation_shapes(self):
-        sys = holomorphic_degeneracy_test(heis(2, 8), 1, 4)
-        assert all(0 <= c < len(sys.unknowns) and x
+        unknowns, rows, vectors, fields = holomorphic_oracle(heis(2, 8), 1, 4)
+        assert all(0 <= c < len(unknowns) and x
+                   for row in rows for c, x in row.items())
+        assert all(len(key) == 2 for key in unknowns)
+        assert len(vectors) == len(fields)
+        sys = infinitesimal_aut_dim(heis(2, 8), 1, 4)
+        assert all(0 <= c < len(sys.unknowns) and type(x) is int and x
                    for row in sys.equations for c, x in row.items())
-        assert all(len(key) == 2 for key in sys.unknowns)
-        assert sys.solution_dim == len(sys.basis)
+        # the two parts of a candidate are adjacent unknowns
+        assert [key[:2] for key in sys.unknowns[::2]] == unknowns
+        assert [key[2] for key in sys.unknowns] == [0, 1] * len(unknowns)
 
     def test_order_must_fit_truncation(self):
-        with pytest.raises(AutError, match="usable truncation"):
-            holomorphic_degeneracy_test(heis(2, 5), 1, 5)
+        for solve in (holomorphic_oracle, infinitesimal_aut_dim):
+            with pytest.raises(AutError, match="usable truncation"):
+                solve(heis(2, 5), 1, 5)
 
     def test_order_too_small_for_degree(self):
-        with pytest.raises(AutError, match="too small"):
-            holomorphic_degeneracy_test(heis(2, 5), 4, 4)
+        for solve in (holomorphic_oracle, infinitesimal_aut_dim):
+            with pytest.raises(AutError, match="too small"):
+                solve(heis(2, 5), 4, 4)
 
 
 class TestInfinitesimalDim:
     def test_heisenberg_weighted_dimension(self):
         sys = infinitesimal_aut_dim(heis(2, 9), 2, 8, weights=WT)
-        assert sys.kind == "real"
         assert sys.solution_dim == 8
-        assert len(sys.basis) == 8
+        assert len(sys.vectors) == len(sys.basis) == 8
         assert all(len(key) == 3 for key in sys.unknowns)
 
     def test_basis_fields_tangent_independently(self):
@@ -310,36 +329,6 @@ class TestTangencyTerms:
         assert tangency_terms(heis(2, 5), 2, -1) == 0
 
 
-def oracle_rows(restrictions, order, real):
-    """Equation rows read through terms(): CScalar entries for the complex
-    problem, Fraction for the real one, rows in exponent-tuple order."""
-    pairing = None
-    residuals = []
-    for _, _, Rc in restrictions:
-        if real:
-            pairing = pairing or intrinsic_pairing(Rc.nvars // 2)
-            Rcc = Rc.conjugate(pairing)
-            residuals += [Rc + Rcc, CS_I * (Rc - Rcc)]
-        else:
-            residuals.append(Rc)
-    entries = {}
-    for t, R in enumerate(residuals):
-        for e, c in R.truncate(order).terms():
-            entries.setdefault(e, {})[t] = c
-    rows = []
-    for e in sorted(entries):
-        row = entries[e]
-        if real:
-            for part in ("re", "im"):
-                got = {t: getattr(c, part) for t, c in row.items()
-                       if getattr(c, part)}
-                if got:
-                    rows.append(got)
-        else:
-            rows.append(row)
-    return rows
-
-
 class TestIntegerRows:
     """Each tangency row is its terms()-read row scaled by a positive
     rational, with integer entries, in the same order."""
@@ -350,27 +339,125 @@ class TestIntegerRows:
             for N in (2, 3):
                 for build in (random_model, random_nondegenerate_model):
                     M = build(seed, N, 5)
-                    shared = tangency_restrictions(M, 1, 4)
-                    for real, solve in ((False, holomorphic_degeneracy_test),
-                                        (True, infinitesimal_aut_dim)):
-                        try:
-                            system = solve(M, 1, 4, restrictions=shared)
-                        except AutError:
-                            continue
-                        want = oracle_rows(shared, 4, real)
-                        assert len(system.equations) == len(want)
-                        for got, ref in zip(system.equations, want):
-                            assert got.keys() == ref.keys()
-                            t = next(iter(got))
-                            scale = CScalar.coerce(got[t]) / ref[t]
-                            assert scale.is_real() and scale.re > 0
-                            for t, x in got.items():
-                                if real:
-                                    assert type(x) is int
-                                    assert x == scale.re * ref[t]
-                                else:
-                                    assert x.re.denominator == 1
-                                    assert x.im.denominator == 1
-                                    assert x == scale * ref[t]
-                            checked += 1
+                    try:
+                        system = infinitesimal_aut_dim(M, 1, 4)
+                    except AutError:
+                        continue
+                    want = tangency_rows(tangency_restrictions(M, 1, 4), 4,
+                                         True)
+                    assert len(system.equations) == len(want)
+                    for got, ref in zip(system.equations, want):
+                        assert got.keys() == ref.keys()
+                        t = next(iter(got))
+                        scale = got[t] / ref[t]
+                        assert scale > 0
+                        for t, x in got.items():
+                            assert type(x) is int
+                            assert x == scale * ref[t]
+                        checked += 1
         assert checked > 100
+
+
+def lifted_c3(M):
+    """A C^2 germ read in C^3, where the graph never sees z2: every
+    multiple of d/dz2 is a tangent holomorphic field."""
+    return from_defining(TruncatedSeries(6, M.order, {
+        (a[0], 0, a[1], a[2], 0, a[3]): c for a, c in M.rho.terms()}), 3)
+
+
+def oracle_sequence_raises(M, d, order, weights):
+    """Whether the two separate solves, complex then real, refuse the
+    problem: the restrictions' own checks, complex vacuity, real vacuity."""
+    try:
+        holomorphic_oracle(M, d, order, weights)
+    except AutError:
+        return True
+    pairing = intrinsic_pairing(M.N - 1)
+    for _, _, R in tangency_restrictions(M, d, order, weights):
+        Rcc = R.conjugate(pairing)
+        for res in (R + Rcc, CS_I * (R - Rcc)):
+            if res.truncate(order).is_zero() and not res.is_zero():
+                return True
+    return False
+
+
+class TestHolomorphicDimAgainstOracle:
+    """dim V - rank(V cup iV) / 2 on the real solution space V equals the
+    complex oracle's nullspace size, and one solve refuses exactly the
+    problems the two separate solves refused."""
+
+    def test_seeded_germs(self):
+        cases = [(degenerate_c3(o + 1), d, o, None)
+                 for d in (1, 2) for o in (2, 4)]
+        for seed in range(2):
+            for order in (3, 4, 5):
+                M = lifted_c3(random_model(seed, 2, order + 1))
+                cases += [(M, d, order, wt) for d in (1, 2)
+                          for wt in (None, (1, 1, 2))]
+            for N in (2, 3):
+                for build in (random_model, random_nondegenerate_model):
+                    for order in (2, 3, 4, 5):
+                        M = build(seed, N, order + 1)
+                        for d in (1, 2, 3) if N == 2 else (1, 2):
+                            cases.append((M, d, order, None))
+                            cases.append((M, d, order, (1,) * (N - 1) + (2,)))
+        raised, positive = 0, 0
+        for M, d, order, weights in cases:
+            refused = oracle_sequence_raises(M, d, order, weights)
+            try:
+                system = infinitesimal_aut_dim(M, d, order, weights)
+            except AutError:
+                assert refused
+                raised += 1
+                continue
+            assert not refused
+            want = len(holomorphic_oracle(M, d, order, weights)[2])
+            assert system.holomorphic_dim == want
+            positive += want > 0
+        assert raised > 0 and positive > 0
+        assert len(cases) - raised > 50
+
+    def test_vacuous_candidate_is_named_by_its_real_part(self):
+        # Im w = |z1|^2 - Re(z2) Im(w), built at order 5 but solved at
+        # tangency order 1, below the CLI's order - 1: the d/dz2 candidate
+        # is vacuous for both problems, and the message names the real
+        # part of it
+        z1, z2, _, zb1, zb2, _ = (ambient_var(3, v, 5) for v in range(6))
+        re_z2 = CScalar(Fraction(1, 2)) * (z2 + zb2)
+        M = from_defining(im_w(3, 5) - z1 * zb1 + re_z2 * im_w(3, 5), 3)
+        with pytest.raises(AutError) as info:
+            infinitesimal_aut_dim(M, 0, 1)
+        assert str(info.value) == (
+            "order 1 is too small for degree bound 0: candidate "
+            "(1, (0, 0, 0, 0, 0, 0), 0) only contributes beyond it, so the "
+            "system is vacuous there")
+        with pytest.raises(AutError, match="vacuous"):
+            holomorphic_oracle(M, 0, 1)
+
+
+class TestFieldsOnDemand:
+    def test_cli_aut_builds_no_field(self, tmp_path, monkeypatch, capsys):
+        built = []
+        check = FormalVectorField._check
+        monkeypatch.setattr(FormalVectorField, "_check", lambda self, *a:
+                            built.append(1) or check(self, *a))
+        doc = tmp_path / "q.crj"
+        doc.write_text("kind = hypersurface\nN = 2\n"
+                       "rho = Im(w) - z1*conj(z1)\n", encoding="utf-8")
+        assert main(["aut", str(doc), "--degree", "2"]) == 0
+        assert "dim: 8" in capsys.readouterr().out
+        assert built == []
+        # the fields are still there for whoever asks
+        assert len(infinitesimal_aut_dim(heis(2, 9), 2, 8, WT).basis) == 8
+        assert len(built) == 8
+
+    def test_basis_reads_back_the_vectors(self):
+        # each field's coefficient of an unknown's monomial carries the
+        # vector's entries as its real and imaginary parts
+        for M, d, order in ((heis(2, 9), 2, 8), (degenerate_c3(5), 1, 4)):
+            system = infinitesimal_aut_dim(M, d, order)
+            for v, Y in zip(system.vectors, system.basis, strict=True):
+                got = [(c.re, c.im)[part]
+                       for j, alpha, part in system.unknowns
+                       for c in [Y.coeffs[j].coeff(alpha)]]
+                assert got == list(v)

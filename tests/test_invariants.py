@@ -324,6 +324,14 @@ class TestDerivativeRecursion:
             F = build_frame(random_model(seed, 2, 6))
             assert verify_derivative_recursion(F, 3).ok
 
+    def test_walks_sorted_tuples(self):
+        # entries are keyed by sorted words, so every ordering of a tuple
+        # repeats the sorted tuple's residual: C(n + j - 1, j) * n^2 checks
+        # per length j
+        F = frame_for(m3_rho(8), 3)
+        rep = verify_derivative_recursion(F, 3)
+        assert rep.ok and rep.checked == (1 + 2 + 3 + 4) * 4
+
 
 class TestLeadingOrderReduction:
     def test_heisenberg_thin(self):

@@ -290,7 +290,9 @@ class TestTransportRecursion:
         assert rep.ok and rep.checked == 12
         # one composed entry per sorted word, shared by the next level
         one, two = pull.entry((1,), 0), pull.entry((1, 0), "T")
-        assert verify_transport_recursion(P, pull, 2).ok
+        # sorted tuples only: 3 of length 2, each checked for n^2 + n rows
+        rep = verify_transport_recursion(P, pull, 2)
+        assert rep.ok and rep.checked == 18
         assert pull.entry((1,), 0) is one
         assert pull.entry((0, 1), "T") is two
 
