@@ -4,7 +4,11 @@ A holomorphic polynomial vector field Y = sum a_j(z, w) d/dz_j (the last
 slot differentiates along the transverse variable) is tangent to the germ
 when the defining series divides Y rho; on a graph chart divisibility is
 plain restriction, so the condition is that Y rho composed with the graph
-substitution vanishes.  The real problem asks for Re Y tangent to M,
+substitution vanishes.  Restriction is a ring homomorphism: the gradient
+of rho is restricted once, entry by entry, and each candidate term
+z^alpha d rho/dz_j restricts to a monomial multiple of one product per
+entry and power of w, whose terms are counted against MAX_TANGENCY_TERMS
+before any candidate is built.  The real problem asks for Re Y tangent to M,
 encoded as Y rho + conj(Y rho) = 0 on M with the coefficient space split
 into real unknowns; its solution space is the polynomial symmetry algebra
 cut at a degree, found by one exact nullspace computation over the
@@ -28,7 +32,17 @@ from math import comb, lcm
 
 from .hypersurface import DenseCoefficients, Hypersurface, intrinsic_pairing
 from .linalg import nullspace, rank
-from .series import CS_I, CS_ONE, CScalar, TruncatedSeries, derivation
+from .series import (CS_I, CS_ONE, OrderExhausted, TruncatedSeries,
+                     derivation)
+
+
+# most graph terms aut's tangency restrictions may hold up to the tangency
+# order, counted exactly by tangency_restrictions before it builds any: the
+# order drives the cost as much as the unknowns do.  A generic C^3 germ at
+# --degree 10 --order 14 (1716 unknowns, 59602 terms) takes about 16 s and
+# 116 MB; the C^4 quadric at --degree 9 --order 14 (32064 terms) 4 s, and
+# the C^5 quadric at --degree 3 and the default order 12 (1100 terms) 0.4 s
+MAX_TANGENCY_TERMS = 50_000
 
 
 class AutError(ValueError):
@@ -91,22 +105,6 @@ class TangencySystem:
     def solution_dim(self) -> int:
         return len(self.vectors)
 
-    @property
-    def basis(self) -> tuple:
-        """One field per nullspace vector, built on request at the germ
-        order order + 1 that the solve needs at least."""
-        N, W = len(self.unknowns[0][1]) // 2, self.order + 1
-        fields = []
-        for v in self.vectors:
-            coeffs = [{} for _ in range(N)]
-            for t in range(0, len(v), 2):
-                if v[t] or v[t + 1]:
-                    j, alpha, _ = self.unknowns[t]
-                    coeffs[j][alpha] = CScalar(v[t], v[t + 1])
-            fields.append(FormalVectorField(
-                [TruncatedSeries(2 * N, W, c) for c in coeffs]))
-        return tuple(fields)
-
 
 def _holo_exponents(N: int, d: int, weights, j: int):
     """Candidate monomial exponents for coefficient j, ambient layout,
@@ -149,47 +147,6 @@ def tangency_unknowns(N: int, d: int, weights, limit: int) -> int:
     return count
 
 
-def tangency_terms(M: Hypersurface, d: int, order: int, weights=None,
-                   limit=None) -> int:
-    """Bound on the graph terms up to order of the restrictions that
-    tangency_restrictions(M, d, order, weights) builds, counted from
-    supports without building any of them.
-
-    z^alpha d rho/dz_j restricts to z^beta (s + i phi)^k R_j, where alpha
-    is beta followed by k and R_j is the restricted gradient entry, so its
-    terms lie in beta + supp((s + i phi)^k R_j).  A product of series with
-    positive coefficients has exactly the sum of the supports as its
-    support, so the bound is plain multiplication of such series.
-    Candidates are counted by ascending k, and a count above limit is
-    returned as soon as it passes it.
-    """
-    N = M.N
-    if order < 0:
-        return 0
-    subs = M.graph_substitution()
-    w = subs[N - 1].truncate(order).indicator()
-    grads = [M.rho.derive(j).compose(subs).truncate(order).indicator()
-             for j in range(N)]
-    powers = [TruncatedSeries.constant(w.nvars, 1, order)]
-    below = {}     # (j, k) -> terms of (s + i phi)^k R_j up to each degree
-    candidates = sorted(((alpha[N - 1], j, sum(alpha) - alpha[N - 1])
-                         for j in range(N)
-                         for alpha in _holo_exponents(N, d, weights, j)))
-    count = 0
-    for k, j, shift in candidates:
-        if shift > order:
-            continue
-        if (j, k) not in below:
-            while len(powers) <= k:
-                powers.append(powers[-1] * w)
-            below[j, k] = list(accumulate(
-                (powers[k] * grads[j]).degree_counts()))
-        count += below[j, k][order - shift]
-        if limit is not None and count > limit:
-            break
-    return count
-
-
 def tangency_restrictions(M: Hypersurface, d: int, order: int,
                           weights=None) -> tuple:
     """Candidate monomials with their restricted gradient products.
@@ -197,6 +154,13 @@ def tangency_restrictions(M: Hypersurface, d: int, order: int,
     One entry (j, alpha, R) per candidate monomial z^alpha of coefficient
     a_j, where R is z^alpha * d rho/dz_j restricted to the graph: the
     tangency residual of a field is linear in these restrictions.
+
+    Restriction is a ring homomorphism, so with alpha = (beta, k), k the
+    power of w, R is z^beta (s + i phi)^k R_j, where R_j is the restricted
+    gradient entry: one composition per gradient entry and one product
+    per (j, k), each candidate shifting its product by z^beta.  The terms
+    up to order of all restrictions are counted on those products against
+    MAX_TANGENCY_TERMS before any candidate's restriction is built.
     """
     N, W = M.N, M.order
     if d < 0:
@@ -205,23 +169,48 @@ def tangency_restrictions(M: Hypersurface, d: int, order: int,
         raise AutError(
             f"order {order} exceeds the germ's usable truncation {W - 1}")
     grads = [M.rho.derive(j) for j in range(N)]
+    candidates = [(j, alpha) for j in range(N)
+                  for alpha in _holo_exponents(N, d, weights, j)]
+    restricted = [M.restrict(g) for g in grads]
+    w = M.graph_substitution()[N - 1]
+    powers = [TruncatedSeries.constant(w.nvars, 1, W)]
+    # (j, k) -> (s + i phi)^k R_j and its number of terms up to each degree
+    products = {}
+    count = 0
+    for j, alpha in candidates:
+        k, shift = alpha[N - 1], sum(alpha) - alpha[N - 1]
+        if (j, k) not in products:
+            while len(powers) <= k:
+                powers.append(powers[-1] * w)
+            P = powers[k] * restricted[j]
+            products[j, k] = P, list(accumulate(P.degree_counts()))
+        if shift <= order:
+            count += products[j, k][1][order - shift]
+            if count > MAX_TANGENCY_TERMS:
+                raise AutError(
+                    f"degree bound {d} at tangency order {order} needs more "
+                    f"than MAX_TANGENCY_TERMS = {MAX_TANGENCY_TERMS} "
+                    "restricted tangency terms; lower the truncation order "
+                    "or the degree bound")
     # A candidate monomial constrains nothing unless its product with the
     # gradient entry reaches the cutoff; a variable absent from rho gives
-    # genuinely free candidates and stays exempt.
+    # genuinely free candidates and stays exempt, as long as the candidate
+    # itself fits in the germ's order.
     mindeg = [next((e for e, c in enumerate(g.degree_counts()) if c), None)
               for g in grads]
-    out = []
-    for j in range(N):
-        for alpha in _holo_exponents(N, d, weights, j):
-            if mindeg[j] is not None and sum(alpha) + mindeg[j] > order:
-                raise AutError(
-                    f"order {order} is too small for degree bound {d}: "
-                    f"coefficient {j} candidate {alpha} cannot contribute "
-                    f"below the cutoff (needs order "
-                    f">= {sum(alpha) + mindeg[j]})")
-            mono = TruncatedSeries(2 * N, W, {alpha: CS_ONE})
-            out.append((j, alpha, M.restrict(mono * grads[j])))
-    return tuple(out)
+    for j, alpha in candidates:
+        if mindeg[j] is not None and sum(alpha) + mindeg[j] > order:
+            raise AutError(
+                f"order {order} is too small for degree bound {d}: "
+                f"coefficient {j} candidate {alpha} cannot contribute "
+                f"below the cutoff (needs order "
+                f">= {sum(alpha) + mindeg[j]})")
+        if sum(alpha) > W:
+            raise OrderExhausted(f"stored term {alpha} exceeds order {W}")
+    return tuple(
+        (j, alpha, TruncatedSeries(2 * N - 1, W, {
+            alpha[:N - 1] + (0,) * N: CS_ONE}) * products[j, alpha[N - 1]][0])
+        for j, alpha in candidates)
 
 
 def infinitesimal_aut_dim(M: Hypersurface, d: int, order: int,

@@ -6,7 +6,8 @@ all requested verifications pass, 1 when some check fails, and 2 on bad
 input.  The truncation order is taken from --order, then the document
 (for reflect, the source, target and map documents, which must agree),
 then the CRJET_ORDER environment variable, then the default 2*(kmax+2);
-an error that runs out of truncation order names which of these set it.
+an error that runs out of truncation order, and any refusal of aut's
+tangency problem, names which of these set it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from ..autdim import (AutError, aut_bound, infinitesimal_aut_dim,
-                      tangency_terms, tangency_unknowns)
+                      tangency_unknowns)
 from ..hypersurface import GeometryError, build_frame
 from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
                           nondegeneracy_scan, verify_bracket_pairing,
@@ -52,14 +53,6 @@ MAX_BASIS_MONOMIALS = 5_000
 # unknowns) takes about 4 s and 90 MB; at --degree 11 (10920) 10 s and
 # 200 MB
 MAX_TANGENCY_UNKNOWNS = 6_000
-# most graph terms aut's tangency restrictions may hold up to the tangency
-# order, bounded by autdim.tangency_terms from supports once the model is
-# built: the order drives the cost as much as the unknowns do.  A generic
-# C^3 germ at --degree 10 --order 14 (1716 unknowns, 62370 terms) takes
-# about 16 s and 116 MB; the C^4 quadric at --degree 9 --order 14 (32064
-# terms) 4 s, and the C^5 quadric at --degree 3 and the default order 12
-# (1100 terms) 0.4 s
-MAX_TANGENCY_TERMS = 50_000
 # most decimal digits of any integer in the normalized rho's exact
 # coefficients (their common denominator and every numerator part),
 # checked once the model is built and before aut eliminates: elimination
@@ -492,18 +485,6 @@ def _run_aut(args):
     use_order = order - 1
     M = build_hypersurface(doc, order)
     _check_rho_digits(doc, M)
-    # a restriction holds at most every chart monomial up to the tangency
-    # order, so only a run that could pass the budget counts its terms
-    dense = count // 2 * math.comb(2 * n + 1 + max(use_order, 0), 2 * n + 1)
-    if dense > MAX_TANGENCY_TERMS and tangency_terms(
-            M, args.degree, use_order, weights,
-            MAX_TANGENCY_TERMS) > MAX_TANGENCY_TERMS:
-        raise ParseError("--order", None, 0,
-                         f"--degree {args.degree} at tangency order "
-                         f"{use_order} needs more than MAX_TANGENCY_TERMS = "
-                         f"{MAX_TANGENCY_TERMS} restricted tangency terms "
-                         f"({args.order_origin}); lower the truncation "
-                         "order or --degree")
     aut = infinitesimal_aut_dim(M, args.degree, use_order, weights)
     bound = aut_bound(M.N)
     passed = aut.solution_dim <= bound
@@ -621,7 +602,8 @@ def main(argv=None) -> int:
     except (ParseError, SeriesError, GeometryError, MappingError,
             JetError, AutError, OSError) as exc:
         message = str(exc)
-        if isinstance(exc, OrderExhausted) and hasattr(args, "order_origin"):
+        if isinstance(exc, (OrderExhausted, AutError)) and hasattr(
+                args, "order_origin"):
             message += f" ({args.order_origin})"
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -128,10 +128,6 @@ class DenseCoefficients:
     def __neg__(self):
         return type(self)([-c for c in self.coeffs])
 
-    def scaled(self, factor):
-        """Multiply by a CScalar or a TruncatedSeries on the same chart."""
-        return type(self)([factor * c for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented

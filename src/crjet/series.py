@@ -46,10 +46,10 @@ the degree-0 part of each expansion, and a zero coordinate costs nothing.
 Example:
 
     >>> z = TruncatedSeries.variable(1, 0, order=3)
-    >>> ((1 + z) * (1 - z)).to_str(["z"])
-    '1 - z^2'
-    >>> (1 + z).invert_unit().to_str(["z"])
-    '1 - z + z^2 - z^3'
+    >>> (1 + z) * (1 - z)
+    TruncatedSeries(1, 3, {(0,): '1', (2,): '-1'})
+    >>> (1 + z).invert_unit()
+    TruncatedSeries(1, 3, {(0,): '1', (1,): '-1', (2,): '1', (3,): '-1'})
 """
 
 from __future__ import annotations
@@ -523,12 +523,6 @@ class TruncatedSeries:
             counts[k >> shift] += 1
         return counts
 
-    def indicator(self) -> "TruncatedSeries":
-        """Coefficient 1 at every stored term: products of indicators have
-        no cancellation, so their support is the sum of the supports."""
-        return _make(self.nvars, self.order,
-                     dict.fromkeys(self._terms, (1, 0)), 1)
-
     def homogeneous_part(self, d: int) -> "TruncatedSeries":
         """Terms of total degree exactly d."""
         if d > self.order:
@@ -859,31 +853,6 @@ class TruncatedSeries:
             terms = out
             den *= q ** top
         return terms, den
-
-    # ------------------------------------------------------------------
-
-    def to_str(self, names=None) -> str:
-        if not self._terms:
-            return "0"
-        names = names or [f"x{i}" for i in range(self.nvars)]
-        parts = []
-        for a, c in self.terms():
-            factors = []
-            for j, e in enumerate(a):
-                if e == 1:
-                    factors.append(names[j])
-                elif e > 1:
-                    factors.append(f"{names[j]}^{e}")
-            head = c.render()
-            if factors and head == "1":
-                parts.append("*".join(factors))
-            elif factors and head == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                if factors and (head.startswith("-") or c.re and c.im):
-                    head = f"({head})"
-                parts.append("*".join([head] + factors))
-        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         inner = {a: c.render() for a, c in self.terms()}

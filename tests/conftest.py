@@ -1,6 +1,7 @@
 """Shared model builders: defining series for the hypersurfaces under test,
-maps between them, frames adapted to a filtration, and the complex
-tangency problem solved on its own."""
+maps between them, frames adapted to a filtration, and the tangency
+problem built and solved on its own: restrictions composed candidate by
+candidate, the complex problem, and the fields of a solution."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from crjet.autdim import AutError, FormalVectorField, tangency_restrictions
+from crjet.autdim import (AutError, FormalVectorField, _holo_exponents,
+                          tangency_restrictions)
 from crjet.hypersurface import (Frame, GeometryError, ambient_var,
                                 from_defining, intrinsic_pairing)
 from crjet.linalg import SpanTracker, nullspace
@@ -197,6 +199,12 @@ def kernel_bases(F, kmax=None) -> list:
     return bases
 
 
+def scaled(X, factor):
+    """A field or form with every coefficient multiplied by a CScalar or
+    a TruncatedSeries on the same chart."""
+    return type(X)([factor * c for c in X.coeffs])
+
+
 def adapt_frame(frame, bases):
     """Reorder the CR frame by constants so trailing fields span each kernel.
 
@@ -229,9 +237,9 @@ def adapt_frame(frame, bases):
     C = [[cols[A][B] for A in range(n)] for B in range(n)]  # C[B][A]
     newL = []
     for A in range(n):
-        acc = frame.L[0].scaled(C[0][A])
+        acc = scaled(frame.L[0], C[0][A])
         for B in range(1, n):
-            acc = acc + frame.L[B].scaled(C[B][A])
+            acc = acc + scaled(frame.L[B], C[B][A])
         newL.append(acc)
     pairing = intrinsic_pairing(n)
     newLbar = [X.conjugate(pairing) for X in newL]
@@ -242,9 +250,9 @@ def adapt_frame(frame, bases):
                             for i in range(n)])[0][:n] for j in range(n)]
     newThetaA = []
     for A in range(n):
-        acc = frame.thetaA[0].scaled(Cinv_cols[0][A])
+        acc = scaled(frame.thetaA[0], Cinv_cols[0][A])
         for B in range(1, n):
-            acc = acc + frame.thetaA[B].scaled(Cinv_cols[B][A])
+            acc = acc + scaled(frame.thetaA[B], Cinv_cols[B][A])
         newThetaA.append(acc)
     newThetaAbar = [f.conjugate(pairing) for f in newThetaA]
     return Frame(n, frame.T, newL, newLbar, frame.theta, newThetaA,
@@ -253,6 +261,47 @@ def adapt_frame(frame, bases):
 
 # ----------------------------------------------------------------------
 # tangency problems assembled through terms()
+
+
+def compose_restrictions(M, d, order, weights=None) -> tuple:
+    """Oracle for tangency_restrictions: every candidate product
+    z^alpha * d rho/dz_j composed with the graph substitution on its own,
+    over the same candidates with the same candidate checks, in the same
+    order."""
+    N, W = M.N, M.order
+    if d < 0:
+        raise AutError("degree bound must be non-negative")
+    if order > W - 1:
+        raise AutError(
+            f"order {order} exceeds the germ's usable truncation {W - 1}")
+    grads = [M.rho.derive(j) for j in range(N)]
+    mindeg = [next((e for e, c in enumerate(g.degree_counts()) if c), None)
+              for g in grads]
+    out = []
+    for j in range(N):
+        for alpha in _holo_exponents(N, d, weights, j):
+            if mindeg[j] is not None and sum(alpha) + mindeg[j] > order:
+                raise AutError(f"order {order} is too small for degree "
+                               f"bound {d}: candidate {alpha}")
+            mono = TruncatedSeries(2 * N, W, {alpha: CS_ONE})
+            out.append((j, alpha, M.restrict(mono * grads[j])))
+    return tuple(out)
+
+
+def basis_fields(system) -> list:
+    """One field per nullspace vector of a TangencySystem, at the germ
+    order order + 1 that its solve needs at least."""
+    N, W = len(system.unknowns[0][1]) // 2, system.order + 1
+    fields = []
+    for v in system.vectors:
+        coeffs = [{} for _ in range(N)]
+        for t in range(0, len(v), 2):
+            if v[t] or v[t + 1]:
+                j, alpha, _ = system.unknowns[t]
+                coeffs[j][alpha] = CScalar(v[t], v[t + 1])
+        fields.append(FormalVectorField(
+            [TruncatedSeries(2 * N, W, c) for c in coeffs]))
+    return fields
 
 
 def tangency_rows(restrictions, order, real):

@@ -13,16 +13,18 @@ from math import factorial
 
 import pytest
 
+from crjet import autdim
 from crjet.autdim import (AutError, FormalVectorField, aut_bound,
-                          infinitesimal_aut_dim, tangency_restrictions,
-                          tangency_terms)
+                          infinitesimal_aut_dim, tangency_restrictions)
 from crjet.cli.main import main
 from crjet.hypersurface import (ambient_pairing, ambient_var, from_defining,
                                 intrinsic_pairing)
 from crjet.linalg import rank
-from crjet.series import CS_I, CS_ONE, CScalar, TruncatedSeries
+from crjet.series import (CS_I, CS_ONE, CScalar, OrderExhausted,
+                          SeriesError, TruncatedSeries)
 
-from tests.conftest import (heis, holomorphic_oracle, im_w, m2_rho, m3_rho,
+from tests.conftest import (basis_fields, compose_restrictions, heis,
+                            holomorphic_oracle, im_w, m2_rho, m3_rho,
                             random_model, random_nondegenerate_model,
                             tangency_rows)
 
@@ -122,8 +124,8 @@ class TestFieldBasics:
 
         M = heis(2, 9)
         f = M.rho * ambient_var(2, 3, 9) + ambient_var(2, 1, 9) ** 3
-        fields = su21_generators(M) + [c2_field(M, {}, {Z: 1})] + list(
-            infinitesimal_aut_dim(M, 2, 8, weights=WT).basis)
+        fields = su21_generators(M) + [c2_field(M, {}, {Z: 1})] + \
+            basis_fields(infinitesimal_aut_dim(M, 2, 8, weights=WT))
         for Y in fields:
             for g in (M.rho, f):
                 assert Y.apply(g) == derive_and_sum(Y, g)
@@ -229,12 +231,12 @@ class TestInfinitesimalDim:
     def test_heisenberg_weighted_dimension(self):
         sys = infinitesimal_aut_dim(heis(2, 9), 2, 8, weights=WT)
         assert sys.solution_dim == 8
-        assert len(sys.vectors) == len(sys.basis) == 8
+        assert len(sys.vectors) == len(basis_fields(sys)) == 8
         assert all(len(key) == 3 for key in sys.unknowns)
 
     def test_basis_fields_tangent_independently(self):
         M = heis(2, 9)
-        for Y in infinitesimal_aut_dim(M, 2, 8, weights=WT).basis:
+        for Y in basis_fields(infinitesimal_aut_dim(M, 2, 8, weights=WT)):
             assert real_residual(M, Y).truncate(8).is_zero()
 
     def test_classical_generators_span_the_solution(self):
@@ -297,36 +299,116 @@ def graph_dependent_c2(order=8):
 
 
 class TestTangencyTerms:
+    """The MAX_TANGENCY_TERMS count: exact, and taken before any
+    candidate's restriction is built."""
+
     CASES = ((lambda: heis(3, 7), 2, 6, None),
              (lambda: heis(2, 9), 2, 6, WT),
              (lambda: from_defining(m3_rho(7), 3), 3, 6, None),
              (lambda: from_defining(m2_rho(8), 2), 2, 7, None),
-             (graph_dependent_c2, 3, 7, None))
-
-    @staticmethod
-    def built_terms(M, d, order, weights):
-        return sum(len(R.truncate(order).terms())
-                   for _, _, R in tangency_restrictions(M, d, order, weights))
+             (graph_dependent_c2, 3, 7, None),
+             (lambda: graph_dependent_c2(8), 3, 4, None))
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_bounds_the_built_restrictions(self, case):
+    def test_bounds_the_built_restrictions(self, case, monkeypatch):
+        # refused one term below the built restrictions' terms up to the
+        # order, accepted at exactly that many: the count is exact, also
+        # on the graph-dependent germs, whose products cancel
         make, d, order, weights = self.CASES[case]
         M = make()
-        bound = tangency_terms(M, d, order, weights)
-        built = self.built_terms(M, d, order, weights)
-        assert bound >= built > 0
-        if case < 4:
-            # model germs restrict without cancellation: the bound is exact
-            assert bound == built
+        built = sum(len(R.truncate(order).terms())
+                    for _, _, R in tangency_restrictions(M, d, order, weights))
+        assert built > 0
+        monkeypatch.setattr(autdim, "MAX_TANGENCY_TERMS", built - 1)
+        with pytest.raises(AutError, match="MAX_TANGENCY_TERMS"):
+            tangency_restrictions(M, d, order, weights)
+        monkeypatch.setattr(autdim, "MAX_TANGENCY_TERMS", built)
+        tangency_restrictions(M, d, order, weights)
 
-    def test_stops_past_the_limit(self):
+    def test_stops_past_the_limit(self, monkeypatch):
+        # each candidate's restriction is its product shifted by z^beta,
+        # the only series the route builds through the constructor: a
+        # refusal builds none of them
         M = graph_dependent_c2()
-        full = tangency_terms(M, 3, 7)
-        stopped = tangency_terms(M, 3, 7, limit=10)
-        assert 10 < stopped < full
+        shifts = []
+        init = TruncatedSeries.__init__
+        monkeypatch.setattr(TruncatedSeries, "__init__",
+                            lambda self, *a: shifts.append(a) or init(self,
+                                                                      *a))
+        monkeypatch.setattr(autdim, "MAX_TANGENCY_TERMS", 10)
+        with pytest.raises(AutError) as info:
+            tangency_restrictions(M, 3, 7)
+        assert str(info.value) == (
+            "degree bound 3 at tangency order 7 needs more than "
+            "MAX_TANGENCY_TERMS = 10 restricted tangency terms; lower the "
+            "truncation order or the degree bound")
+        assert shifts == []
+        monkeypatch.setattr(autdim, "MAX_TANGENCY_TERMS", 50_000)
+        assert len(tangency_restrictions(M, 3, 7)) == len(shifts) == 20
 
-    def test_negative_order_counts_nothing(self):
-        assert tangency_terms(heis(2, 5), 2, -1) == 0
+    def test_negative_order_counts_nothing(self, monkeypatch):
+        # no term lies at a negative order, so even a zero budget passes
+        # and the candidate check refuses the problem
+        monkeypatch.setattr(autdim, "MAX_TANGENCY_TERMS", 0)
+        with pytest.raises(AutError, match="too small"):
+            tangency_restrictions(heis(2, 5), 2, -1)
+
+
+def outcome(route, M, d, order, weights):
+    """The restrictions a route builds, or the type of error it raises."""
+    try:
+        return route(M, d, order, weights)
+    except (AutError, SeriesError) as exc:
+        return type(exc)
+
+
+class TestAgainstComposeRoute:
+    """The products z^beta (s + i phi)^k R_j equal the candidate products
+    composed one by one with the graph substitution, in exact storage, and
+    both routes refuse the same problems with the same error type."""
+
+    def test_seeded_germs(self):
+        germs = []
+        for seed in range(2):
+            for W in (3, 4, 5, 6):
+                germs.append((lifted_c3(random_model(seed, 2, W)),
+                              ((1, 1, 2), (3, 1, 1), (1, 5, 1))))
+                for N in (2, 3):
+                    for build in (random_model, random_nondegenerate_model):
+                        germs.append((build(seed, N, W),
+                                      ((1,) * (N - 1) + (2,),
+                                       (3,) + (1,) * (N - 1))))
+        equal, raised = 0, set()
+        for M, weightings in germs:
+            for weights in (None,) + weightings:
+                for d in range(4):
+                    for order in range(M.order + 1):
+                        got = outcome(tangency_restrictions, M, d, order,
+                                      weights)
+                        want = outcome(compose_restrictions, M, d, order,
+                                       weights)
+                        assert got == want
+                        if isinstance(got, tuple):
+                            equal += 1
+                        else:
+                            raised.add(got)
+        assert equal > 400
+        assert raised == {AutError, OrderExhausted}
+
+    def test_free_candidate_above_the_germ_order(self):
+        # a variable absent from rho has free candidates, yet one of degree
+        # above the germ's order cannot be stored at it: z2 absent with
+        # weights (1, 5, 1), and the flat germ Im w = 0, where no other
+        # candidate is refused and w^4 alone exceeds order 3
+        cases = ((lifted_c3(random_model(0, 2, 4)), (1, 5, 1),
+                  "(0, 0, 5, 0, 0, 0) exceeds order 4"),
+                 (from_defining(im_w(3, 3), 3), (5, 5, 1),
+                  "(0, 0, 4, 0, 0, 0) exceeds order 3"))
+        for M, weights, message in cases:
+            for route in (tangency_restrictions, compose_restrictions):
+                with pytest.raises(OrderExhausted) as info:
+                    route(M, 0, M.order - 1, weights)
+                assert str(info.value) == "stored term " + message
 
 
 class TestIntegerRows:
@@ -448,7 +530,8 @@ class TestFieldsOnDemand:
         assert "dim: 8" in capsys.readouterr().out
         assert built == []
         # the fields are still there for whoever asks
-        assert len(infinitesimal_aut_dim(heis(2, 9), 2, 8, WT).basis) == 8
+        assert len(basis_fields(infinitesimal_aut_dim(heis(2, 9), 2, 8,
+                                                      WT))) == 8
         assert len(built) == 8
 
     def test_basis_reads_back_the_vectors(self):
@@ -456,7 +539,8 @@ class TestFieldsOnDemand:
         # vector's entries as its real and imaginary parts
         for M, d, order in ((heis(2, 9), 2, 8), (degenerate_c3(5), 1, 4)):
             system = infinitesimal_aut_dim(M, d, order)
-            for v, Y in zip(system.vectors, system.basis, strict=True):
+            for v, Y in zip(system.vectors, basis_fields(system),
+                            strict=True):
                 got = [(c.re, c.im)[part]
                        for j, alpha, part in system.unknowns
                        for c in [Y.coeffs[j].coeff(alpha)]]

@@ -786,7 +786,7 @@ class TestVerbs:
 
     def test_aut_terms_budget(self, tmp_path, docs, capsys):
         # a generic C^3 germ at --degree 10 --order 14 passes the unknowns
-        # budget with 1716 unknowns, but its restrictions would hold 62370
+        # budget with 1716 unknowns, but its restrictions would hold 59602
         # terms up to tangency order 13: refused before any is built
         p = tmp_path / "generic3.crj"
         p.write_text("kind = hypersurface\nN = 3\nrho = Im(w) - "
@@ -796,15 +796,17 @@ class TestVerbs:
         code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10",
                                           "--order", "14"])
         assert (code, out) == (2, "")
-        assert ("--degree 10 at tangency order 13 needs more than "
-                "MAX_TANGENCY_TERMS = 50000 restricted tangency terms "
-                "(truncation order 14 from --order); lower the truncation "
-                "order or --degree") in errtext
+        assert errtext == (
+            "error: degree bound 10 at tangency order 13 needs more than "
+            "MAX_TANGENCY_TERMS = 50000 restricted tangency terms; lower the "
+            "truncation order or the degree bound (truncation order 14 from "
+            "--order)\n")
         # an order from the document is named as such
         p.write_text(p.read_text() + "order = 14\n", encoding="utf-8")
         code, out, errtext = run(capsys, ["aut", str(p), "--degree", "10"])
         assert (code, out) == (2, "")
-        assert "(truncation order 14 from the document's order)" in errtext
+        assert errtext.rstrip().endswith(
+            "(truncation order 14 from the document's order)")
         assert time.perf_counter() - start < 5.0
         # a lower order is accepted
         p.write_text(p.read_text().replace("order = 14", "order = 4"),

@@ -32,6 +32,7 @@ from tests.conftest import (
     random_nondegenerate_model,
     random_phi,
     re_w,
+    scaled,
 )
 from tests.test_invariants import linear_change, random_invertible
 
@@ -340,7 +341,7 @@ class TestBracket:
 class TestDenseCoefficients:
     def test_one_shell_for_fields_and_forms(self):
         shell = {"__init__", "__setattr__", "is_zero", "conjugate",
-                 "__add__", "__sub__", "__neg__", "scaled", "__eq__",
+                 "__add__", "__sub__", "__neg__", "__eq__",
                  "__repr__"}
         for cls in (VectorFieldOp, OneForm, FormalVectorField):
             assert not shell & set(vars(cls)), cls
@@ -350,7 +351,7 @@ class TestDenseCoefficients:
         b = TruncatedSeries.variable(3, 1, 3)
         X = VectorFieldOp([a, b, a * b])
         assert X.order == 3 and all(c.order == 3 for c in X.coeffs)
-        assert (X - X).is_zero() and X.scaled(2) == X + X == X - (-X)
+        assert (X - X).is_zero() and scaled(X, 2) == X + X == X - (-X)
         with pytest.raises(AttributeError, match="VectorFieldOp is immutable"):
             X.order = 5
         omega = OneForm([a, b, a * b])

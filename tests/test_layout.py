@@ -1,8 +1,9 @@
 """Package layout: every public top-level function or class in src/ has a
-caller in src/, every import in src/ is used by its module, no module
-imports another's private name, and every name the benchmark tracer wraps
-exists.  Helpers that only tests need live in tests/, as fixtures or
-oracles."""
+caller in src/, every public method is read as an attribute in src/,
+every import in src/ is used by its module, no module imports another's
+private name, and every name the benchmark tracer wraps exists.  A class
+or method the tracer wraps by name counts as used.  Helpers that only
+tests need live in tests/, as fixtures or oracles."""
 
 import ast
 import importlib
@@ -13,10 +14,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "crjet"
 
 
-def unreferenced_definitions(root=SRC) -> list:
+def load_tracing():
+    """The benchmark tracer module, read from perfbench/ without editing
+    it."""
+    spec = importlib.util.spec_from_file_location(
+        "crjet_bench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def traced_names() -> set:
+    """The class and method names the tracer's METHODS wraps."""
+    return {name for classes in load_tracing().METHODS.values()
+            for cls, methods in classes.items() for name in (cls, *methods)}
+
+
+def unreferenced_definitions(root=SRC, traced=frozenset()) -> list:
     """Public top-level definitions never named, or imported, in the
-    package outside their own body."""
-    defined, used = [], set()
+    package outside their own body; a name in traced counts as used."""
+    defined, used = [], set(traced)
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
@@ -37,7 +54,60 @@ def unreferenced_definitions(root=SRC) -> list:
 
 
 def test_every_public_definition_has_a_caller_in_src():
-    assert unreferenced_definitions() == []
+    assert unreferenced_definitions(traced=traced_names()) == []
+
+
+def unread_methods(root=SRC, traced=frozenset()) -> list:
+    """Public methods of top-level classes whose name is never read as an
+    attribute in the package outside the body of the function that
+    defines it; a name in traced counts as read."""
+    defined, read = [], set(traced)
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rel = path.relative_to(root).as_posix()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defined.extend(
+                    (rel, cls.name, m.name) for m in cls.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("_"))
+        stack = [(tree, None)]
+        while stack:
+            node, own = stack.pop()
+            if isinstance(node, ast.Attribute) and node.attr != own:
+                read.add(node.attr)
+            if own is None and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = node.name
+            stack.extend((child, own) for child in ast.iter_child_nodes(node))
+    return [f"{rel}::{cls}.{name}" for rel, cls, name in defined
+            if name not in read]
+
+
+def test_every_public_method_is_read_in_src():
+    assert unread_methods(traced=traced_names()) == []
+
+
+def test_unread_method_is_caught(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Shape:\n"
+        "    def area(self):\n        return self.side ** 2\n\n"
+        "    @property\n    def side(self):\n        return 1\n\n"
+        "    def grow(self, k):\n        return self.grow(k - 1) if k "
+        "else self\n\n"
+        "    def spin(self):\n        return self\n\n"
+        "    def _hidden(self):\n        return self\n\n\n"
+        "class Wrapped:\n    def run(self):\n        return 0\n\n\n"
+        "def total(shapes):\n    return sum(s.area() for s in shapes)\n",
+        encoding="utf-8")
+    assert unread_methods(tmp_path) == ["mod.py::Shape.grow",
+                                        "mod.py::Shape.spin",
+                                        "mod.py::Wrapped.run"]
+    assert unread_methods(tmp_path, {"spin", "run"}) == ["mod.py::Shape.grow"]
+    assert unreferenced_definitions(tmp_path) == [
+        "mod.py::Shape", "mod.py::Wrapped", "mod.py::total"]
+    assert unreferenced_definitions(tmp_path, {"Wrapped"}) == [
+        "mod.py::Shape", "mod.py::total"]
 
 
 def unused_imports(root=SRC) -> list:
@@ -106,10 +176,7 @@ def test_every_traced_name_exists():
     """The benchmark tracer wraps the modules in MODULES and the methods in
     METHODS by name; a name dropped from src/ fails here, not only in a
     traced benchmark run."""
-    spec = importlib.util.spec_from_file_location(
-        "crjet_bench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     for names in tracing.MODULES.values():
         for name in names:
             importlib.import_module(name)

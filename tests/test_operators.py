@@ -32,6 +32,7 @@ from tests.conftest import (
     m4_rho,
     random_model,
     random_nondegenerate_model,
+    scaled,
 )
 
 
@@ -468,7 +469,7 @@ class TestAgainstUnmemoizedPath:
         F = build_frame(random_nondegenerate_model(445, 3, 6))
         if twisted:
             z2 = TruncatedSeries.variable(2 * F.n + 1, 1, F.order)
-            L = (F.L[0].scaled(1 + z2),) + F.L[1:]
+            L = (scaled(F.L[0], 1 + z2),) + F.L[1:]
             F = Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar)
             f = monomial(F, (1, 0, 0, 0, 0))
             assert apply_word(F, (0, 1), f) != apply_word(F, (1, 0), f)

@@ -2,19 +2,9 @@
 count hooks read the results of the functions they wrap, so an API change
 to a traced result fails here and not only in a traced benchmark run."""
 
-import importlib.util
-
 from crjet.cli.main import main
 from tests.test_cli import DILATION, HEIS, JET_LINE, M3, SYSTEM_LINE
-from tests.test_layout import ROOT
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "crjet_bench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+from tests.test_layout import load_tracing
 
 
 def test_traced_reports_are_identical(tmp_path, capsys):
@@ -59,3 +49,22 @@ def test_traced_reports_are_identical(tmp_path, capsys):
             assert m["linalg.nullspace.calls"] == 1
     assert metrics[-1]["jets.taylor.values"] > 0
     assert metrics[-1]["jets.rk4_substeps"] > 0
+
+
+def test_aut_compositions_do_not_grow_with_the_degree(tmp_path, capsys):
+    # one composition per gradient entry, whatever the candidates
+    doc = tmp_path / "m3.crj"
+    doc.write_text(M3, encoding="utf-8")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        composed = []
+        for degree in ("1", "3"):
+            tracer.reset()
+            assert main(["aut", str(doc), "--degree", degree,
+                         "--order", "8"]) == 0
+            composed.append(tracer.layer_metrics()["series.compose.calls"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert composed[0] == composed[1] > 0

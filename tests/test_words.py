@@ -19,7 +19,7 @@ from crjet.invariants import intrinsic_filtration, verify_frame_structure
 from crjet.series import OrderExhausted, TruncatedSeries
 from tests.conftest import (adapt_frame, heis, heisenberg_rho,
                             kernel_bases, m3_rho, random_model,
-                            random_nondegenerate_model)
+                            random_nondegenerate_model, scaled)
 
 
 class OrderedWords:
@@ -57,7 +57,7 @@ def twisted(F):
     """F with L_1 rescaled by 1 + z_2, so that the L fields do not commute;
     the Lbar fields are untouched and still commute."""
     z2 = TruncatedSeries.variable(2 * F.n + 1, 1, F.order)
-    L = (F.L[0].scaled(1 + z2),) + F.L[1:]
+    L = (scaled(F.L[0], 1 + z2),) + F.L[1:]
     return Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar)
 
 
