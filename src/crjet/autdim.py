@@ -12,12 +12,14 @@ before any candidate is built.  The real problem asks for Re Y tangent to M,
 encoded as Y rho + conj(Y rho) = 0 on M with the coefficient space split
 into real unknowns; its solution space is the polynomial symmetry algebra
 cut at a degree, found by one exact nullspace computation over the
-rationals.  The complex problem, Y rho = 0 on M, asks for a holomorphic
-direction the germ does not see, evidence of holomorphic degeneracy; its
-solutions are the real ones whose multiple by i is a solution too, so its
-dimension is read off the real solution space.  aut_bound is the
-closed-form ceiling for the real dimension on finitely nondegenerate
-minimal germs.
+rationals.  Its residuals are real series, so the rows at a graph
+monomial and at its conjugate repeat each other: only the rows of the
+monomials e <= ebar are assembled, read straight from the restrictions.
+The complex problem, Y rho = 0 on M, asks for a holomorphic direction the
+germ does not see, evidence of holomorphic degeneracy; its solutions are
+the real ones whose multiple by i is a solution too, so its dimension is
+read off the real solution space.  aut_bound is the closed-form ceiling
+for the real dimension on finitely nondegenerate minimal germs.
 
 Truncated runs certify truncated statements only: a zero dimension rules
 out candidates up to the stated degree and order, while a positive one is
@@ -32,8 +34,8 @@ from math import comb, lcm
 
 from .hypersurface import DenseCoefficients, Hypersurface, intrinsic_pairing
 from .linalg import nullspace, rank
-from .series import (CS_I, CS_ONE, OrderExhausted, TruncatedSeries,
-                     derivation)
+from .series import (CS_ONE, OrderExhausted, TruncatedSeries, derivation,
+                     key_conjugation)
 
 
 # most graph terms aut's tangency restrictions may hold up to the tangency
@@ -85,10 +87,12 @@ class TangencySystem:
     part 0/1 for the real and imaginary split, and the two parts of a
     candidate are adjacent; equations holds the exact constraint rows as
     sparse {column: int} dicts, a column indexing unknowns and every stored
-    value nonzero, each row scaled to integers.  vectors is the nullspace
-    basis over the unknowns, one Fraction list per real dimension;
-    holomorphic_dim is the complex dimension of its part closed under
-    multiplication by i, the fields with Y rho = 0 on M.
+    value nonzero, each row scaled to integers: the real and imaginary rows
+    of the graph monomials e whose packed key is at most that of their
+    conjugate ebar, since the rows at ebar repeat them.  vectors is the
+    nullspace basis over the unknowns, one Fraction list per real
+    dimension; holomorphic_dim is the complex dimension of its part closed
+    under multiplication by i, the fields with Y rho = 0 on M.
     """
 
     d: int
@@ -223,40 +227,66 @@ def infinitesimal_aut_dim(M: Hypersurface, d: int, order: int,
     real solutions V solve R + conj R = 0 and the complex ones H solve
     R = 0; R is C-linear and conjugation keeps degrees, so H = V cap iV
     and dim_C H = dim V - rank(V cup iV) / 2, from one elimination.
-    """
-    pairing = intrinsic_pairing(M.N - 1)
-    unknowns, residuals = [], []
-    for j, alpha, Rc in tangency_restrictions(M, d, order, weights):
-        Rcc = Rc.conjugate(pairing)
-        unknowns += [(j, alpha, 0), (j, alpha, 1)]
-        residuals += [Rc + Rcc, CS_I * (Rc - Rcc)]
 
-    # entries[e][t]: numerators and denominator of the coefficient of the
-    # graph monomial e in residual t
-    entries = {}
-    for t, (key, Rfull) in enumerate(zip(unknowns, residuals)):
-        Req = Rfull.truncate(order)
-        if Req.is_zero() and not Rfull.is_zero():
+    The residuals R + conj R and i (R - conj R) of a candidate are real
+    series, so their coefficients at a graph monomial e and at its
+    conjugate ebar are conjugate: the rows at ebar repeat those at e, the
+    imaginary row negated.  The rows are read straight from each candidate
+    restriction R at the monomials e <= ebar: with R_e = (a + bi) / D and
+    R_ebar = (c + di) / D, candidate t's real part has a + c in the real
+    row and b - d in the imaginary one, its imaginary part -(b + d) and
+    a - c.  No residual series is built unless a column is missing from
+    every row, that is, a residual vanishes up to the order.
+    """
+    restrictions = tangency_restrictions(M, d, order, weights)
+    pairing = intrinsic_pairing(M.N - 1)
+    conjugate = key_conjugation(pairing)
+    unknowns = []
+    # halves[e][t]: numerators of candidate t's restriction at e and at
+    # ebar, and their denominator, for every e <= ebar either one reaches
+    halves = {}
+    for t, (j, alpha, R) in enumerate(restrictions):
+        unknowns += [(j, alpha, 0), (j, alpha, 1)]
+        den, items = R.truncate(order).numerators()
+        for k, pair in items:
+            kc = conjugate(k)
+            x = halves.setdefault(min(k, kc), {}).setdefault(
+                t, [(0, 0), (0, 0), den])
+            if k <= kc:
+                x[0] = pair
+            if k >= kc:
+                x[1] = pair
+
+    # each pair of rows is scaled by the least common denominator of its
+    # entries: integer rows with the same nullspace
+    rows = []
+    for e in sorted(halves):
+        row = halves[e]
+        scale = lcm(*(den for _, _, den in row.values()))
+        real, imag = {}, {}
+        for t, ((a, b), (c, dd), den) in row.items():
+            f = scale // den
+            for col, re, im in ((2 * t, a + c, b - dd),
+                                (2 * t + 1, -(b + dd), a - c)):
+                if re:
+                    real[col] = re * f
+                if im:
+                    imag[col] = im * f
+        rows += [r for r in (real, imag) if r]
+
+    # a column in no row has a residual that vanishes up to the order;
+    # i (R - conj R) vanishes with R - conj R
+    used = set().union(*rows)
+    for col, key in enumerate(unknowns):
+        if col in used:
+            continue
+        R = restrictions[col // 2][2]
+        Rcc = R.conjugate(pairing)
+        if not (R + Rcc if col % 2 == 0 else R - Rcc).is_zero():
             raise AutError(
                 f"order {order} is too small for degree bound {d}: "
                 f"candidate {key} only contributes beyond it, so the "
                 "system is vacuous there")
-        den, items = Req.numerators()
-        for e, (re, im) in items:
-            entries.setdefault(e, {})[t] = (re, im, den)
-
-    # each row is scaled by the least common denominator of its entries,
-    # then split into its real and imaginary parts: integer rows with the
-    # same nullspace
-    rows = []
-    for e in sorted(entries):
-        row = entries[e]
-        scale = lcm(*(den for _, _, den in row.values()))
-        for part in (0, 1):
-            got = {t: x[part] * (scale // x[2]) for t, x in row.items()
-                   if x[part]}
-            if got:
-                rows.append(got)
 
     vecs = nullspace(rows, ncols=len(unknowns))
     # i (x + iy) = -y + ix on each adjacent (real, imaginary) pair

@@ -33,7 +33,7 @@ from ..jets import JetError, integrate, taylor_propagate
 from ..mappings import (MappingError, Pullback, pushforward_data,
                         solve_levi_reflection, verify_reflection_base,
                         verify_transport_recursion)
-from ..operators import operator_certificates
+from ..operators import CertificateMemo, operator_certificates
 from ..series import OrderExhausted, SeriesError
 from .documents import (ParseError, build_hypersurface, build_jet,
                         build_map, build_system, jet_coordinate_name,
@@ -149,10 +149,10 @@ def _check_tree(rep: CheckReport) -> dict:
             "violations": len(rep.violations)}
 
 
-def _operator_check(F, m, degree) -> CheckReport:
+def _operator_check(memo, m, degree) -> CheckReport:
     name = f"operator-certificates-m{m}"
     try:
-        certs = operator_certificates(F, m, verify_degree=degree)
+        certs = operator_certificates(memo, m, verify_degree=degree)
     except GeometryError as exc:
         return CheckReport(name=name, ok=True, checked=0, vacuous=True,
                            note=str(exc))
@@ -296,8 +296,11 @@ def _run_verify(args):
                 else verify_bracket_pairing
             reports.append(check(F, filtration=filt))
         else:
+            # every application of a length-2 word is a suffix of a
+            # length-3 one, so both lengths share one memo
+            memo = CertificateMemo(F)
             for m in (2, 3):
-                reports.append(_operator_check(F, m, args.degree))
+                reports.append(_operator_check(memo, m, args.degree))
     passed = all(r.ok for r in reports)
     return {"model": {"N": M.N, "n": n, "order": order, "kmax": kmax},
             "checks": [_check_tree(r) for r in reports],

@@ -17,12 +17,17 @@ solve).  The command line reports such a certificate as a violation, so
 the check fails and the run exits 1.  The one GeometryError is a frame
 with no conjugate index, for which no certificate exists.
 
-One ``_Memo`` lives for one call of ``operator_certificates`` and is then
-dropped; it is not kept on the frame or at module level.  It reads the
-Levi rows h_{FbarE} from the frame's F.words, where they are built once per
-frame, and holds the chosen conjugate index, the T-pushdown and commutator
-tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f and
-L^K(T f) on each basis monomial f, named by its exponents and order.
+One ``CertificateMemo`` serves the calls of ``operator_certificates`` that
+are handed it, both word lengths of one verify run on the command line,
+and is then dropped; it is not kept on the frame or at module level.  It reads
+the Levi rows h_{FbarE} from the frame's F.words, where they are built once
+per frame, and holds the chosen conjugate index, the T-pushdown and
+commutator tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f
+and L^K(T f) on each basis monomial f, named by its exponents and order.
+A basis monomial enters only through a frame field's derivation, whose
+order is the least of f.order - 1 and the field's coefficient orders, so
+its order is cut at one above the largest of those: every series stays the
+same, and word lengths 2 and 3 read the same monomials.
 Tables and applications are memoized by the exact suffix of the word:
 L^(w0, rest) f = L_w0(L^rest f), never re-sorted through the commutativity
 of the L fields, so every series is the same composition, in the same order,
@@ -69,7 +74,7 @@ def _left_compose(F: Frame, E: int, table: dict) -> dict:
     return out
 
 
-class _Memo:
+class CertificateMemo:
     """Everything one certificate computation needs more than once.
 
     Returned tables and series are shared between callers and must not be
@@ -78,6 +83,9 @@ class _Memo:
 
     def __init__(self, F: Frame):
         self.F = F
+        # a basis monomial's order above this one never shows in a series
+        self._order_cap = 1 + max(c.order for X in (F.T, *F.L, *F.Lbar)
+                                  for c in X.coeffs)
         self._conjugate = None
         self._pushdowns = {}
         self._tables = {}
@@ -99,6 +107,12 @@ class _Memo:
                     "(reorder the frame so a nondegenerate direction comes "
                     "first)")
         return self._conjugate
+
+    def basis_order(self, need: int, degree: int) -> int:
+        """Order for basis monomials of total degree <= degree that need
+        order need: cut at the order no series shows, but never below the
+        degree the monomials must fit."""
+        return min(need, max(self._order_cap, degree))
 
     def pushdown(self, word: tuple) -> dict:
         """T composed with L^word, rewritten as sum_K f_K L^K T."""
@@ -186,7 +200,7 @@ class CommutatorCertificate:
     verified: bool
 
 
-def _reduction(memo: _Memo, word, verify_degree):
+def _reduction(memo: CertificateMemo, word, verify_degree):
     """[L^W, L_Fbar] = sum_E mult_E(W) h_{FbarE} L^{W - E} T - tail.
 
     The leading coefficients are forced exactly; the tail collects every
@@ -234,7 +248,7 @@ def _word_label(word):
     return "(" + ",".join(str(E + 1) for E in word) + ")"
 
 
-def _weighted(memo: _Memo, J, verify_degree):
+def _weighted(memo: CertificateMemo, J, verify_degree):
     """Solve sum_W b_W [L^W, L_Fbar] = h^p L^J T with p = |J| - |J|_1 + 2.
 
     The system over sorted words is triangular when processed by length
@@ -284,7 +298,7 @@ def _weighted(memo: _Memo, J, verify_degree):
 
 def _basis(nvars: int, degree: int, order: int):
     """Monomials of total degree <= degree at this order, as (exponents,
-    order) names for _Memo.word_on."""
+    order) names for CertificateMemo.word_on."""
     for total in range(degree + 1):
         for alpha in itertools.combinations_with_replacement(
                 range(nvars), total):
@@ -294,9 +308,9 @@ def _basis(nvars: int, degree: int, order: int):
             yield tuple(exps), order
 
 
-def _verify_reduction(memo: _Memo, word, Fbar, leading, tail,
+def _verify_reduction(memo: CertificateMemo, word, Fbar, leading, tail,
                       degree) -> bool:
-    basis_order = degree + len(word) + 2
+    basis_order = memo.basis_order(degree + len(word) + 2, degree)
     terms = list(leading.items()) + [(K, -c) for K, c in tail.items()]
     for mono in _basis(2 * memo.F.n + 1, degree, basis_order):
         lhs = memo.commutator_on(word, Fbar, mono)
@@ -306,9 +320,10 @@ def _verify_reduction(memo: _Memo, word, Fbar, leading, tail,
     return True
 
 
-def _verify_weighted(memo: _Memo, J, Fbar, p, b_coeffs, degree) -> bool:
+def _verify_weighted(memo: CertificateMemo, J, Fbar, p, b_coeffs,
+                     degree) -> bool:
     nv = 2 * memo.F.n + 1
-    basis_order = degree + len(J) + 3
+    basis_order = memo.basis_order(degree + len(J) + 3, degree)
     hp = memo.F.words.h((Fbar,), 0) ** p
     for mono in _basis(nv, degree, basis_order):
         rhs = hp * memo.word_on(J, "T", mono)
@@ -319,13 +334,14 @@ def _verify_weighted(memo: _Memo, J, Fbar, p, b_coeffs, degree) -> bool:
     return True
 
 
-def operator_certificates(F: Frame, m: int, verify_degree: int):
+def operator_certificates(memo: CertificateMemo, m: int, verify_degree: int):
     """Certificates for every sorted word of length m and target of length
-    m - 1: the reduction identities and the weighted-word identities, each
-    verified on the monomial basis up to verify_degree."""
+    m - 1 on the memo's frame: the reduction identities and the
+    weighted-word identities, each verified on the monomial basis up to
+    verify_degree.  The memo may serve other calls on the same frame."""
     if m < 1:
         raise OrderExhausted("word length must be at least 1")
-    memo = _Memo(F)
+    F = memo.F
     # the Levi row differentiates theta once and a word of length m applies
     # m - 1 more fields to it
     if F.order < m:

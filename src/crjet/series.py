@@ -212,6 +212,39 @@ def _unpack(key: int, nvars: int) -> tuple:
     return tuple(alpha)
 
 
+def _conjugation_moves(pairing) -> list:
+    """(source shift, mask, destination shift) per run of consecutive
+    variables that pairing moves together: variable i takes the exponent
+    of pairing[i], and a run moves as one bit block."""
+    n = len(pairing)
+    moves = []
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and pairing[j] == pairing[j - 1] + 1:
+            j += 1
+        width = _BITS * (j - i)
+        moves.append((_BITS * (n - pairing[i]) - width, (1 << width) - 1,
+                      _BITS * (n - i) - width))
+        i = j
+    return moves
+
+
+def key_conjugation(pairing):
+    """The map from the key of a monomial, as ``numerators`` gives it, to
+    the key of its conjugate under the involution pairing: variable i
+    takes the exponent of variable pairing[i]."""
+    moves = _conjugation_moves(check_involution(pairing))
+
+    def conjugate(key: int) -> int:
+        out = 0
+        for src, mask, dst in moves:
+            out |= ((key >> src) & mask) << dst
+        return out
+
+    return conjugate
+
+
 def _check_order(order: int):
     if order < 0:
         raise SeriesError("order must be non-negative")
@@ -648,18 +681,7 @@ class TruncatedSeries:
         n = self.nvars
         if len(pairing) != n:
             raise SeriesError("pairing length must equal nvars")
-        # variable i takes the exponent of pairing[i]; runs of consecutive
-        # variables that move together move as one bit block
-        moves = []
-        i = 0
-        while i < n:
-            j = i + 1
-            while j < n and pairing[j] == pairing[j - 1] + 1:
-                j += 1
-            width = _BITS * (j - i)
-            moves.append((_BITS * (n - pairing[i]) - width, (1 << width) - 1,
-                          _BITS * (n - i) - width))
-            i = j
+        moves = _conjugation_moves(pairing)
         shift = _BITS * n
         out = {}
         for k, (re, im) in self._terms.items():

@@ -304,9 +304,11 @@ def basis_fields(system) -> list:
     return fields
 
 
-def tangency_rows(restrictions, order, real):
-    """Equation rows read through terms(): CScalar entries for the complex
-    problem, Fraction for the real one, rows in exponent-tuple order."""
+def labeled_tangency_rows(restrictions, order, real):
+    """Equation rows read through terms(), each as (e, part, row) with e
+    the graph monomial's exponent tuple: CScalar entries and part None for
+    the complex problem, Fraction entries and part "re" or "im" for the
+    real one, rows in exponent-tuple order."""
     pairing = None
     residuals = []
     for _, _, Rc in restrictions:
@@ -328,10 +330,37 @@ def tangency_rows(restrictions, order, real):
                 got = {t: getattr(c, part) for t, c in row.items()
                        if getattr(c, part)}
                 if got:
-                    rows.append(got)
+                    rows.append((e, part, got))
         else:
-            rows.append(row)
+            rows.append((e, None, row))
     return rows
+
+
+def tangency_rows(restrictions, order, real):
+    """The rows of labeled_tangency_rows without their labels."""
+    return [row for _, _, row in
+            labeled_tangency_rows(restrictions, order, real)]
+
+
+def residual_system(M, d, order, weights=None):
+    """Oracle for the real tangency system assembled from residual series:
+    every candidate's R + conj R and i (R - conj R) built whole, a residual
+    that vanishes up to order but not beyond refused with the solver's
+    message, and (unknowns, rows) with the full, unhalved rows of
+    tangency_rows."""
+    restrictions = tangency_restrictions(M, d, order, weights)
+    pairing = intrinsic_pairing(M.N - 1)
+    unknowns = []
+    for j, alpha, R in restrictions:
+        Rcc = R.conjugate(pairing)
+        for part, res in enumerate((R + Rcc, CS_I * (R - Rcc))):
+            unknowns.append((j, alpha, part))
+            if res.truncate(order).is_zero() and not res.is_zero():
+                raise AutError(
+                    f"order {order} is too small for degree bound {d}: "
+                    f"candidate {unknowns[-1]} only contributes beyond it, "
+                    "so the system is vacuous there")
+    return unknowns, tangency_rows(restrictions, order, True)
 
 
 def holomorphic_oracle(M, d, order, weights=None):

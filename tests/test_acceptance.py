@@ -25,7 +25,7 @@ from crjet.mappings import (Pullback, pushforward_data,
                             solve_levi_reflection, tangency_residual,
                             verify_reflection_base,
                             verify_transport_recursion)
-from crjet.operators import operator_certificates
+from crjet.operators import CertificateMemo, operator_certificates
 from crjet.series import CScalar, TruncatedSeries
 from tests.conftest import (compose_maps, dilation, heis, identity_map, im_w,
                             m2_rho, m3_rho, max_deviation, random_model,
@@ -115,7 +115,7 @@ def test_criterion_05_reflection_suite_exact():
 def test_criterion_06_operator_certificates_exact():
     F = build_frame(heis(2, 8))
     for m in (2, 3):
-        certs = operator_certificates(F, m, verify_degree=5)
+        certs = operator_certificates(CertificateMemo(F), m, verify_degree=5)
         assert certs
         assert all(c.verified for c in certs)
 

@@ -628,7 +628,7 @@ class TestVerbs:
                             lambda *args: True)
         monkeypatch.setattr(operators, "_verify_weighted",
                             lambda *args: True)
-        table = operators._Memo.table
+        table = operators.CertificateMemo.table
 
         def corrupted(memo, word, Fbar):
             out = table(memo, word, Fbar)
@@ -636,7 +636,7 @@ class TestVerbs:
                 out = {K: 2 * d for K, d in out.items()}
             return out
 
-        monkeypatch.setattr(operators._Memo, "table", corrupted)
+        monkeypatch.setattr(operators.CertificateMemo, "table", corrupted)
         code, report = self.certificate_run(tmp_path, capsys)
         assert (code, report["pass"]) == (1, False)
         for check in report["checks"]:

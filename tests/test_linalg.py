@@ -15,7 +15,7 @@ from crjet.linalg import (
 from crjet.series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
 
 from tests.conftest import (holomorphic_oracle, random_model,
-                            random_nondegenerate_model)
+                            random_nondegenerate_model, residual_system)
 
 
 def C(x, y=0):
@@ -302,9 +302,11 @@ class TestAgainstDenseKernel:
 
 class TestTangencyAgainstOracle:
     """The tangency solver's vectors equal the oracle's nullspace of the
-    same equation rows, and so do the complex oracle's: seeded unit-Levi
-    and generic germs in C^2 and C^3 at degrees 1 and 2, for the real and
-    the complex problem."""
+    full, unhalved rows assembled from residual series, and the complex
+    oracle's vectors that of its own rows: seeded unit-Levi and generic
+    germs in C^2 and C^3 at degrees 1 and 2, unweighted and with the
+    transverse variable of weight 2, for the real and the complex
+    problem."""
 
     def test_seeded_germs(self):
         solved = set()
@@ -313,37 +315,37 @@ class TestTangencyAgainstOracle:
                 for build in (random_nondegenerate_model, random_model):
                     M = build(seed, N, 5)
                     for d in (1, 2):
-                        for kind in ("holomorphic", "real"):
-                            try:
-                                if kind == "real":
-                                    system = infinitesimal_aut_dim(M, d, 4)
-                                    unknowns, rows, got = (
-                                        system.unknowns, system.equations,
-                                        list(system.vectors))
-                                else:
-                                    unknowns, rows, got, _ = \
-                                        holomorphic_oracle(M, d, 4)
-                            except AutError:
-                                continue  # vacuous at this order
-                            ncols = len(unknowns)
-                            # real rows hold ints; the oracle divides, so
-                            # it is fed Fractions
-                            dense = [[row.get(c, 0 * x) for c in range(ncols)]
-                                     for row in rows
-                                     for x in [next(iter(row.values()))]]
-                            dense = [[x if isinstance(x, CScalar)
-                                      else Fraction(x) for x in r]
-                                     for r in dense]
-                            want = ref_nullspace(dense, ncols)
-                            assert got == want
-                            solved.add((N, build, d, kind, bool(want)))
-        # every germ kind, dimension, degree and problem was solved, with
-        # and without a nonzero nullspace
-        assert {k[:4] for k in solved} == {
-            (N, b, d, kind) for N in (2, 3)
+                        for weights in (None, (1,) * (N - 1) + (2,)):
+                            for kind in ("holomorphic", "real"):
+                                try:
+                                    if kind == "real":
+                                        got = list(infinitesimal_aut_dim(
+                                            M, d, 4, weights).vectors)
+                                        unknowns, rows = residual_system(
+                                            M, d, 4, weights)
+                                    else:
+                                        unknowns, rows, got, _ = \
+                                            holomorphic_oracle(M, d, 4,
+                                                               weights)
+                                except AutError:
+                                    continue  # vacuous at this order
+                                ncols = len(unknowns)
+                                dense = [[row.get(c, 0 * x)
+                                          for c in range(ncols)]
+                                         for row in rows
+                                         for x in [next(iter(row.values()))]]
+                                want = ref_nullspace(dense, ncols)
+                                assert got == want
+                                solved.add((N, build, d, weights is None,
+                                            kind, bool(want)))
+        # every germ kind, dimension, degree, weighting and problem was
+        # solved, with and without a nonzero nullspace
+        assert {k[:5] for k in solved} == {
+            (N, b, d, plain, kind) for N in (2, 3)
             for b in (random_nondegenerate_model, random_model)
-            for d in (1, 2) for kind in ("holomorphic", "real")}
-        assert {k[4] for k in solved} == {True, False}
+            for d in (1, 2) for plain in (True, False)
+            for kind in ("holomorphic", "real")}
+        assert {k[5] for k in solved} == {True, False}
 
 
 class TestExactRank:

@@ -9,12 +9,12 @@ from crjet import operators
 from crjet.hypersurface import (Frame, GeometryError, build_frame,
                                 exterior_derivative, from_defining)
 from crjet.operators import (
+    CertificateMemo,
     CommutatorCertificate,
     _basis,
     _dadd,
     _drop,
     _left_compose,
-    _Memo,
     _reduction,
     _scale_table,
     _sorted_word,
@@ -43,7 +43,7 @@ def frame_for(rho, N):
 class TestCommutatorTable:
     def test_single_letter_is_levi_row(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        table = _Memo(F).table((0,), 0)
+        table = CertificateMemo(F).table((0,), 0)
         assert set(table) == {()}
         assert table[()].constant_term() == CScalar(0, -2)
 
@@ -52,7 +52,7 @@ class TestCommutatorTable:
         # not just at the origin; probe it on a few series
         F = build_frame(random_model(400, 2, 7))
         for word in [(0,), (0, 0), (0, 0, 0)]:
-            table = _Memo(F).table(word, 0)
+            table = CertificateMemo(F).table(word, 0)
             for mono in [(1, 0, 0), (0, 1, 0), (1, 1, 1)]:
                 f = monomial(F, mono)
                 lhs = apply_commutator(F, word, 0, f)
@@ -61,7 +61,7 @@ class TestCommutatorTable:
 
     def test_mixed_letters(self):
         F = build_frame(random_model(401, 3, 7))
-        table = _Memo(F).table((0, 1), 1)
+        table = CertificateMemo(F).table((0, 1), 1)
         f = monomial(F, (0, 1, 0, 0, 1))
         assert apply_commutator(F, (0, 1), 1, f).agrees(
             apply_table(F, table, f))
@@ -75,23 +75,23 @@ def monomial(F, exps):
 class TestChooseConjugateIndex:
     def test_heisenberg(self):
         F = frame_for(heisenberg_rho(3, 6), 3)
-        assert _Memo(F).conjugate_index() == 0
+        assert CertificateMemo(F).conjugate_index() == 0
 
     def test_degenerate_origin_raises(self):
         F = frame_for(m2_rho(6), 2)
         with pytest.raises(GeometryError):
-            _Memo(F).conjugate_index()
+            CertificateMemo(F).conjugate_index()
 
     def test_zero_levi_raises(self):
         F = frame_for(m4_rho(6), 3)
         with pytest.raises(GeometryError):
-            _Memo(F).conjugate_index()
+            CertificateMemo(F).conjugate_index()
 
 
 class TestBracketReduction:
     def test_heisenberg_pure_word(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        cert = _reduction(_Memo(F), (0, 0), 4)
+        cert = _reduction(CertificateMemo(F), (0, 0), 4)
         assert cert.verified
         assert cert.p == 1
         assert set(cert.leading) == {(0,)}
@@ -103,8 +103,8 @@ class TestBracketReduction:
         # length-two word with distinct letters: both drop-one words carry
         # the matching Levi entry
         F = build_frame(random_nondegenerate_model(410, 3, 8))
-        Fb = _Memo(F).conjugate_index()
-        cert = _reduction(_Memo(F), (0, 1), 3)
+        Fb = CertificateMemo(F).conjugate_index()
+        cert = _reduction(CertificateMemo(F), (0, 1), 3)
         assert cert.verified
         assert set(cert.leading) == {(0,), (1,)}
         assert cert.leading[(1,)].agrees(F.words.h((Fb,), 0))
@@ -112,36 +112,36 @@ class TestBracketReduction:
 
     def test_three_letter_multiplicity(self):
         F = build_frame(random_nondegenerate_model(411, 2, 8))
-        cert = _reduction(_Memo(F), (0, 0, 0), 3)
+        cert = _reduction(CertificateMemo(F), (0, 0, 0), 3)
         assert cert.verified
         assert cert.leading[(0, 0)].agrees(3 * F.words.h((0,), 0))
 
     def test_verification_on_monomials(self):
         for seed, N in [(412, 2), (413, 3)]:
             F = build_frame(random_nondegenerate_model(seed, N, 7))
-            cert = _reduction(_Memo(F), (0,) * 2, 4)
+            cert = _reduction(CertificateMemo(F), (0,) * 2, 4)
             assert cert.verified
 
 
 class TestWeightedCertificate:
     def test_heisenberg_single_letter(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        cert = _weighted(_Memo(F), (0,), 5)
+        cert = _weighted(CertificateMemo(F), (0,), 5)
         assert cert.verified
         assert cert.p == 2
         assert cert.word == (0,)
 
     def test_weight_counts_nonminimal_letters(self):
         F = build_frame(random_nondegenerate_model(420, 3, 8))
-        c1 = _weighted(_Memo(F), (0, 0), 3)
-        c2 = _weighted(_Memo(F), (0, 1), 3)
-        c3 = _weighted(_Memo(F), (1, 1), 3)
+        c1 = _weighted(CertificateMemo(F), (0, 0), 3)
+        c2 = _weighted(CertificateMemo(F), (0, 1), 3)
+        c3 = _weighted(CertificateMemo(F), (1, 1), 3)
         assert (c1.p, c2.p, c3.p) == (2, 3, 4)
         assert c1.verified and c2.verified and c3.verified
 
     def test_bracket_words_cover_lengths(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        cert = _weighted(_Memo(F), (0, 0), 4)
+        cert = _weighted(CertificateMemo(F), (0, 0), 4)
         assert cert.verified
         lengths = {len(w) for w in cert.bracket_coeffs}
         assert max(lengths) == 3
@@ -149,26 +149,26 @@ class TestWeightedCertificate:
     def test_random_models(self):
         for seed in (421, 422):
             F = build_frame(random_nondegenerate_model(seed, 2, 8))
-            cert = _weighted(_Memo(F), (0, 0), 3)
+            cert = _weighted(CertificateMemo(F), (0, 0), 3)
             assert cert.verified
 
 
 class TestOperatorCertificates:
     def test_heisenberg_m2(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        certs = operator_certificates(F, 2, 5)
+        certs = operator_certificates(CertificateMemo(F), 2, 5)
         kinds = {c.kind for c in certs}
         assert kinds == {"reduction", "weighted"}
         assert all(c.verified for c in certs)
 
     def test_heisenberg_m3(self):
         F = frame_for(heisenberg_rho(2, 8), 2)
-        certs = operator_certificates(F, 3, 5)
+        certs = operator_certificates(CertificateMemo(F), 3, 5)
         assert all(c.verified for c in certs)
 
     def test_two_variable_m2(self):
         F = frame_for(m3_rho(8), 3)
-        certs = operator_certificates(F, 2, 3)
+        certs = operator_certificates(CertificateMemo(F), 2, 3)
         assert len(certs) == 3 + 2  # words of length 2, weights of length 1
         assert all(c.verified for c in certs)
 
@@ -437,7 +437,8 @@ class TestAgainstUnmemoizedPath:
                 for m in (1, 2, 3):
                     for degree in (1, 2, 3):
                         context = (seed, N, m, degree)
-                        got = outcome(operator_certificates, F, m, degree)
+                        got = outcome(operator_certificates,
+                                      CertificateMemo(F), m, degree)
                         want = outcome(ref_operator_certificates, F, m,
                                        degree)
                         assert got[0] == want[0], context
@@ -452,11 +453,11 @@ class TestAgainstUnmemoizedPath:
 
     def test_no_pairing_index_message(self):
         F = frame_for(m2_rho(6), 2)
-        got = outcome(operator_certificates, F, 2, 2)
+        got = outcome(operator_certificates, CertificateMemo(F), 2, 2)
         want = outcome(ref_operator_certificates, F, 2, 2)
         assert got[0] == want[0] == "error"
         assert got[1] == want[1]
-        assert outcome(_Memo(F).conjugate_index) == \
+        assert outcome(CertificateMemo(F).conjugate_index) == \
             outcome(ref_choose_conjugate_index, F)
 
     @pytest.mark.parametrize("twisted", [False, True])
@@ -473,7 +474,7 @@ class TestAgainstUnmemoizedPath:
             F = Frame(F.n, F.T, L, F.Lbar, F.theta, F.thetaA, F.thetaAbar)
             f = monomial(F, (1, 0, 0, 0, 0))
             assert apply_word(F, (0, 1), f) != apply_word(F, (1, 0), f)
-        memo = _Memo(F)
+        memo = CertificateMemo(F)
         words = [(0,), (1, 0), (0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1)]
         for Fb in range(F.n):
             for word in words:
@@ -492,11 +493,49 @@ class TestAgainstUnmemoizedPath:
                         assert memo.commutator_on(word, Fb, mono) == \
                             apply_commutator(F, word, Fb, f)
 
+    def test_capped_basis_order_builds_the_same_series(self):
+        # a basis monomial enters only through a frame field's derivation,
+        # so its order is cut at one above the fields' coefficient orders
+        # without changing a series; the cut never goes below the degree
+        # and never raises an order
+        F = build_frame(random_nondegenerate_model(445, 3, 6))
+        memo = CertificateMemo(F)
+        assert [memo.basis_order(need, 2) for need in (4, 6, 7, 9)] == \
+            [4, F.order + 1, F.order + 1, F.order + 1]
+        assert memo.basis_order(12, 9) == 9
+        degree, need = 2, 7
+        cut = memo.basis_order(need, degree)
+        words = [(0,), (1, 0), (0, 1, 1)]
+        for exps, _ in _basis(2 * F.n + 1, degree, need):
+            full, capped = (exps, need), (exps, cut)
+            for word in words:
+                for base in (None, "T"):
+                    assert memo.word_on(word, base, capped) == \
+                        memo.word_on(word, base, full)
+                for Fb in range(F.n):
+                    assert memo.commutator_on(word, Fb, capped) == \
+                        memo.commutator_on(word, Fb, full)
+
+    def test_one_memo_serves_both_word_lengths(self):
+        # certificates of lengths 2 and 3 through one memo equal those of a
+        # memo per length, and the shared memo builds fewer applications
+        # than the two separate ones together
+        F = build_frame(random_nondegenerate_model(441, 3, 6))
+        shared = CertificateMemo(F)
+        separate = 0
+        for m in (2, 3):
+            own = CertificateMemo(F)
+            assert_same_certificates(
+                operator_certificates(shared, m, 2),
+                operator_certificates(own, m, 2), m)
+            separate += len(own._applied)
+        assert len(shared._applied) < separate
+
 
 class TestVerificationRejectsCorruption:
     def test_corrupted_tail_and_bracket_coefficient(self):
         F = build_frame(random_nondegenerate_model(446, 3, 6))
-        memo = _Memo(F)
+        memo = CertificateMemo(F)
         one = TruncatedSeries.constant(2 * F.n + 1, 1, F.order)
         degree = 2
         # the memo has already verified the true certificates when it is
@@ -530,10 +569,10 @@ class TestVerificationRejectsCorruption:
         F = build_frame(random_nondegenerate_model(446, 3, 6))
         one = TruncatedSeries.constant(2 * F.n + 1, 1, F.order)
         degree = 2
-        Fb = _Memo(F).conjugate_index()
+        Fb = CertificateMemo(F).conjugate_index()
 
         def certificate(build, word, table_word, edit):
-            memo = _Memo(F)
+            memo = CertificateMemo(F)
             table = dict(memo.table(table_word, Fb))
             edit(table)
             memo._tables[(table_word, Fb)] = table
@@ -555,8 +594,8 @@ class TestVerificationRejectsCorruption:
             return edit
 
         word = (0, 1, 1)
-        assert _reduction(_Memo(F), word, degree).verified
-        assert {(1, 1), (0, 1)} <= set(_Memo(F).table(word, Fb))
+        assert _reduction(CertificateMemo(F), word, degree).verified
+        assert {(1, 1), (0, 1)} <= set(CertificateMemo(F).table(word, Fb))
         # leading coefficient mismatch, unexpected and missing leading word
         for edit in (shift((1, 1)), add((0, 0)), drop((0, 1))):
             assert not certificate(_reduction, word, word, edit).verified
@@ -564,6 +603,6 @@ class TestVerificationRejectsCorruption:
         # mismatched pivot coefficient, and a word the triangular solve
         # never reaches, which it leaves as a residual
         J = (0, 1)
-        assert _weighted(_Memo(F), J, degree).verified
+        assert _weighted(CertificateMemo(F), J, degree).verified
         for edit in (shift(J), add((1, 1, 1))):
             assert not certificate(_weighted, J, (0, 0, 1), edit).verified

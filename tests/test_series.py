@@ -8,7 +8,7 @@ import pytest
 
 from crjet.series import (CS_I, CS_ONE, CS_ZERO, EXPONENT_LIMIT, CScalar,
                           OrderExhausted, SeriesError, TruncatedSeries,
-                          check_involution)
+                          check_involution, key_conjugation)
 
 
 def rand_series(rng, nvars, order, terms=6, allow_const=True):
@@ -173,6 +173,24 @@ class TestConjugate:
     def test_rejects_non_involution(self):
         with pytest.raises(SeriesError):
             TruncatedSeries.zero(3, 2).conjugate((1, 2, 0))
+        with pytest.raises(SeriesError):
+            key_conjugation((1, 2, 0))
+
+    def test_key_conjugation_matches_series_conjugation(self):
+        # graph charts (z_1..z_n, zb_1..zb_n, s) of C^2 to C^4: the key of
+        # each numerator pair maps to the key the conjugate series stores
+        # the conjugate pair under
+        rng = random.Random(7)
+        for n in (1, 2, 3):
+            pairing = tuple(range(n, 2 * n)) + tuple(range(n)) + (2 * n,)
+            conjugate = key_conjugation(pairing)
+            for _ in range(10):
+                a = rand_series(rng, 2 * n + 1, 6, terms=12)
+                den, items = a.numerators()
+                cden, citems = a.conjugate(pairing).numerators()
+                assert cden == den
+                assert dict(citems) == {conjugate(k): (re, -im)
+                                        for k, (re, im) in items}
 
 
 class TestCompose:
