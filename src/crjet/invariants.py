@@ -72,7 +72,7 @@ def extrinsic_k0(M: Hypersurface, kmax: int):
         coeffs[2 * N - 1] = -(rho.derive(N + j) * wb_inv)
         fields.append(VectorFieldOp(coeffs))
 
-    tracker = SpanTracker(N)
+    tracker = SpanTracker()
     level = {(): grad}
     for k in range(kmax + 1):
         for word in sorted(level):
@@ -146,7 +146,7 @@ def intrinsic_filtration(F: Frame, kmax=None):
 
     # E_k is spanned by the (transverse, h) rows at 0 of the words up to
     # length k, and F_k is the kernel of their h parts: dim F_k = n - rank
-    span, kernel = SpanTracker(n + 1), SpanTracker(n)
+    span, kernel = SpanTracker(), SpanTracker()
     Ek_dims, Fk_dims, rk = [], [], []
     k0 = None
     for k in range(kmax + 1):
@@ -360,7 +360,6 @@ def verify_frame_structure(F: Frame) -> CheckReport:
 class PointResult:
     z: tuple
     s: object
-    t: object
     status: str           # "ok" or "singular"
     k0: object = None
     nondegenerate: bool = False
@@ -403,11 +402,10 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
             Mp = from_defining(M.rho.recenter(p), N)
             k0p = extrinsic_k0(Mp, k)
             results.append(PointResult(
-                z=tuple(z), s=s, t=t, status="ok", k0=k0p,
+                z=tuple(z), s=s, status="ok", k0=k0p,
                 nondegenerate=is_finite(k0p) and k0p <= k))
         except GeometryError:
-            results.append(PointResult(z=tuple(z), s=s, t=t,
-                                       status="singular"))
+            results.append(PointResult(z=tuple(z), s=s, status="singular"))
     return ScanReport(k=k, results=tuple(results))
 
 

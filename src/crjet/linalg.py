@@ -7,10 +7,12 @@ integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and works
 on sparse rows {column: (re, im)} of Gaussian-integer pairs, the numerator
 convention of TruncatedSeries.
 
-- Entry.  A row arrives as a dense sequence or a {column: value} dict of
-  int, Fraction or CScalar values.  It is converted once: its denominators
-  are cleared, then it is divided by its content (the gcd of every real
-  and imaginary part), so it is primitive.
+- Entry.  nullspace takes sparse {column: int} rows with nonzero values,
+  which enter as Gaussian integers with imaginary part 0; rank and
+  SpanTracker take dense sequences of int, Fraction or CScalar values,
+  whose denominators are cleared.  Either way a row is converted once and
+  divided by its content (the gcd of every real and imaginary part), so
+  it is primitive.
 - Elimination.  Rows pivot on their lowest column.  A row with lead
   column q is reduced by the pivot row piv stored under q as
   row = piv[q] * row - row[q] * piv, once both leads are divided by their
@@ -20,9 +22,8 @@ convention of TruncatedSeries.
   only, and content removal keeps entries at the size of the row's
   primitive form instead of letting them grow with the number of steps.
 - Exit.  Only nullspace divides, by each pivot row's lead, when it hands
-  values back: Fraction when every entry given was an int or a Fraction,
-  CScalar when any was a CScalar (and for a matrix with no entries).  rank
-  and SpanTracker never leave the integers.
+  values back, always as Fraction: its rows are real, so every pivot row
+  stays real.  rank and SpanTracker never leave the integers.
 
 A reduced row echelon form is unique, so the pivots and the nullspace
 basis (one vector per free column, read off the cleared pivot rows)
@@ -34,17 +35,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .series import CS_ONE, CS_ZERO, CScalar, SeriesError
+from .series import CScalar, SeriesError
 
 
-def _integer_row(vec):
-    """(row, complex): vec as a primitive {column: (re, im)} integer row,
-    and whether any entry was a CScalar."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    parts, den, cplx = [], 1, False
-    for c, x in items:
+def _integer_row(vec) -> dict:
+    """vec, a dense sequence of int, Fraction or CScalar values, as a
+    primitive {column: (re, im)} integer row."""
+    parts, den = [], 1
+    for c, x in enumerate(vec):
         if isinstance(x, CScalar):
-            cplx = True
             re, im = x.re, x.im
             if not (re or im):
                 continue
@@ -58,7 +57,7 @@ def _integer_row(vec):
     row = {c: (re.numerator * (den // re.denominator),
                im.numerator * (den // im.denominator))
            for c, re, im in parts}
-    return _primitive(row), cplx
+    return _primitive(row)
 
 
 def _primitive(row: dict) -> dict:
@@ -129,69 +128,54 @@ def _insert(row: dict, echelon: dict) -> bool:
     return True
 
 
-def _echelon(rows, clear: bool):
-    """(echelon, complex): the integer echelon {lead column: row} of rows,
-    pivots cleared upwards in descending order when clear is set, and
-    whether values should leave as CScalar."""
-    echelon, cplx, empty = {}, False, True
-    for vec in rows:
-        row, c = _integer_row(vec)
-        cplx = cplx or c
-        empty = empty and not len(vec)
-        _insert(row, echelon)
-    if clear:
-        for p in sorted(echelon, reverse=True):
-            row = echelon[p]
-            for q in [q for q in row if q != p and q in echelon]:
-                row = _eliminate(row, q, echelon[q])
-            echelon[p] = row
-    return echelon, cplx or empty
-
-
 def rank(rows) -> int:
-    return len(_echelon(rows, False)[0])
+    echelon = {}
+    for vec in rows:
+        _insert(_integer_row(vec), echelon)
+    return len(echelon)
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right nullspace, one vector per free column.  ncols
-    defaults to the length of the first row and is needed for {column:
-    value} rows and for an empty matrix."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    echelon, cplx = _echelon(rows, True)
-    one, zero = (CS_ONE, CS_ZERO) if cplx else (Fraction(1), Fraction(0))
-    free = {fc: [zero] * ncols for fc in range(ncols) if fc not in echelon}
+def nullspace(rows, ncols: int) -> list:
+    """Basis of the right nullspace of {column: int} rows with nonzero
+    values over ncols columns, one Fraction vector per free column."""
+    echelon = {}
+    for row in rows:
+        _insert(_primitive({c: (x, 0) for c, x in row.items()}), echelon)
+    # clear every pivot column above its pivot, highest pivot first
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for q in [q for q in row if q != p and q in echelon]:
+            row = _eliminate(row, q, echelon[q])
+        echelon[p] = row
+    free = {fc: [Fraction(0)] * ncols for fc in range(ncols)
+            if fc not in echelon}
     for fc, v in free.items():
-        v[fc] = one
+        v[fc] = Fraction(1)
     # every column of a cleared pivot row other than its pivot is free
     for p, row in echelon.items():
         den = row[p][0]
-        for c, (re, im) in row.items():
+        for c, (re, _) in row.items():
             if c != p:
-                free[c][p] = CScalar(Fraction(-re, den), Fraction(-im, den)) \
-                    if cplx else Fraction(-re, den)
+                free[c][p] = Fraction(-re, den)
     return list(free.values())
 
 
 class SpanTracker:
     """Incremental exact span of row vectors; reports dimension growth."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows = {}  # integer echelon: lead column -> row, lead > 0
 
     def add(self, vec) -> bool:
         """Reduce vec against the stored echelon; keep it if independent."""
-        return _insert(_integer_row(vec)[0], self.rows)
+        return _insert(_integer_row(vec), self.rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        return not _reduce(_integer_row(vec)[0], self.rows)
+        return not _reduce(_integer_row(vec), self.rows)
 
 
 def series_solve(rows, columns):

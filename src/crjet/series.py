@@ -783,10 +783,14 @@ class TruncatedSeries:
                 f = norm ** (d - 1)
                 parts[d].append((k, (re * f, im * f)))
         lim = (order + 1) << shift
+        # a degree absent from self adds nothing to any B_d
+        present = [j for j in range(1, order + 1) if parts[j]]
         inverse = [{0: (r0, -i0)}]
         for d in range(1, order + 1):
             acc = {}
-            for j in range(1, d + 1):
+            for j in present:
+                if j > d:
+                    break
                 _mul_into(acc, parts[j], inverse[d - j].items(), lim)
             inverse.append({k: (-(r0 * re + i0 * im), i0 * re - r0 * im)
                             for k, (re, im) in acc.items()})

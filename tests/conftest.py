@@ -1,7 +1,8 @@
 """Shared model builders: defining series for the hypersurfaces under test,
-maps between them, frames adapted to a filtration, and the tangency
-problem built and solved on its own: restrictions composed candidate by
-candidate, the complex problem, and the fields of a solution."""
+maps between them, the reference eliminator, frames adapted to a
+filtration, and the tangency problem built and solved on its own:
+restrictions composed candidate by candidate, the complex problem, and the
+fields of a solution."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from crjet.autdim import (AutError, FormalVectorField, _holo_exponents,
                           tangency_restrictions)
 from crjet.hypersurface import (Frame, GeometryError, ambient_var,
                                 from_defining, intrinsic_pairing)
-from crjet.linalg import SpanTracker, nullspace
+from crjet.linalg import SpanTracker
 from crjet.mappings import AmbientMap, MappingError
 from crjet.series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
 
@@ -182,6 +183,73 @@ def sigma(M, c):
 
 
 # ----------------------------------------------------------------------
+# the reference eliminator: sparse Gauss-Jordan over Fraction and CScalar,
+# the kernel the integer one replaced
+
+
+def _subtract(row: dict, f, pivot_row: dict):
+    """row -= f * pivot_row in place, dropping entries that cancel."""
+    for c, x in pivot_row.items():
+        v = row[c] - f * x if c in row else -f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def _entries(vec):
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
+def ref_insert(vec, echelon: dict) -> bool:
+    """Reduce vec, a dense sequence or a {column: value} dict of int,
+    Fraction or CScalar values, against echelon by its lowest columns;
+    store it, normalised, under the first lead with no echelon row.  int
+    entries become Fraction, so no division yields a float."""
+    row = {c: Fraction(x) if isinstance(x, int) else x
+           for c, x in _entries(vec) if x}
+    while row:
+        lead = min(row)
+        if lead not in echelon:
+            inv = 1 / row[lead]
+            echelon[lead] = {c: x * inv for c, x in row.items()}
+            return True
+        _subtract(row, row[lead], echelon[lead])
+    return False
+
+
+def ref_reduced_echelon(rows) -> dict:
+    echelon = {}
+    for row in rows:
+        ref_insert(row, echelon)
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for q in [q for q in row if q != p and q in echelon]:
+            _subtract(row, row[q], echelon[q])
+    return echelon
+
+
+def ref_nullspace(rows, ncols) -> list:
+    """Nullspace basis of rows over ncols columns, one vector per free
+    column: CScalar entries when any entry of rows is a CScalar, Fraction
+    entries otherwise."""
+    red = ref_reduced_echelon(rows)
+    cplx = any(isinstance(x, CScalar) for r in rows for _, x in _entries(r))
+    coerce = CScalar.coerce if cplx else Fraction
+    basis = []
+    for fc in range(ncols):
+        if fc in red:
+            continue
+        v = [coerce(0)] * ncols
+        v[fc] = coerce(1)
+        for p, row in red.items():
+            if fc in row:
+                v[p] = coerce(-row[fc])
+        basis.append(v)
+    return basis
+
+
+# ----------------------------------------------------------------------
 # frames adapted to a filtration
 
 
@@ -195,7 +263,7 @@ def kernel_bases(F, kmax=None) -> list:
         for abar in itertools.combinations_with_replacement(range(n), k):
             rows.append([F.words.h(abar, D).constant_term()
                          for D in range(n)])
-        bases.append(nullspace(rows, ncols=n))
+        bases.append(ref_nullspace(rows, n))
     return bases
 
 
@@ -220,7 +288,7 @@ def adapt_frame(frame, bases):
         for vec in basis:
             if len(vec) != n:
                 raise GeometryError("filtration inconsistent with frame size")
-    tracker = SpanTracker(n)
+    tracker = SpanTracker()
     ordered = []
     for basis in reversed(bases):
         for vec in basis:
@@ -246,8 +314,9 @@ def adapt_frame(frame, bases):
 
     # column j of C^-1 solves C x = e_j: the nullspace of [C | -e_j] is
     # spanned by (x, 1)
-    Cinv_cols = [nullspace([C[i] + [-CS_ONE if i == j else CS_ZERO]
-                            for i in range(n)])[0][:n] for j in range(n)]
+    Cinv_cols = [ref_nullspace([C[i] + [-CS_ONE if i == j else CS_ZERO]
+                                for i in range(n)], n + 1)[0][:n]
+                 for j in range(n)]
     newThetaA = []
     for A in range(n):
         acc = scaled(frame.thetaA[0], Cinv_cols[0][A])
@@ -376,7 +445,7 @@ def holomorphic_oracle(M, d, order, weights=None):
                            f"{order}")
     unknowns = [(j, alpha) for j, alpha, _ in restrictions]
     rows = tangency_rows(restrictions, order, False)
-    vectors = nullspace(rows, ncols=len(unknowns))
+    vectors = ref_nullspace(rows, len(unknowns))
     N, W = M.N, M.order
     fields = [FormalVectorField([
         TruncatedSeries(2 * N, W, {alpha: v[t]

@@ -1,9 +1,10 @@
 """Package layout: every public top-level function or class in src/ has a
 caller in src/, every public method is read as an attribute in src/,
-every import in src/ is used by its module, no module imports another's
-private name, and every name the benchmark tracer wraps exists.  A class
-or method the tracer wraps by name counts as used.  Helpers that only
-tests need live in tests/, as fixtures or oracles."""
+every dataclass field in src/ is read as an attribute in src/, tests/ or
+perfbench/, every import in src/ is used by its module, no module imports
+another's private name, and every name the benchmark tracer wraps exists.
+A class or method the tracer wraps by name counts as used.  Helpers that
+only tests need live in tests/, as fixtures or oracles."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "crjet"
+READERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 
 def load_tracing():
@@ -108,6 +110,58 @@ def test_unread_method_is_caught(tmp_path):
         "mod.py::Shape", "mod.py::Wrapped", "mod.py::total"]
     assert unreferenced_definitions(tmp_path, {"Wrapped"}) == [
         "mod.py::Shape", "mod.py::total"]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated with @dataclass, called or bare."""
+    return any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+               for dec in cls.decorator_list)
+
+
+def unread_fields(root=SRC, readers=READERS) -> list:
+    """Fields of the dataclasses defined at top level in the package whose
+    name is never loaded as an attribute in any file under readers."""
+    defined = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                defined.extend((rel, cls.name, stmt.target.id)
+                               for stmt in cls.body
+                               if isinstance(stmt, ast.AnnAssign)
+                               and isinstance(stmt.target, ast.Name))
+    read = {node.attr for top in readers for path in top.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{rel}::{cls}.{name}" for rel, cls, name in defined
+            if name not in read]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_unread_field_is_caught(tmp_path):
+    src, tests = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
+        "    z: int = 0\n\n    def norm(self):\n        return self.x\n"
+        "\n\n@dataclass\nclass Box:\n    side: int\n"
+        "    label: str\n\n    def grow(self):\n        self.label = ''\n"
+        "\n\nclass Plain:\n    width: int\n",
+        encoding="utf-8")
+    (tests / "test_mod.py").write_text(
+        "def test_point(p, box):\n    assert p.y == box.side\n",
+        encoding="utf-8")
+    assert unread_fields(src, (src, tests)) == [
+        "mod.py::Point.z", "mod.py::Box.label"]
+    assert unread_fields(src, (src,)) == [
+        "mod.py::Point.y", "mod.py::Point.z", "mod.py::Box.side",
+        "mod.py::Box.label"]
 
 
 def unused_imports(root=SRC) -> list:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,9 @@ from crjet.linalg import (
 from crjet.series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
 
 from tests.conftest import (holomorphic_oracle, random_model,
-                            random_nondegenerate_model, residual_system)
+                            random_nondegenerate_model, ref_insert,
+                            ref_nullspace, ref_reduced_echelon,
+                            residual_system)
 
 
 def C(x, y=0):
@@ -112,58 +115,7 @@ class DenseSpan:
 
 # ---------------------------------------------------------------------------
 # differential oracle: the sparse Fraction/CScalar kernel the integer one
-# replaced; rows are dense sequences of Fraction or CScalar
-
-
-def _subtract(row: dict, f, pivot_row: dict):
-    """row -= f * pivot_row in place, dropping entries that cancel."""
-    for c, x in pivot_row.items():
-        v = row[c] - f * x if c in row else -f * x
-        if v:
-            row[c] = v
-        else:
-            del row[c]
-
-
-def _insert(vec, echelon: dict) -> bool:
-    """Reduce vec's lowest columns against echelon; store it, normalised,
-    under the first lead with no echelon row."""
-    row = {c: x for c, x in enumerate(vec) if x}
-    while row:
-        lead = min(row)
-        if lead not in echelon:
-            inv = 1 / row[lead]
-            echelon[lead] = {c: x * inv for c, x in row.items()}
-            return True
-        _subtract(row, row[lead], echelon[lead])
-    return False
-
-
-def ref_reduced_echelon(rows) -> dict:
-    echelon = {}
-    for row in rows:
-        _insert(row, echelon)
-    for p in sorted(echelon, reverse=True):
-        row = echelon[p]
-        for q in [q for q in row if q != p and q in echelon]:
-            _subtract(row, row[q], echelon[q])
-    return echelon
-
-
-def ref_nullspace(rows, ncols):
-    red = ref_reduced_echelon(rows)
-    one = next((row[p] for p, row in red.items()), CS_ONE)
-    basis = []
-    for fc in range(ncols):
-        if fc in red:
-            continue
-        v = [0 * one] * ncols
-        v[fc] = one
-        for p, row in red.items():
-            if fc in row:
-                v[p] = -row[fc]
-        basis.append(v)
-    return basis
+# replaced (tests/conftest.py), as an incremental span
 
 
 class RefSpan:
@@ -171,10 +123,10 @@ class RefSpan:
         self.rows = {}
 
     def add(self, vec) -> bool:
-        return _insert(vec, self.rows)
+        return ref_insert(vec, self.rows)
 
     def contains(self, vec) -> bool:
-        return not _insert(vec, dict(self.rows))
+        return not ref_insert(vec, dict(self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -224,57 +176,62 @@ def _exact(rows):
              for x in r] for r in rows]
 
 
-def _sparse(rng, rows):
-    """{column: value} rows, keeping a few explicit zeros."""
-    return [{c: x for c, x in enumerate(r) if x or rng.random() < 0.2}
-            for r in rows]
+def _integer_rows(rows):
+    """Real rows as nullspace takes them: {column: int} rows with nonzero
+    values, each row scaled by the lcm of its denominators."""
+    out = []
+    for r in rows:
+        den = lcm(*(Fraction(x).denominator for x in r))
+        out.append({c: int(x * den) for c, x in enumerate(r) if x})
+    return out
 
 
 class TestAgainstDenseKernel:
     """Seeded differential test of the integer eliminator against the dense
     pivoted rref and against the sparse Fraction/CScalar kernel it
-    replaced: empty, tall, wide and rank-deficient matrices over CScalar,
-    Fraction and mixed int/Fraction, with small and with big entries, fed
-    as dense rows and as {column: value} rows."""
+    replaced, on empty, tall, wide and rank-deficient matrices over
+    CScalar, Fraction and mixed int/Fraction, with small and with big
+    entries: rank and SpanTracker on the dense rows of every kind,
+    nullspace on the {column: int} form of the real ones."""
 
     CASES = 2000
 
     def test_random_matrices(self):
         rng = random.Random(2000)
-        shapes = set()
+        shapes, solved = set(), set()
         for case in range(self.CASES):
             kind = KINDS[case % len(KINDS)]
+            real = kind not in ("complex", "bigc")
             nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
             shapes.add((nrows == 0, (nrows > ncols) - (nrows < ncols)))
             rows = _random_matrix(rng, kind, nrows, ncols)
             exact = _exact(rows)
-            sparse = _sparse(rng, rows)
             dense, pivots = dense_rref(exact)
-            assert rank(rows) == rank(sparse) == len(pivots)
+            assert rank(rows) == len(ref_reduced_echelon(exact)) == \
+                len(pivots)
 
-            basis = nullspace(rows, ncols=ncols)
-            assert basis == dense_nullspace(dense, pivots, ncols)
-            assert basis == ref_nullspace(exact, ncols)
-            assert nullspace(sparse, ncols=ncols) == basis
-            complex_kind = kind in ("complex", "bigc") or not rows
-            want = CScalar if complex_kind else Fraction
-            assert all(type(x) is want for v in basis for x in v)
+            if real:
+                basis = nullspace(_integer_rows(rows), ncols)
+                assert basis == dense_nullspace(dense, pivots, ncols)
+                assert basis == ref_nullspace(exact, ncols)
+                assert all(type(x) is Fraction for v in basis for x in v)
 
-            if nrows == ncols:
+            if nrows == ncols and real:
                 # A x = b for invertible A: the nullspace of [A | b] is
                 # spanned by (-x, 1), read off its cleared pivot rows
                 rhs = [_entry(rng, kind) for _ in range(nrows)]
-                got = nullspace([list(r) + [b] for r, b in zip(rows, rhs)],
-                                ncols=ncols + 1)
+                got = nullspace(_integer_rows(
+                    [list(r) + [b] for r, b in zip(rows, rhs)]), ncols + 1)
                 try:
                     want = dense_solve(exact, _exact([rhs])[0])
                 except SeriesError:
                     assert rank(rows) < nrows
                 else:
                     assert got == [[-x for x in want] + [1]]
+                    solved.add(kind)
 
-            tracker, oracle, ref = SpanTracker(ncols), DenseSpan(), RefSpan()
-            for vec, exact_vec, sparse_vec in zip(rows, exact, sparse):
+            tracker, oracle, ref = SpanTracker(), DenseSpan(), RefSpan()
+            for vec, exact_vec in zip(rows, exact):
                 probe = _random_matrix(rng, kind, 1, ncols)[0]
                 exact_probe = _exact([probe])[0]
                 inside = oracle.contains(exact_probe)
@@ -282,10 +239,12 @@ class TestAgainstDenseKernel:
                 assert tracker.contains(probe) is inside
                 added = oracle.add(exact_vec)
                 assert ref.add(exact_vec) is added
-                assert tracker.add(vec if case % 2 else sparse_vec) is added
+                assert tracker.add(vec) is added
                 assert tracker.dim == len(oracle.rows) == len(ref.rows)
-        # empty, tall, square and wide shapes all occurred
+        # empty, tall, square and wide shapes all occurred, and every real
+        # kind solved a system
         assert shapes >= {(True, -1), (False, 1), (False, 0), (False, -1)}
+        assert solved == {"rational", "mixed", "big"}
 
     def test_big_entries_cancel_exactly(self):
         # rows that agree up to a huge rational factor, one entry apart
@@ -294,19 +253,21 @@ class TestAgainstDenseKernel:
                 [1, 2, 0],
                 [C(0, 1) * big, C(0, 2) * big, 0]]
         assert rank(rows) == 2
-        basis = nullspace(rows)
-        assert basis == [[C(-2), C(1), C(0)]]
-        assert nullspace([[big, 2 * big, 0]]) == ref_nullspace(
+        # the real rows scaled to integers, the last divided by i
+        ints = [{0: 3 ** 95, 1: 2 * 3 ** 95, 2: 7 ** 30}, {0: 1, 1: 2},
+                {0: 3 ** 50, 1: 2 * 3 ** 50}]
+        assert nullspace(ints, 3) == [[Fraction(-2), Fraction(1), Fraction(0)]]
+        assert nullspace([ints[2]], 3) == ref_nullspace(
             [[big, 2 * big, Fraction(0)]], 3)
 
 
 class TestTangencyAgainstOracle:
-    """The tangency solver's vectors equal the oracle's nullspace of the
+    """The tangency solver's vectors equal the reference nullspace of the
     full, unhalved rows assembled from residual series, and the complex
-    oracle's vectors that of its own rows: seeded unit-Levi and generic
-    germs in C^2 and C^3 at degrees 1 and 2, unweighted and with the
-    transverse variable of weight 2, for the real and the complex
-    problem."""
+    oracle's vectors (eliminated by the reference kernel) the dense
+    kernel's nullspace of its own rows: seeded unit-Levi and generic germs
+    in C^2 and C^3 at degrees 1 and 2, unweighted and with the transverse
+    variable of weight 2, for the real and the complex problem."""
 
     def test_seeded_germs(self):
         solved = set()
@@ -330,11 +291,16 @@ class TestTangencyAgainstOracle:
                                 except AutError:
                                     continue  # vacuous at this order
                                 ncols = len(unknowns)
-                                dense = [[row.get(c, 0 * x)
-                                          for c in range(ncols)]
-                                         for row in rows
-                                         for x in [next(iter(row.values()))]]
-                                want = ref_nullspace(dense, ncols)
+                                if kind == "real":
+                                    want = ref_nullspace(rows, ncols)
+                                else:
+                                    # the oracle is the reference kernel:
+                                    # check it against the dense one
+                                    dense = [[row.get(c, CS_ZERO)
+                                              for c in range(ncols)]
+                                             for row in rows]
+                                    want = dense_nullspace(
+                                        *dense_rref(dense), ncols)
                                 assert got == want
                                 solved.add((N, build, d, weights is None,
                                             kind, bool(want)))
@@ -358,26 +324,30 @@ class TestExactRank:
         assert rank(rows) == 1
 
     def test_nullspace_dimension(self):
-        basis = nullspace([[C(1), C(2), C(3)]])
+        basis = nullspace([{0: 1, 1: 2, 2: 3}], 3)
         assert len(basis) == 2
         for vec in basis:
-            s = vec[0] + C(2) * vec[1] + C(3) * vec[2]
-            assert s.is_zero()
+            assert vec[0] + 2 * vec[1] + 3 * vec[2] == 0
 
     def test_nullspace_of_full_rank_is_empty(self):
-        assert nullspace([[C(1), C(0)], [C(0), C(1)]]) == []
+        assert nullspace([{0: 1}, {1: 1}], 2) == []
 
     def test_rref_pivot_columns(self):
         rows = [[C(0), C(1)], [C(0), C(2)]]
         _, pivots = dense_rref(rows)
         assert pivots == [1]
         # column 0 is the one free column
-        assert nullspace(rows) == [[C(1), C(0)]]
+        assert nullspace([{1: 1}, {1: 2}], 2) == [[1, 0]]
+
+    def test_empty_matrix_gives_fraction_unit_vectors(self):
+        basis = nullspace([], 3)
+        assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert all(type(x) is Fraction for v in basis for x in v)
 
 
 class TestSpanTracker:
     def test_growth_and_membership(self):
-        t = SpanTracker(3)
+        t = SpanTracker()
         assert t.add([C(1), C(0), C(1)]) is True
         assert t.add([C(2), C(0), C(2)]) is False
         assert t.dim == 1
@@ -391,7 +361,7 @@ class TestSpanTracker:
         vecs = []
         for _ in range(6):
             vecs.append([C(Fraction(rng.randrange(-3, 4))) for _ in range(4)])
-        t = SpanTracker(4)
+        t = SpanTracker()
         for v in vecs:
             t.add(v)
         assert t.dim == rank(vecs)

@@ -248,6 +248,36 @@ class TestInvertUnit:
         with pytest.raises(SeriesError):
             z.invert_unit()
 
+    def test_sparse_unit_costs_one_product_per_present_degree(self,
+                                                              monkeypatch):
+        # a unit with terms in k degrees is inverted at order W in at most
+        # W * k partial products, and equals its closed-form geometric
+        # series: 1 / (2 - z) = sum z^d / 2^(d+1), and
+        # 1 / ((1 - z)(1 - w^2)) = sum z^i w^(2j)
+        import crjet.series as series
+        calls = []
+        inner = series._mul_into
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(series, "_mul_into", counted)
+        W = 300
+        z = TruncatedSeries.variable(1, 0, W)
+        got = (2 - z).invert_unit()
+        assert len(calls) <= W * 1
+        assert got == TruncatedSeries(1, W, {(d,): Fraction(1, 2 ** (d + 1))
+                                             for d in range(W + 1)})
+        calls.clear()
+        W = 40
+        z, w = (TruncatedSeries.variable(2, v, W) for v in range(2))
+        got = ((1 - z) * (1 - w * w)).invert_unit()
+        assert len(calls) <= W * 3
+        assert got == TruncatedSeries(2, W, {
+            (i, 2 * j): 1 for i in range(W + 1)
+            for j in range((W - i) // 2 + 1)})
+
 
 class TestRecenter:
     def test_square_about_one(self):
