@@ -384,7 +384,6 @@ def _chart_names(q, m, k):
 
 def parse_document(text, source="<string>") -> InputDocument:
     entries = {}
-    order_seen = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -399,7 +398,6 @@ def parse_document(text, source="<string>") -> InputDocument:
             raise ParseError(source, lineno, tokens[0][3],
                              f"duplicate declaration of {key!r}")
         entries[key] = (tokens[2:], lineno, tokens[0][3])
-        order_seen.append(key)
 
     if "kind" not in entries:
         raise ParseError(source, None, 0, "missing 'kind' declaration")

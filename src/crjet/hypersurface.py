@@ -2,9 +2,14 @@
 
 A hypersurface through the origin of C^N is described by a real defining
 series rho in the ambient variables (z_1..z_n, w, zb_1..zb_n, wb), n = N-1.
-`from_defining` applies an invertible linear holomorphic change so that the
-linear part of rho becomes Im w (an identity change leaves rho as it is),
-then solves rho = 0 for t = Im w by Newton iteration on series.  The result
+`from_defining` applies an invertible linear holomorphic change P so that
+the linear part of rho becomes Im w (an identity change leaves rho as it
+is), then solves rho = 0 for t = Im w by Newton iteration on series.  P
+has a closed form in g = d rho / d(z, w) at 0.  Its last row is 2i g, so
+the new w is 2i times the holomorphic linear part of rho.  It replaces the
+old coordinate k: w itself when Im g_w != 0, else a coordinate with the
+largest |g_j|^2, the lowest index winning ties.  Every other row r of P is
+the unit row e_sigma(r), sigma the transposition of k and N-1.  The result
 is a graph
 
     Im w = phi(z, zb, s),        s = Re w,
@@ -39,8 +44,6 @@ that shape.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
                      SeriesError, TruncatedSeries, derivation, dot)
@@ -238,7 +241,10 @@ class Hypersurface:
     Fields: N and n = N-1; rho, the defining series in the normalized ambient
     chart; phi, the real graph series in the intrinsic chart with no constant
     or linear part; change, the N x N holomorphic matrix P with
-    (z, w)_normalized = P (z, w)_original.
+    (z, w)_normalized = P (z, w)_original.  P's last row is 2i g, g the
+    holomorphic gradient of the original rho at 0, and its row r < N-1
+    is the unit row e_sigma(r), sigma the transposition of the replaced
+    coordinate k with N-1 (see the module docstring).
     """
 
     __slots__ = ("N", "n", "order", "rho", "phi", "change", "_subs")
@@ -297,6 +303,20 @@ def _holo_gradient(rho: TruncatedSeries, N: int):
     return grad
 
 
+def linear_change(matrix, series) -> list:
+    """sum_c matrix[r][c] * series[c] for each row r of a constant matrix,
+    at the order of series[0]; zero entries add no term."""
+    nvars, order = series[0].nvars, series[0].order
+    out = []
+    for row in matrix:
+        acc = TruncatedSeries.zero(nvars, order)
+        for m, f in zip(row, series):
+            if not m.is_zero():
+                acc = acc + m * f
+        out.append(acc)
+    return out
+
+
 def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
     """Rewrite rho in coordinates zeta = P (z, w), given Q = P^{-1}: the
     old holomorphic coordinates are Q zeta.  The identity Q leaves rho
@@ -305,21 +325,10 @@ def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
            for i in range(N) for j in range(N)):
         return rho
     W = rho.order
-    subs = []
-    for i in range(N):
-        acc = TruncatedSeries.zero(2 * N, W)
-        for j in range(N):
-            if not Q[i][j].is_zero():
-                acc = acc + Q[i][j] * ambient_var(N, j, W)
-        subs.append(acc)
-    for i in range(N):
-        acc = TruncatedSeries.zero(2 * N, W)
-        for j in range(N):
-            c = Q[i][j].conj()
-            if not c.is_zero():
-                acc = acc + c * ambient_var(N, N + j, W)
-        subs.append(acc)
-    return rho.compose(subs)
+    zeta = [ambient_var(N, j, W) for j in range(2 * N)]
+    conj_Q = [[c.conj() for c in row] for row in Q]
+    return rho.compose(linear_change(Q, zeta[:N])
+                       + linear_change(conj_Q, zeta[N:]))
 
 
 def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
@@ -350,51 +359,27 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
     if all(c.is_zero() for c in grad):
         raise GeometryError("defining series has vanishing differential at 0")
 
-    # Stage 1: swap a coordinate with the largest |gradient entry|^2 into the
-    # transverse slot when Im(d rho / d w)(0) = 0; ties take the lowest index.
-    # Each change acts on P as a row operation, on its inverse Q as the
-    # inverse column operation and on the gradient by the chain rule; rho
-    # is rewritten once, with the product Q.
-    P = [[CS_ONE if i == j else CS_ZERO for j in range(N)] for i in range(N)]
-    Q = [list(row) for row in P]
+    # Stage 1: the linear change P in closed form.  w' = 2i * (holomorphic
+    # linear part of rho), so the linear part of rho becomes exactly Im w'.
+    # w' replaces the old coordinate k: w when Im g_w != 0, else one with
+    # the largest |g_j|^2, ties taking the lowest index; either way
+    # g_k != 0.  sigma swaps k with the last slot.  Q = P^{-1} shares P's
+    # unit rows, and its row k solves w' = sum_j shear_j x_j for the old
+    # x_k.
+    k = N - 1
     if grad[N - 1].im == 0:
-        best, best_size = None, Fraction(0)
-        for j in range(N):
-            size = grad[j].abs2()
-            if size > best_size:
-                best, best_size = j, size
-        if best != N - 1:
-            P[best], P[N - 1] = P[N - 1], P[best]
-            for row in Q:
-                row[best], row[N - 1] = row[N - 1], row[best]
-            grad[best], grad[N - 1] = grad[N - 1], grad[best]
-        if grad[N - 1].im == 0:
-            # w' = i w
-            P[N - 1] = [CS_I * c for c in P[N - 1]]
-            for row in Q:
-                row[N - 1] = -CS_I * row[N - 1]
-            grad[N - 1] = -CS_I * grad[N - 1]
-    if grad[N - 1].im == 0:
-        raise GeometryError("defining series has vanishing differential at 0")
-
-    # Stage 2: shear w' = 2i * (holomorphic linear part) so the linear part
-    # of rho becomes exactly Im w'.  Its inverse solves for the coordinate
-    # u that w' replaced: u = (w' - sum_{k < N-1} shear_k zeta_k) /
-    # shear_{N-1}.
+        sizes = [g.abs2() for g in grad]
+        k = sizes.index(max(sizes))
+    sigma = list(range(N))
+    sigma[k], sigma[N - 1] = N - 1, k
     shear = [CScalar(0, 2) * g for g in grad]
-    # P is a scaled permutation here, so most products below are zero
-    P[N - 1] = [sum((shear[k] * P[k][j] for k in range(N)
-                     if shear[k] and P[k][j]), CS_ZERO)
-                for j in range(N)]
-    for row in Q:
-        last = row[N - 1] / shear[N - 1]
-        if last:
-            row[:N - 1] = [c - shear[k] * last if shear[k] else c
-                           for k, c in enumerate(row[:N - 1])]
-        row[N - 1] = last
+    Q = [[CS_ONE if c == sigma[r] else CS_ZERO for c in range(N)]
+         for r in range(N)]
+    P = Q[:N - 1] + [shear]
+    Q[k] = [-grad[sigma[c]] / grad[k] for c in range(N - 1)] + [1 / shear[k]]
     rho = _apply_holo_change(rho, N, Q)
 
-    # Stage 3: Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so
+    # Stage 2: Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so
     # the t-derivative is a unit at the origin.  phi = 0 is exact through
     # degree 1, so the first step may run at order 3.
     W = rho.order

@@ -382,7 +382,7 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
     transverse value is completed from the graph.  Points must lie exactly
     on the hypersurface, which restricts the scan to polynomial graphs.
     """
-    n, N = M.n, M.N
+    N = M.N
     results = []
     for z_values, s in points:
         z = [CScalar.coerce(v) for v in z_values]

@@ -37,6 +37,7 @@ from .hypersurface import (
     ambient_pairing,
     from_defining,
     intrinsic_pairing,
+    linear_change,
 )
 from .invariants import CheckReport
 from .linalg import rank, series_solve
@@ -84,15 +85,8 @@ class AmbientMap:
                 raise MappingError(
                     "origin image is not exactly on the target germ")
             target = from_defining(target.rho.recenter(p), N)
-            P = target.change
-            shifted = [c - v for c, v in zip(components, q)]
-            components = []
-            for r in range(N):
-                acc = TruncatedSeries.zero(2 * N, shifted[0].order)
-                for c in range(N):
-                    if not P[r][c].is_zero():
-                        acc = acc + P[r][c] * shifted[c]
-                components.append(acc)
+            components = linear_change(
+                target.change, [c - v for c, v in zip(components, q)])
             base_point = tuple(q)
         else:
             base_point = ()

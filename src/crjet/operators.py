@@ -215,9 +215,7 @@ def _reduction(memo: CertificateMemo, word, verify_degree):
     table = memo.table(word, Fbar)
     leading = {}
     for E in sorted(set(word)):
-        shorter = list(word)
-        shorter.remove(E)
-        leading[tuple(shorter)] = word.count(E) * F.words.h((Fbar,), E)
+        leading[_drop(word, E)] = word.count(E) * F.words.h((Fbar,), E)
     tail = {}
     consistent = all(K in table or c.is_zero() for K, c in leading.items())
     for K, d in table.items():

@@ -173,17 +173,24 @@ class TestLinearChangeOnce:
     @staticmethod
     def w_rows(rng, N):
         """Rows giving w in the new coordinates: generic, a swap from z1, a
-        swap then a phase, a phase alone, and a tie between z1 and w."""
+        swap then a phase, a phase alone, a tie between z1 and w and, for
+        N >= 3, a real gradient with a tie between z1 and z2."""
         e = [[CS_ONE if i == j else CS_ZERO for j in range(N)]
              for i in range(N)]
-        return [random_invertible(rng, N)[0], e[0], [CS_I * c for c in e[0]],
+        rows = [random_invertible(rng, N)[0], e[0], [CS_I * c for c in e[0]],
                 [CS_I * c for c in e[N - 1]],
                 [CS_I * (a + b) for a, b in zip(e[0], e[N - 1])]]
+        if N >= 3:
+            rows.append([CS_I * (a + b) for a, b in zip(e[0], e[1])])
+        return rows
 
     def test_matches_stepwise_changes(self):
         rng = random.Random(2610)
-        taken = set()
-        for N, order in ((2, 5), (3, 4)):
+        taken, z_ties = set(), 0
+        for N, order in ((2, 5), (3, 4), (4, 3)):
+            e = [[CS_ONE if i == j else CS_ZERO for j in range(N)]
+                 for i in range(N)]
+            z_tie = [CS_I * (a + b) for a, b in zip(e[0], e[1])]
             for _ in range(2):
                 base = graph_rho(random_phi(rng, N - 1, order), N, order)
                 for row in self.w_rows(rng, N):
@@ -199,7 +206,12 @@ class TestLinearChangeOnce:
                     # Newton alone, with no linear change
                     assert M.phi == from_defining(want_rho, N).phi
                     taken.add(stages)
+                    if N >= 3 and row == z_tie:
+                        # z1 and z2 tie: the lower index gives up its slot
+                        assert M.change[0] == e[N - 1]
+                        z_ties += 1
         assert taken == {(), ("swap",), ("swap", "diagonal"), ("diagonal",)}
+        assert z_ties
 
 
 class TestBuildFrame:

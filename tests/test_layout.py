@@ -164,6 +164,67 @@ def test_unread_field_is_caught(tmp_path):
         "mod.py::Box.label"]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def unread_locals(root=SRC) -> list:
+    """Names a function in the package binds in its own body, by an
+    assignment, a loop, a with or an except clause, that are never loaded
+    there or in a scope nested in it.  An augmented assignment counts as a
+    read; names declared nonlocal or global, and _, are exempt."""
+    unread = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {"_"}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and \
+                        not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                    read.update(node.names)
+                elif isinstance(node, ast.AugAssign) and \
+                        isinstance(node.target, ast.Name):
+                    read.add(node.target.id)
+            bound, stack = [], func.body[::-1]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Store):
+                    bound.append(node.id)
+                elif isinstance(node, ast.ExceptHandler) and node.name:
+                    bound.append(node.name)
+                if not isinstance(node, _SCOPES):
+                    stack.extend(list(ast.iter_child_nodes(node))[::-1])
+            unread.extend(f"{rel}::{func.name}: {name}"
+                          for name in dict.fromkeys(bound)
+                          if name not in read)
+    return unread
+
+
+def test_every_local_is_read():
+    assert unread_locals() == []
+
+
+def test_unread_local_is_caught(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def scale(xs, k):\n    n, m = len(xs), k\n    total = 0\n"
+        "    for i, x in enumerate(xs):\n        total += x\n"
+        "    for _ in xs:\n        pass\n"
+        "    try:\n        pass\n    except ValueError as err:\n"
+        "        pass\n"
+        "    def inner():\n        nonlocal hits\n        hits = m\n"
+        "        unused = 1\n"
+        "    hits = 0\n"
+        "    return [y for y in xs]\n",
+        encoding="utf-8")
+    assert unread_locals(tmp_path) == [
+        "mod.py::scale: n", "mod.py::scale: i", "mod.py::scale: err",
+        "mod.py::inner: unused"]
+
+
 def unused_imports(root=SRC) -> list:
     """Names a module in the package imports and never reads; a name listed
     in the module's __all__ counts as read."""
