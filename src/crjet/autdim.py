@@ -83,21 +83,20 @@ class FormalVectorField(DenseCoefficients):
 class TangencySystem:
     """Solved truncated real tangency problem with its certificate data.
 
-    order is the tangency order the rows were read at.  unknowns lists the
-    candidate coefficient monomials as (j, alpha, part), part 0/1 for the
-    real and imaginary split, and the two parts of a candidate are
-    adjacent.  equations holds the exact constraint rows in the form
-    linalg.nullspace takes: sparse {column: int} dicts, a column indexing
-    unknowns and every stored value nonzero, each row scaled to integers.
-    They are the real and imaginary rows of the graph monomials e whose
-    packed key is at most that of their conjugate ebar, since the rows at
-    ebar repeat them.  vectors is the nullspace basis over the unknowns,
-    one Fraction list per real dimension; holomorphic_dim is the complex
-    dimension of its part closed under multiplication by i, the fields
-    with Y rho = 0 on M.  note and holomorphic_note are the report texts.
+    unknowns lists the candidate coefficient monomials as (j, alpha,
+    part), part 0/1 for the real and imaginary split, and the two parts
+    of a candidate are adjacent.  equations holds the exact constraint
+    rows in the form linalg.nullspace takes: sparse {column: int} dicts,
+    a column indexing unknowns and every stored value nonzero, each row
+    scaled to integers.  They are the real and imaginary rows of the
+    graph monomials e whose packed key is at most that of their conjugate
+    ebar, since the rows at ebar repeat them.  vectors is the nullspace
+    basis over the unknowns, one Fraction list per real dimension;
+    holomorphic_dim is the complex dimension of its part closed under
+    multiplication by i, the fields with Y rho = 0 on M.  note and
+    holomorphic_note are the report texts.
     """
 
-    order: int
     unknowns: tuple
     equations: tuple
     vectors: tuple
@@ -301,7 +300,7 @@ def infinitesimal_aut_dim(M: Hypersurface, d: int, order: int,
         hol_note = (f"{hol} independent tangent fields up to order "
                     f"{order}; degeneracy evidence at this truncation")
     return TangencySystem(
-        order=order, unknowns=tuple(unknowns), equations=tuple(rows),
+        unknowns=tuple(unknowns), equations=tuple(rows),
         vectors=tuple(vecs), holomorphic_dim=hol,
         note=f"real tangency dimension {dim} at degree {d}, order {order}",
         holomorphic_note=hol_note)

@@ -63,12 +63,15 @@ MAX_TANGENCY_UNKNOWNS = 6_000
 MAX_RHO_DIGITS = 10_000
 # most ordered index words one enumeration may reach: every word of length
 # 0 to L over n = N - 1 indices, sum n^k of them.  The filtration and
-# extrinsic_k0 walk only the sorted words, so analyze and scan stay well
-# under a second at the limit: analyze --kmax 16 on the C^3 germ
-# Im w = |z1|^4 (262143 ordered words, no k0 found) takes 0.3 s, and at
-# its default bounds on the C^7 quadric (335923 words) 0.4 s.  verify's
+# extrinsic_k0 walk only the sorted words: analyze --kmax 16 on the C^3
+# germ Im w = |z1|^4 (262143 ordered words, no k0 found) takes 0.3 s, and
+# at its default bounds on the C^7 quadric (335923 words) 0.4 s.  verify's
 # leading and commutators suites walk the ordered words on purpose, and
-# the recursion suites the sorted ones; the ordered count bounds them all
+# the recursion suites the sorted ones; the ordered count bounds them all.
+# It does not bound analyze's type scan, which brackets every CR field
+# with every field of the previous level: on the C^3 germ
+# Im w = Re(w)*(|z1|^2 + |z2|^2), analyze --kmax 5 / 6 / 7 takes about
+# 0.5 / 1.5 / 5.3 s as a fresh process on a 2-core machine
 MAX_CHAIN_WORDS = 400_000
 # the same count for reflect, whose words each cost composed target entries
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
@@ -334,11 +337,13 @@ def _run_reflect(args):
     n = data.n
     try:
         gamma, eta = solve_levi_reflection(data.conjugated(), pull)
-        exact = all(gamma[C][B].agrees(data.gamma[C][B])
-                    for C in range(n) for B in range(n)) \
-            and all(eta[C].agrees(data.eta[C]) for C in range(n))
+        wrong = tuple(("gamma", C, B) for C in range(n) for B in range(n)
+                      if not gamma[C][B].agrees(data.gamma[C][B])) \
+            + tuple(("eta", C) for C in range(n)
+                    if not eta[C].agrees(data.eta[C]))
         reports.append(CheckReport(name="levi-reflection-roundtrip",
-                                   ok=exact, checked=n * n + n))
+                                   ok=not wrong, checked=n * n + n,
+                                   violations=wrong))
     except MappingError as exc:
         reports.append(CheckReport(name="levi-reflection-roundtrip",
                                    ok=True, checked=0, vacuous=True,

@@ -176,6 +176,8 @@ class TwoFormEvaluator:
     __slots__ = ("nvars", "order", "coeffs")
 
     def __init__(self, omega: OneForm):
+        if omega.order < 1:
+            raise OrderExhausted("one-form order too low to differentiate")
         nvars = omega.nvars
         coeffs = {}
         for u in range(nvars):
@@ -223,12 +225,6 @@ class TwoFormEvaluator:
                 pairs[u].append((-X.coeffs[v], c))
         order = min(self.order, X.order)
         return OneForm([dot(p, order, self.nvars) for p in pairs])
-
-
-def exterior_derivative(omega: OneForm) -> TwoFormEvaluator:
-    if omega.order < 1:
-        raise OrderExhausted("one-form order too low to differentiate")
-    return TwoFormEvaluator(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -411,36 +407,49 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
 # frames
 
 
-class FrameWords:
-    """Iterated contracted derivatives and brackets of one frame along
-    words of its Lbar fields, each built once, prefix by prefix.
+class Frame:
+    """Tangential frame T, L_A, Lbar_A with the dual coframe on one chart,
+    and the iterated contracted derivatives and brackets of the frame
+    along words of its Lbar fields, each built once, prefix by prefix.
 
     chain(abar) differentiates theta along Lbar_{abar}, the first listed
-    index first.  The result is a holomorphic form: its pairings with every
-    Lbar field vanish, so it decomposes as sum_D h(abar, D) theta^D +
-    transverse(abar) theta.  bracket(abar, D) is the iterated bracket
-    [Lbar_{a_k}, ..., [Lbar_{a_1}, L_D]], the first listed index innermost.
-    Indices are 0-based.
+    index first: it contracts dchain, the two-form of the sorted word less
+    its last index, with that index's field.  The result is a holomorphic
+    form: its pairings with every Lbar field vanish, so it decomposes as
+    sum_D h(abar, D) theta^D + transverse(abar) theta.  bracket(abar, D)
+    is the iterated bracket [Lbar_{a_k}, ..., [Lbar_{a_1}, L_D]], the
+    first listed index innermost.  Indices are 0-based.
 
     The Lbar fields of a graph frame commute, so by the Jacobi identity
-    chain, h and transverse depend only on the multiset of abar: they are
-    keyed by the sorted word.  Brackets are keyed by the ordered word.  A
-    word longer than the frame order raises OrderExhausted.  Returned forms,
-    fields and series are shared between callers and must not be mutated.
+    chain, dchain, h and transverse depend only on the multiset of abar:
+    they are keyed by the sorted word.  Brackets are keyed by the ordered
+    word.  A word longer than the frame order raises OrderExhausted.
+    Returned forms, fields and series are shared between callers and must
+    not be mutated.
     """
 
-    __slots__ = ("order", "T", "L", "Lbar", "_chains", "_h", "_transverse",
+    __slots__ = ("n", "order", "T", "L", "Lbar", "theta", "thetaA",
+                 "thetaAbar", "_chains", "_dchains", "_h", "_transverse",
                  "_brackets")
 
-    def __init__(self, frame):
-        # the frame's parts, not the frame: without a reference cycle a
-        # dropped frame is freed at once, not by the cycle collector
-        self.order, self.T, self.L, self.Lbar = \
-            frame.order, frame.T, frame.L, frame.Lbar
-        self._chains = {(): frame.theta}
-        self._h = {}
-        self._transverse = {}
-        self._brackets = {((), D): L for D, L in enumerate(frame.L)}
+    def __init__(self, n, T, L, Lbar, theta, thetaA, thetaAbar):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", T.order)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "L", tuple(L))
+        object.__setattr__(self, "Lbar", tuple(Lbar))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "thetaA", tuple(thetaA))
+        object.__setattr__(self, "thetaAbar", tuple(thetaAbar))
+        object.__setattr__(self, "_chains", {(): theta})
+        object.__setattr__(self, "_dchains", {})
+        object.__setattr__(self, "_h", {})
+        object.__setattr__(self, "_transverse", {})
+        object.__setattr__(self, "_brackets",
+                           {((), D): X for D, X in enumerate(self.L)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Frame is immutable")
 
     def _fits(self, abar):
         if len(abar) > self.order:
@@ -452,10 +461,17 @@ class FrameWords:
         omega = self._chains.get(key)
         if omega is None:
             self._fits(key)
-            omega = exterior_derivative(self.chain(key[:-1])).contract(
-                self.Lbar[key[-1]])
+            omega = self.dchain(key[:-1]).contract(self.Lbar[key[-1]])
             self._chains[key] = omega
         return omega
+
+    def dchain(self, abar) -> TwoFormEvaluator:
+        """The exterior derivative of chain(abar)."""
+        key = tuple(sorted(abar))
+        form = self._dchains.get(key)
+        if form is None:
+            form = self._dchains[key] = TwoFormEvaluator(self.chain(key))
+        return form
 
     def h(self, abar, D: int) -> TruncatedSeries:
         key = (tuple(sorted(abar)), D)
@@ -479,31 +495,6 @@ class FrameWords:
             field = self.Lbar[abar[-1]].bracket(self.bracket(abar[:-1], D))
             self._brackets[key] = field
         return field
-
-
-class Frame:
-    """Tangential frame T, L_A, Lbar_A with the dual coframe on one chart.
-
-    words is the frame's one FrameWords: every chain, h entry and bracket
-    word read from the frame is built there, once.
-    """
-
-    __slots__ = ("n", "order", "T", "L", "Lbar", "theta", "thetaA",
-                 "thetaAbar", "words")
-
-    def __init__(self, n, T, L, Lbar, theta, thetaA, thetaAbar):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", T.order)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "L", tuple(L))
-        object.__setattr__(self, "Lbar", tuple(Lbar))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "thetaA", tuple(thetaA))
-        object.__setattr__(self, "thetaAbar", tuple(thetaAbar))
-        object.__setattr__(self, "words", FrameWords(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Frame is immutable")
 
     def __repr__(self):
         return f"Frame(n={self.n}, order={self.order})"

@@ -5,9 +5,9 @@ derivatives of the characteristic form give the h tensors, their values at
 the origin drive the span filtration E_k / kernel filtration F_k, and
 identity checks confirm the tensor calculus against independent code paths
 (plain derivatives and iterated brackets here; the operator certificates
-live in ``crjet.operators``).  Chains, h entries and bracket words all come
-from the frame's one word engine, ``Frame.words``, so the filtration and
-every suite run on one frame build each of them once.
+live in ``crjet.operators``).  Chains, their two-forms, h entries and
+bracket words all come from the frame itself (``Frame.chain``), so the
+filtration and every suite run on one frame build each of them once.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .hypersurface import (
     Frame,
     GeometryError,
     Hypersurface,
+    TwoFormEvaluator,
     VectorFieldOp,
-    exterior_derivative,
     from_defining,
 )
 from .linalg import SpanTracker, rank
@@ -89,7 +89,6 @@ def extrinsic_k0(M: Hypersurface, kmax: int):
 class FiltrationReport:
     """Origin data of the span/kernel filtration and its derived integers."""
 
-    n: int
     Ek_dims: tuple
     Fk_dims: tuple
     rk: tuple
@@ -139,8 +138,6 @@ def intrinsic_filtration(F: Frame, kmax=None):
 
     # chains and entries depend only on the multiset of indices, so each
     # scan reads the sorted words alone
-    words = F.words
-
     def sorted_words(length):
         return itertools.combinations_with_replacement(range(n), length)
 
@@ -151,8 +148,8 @@ def intrinsic_filtration(F: Frame, kmax=None):
     k0 = None
     for k in range(kmax + 1):
         for abar in sorted_words(k):
-            t0 = words.transverse(abar).constant_term()
-            row = [words.h(abar, D).constant_term() for D in range(n)]
+            t0 = F.transverse(abar).constant_term()
+            row = [F.h(abar, D).constant_term() for D in range(n)]
             span.add([t0] + row)
             kernel.add(row)
         Ek_dims.append(span.dim)
@@ -162,17 +159,17 @@ def intrinsic_filtration(F: Frame, kmax=None):
             k0 = k
     if k0 is None:
         k0 = Unbounded("kmax", kmax)
-    levi_rank = rank([[words.h((A,), B).constant_term() for B in range(n)]
+    levi_rank = rank([[F.h((A,), B).constant_term() for B in range(n)]
                       for A in range(n)])
 
     ell0 = ell1 = None
     for ell in range(1, lmax + 1):
-        if any(not words.h(abar, D).constant_term().is_zero()
+        if any(not F.h(abar, D).constant_term().is_zero()
                for abar in sorted_words(ell) for D in range(n)):
             ell0 = ell
             break
     for r in range(1, lmax + 1):
-        if any(not F.theta.pair(words.bracket(abar, D)).constant_term()
+        if any(not F.theta.pair(F.bracket(abar, D)).constant_term()
                .is_zero() for abar in sorted_words(r) for D in range(n)):
             ell1 = r
             break
@@ -183,7 +180,7 @@ def intrinsic_filtration(F: Frame, kmax=None):
 
     m0 = _finite_type(F, typemax)
     return FiltrationReport(
-        n=n, Ek_dims=tuple(Ek_dims), Fk_dims=tuple(Fk_dims), rk=tuple(rk),
+        Ek_dims=tuple(Ek_dims), Fk_dims=tuple(Fk_dims), rk=tuple(rk),
         k0=k0, levi_rank=levi_rank, ell0=ell0, ell1=ell1, m0=m0,
         kmax=kmax, lmax=lmax, typemax=typemax)
 
@@ -216,9 +213,8 @@ def verify_derivative_recursion(F: Frame, k: int) -> CheckReport:
     suites, which read ordered brackets and derivatives.
     """
     n = F.n
-    words = F.words
-    h1 = [[words.h((C,), D) for D in range(n)] for C in range(n)]
-    dthetaA = [exterior_derivative(form) for form in F.thetaA]
+    h1 = [[F.h((C,), D) for D in range(n)] for C in range(n)]
+    dthetaA = [TwoFormEvaluator(form) for form in F.thetaA]
     # the structure pairings do not depend on the tuple: evaluated once
     pairings = [[[dthetaA[B](F.Lbar[C], F.L[D]) for B in range(n)]
                  for D in range(n)] for C in range(n)]
@@ -227,11 +223,11 @@ def verify_derivative_recursion(F: Frame, k: int) -> CheckReport:
         for abar in itertools.combinations_with_replacement(range(n), j):
             for C in range(n):
                 for D in range(n):
-                    res = words.h(abar + (C,), D) \
-                        - F.Lbar[C].apply(words.h(abar, D)) \
-                        - words.transverse(abar) * h1[C][D]
+                    res = F.h(abar + (C,), D) \
+                        - F.Lbar[C].apply(F.h(abar, D)) \
+                        - F.transverse(abar) * h1[C][D]
                     for B in range(n):
-                        res = res - words.h(abar, B) * pairings[C][D][B]
+                        res = res - F.h(abar, B) * pairings[C][D][B]
                     checked += 1
                     if not res.is_zero():
                         violations.append((abar, C, D))
@@ -251,15 +247,14 @@ def verify_leading_order_reduction(F: Frame, filtration) -> CheckReport:
                            note=f"no nonzero entry at 0 ({filtration.ell0})")
     ell0 = filtration.ell0
     n = F.n
-    words = F.words
     checked, violations = 0, []
     for r in range(2, ell0 + 1):
         for j in range(0, ell0 - r + 1):
             for abar in itertools.product(range(n), repeat=r):
                 for cbar in itertools.product(range(n), repeat=j):
                     for D in range(n):
-                        lhs = words.h(abar, D)
-                        rhs = F.Lbar[abar[-1]].apply(words.h(abar[:-1], D))
+                        lhs = F.h(abar, D)
+                        rhs = F.Lbar[abar[-1]].apply(F.h(abar[:-1], D))
                         for c in reversed(cbar):
                             lhs = F.Lbar[c].apply(lhs)
                             rhs = F.Lbar[c].apply(rhs)
@@ -270,11 +265,11 @@ def verify_leading_order_reduction(F: Frame, filtration) -> CheckReport:
     if ell0 >= 2:
         for abar in itertools.product(range(n), repeat=ell0):
             for D in range(n):
-                val = words.h((abar[0],), D)
+                val = F.h((abar[0],), D)
                 for a in abar[1:]:
                     val = F.Lbar[a].apply(val)
                 checked += 1
-                if val.constant_term() != words.h(abar, D).constant_term():
+                if val.constant_term() != F.h(abar, D).constant_term():
                     violations.append((abar, "collapse", D))
     return CheckReport(name="leading-order-reduction", ok=not violations,
                        checked=checked, violations=tuple(violations))
@@ -298,13 +293,12 @@ def verify_bracket_pairing(F: Frame, filtration) -> CheckReport:
                            vacuous=True,
                            note=f"both lengths unbounded ({filtration.ell0})")
     n = F.n
-    words = F.words
     checked, violations = 0, []
     for r in range(1, filtration.ell0 + 1):
         for abar in itertools.product(range(n), repeat=r):
             for D in range(n):
-                lhs = F.theta.pair(words.bracket(abar, D)).constant_term()
-                rhs = -words.h(abar, D).constant_term()
+                lhs = F.theta.pair(F.bracket(abar, D)).constant_term()
+                rhs = -F.h(abar, D).constant_term()
                 checked += 1
                 if lhs != rhs:
                     violations.append((abar, D))
@@ -320,10 +314,9 @@ def verify_frame_structure(F: Frame) -> CheckReport:
     the two-form of theta on the same pair equals the entry itself.
     """
     n = F.n
-    words = F.words
-    h1 = [[words.h((A,), B) for B in range(n)] for A in range(n)]
-    dtheta = exterior_derivative(F.theta)
-    dthetaA = [exterior_derivative(form) for form in F.thetaA]
+    h1 = [[F.h((A,), B) for B in range(n)] for A in range(n)]
+    dtheta = F.dchain(())
+    dthetaA = [TwoFormEvaluator(form) for form in F.thetaA]
     checked, violations = 0, []
 
     def record(label, idx, ok):
@@ -334,7 +327,7 @@ def verify_frame_structure(F: Frame) -> CheckReport:
 
     for A in range(n):
         for B in range(n):
-            br = words.bracket((A,), B)
+            br = F.bracket((A,), B)
             for C in range(n):
                 record("bracket-transverse", (A, B, C),
                        F.thetaA[C].pair(br).is_zero()

@@ -19,9 +19,9 @@ Those three readers share one Pullback, which lives for one reflect call
 and is then dropped.  It holds each target entry composed with the map's
 intrinsic components, keyed by (sorted abar, D), or (sorted abar, "T") for
 the transverse entry.  The raw entries of both germs come from their
-frames' words (``Frame.words``), which build every chain once.  So each
-entry is composed once, and the length-(k+1) entries that the level-k
-recursion reads are the very series that level k+1 reads as its own.
+frames (``Frame.h``), which build every chain once.  So each entry is
+composed once, and the length-(k+1) entries that the level-k recursion
+reads are the very series that level k+1 reads as its own.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ class Pullback:
 
     def __init__(self, frame_src: Frame, frame_tgt: Frame, imap):
         self.source_frame = frame_src
-        self._words = frame_tgt.words
+        self._target = frame_tgt
         self._subs = list(imap)
         self._entries = {}
 
@@ -251,8 +251,8 @@ class Pullback:
         key = (tuple(sorted(abar)), D)
         series = self._entries.get(key)
         if series is None:
-            words = self._words
-            raw = words.transverse(abar) if D == "T" else words.h(abar, D)
+            tgt = self._target
+            raw = tgt.transverse(abar) if D == "T" else tgt.h(abar, D)
             series = raw.compose(self._subs)
             self._entries[key] = series
         return series
@@ -262,14 +262,13 @@ def verify_reflection_base(data: PushforwardData,
                            pull: Pullback) -> CheckReport:
     """Residuals of the five first-order transport identities.
 
-    The source entries come from the source frame's words, and pull
-    supplies the length-1 target entries composed with the map.  Each
-    identity must give the zero series; violations carry an identity label
-    and the offending indices.
+    The source entries come from the source frame, and pull supplies the
+    length-1 target entries composed with the map.  Each identity must
+    give the zero series; violations carry an identity label and the
+    offending indices.
     """
     n = data.n
     Fm = data.source_frame
-    src = Fm.words
     pairing = intrinsic_pairing(n)
     xi, eta, gamma, gbar = data.xi, data.eta, data.gamma, data.gbar
     hhat = [[pull.entry((C,), D) for D in range(n)] for C in range(n)]
@@ -285,7 +284,7 @@ def verify_reflection_base(data: PushforwardData,
 
     for A in range(n):
         for B in range(n):
-            res = xi * src.h((A,), B)
+            res = xi * Fm.h((A,), B)
             for C in range(n):
                 for D in range(n):
                     res = res - gamma[D][B] * gbar[C][A] * hhat[C][D]
@@ -293,10 +292,10 @@ def verify_reflection_base(data: PushforwardData,
     for A in range(n):
         for B in range(n):
             for E in range(n):
-                res = Fm.Lbar[A].apply(gamma[E][B]) + eta[E] * src.h((A,), B)
+                res = Fm.Lbar[A].apply(gamma[E][B]) + eta[E] * Fm.h((A,), B)
                 record("gamma-derivative", (A, B, E), res)
     for A in range(n):
-        res = Fm.Lbar[A].apply(xi) + xi * src.transverse((A,))
+        res = Fm.Lbar[A].apply(xi) + xi * Fm.transverse((A,))
         for C in range(n):
             res = res - xi * gbar[C][A] * hhatT[C]
             for D in range(n):
@@ -304,10 +303,10 @@ def verify_reflection_base(data: PushforwardData,
         record("xi-derivative", (A,), res)
     for A in range(n):
         for C in range(n):
-            res = Fm.Lbar[A].apply(eta[C]) + eta[C] * src.transverse((A,))
+            res = Fm.Lbar[A].apply(eta[C]) + eta[C] * Fm.transverse((A,))
             record("eta-derivative", (A, C), res)
     for A in range(n):
-        tbar = src.transverse((A,)).conjugate(pairing)
+        tbar = Fm.transverse((A,)).conjugate(pairing)
         for C in range(n):
             res = Fm.T.apply(gamma[C][A]) - Fm.L[A].apply(eta[C]) \
                 - eta[C] * tbar
@@ -323,14 +322,13 @@ def verify_transport_recursion(data: PushforwardData, pull: Pullback,
     For each bar tuple of length k, differentiating the gamma- or
     eta-contracted target entry along a conjugate field must reproduce the
     length-(k+1) entry minus the transverse and Levi correction terms.
-    The source entries come from the source frame's words, and pull
-    supplies the target entries of lengths 1, k and k+1 composed with the
-    map.  Entries are keyed by sorted words, so every ordering of a tuple
-    repeats the same residual: only sorted tuples are walked.
+    The source entries come from the source frame, and pull supplies the
+    target entries of lengths 1, k and k+1 composed with the map.  Entries
+    are keyed by sorted words, so every ordering of a tuple repeats the
+    same residual: only sorted tuples are walked.
     """
     n = data.n
     Fm = data.source_frame
-    src = Fm.words
     eta, gamma, gbar = data.eta, data.gamma, data.gbar
     h1 = [[pull.entry((I,), H) for H in range(n)] for I in range(n)]
 
@@ -354,7 +352,7 @@ def verify_transport_recursion(data: PushforwardData, pull: Pullback,
             for C in range(n):
                 res = Fm.Lbar[C].apply(inner) + dot(
                     list(zip(gamma_gbar[B][C], diff))
-                    + [(e, src.h((C,), B)) for e in eta_hk])
+                    + [(e, Fm.h((C,), B)) for e in eta_hk])
                 checked += 1
                 if not res.is_zero():
                     violations.append(("gamma-recursion", abar, B, C))
@@ -362,7 +360,7 @@ def verify_transport_recursion(data: PushforwardData, pull: Pullback,
         for C in range(n):
             res = Fm.Lbar[C].apply(inner) + dot(
                 list(zip(eta_gbar[C], diff))
-                + [(e, src.transverse((C,))) for e in eta_hk])
+                + [(e, Fm.transverse((C,))) for e in eta_hk])
             checked += 1
             if not res.is_zero():
                 violations.append(("eta-recursion", abar, C))
@@ -377,22 +375,21 @@ def solve_levi_reflection(conj: ConjugateData, pull: Pullback):
     sum_C gammabar^C_A hhat_{CbD} is a unit matrix at 0 exactly when both
     germs are Levi-nondegenerate there, and then gamma solves the
     Levi-transport rows while eta solves the xi-derivative rows, all in
-    one elimination.  The source entries come from the source frame's
-    words, and pull supplies the length-1 target entries composed with the
-    map; neither reads gamma or eta.
+    one elimination.  The source entries come from the source frame, and
+    pull supplies the length-1 target entries composed with the map;
+    neither reads gamma or eta.
     """
     frame_src = pull.source_frame
-    src = frame_src.words
     n = frame_src.n
     xi = conj.xi
     G = [[dot((conj.gammabar[C][A], pull.entry((C,), D)) for C in range(n))
           for D in range(n)] for A in range(n)]
     try:
-        columns = [[xi * src.h((A,), B) for A in range(n)]
+        columns = [[xi * frame_src.h((A,), B) for A in range(n)]
                    for B in range(n)]
         rhs = []
         for A in range(n):
-            r = frame_src.Lbar[A].apply(xi) + xi * src.transverse((A,))
+            r = frame_src.Lbar[A].apply(xi) + xi * frame_src.transverse((A,))
             for C in range(n):
                 r = r - xi * conj.gammabar[C][A] * pull.entry((C,), "T")
             rhs.append(r)

@@ -20,10 +20,10 @@ with no conjugate index, for which no certificate exists.
 One ``CertificateMemo`` serves the calls of ``operator_certificates`` that
 are handed it, both word lengths of one verify run on the command line,
 and is then dropped; it is not kept on the frame or at module level.  It reads
-the Levi rows h_{FbarE} from the frame's F.words, where they are built once
-per frame, and holds the chosen conjugate index, the T-pushdown and
-commutator tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f
-and L^K(T f) on each basis monomial f, named by its exponents and order.
+the Levi rows h_{FbarE} from the frame (``Frame.h``), which builds them
+once, and holds the chosen conjugate index, the T-pushdown and commutator
+tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f and
+L^K(T f) on each basis monomial f, named by its exponents and order.
 A basis monomial enters only through a frame field's derivation, whose
 order is the least of f.order - 1 and the field's coefficient orders, so
 its order is cut at one above the largest of those: every series stays the
@@ -97,7 +97,7 @@ class CertificateMemo:
         L_1."""
         if self._conjugate is None:
             for Fb in range(self.F.n):
-                if not self.F.words.h((Fb,), 0).constant_term().is_zero():
+                if not self.F.h((Fb,), 0).constant_term().is_zero():
                     self._conjugate = Fb
                     break
             else:
@@ -144,7 +144,7 @@ class CertificateMemo:
             else:
                 head, rest = word[0], word[1:]
                 out = _left_compose(self.F, head, self.table(rest, Fbar))
-                h = self.F.words.h((Fbar,), head)
+                h = self.F.h((Fbar,), head)
                 for K, f in _scale_table(self.pushdown(rest), h).items():
                     _dadd(out, K, f)
             self._tables[key] = out
@@ -215,7 +215,7 @@ def _reduction(memo: CertificateMemo, word, verify_degree):
     table = memo.table(word, Fbar)
     leading = {}
     for E in sorted(set(word)):
-        leading[_drop(word, E)] = word.count(E) * F.words.h((Fbar,), E)
+        leading[_drop(word, E)] = word.count(E) * F.h((Fbar,), E)
     tail = {}
     consistent = all(K in table or c.is_zero() for K, c in leading.items())
     for K, d in table.items():
@@ -259,7 +259,7 @@ def _weighted(memo: CertificateMemo, J, verify_degree):
     F = memo.F
     J = _sorted_word(J)
     Fbar = memo.conjugate_index()
-    h1 = F.words.h((Fbar,), 0)
+    h1 = F.h((Fbar,), 0)
     p = len(J) - sum(1 for E in J if E == 0) + 2
     rhs = {J: h1 ** p}
 
@@ -322,7 +322,7 @@ def _verify_weighted(memo: CertificateMemo, J, Fbar, p, b_coeffs,
                      degree) -> bool:
     nv = 2 * memo.F.n + 1
     basis_order = memo.basis_order(degree + len(J) + 3, degree)
-    hp = memo.F.words.h((Fbar,), 0) ** p
+    hp = memo.F.h((Fbar,), 0) ** p
     for mono in _basis(nv, degree, basis_order):
         rhs = hp * memo.word_on(J, "T", mono)
         lhs = dot([(b, memo.commutator_on(W, Fbar, mono))

@@ -261,7 +261,7 @@ def kernel_bases(F, kmax=None) -> list:
     rows, bases = [], []
     for k in range(n + 1 if kmax is None else kmax + 1):
         for abar in itertools.combinations_with_replacement(range(n), k):
-            rows.append([F.words.h(abar, D).constant_term()
+            rows.append([F.h(abar, D).constant_term()
                          for D in range(n)])
         bases.append(ref_nullspace(rows, n))
     return bases
@@ -357,10 +357,11 @@ def compose_restrictions(M, d, order, weights=None) -> tuple:
     return tuple(out)
 
 
-def basis_fields(system) -> list:
-    """One field per nullspace vector of a TangencySystem, at the germ
-    order order + 1 that its solve needs at least."""
-    N, W = len(system.unknowns[0][1]) // 2, system.order + 1
+def basis_fields(system, order) -> list:
+    """One field per nullspace vector of a TangencySystem solved at the
+    tangency order order, at the germ order order + 1 that its solve
+    needs at least."""
+    N, W = len(system.unknowns[0][1]) // 2, order + 1
     fields = []
     for v in system.vectors:
         coeffs = [{} for _ in range(N)]

@@ -126,7 +126,7 @@ class TestFieldBasics:
         M = heis(2, 9)
         f = M.rho * ambient_var(2, 3, 9) + ambient_var(2, 1, 9) ** 3
         fields = su21_generators(M) + [c2_field(M, {}, {Z: 1})] + \
-            basis_fields(infinitesimal_aut_dim(M, 2, 8, weights=WT))
+            basis_fields(infinitesimal_aut_dim(M, 2, 8, weights=WT), 8)
         for Y in fields:
             for g in (M.rho, f):
                 assert Y.apply(g) == derive_and_sum(Y, g)
@@ -232,12 +232,13 @@ class TestInfinitesimalDim:
     def test_heisenberg_weighted_dimension(self):
         sys = infinitesimal_aut_dim(heis(2, 9), 2, 8, weights=WT)
         assert sys.solution_dim == 8
-        assert len(sys.vectors) == len(basis_fields(sys)) == 8
+        assert len(sys.vectors) == len(basis_fields(sys, 8)) == 8
         assert all(len(key) == 3 for key in sys.unknowns)
 
     def test_basis_fields_tangent_independently(self):
         M = heis(2, 9)
-        for Y in basis_fields(infinitesimal_aut_dim(M, 2, 8, weights=WT)):
+        for Y in basis_fields(infinitesimal_aut_dim(M, 2, 8, weights=WT),
+                              8):
             assert real_residual(M, Y).truncate(8).is_zero()
 
     def test_classical_generators_span_the_solution(self):
@@ -581,7 +582,7 @@ class TestFieldsOnDemand:
         assert built == []
         # the fields are still there for whoever asks
         assert len(basis_fields(infinitesimal_aut_dim(heis(2, 9), 2, 8,
-                                                      WT))) == 8
+                                                      WT), 8)) == 8
         assert len(built) == 8
 
     def test_basis_reads_back_the_vectors(self):
@@ -589,7 +590,7 @@ class TestFieldsOnDemand:
         # vector's entries as its real and imaginary parts
         for M, d, order in ((heis(2, 9), 2, 8), (degenerate_c3(5), 1, 4)):
             system = infinitesimal_aut_dim(M, d, order)
-            for v, Y in zip(system.vectors, basis_fields(system),
+            for v, Y in zip(system.vectors, basis_fields(system, order),
                             strict=True):
                 got = [(c.re, c.im)[part]
                        for j, alpha, part in system.unknowns

@@ -18,9 +18,10 @@ from crjet.cli.documents import (FUNCTIONS, MAX_EXPONENT, ParseError,
                                  exponent_product, parse_document)
 from crjet.cli.main import MAX_TAYLOR_TERMS, main
 from crjet.cli.report import emit
-from crjet.hypersurface import from_defining
+from crjet.hypersurface import Frame, from_defining
 from crjet.invariants import Unbounded
 from crjet.jets import taylor_propagate
+from crjet.mappings import Pullback
 from crjet.series import CScalar
 from tests.conftest import heis, m3_rho
 
@@ -54,6 +55,34 @@ kind = map
 N = 2
 f1 = 2*z1
 f2 = 4*w
+"""
+
+# h vanishes at 0 on words of length 1 and not on length 2: ell0 = 2
+ELL2 = """\
+kind = hypersurface
+N = 2
+rho = Im(w) - z1^2*conj(z1) - z1*conj(z1)^2
+"""
+
+# the image of the quadric under SHEAR, whose eta is 1 at 0
+SHEARED = """\
+kind = hypersurface
+N = 2
+rho = Im(w) - (z1 - w)*(conj(z1) - conj(w))
+"""
+
+SHEAR = """\
+kind = map
+N = 2
+f1 = z1 + w
+f2 = w
+"""
+
+IDENTITY = """\
+kind = map
+N = 2
+f1 = z1
+f2 = w
 """
 
 SYSTEM_LINE = """\
@@ -478,6 +507,8 @@ def docs(tmp_path, monkeypatch):
     paths = {}
     for name, text in [("heis", HEIS), ("m2", M2), ("m3", M3),
                        ("plane", PLANE), ("dilation", DILATION),
+                       ("ell2", ELL2), ("sheared", SHEARED),
+                       ("shear", SHEAR), ("identity", IDENTITY),
                        ("line_sys", SYSTEM_LINE), ("line_jet", JET_LINE),
                        ("plane_sys", SYSTEM_PLANE),
                        ("plane_jet", JET_PLANE)]:
@@ -491,6 +522,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def perturb(monkeypatch, cls, name, length):
+    """Add 1 to every entry that the method cls.name(abar, D) returns for
+    a word abar of this length."""
+    method = getattr(cls, name)
+
+    def perturbed(self, abar, D):
+        value = method(self, abar, D)
+        return value + 1 if len(abar) == length else value
+
+    monkeypatch.setattr(cls, name, perturbed)
 
 
 class TestVerbs:
@@ -643,6 +686,52 @@ class TestVerbs:
             assert not check["ok"] and not check["vacuous"]
             assert check["violations"] > 0
 
+    @pytest.mark.parametrize("doc, check, length, violations", [
+        ("heis", "frame", 1, 2),
+        ("heis", "recursion", 2, 1),
+        ("ell2", "leading", 2, 2),
+        ("ell2", "commutators", 2, 1),
+        # length-1 entries nonzero at 0: ell0 = 1 while ell1 stays 2
+        ("ell2", "commutators", 1, 1)])
+    def test_perturbed_entry_fails_verify(self, docs, capsys, monkeypatch,
+                                          doc, check, length, violations):
+        # every identity suite is seen to fail: shifting the frame's h
+        # entries of one word length by 1 breaks the identity it checks
+        perturb(monkeypatch, Frame, "h", length)
+        code, out, errtext = run(capsys, ["verify", docs[doc], "--check",
+                                          check, "--json"])
+        report = json.loads(out)
+        assert (code, errtext, report["pass"]) == (1, "", False)
+        (got,) = report["checks"]
+        assert (got["ok"], got["vacuous"], got["violations"]) == \
+            (False, False, violations)
+
+    @pytest.mark.parametrize("check, length, violations", [
+        ("reflection-base", 1, 2),
+        # both the gamma and the eta recursion: SHEAR has eta != 0
+        ("transport-recursion", 2, 2),
+        ("levi-reflection-roundtrip", 1, 2)])
+    def test_perturbed_entry_fails_reflect(self, docs, capsys, monkeypatch,
+                                           check, length, violations):
+        perturb(monkeypatch, Pullback, "entry", length)
+        code, out, errtext = run(capsys, ["reflect", docs["heis"],
+                                          docs["sheared"], docs["shear"],
+                                          "--json"])
+        report = json.loads(out)
+        assert (code, errtext, report["pass"]) == (1, "", False)
+        (got,) = [c for c in report["checks"] if c["name"] == check]
+        assert (got["ok"], got["vacuous"], got["violations"]) == \
+            (False, False, violations)
+
+    def test_reflect_shear_passes(self, docs, capsys):
+        code, out, errtext = run(capsys, ["reflect", docs["heis"],
+                                          docs["sheared"], docs["shear"],
+                                          "--json"])
+        report = json.loads(out)
+        assert (code, errtext, report["pass"]) == (0, "", True)
+        assert report["eta0"] == ["1"]
+        assert [c["violations"] for c in report["checks"]] == [0, 0, 0]
+
     @pytest.mark.parametrize("order, message", [
         ("1", "word length 2 need frame order 2, frame has 0"),
         ("2", "word length 2 need frame order 2, frame has 1"),
@@ -686,6 +775,51 @@ class TestVerbs:
         points = json.loads(out)["grid"]["points"]
         got = sorted(v for (v,) in points.values())
         assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+
+    def test_reconstruct_single_point_axis(self, docs, capsys):
+        code, out, errtext = run(capsys, ["reconstruct", docs["line_sys"],
+                                          docs["line_jet"], "--grid",
+                                          "0:1:1"])
+        assert (code, errtext) == (0, "")
+        assert out == ("grid:\n  axis_order: [1]\n  points:\n"
+                       "    (0.0): [1.0]\n  step: 0.001\npass: true\n"
+                       "schema_version: 1\nsystem:\n  axes: 1\n"
+                       "  components: 1\n  jet_order: 1\n"
+                       "verb: reconstruct\n")
+
+    @pytest.mark.parametrize("grid, message", [
+        (["0:1:1", "--grid", "0:1:2"], "need one spec or 1, got 2"),
+        (["0:1"], "expected lo:hi:count, got '0:1'"),
+        (["1:0:2"], "bad grid range '1:0:2'")])
+    def test_grid_refusals(self, docs, capsys, grid, message):
+        assert run(capsys, ["reconstruct", docs["line_sys"],
+                            docs["line_jet"], "--grid", *grid]) == \
+            (2, "", f"error: --grid: {message}\n")
+
+    def test_target_order_below_jet_order_truncates(self, docs, capsys):
+        # target order 0 on a jet of order 1: the jet is cut, not grown
+        code, out, errtext = run(capsys, ["reconstruct", docs["line_sys"],
+                                          docs["line_jet"],
+                                          "--target-order", "0"])
+        assert (code, errtext) == (0, "")
+        assert out == ("jet:\n  f1: 1\npass: true\nschema_version: 1\n"
+                       "system:\n  axes: 1\n  components: 1\n"
+                       "  jet_order: 1\ntarget_order: 0\n"
+                       "verb: reconstruct\n")
+
+    def test_reflect_degenerate_levi_roundtrip_is_vacuous(self, docs,
+                                                          capsys):
+        # Im w = |z1|^4 has a vanishing Levi form at 0: there is nothing
+        # to reconstruct, and the run still passes
+        code, out, errtext = run(capsys, ["reflect", docs["m2"], docs["m2"],
+                                          docs["identity"]])
+        assert (code, errtext) == (0, "")
+        assert ("  - checked: 0\n    name: levi-reflection-roundtrip\n"
+                "    note: Levi pairing is singular at 0; reconstruction "
+                "needs 1-nondegenerate germs\n    ok: true\n"
+                "    vacuous: true\n    violations: 0\n") in out
+        assert out.endswith("pass: true\nschema_version: 1\n"
+                            "verb: reflect\nxi0: 1\n")
 
     @pytest.mark.parametrize("order, code", [(500, 0), (501, 2), (2000, 2)])
     def test_target_order_budget(self, docs, capsys, order, code):

@@ -9,17 +9,18 @@ from crjet.autdim import FormalVectorField
 from crjet.hypersurface import (
     GeometryError,
     OneForm,
+    TwoFormEvaluator,
     VectorFieldOp,
     _apply_holo_change,
     _holo_gradient,
     ambient_var,
     build_frame,
-    exterior_derivative,
     from_defining,
     intrinsic_pairing,
 )
 from crjet.linalg import rank, series_solve
-from crjet.series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
+from crjet.series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
+                          TruncatedSeries)
 from tests.conftest import (
     adapt_frame,
     graph_rho,
@@ -277,7 +278,7 @@ class TestBuildFrame:
             F = build_frame(M)
             fields = list(F.L) + list(F.Lbar) + [F.T]
             for form in F.thetaA:
-                ev = exterior_derivative(form)
+                ev = TwoFormEvaluator(form)
                 for X in fields:
                     for Y in fields:
                         assert ev(X, Y).is_zero()
@@ -376,7 +377,7 @@ class TestExteriorDerivative:
     def test_closed_coordinate_differential(self):
         M = from_defining(heisenberg_rho(2, 6), 2)
         F = build_frame(M)
-        ds = exterior_derivative(
+        ds = TwoFormEvaluator(
             # take d of the plain coordinate differential ds
             F.theta.__class__([TruncatedSeries.zero(3, 5),
                                TruncatedSeries.zero(3, 5),
@@ -386,8 +387,16 @@ class TestExteriorDerivative:
     def test_heisenberg_characteristic_value(self):
         M = from_defining(heisenberg_rho(2, 6), 2)
         F = build_frame(M)
-        val = exterior_derivative(F.theta)(F.Lbar[0], F.L[0])
+        val = TwoFormEvaluator(F.theta)(F.Lbar[0], F.L[0])
         assert val == TruncatedSeries.constant(3, CScalar(0, -2), 4)
+
+    def test_order_zero_form_is_refused(self):
+        # every two-form is built by this constructor, so it checks the
+        # order itself
+        omega = OneForm([TruncatedSeries.zero(3, 0)] * 3)
+        with pytest.raises(OrderExhausted,
+                           match="^one-form order too low to differentiate$"):
+            TwoFormEvaluator(omega)
 
     def test_antisymmetry(self):
         rng = random.Random(270)
@@ -395,7 +404,7 @@ class TestExteriorDerivative:
         omega = OneForm([rand_series(rng, 3, 5, terms=3) for _ in range(3)])
         X = VectorFieldOp([rand_series(rng, 3, 5, terms=3) for _ in range(3)])
         Y = VectorFieldOp([rand_series(rng, 3, 5, terms=3) for _ in range(3)])
-        ev = exterior_derivative(omega)
+        ev = TwoFormEvaluator(omega)
         assert (ev(X, Y) + ev(Y, X)).is_zero()
 
     def test_invariant_formula(self):
@@ -405,7 +414,7 @@ class TestExteriorDerivative:
         omega = OneForm([rand_series(rng, 3, 6, terms=3) for _ in range(3)])
         X = VectorFieldOp([rand_series(rng, 3, 6, terms=3) for _ in range(3)])
         Y = VectorFieldOp([rand_series(rng, 3, 6, terms=3) for _ in range(3)])
-        lhs = exterior_derivative(omega)(X, Y)
+        lhs = TwoFormEvaluator(omega)(X, Y)
         rhs = X.apply(omega.pair(Y)) - Y.apply(omega.pair(X)) \
             - omega.pair(X.bracket(Y))
         o = min(lhs.order, rhs.order)
@@ -417,7 +426,7 @@ class TestExteriorDerivative:
         omega = OneForm([rand_series(rng, 3, 5, terms=3) for _ in range(3)])
         X = VectorFieldOp([rand_series(rng, 3, 5, terms=3) for _ in range(3)])
         Y = VectorFieldOp([rand_series(rng, 3, 5, terms=3) for _ in range(3)])
-        ev = exterior_derivative(omega)
+        ev = TwoFormEvaluator(omega)
         lhs = ev.contract(X).pair(Y)
         rhs = ev(X, Y)
         o = min(lhs.order, rhs.order)

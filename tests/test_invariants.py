@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 from crjet.hypersurface import (
+    TwoFormEvaluator,
     VectorFieldOp,
     ambient_var,
     build_frame,
-    exterior_derivative,
     from_defining,
 )
 from crjet.invariants import (
@@ -50,19 +50,19 @@ def symmetric_at_zero(F, k) -> bool:
 class TestLieChain:
     def test_empty_tuple_is_theta(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        assert F.words.chain(()) == F.theta
+        assert F.chain(()) == F.theta
 
     def test_heisenberg_single_step(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        omega = F.words.chain((0,))
+        omega = F.chain((0,))
         got = omega.pair(F.L[0]).constant_term()
-        want = exterior_derivative(F.theta)(F.Lbar[0], F.L[0]).constant_term()
+        want = TwoFormEvaluator(F.theta)(F.Lbar[0], F.L[0]).constant_term()
         assert got == want == CScalar(0, -2)
 
     def test_stays_holomorphic(self):
         F = frame_for(m3_rho(8), 3)
         for abar in [(0,), (1, 0), (0, 0, 1)]:
-            omega = F.words.chain(abar)
+            omega = F.chain(abar)
             for B in range(F.n):
                 assert omega.pair(F.Lbar[B]).is_zero()
 
@@ -70,16 +70,16 @@ class TestLieChain:
 class TestHTensor:
     def test_heisenberg_levi_value(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        assert F.words.h((0,), 0).constant_term() == CScalar(0, -2)
+        assert F.h((0,), 0).constant_term() == CScalar(0, -2)
 
     def test_degenerate_levi_value(self):
         F = frame_for(m2_rho(6), 2)
-        assert F.words.h((0,), 0).constant_term() == CScalar(0)
+        assert F.h((0,), 0).constant_term() == CScalar(0)
 
     def test_zero_length_convention(self):
         F = frame_for(heisenberg_rho(2, 6), 2)
-        assert F.words.transverse(()).constant_term() == CScalar(1)
-        assert F.words.h((), 0).is_zero()
+        assert F.transverse(()).constant_term() == CScalar(1)
+        assert F.h((), 0).is_zero()
 
     def test_symmetry_at_zero(self):
         for seed, N in [(300, 2), (301, 3)]:
@@ -94,8 +94,8 @@ class TestHTensor:
         F1 = frame_for(rho1, 2)
         M2 = from_defining(TruncatedSeries.constant(4, 4, 6) * rho1, 2)
         F2 = build_frame(M2)
-        a = F1.words.h((0,), 0).constant_term()
-        b = F2.words.h((0,), 0).constant_term()
+        a = F1.h((0,), 0).constant_term()
+        b = F2.h((0,), 0).constant_term()
         assert b == 4 * a
         r1 = intrinsic_filtration(F1)
         r2 = intrinsic_filtration(F2)
@@ -263,7 +263,7 @@ class TestIntrinsicFiltration:
                 for seed in range(620, 625):
                     F = build_frame(maker(seed, N, order))
                     n = F.n
-                    h1 = [[F.words.h((A,), B).constant_term()
+                    h1 = [[F.h((A,), B).constant_term()
                            for B in range(n)] for A in range(n)]
                     levi = n - len(ref_nullspace(h1, n))
                     for kmax in range(4):
@@ -295,7 +295,7 @@ class TestAdaptedFrame:
         G = adapt_frame(F, kernel_bases(F))
         # trailing field spans the Levi kernel: its pairing row vanishes
         for A in range(G.n):
-            assert G.words.h((A,), G.n - 1).constant_term().is_zero()
+            assert G.h((A,), G.n - 1).constant_term().is_zero()
 
     def test_idempotent_dimensions(self):
         M = from_defining(m3_rho(8), 3)

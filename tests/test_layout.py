@@ -2,13 +2,17 @@
 caller in src/, every public method is read as an attribute in src/,
 every dataclass field in src/ is read as an attribute in src/, tests/ or
 perfbench/, every import in src/ is used by its module, no module imports
-another's private name, and every name the benchmark tracer wraps exists.
+another's private name, every dotted name a docstring or comment in src/
+quotes resolves, and every name the benchmark tracer wraps exists.
 A class or method the tracer wraps by name counts as used.  Helpers that
 only tests need live in tests/, as fixtures or oracles."""
 
 import ast
 import importlib
 import importlib.util
+import io
+import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -285,6 +289,90 @@ def test_private_import_is_caught(tmp_path):
         "from .x import Public, _hidden\nfrom .y import _Shell as Shell\n",
         encoding="utf-8")
     assert private_imports(tmp_path) == ["mod.py::_hidden", "mod.py::_Shell"]
+
+
+_QUOTED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)``")
+
+
+def _module_name(root: Path, path: Path) -> str:
+    parts = (root.name,) + path.relative_to(root).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether attribute lookup reaches every part of a dotted name from
+    its first part, a module, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 1):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i + 1]))
+            except ImportError:
+                return False
+            if not hasattr(obj, part):
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def unresolved_references(root=SRC) -> list:
+    """Double-backticked dotted names in the docstrings and comments of
+    the package that start with the package or with one of its top-level
+    classes and do not resolve by attribute lookup."""
+    classes, texts = {}, []
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        module = _module_name(root, path)
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                texts.append((path, ast.get_docstring(node) or ""))
+        classes.update((stmt.name, module) for stmt in tree.body
+                       if isinstance(stmt, ast.ClassDef))
+        texts.extend((path, tok.string) for tok in tokenize.generate_tokens(
+            io.StringIO(source).readline) if tok.type == tokenize.COMMENT)
+    unresolved = []
+    for path, text in texts:
+        for dotted in _QUOTED.findall(text):
+            head = dotted.split(".")[0]
+            if head in classes:
+                full = f"{classes[head]}.{dotted}"
+            elif head == root.name:
+                full = dotted
+            else:
+                continue
+            if not _resolves(full):
+                unresolved.append(
+                    f"{path.relative_to(root).as_posix()}::{dotted}")
+    return unresolved
+
+
+def test_every_quoted_name_resolves():
+    assert unresolved_references() == []
+
+
+def test_unresolved_reference_is_caught(tmp_path, monkeypatch):
+    pkg = tmp_path / "layoutpkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "sub" / "__init__.py").write_text("", encoding="utf-8")
+    (pkg / "sub" / "shapes.py").write_text(
+        '"""Shapes: ``Square.side``, ``Square.area`` and ``Square.words``;\n'
+        '``layoutpkg.sub.shapes.Square``, ``layoutpkg.sub.gone`` and\n'
+        '``other.Square.words`` outside the package."""\n\n\n'
+        "class Square:\n"
+        '    """``Square.side.real``, ``Circle.radius``."""\n\n'
+        "    side = 1\n\n"
+        "    def area(self):\n"
+        "        # ``Square.perimeter`` is not defined\n"
+        "        return self.side ** 2\n",
+        encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert unresolved_references(pkg) == [
+        "sub/shapes.py::Square.words", "sub/shapes.py::layoutpkg.sub.gone",
+        "sub/shapes.py::Square.perimeter"]
 
 
 def test_every_traced_name_exists():

@@ -6,8 +6,8 @@ from dataclasses import fields
 import pytest
 
 from crjet import operators
-from crjet.hypersurface import (Frame, GeometryError, build_frame,
-                                exterior_derivative, from_defining)
+from crjet.hypersurface import (Frame, GeometryError, TwoFormEvaluator,
+                                build_frame, from_defining)
 from crjet.operators import (
     CertificateMemo,
     CommutatorCertificate,
@@ -96,7 +96,7 @@ class TestBracketReduction:
         assert cert.p == 1
         assert set(cert.leading) == {(0,)}
         lead = cert.leading[(0,)]
-        h11 = F.words.h((0,), 0)
+        h11 = F.h((0,), 0)
         assert lead.agrees(2 * h11)
 
     def test_mixed_word_leading_shape(self):
@@ -107,14 +107,14 @@ class TestBracketReduction:
         cert = _reduction(CertificateMemo(F), (0, 1), 3)
         assert cert.verified
         assert set(cert.leading) == {(0,), (1,)}
-        assert cert.leading[(1,)].agrees(F.words.h((Fb,), 0))
-        assert cert.leading[(0,)].agrees(F.words.h((Fb,), 1))
+        assert cert.leading[(1,)].agrees(F.h((Fb,), 0))
+        assert cert.leading[(0,)].agrees(F.h((Fb,), 1))
 
     def test_three_letter_multiplicity(self):
         F = build_frame(random_nondegenerate_model(411, 2, 8))
         cert = _reduction(CertificateMemo(F), (0, 0, 0), 3)
         assert cert.verified
-        assert cert.leading[(0, 0)].agrees(3 * F.words.h((0,), 0))
+        assert cert.leading[(0, 0)].agrees(3 * F.h((0,), 0))
 
     def test_verification_on_monomials(self):
         for seed, N in [(412, 2), (413, 3)]:
@@ -229,7 +229,7 @@ def _ref_t_pushdown(F, word: tuple, _memo: dict) -> dict:
 
 def _ref_h_row(F, Fbar: int):
     """Series h_{FbarE} for all E, via the characteristic two-form."""
-    ev = exterior_derivative(F.theta)
+    ev = TwoFormEvaluator(F.theta)
     return [ev(F.Lbar[Fbar], F.L[E]) for E in range(F.n)]
 
 

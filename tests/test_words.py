@@ -1,4 +1,5 @@
-"""Differential tests of the per-frame word engine, ``Frame.words``.
+"""Differential tests of the frame's word engine: ``Frame.chain``,
+``Frame.dchain``, ``Frame.h``, ``Frame.transverse`` and ``Frame.bracket``.
 
 The oracle below is the ordered route the engine replaced: chains keyed by
 the ordered word, never sorted, and every bracket word rebuilt from L_D.
@@ -9,13 +10,21 @@ word, sorted or not.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
-from crjet.hypersurface import (Frame, VectorFieldOp, build_frame,
-                                exterior_derivative, from_defining)
-from crjet.invariants import intrinsic_filtration, verify_frame_structure
+from crjet.hypersurface import (Frame, TwoFormEvaluator, VectorFieldOp,
+                                build_frame, from_defining)
+from crjet.cli.main import main
+from crjet.invariants import (intrinsic_filtration,
+                              verify_derivative_recursion,
+                              verify_frame_structure)
 from crjet.series import OrderExhausted, TruncatedSeries
 from tests.conftest import (adapt_frame, heis, heisenberg_rho,
                             kernel_bases, m3_rho, random_model,
@@ -23,8 +32,8 @@ from tests.conftest import (adapt_frame, heis, heisenberg_rho,
 
 
 class OrderedWords:
-    """Oracle for ``Frame.words``: chains memoized by the ordered word, and
-    brackets rebuilt from L_D on every read."""
+    """Oracle for the frame's word engine: chains memoized by the ordered
+    word, and brackets rebuilt from L_D on every read."""
 
     def __init__(self, F):
         self.F = F
@@ -36,7 +45,7 @@ class OrderedWords:
             if len(abar) > self.F.order:
                 raise OrderExhausted(
                     f"length {len(abar)} exceeds frame order {self.F.order}")
-            self._chains[abar] = exterior_derivative(
+            self._chains[abar] = TwoFormEvaluator(
                 self.chain(abar[:-1])).contract(self.F.Lbar[abar[-1]])
         return self._chains[abar]
 
@@ -101,28 +110,28 @@ def test_engine_matches_ordered_oracle(F):
     oracle = OrderedWords(F)
     for abar in itertools.chain.from_iterable(
             itertools.product(range(F.n), repeat=k) for k in range(4)):
-        assert F.words.chain(abar) == oracle.chain(abar), abar
-        assert F.words.transverse(abar) == oracle.transverse(abar), abar
+        assert F.chain(abar) == oracle.chain(abar), abar
+        assert F.transverse(abar) == oracle.transverse(abar), abar
         for D in range(F.n):
-            assert F.words.h(abar, D) == oracle.h(abar, D), (abar, D)
-            assert F.words.bracket(abar, D) == oracle.bracket(abar, D), \
+            assert F.h(abar, D) == oracle.h(abar, D), (abar, D)
+            assert F.bracket(abar, D) == oracle.bracket(abar, D), \
                 (abar, D)
 
 
 def test_entries_are_built_once():
     F = build_frame(random_model(730, 3, 6))
-    words = F.words
-    assert words.chain((1, 0)) is words.chain((0, 1))
-    assert words.h((1, 0, 1), 0) is words.h((0, 1, 1), 0)
-    assert words.transverse((1, 0)) is words.transverse((0, 1))
-    assert words.bracket((0, 1), 1) is words.bracket((0, 1), 1)
-    assert words.chain(()) is F.theta
-    assert words.bracket((), 1) is F.L[1]
+    assert F.chain((1, 0)) is F.chain((0, 1))
+    assert F.dchain((1, 0)) is F.dchain((0, 1))
+    assert F.h((1, 0, 1), 0) is F.h((0, 1, 1), 0)
+    assert F.transverse((1, 0)) is F.transverse((0, 1))
+    assert F.bracket((0, 1), 1) is F.bracket((0, 1), 1)
+    assert F.chain(()) is F.theta
+    assert F.bracket((), 1) is F.L[1]
 
 
 def test_mixed_brackets_built_once_per_frame(monkeypatch):
     # the frame-structure suite and the filtration's ell1 scan both read
-    # [Lbar_A, L_B]; the frame's words build each of them once
+    # [Lbar_A, L_B]; the frame builds each of them once
     F = build_frame(heis(3, 6))
     built = []
     bracket = VectorFieldOp.bracket
@@ -140,14 +149,73 @@ def test_mixed_brackets_built_once_per_frame(monkeypatch):
     assert sorted(built) == [(A, B) for A in range(F.n) for B in range(F.n)]
 
 
+def count_two_forms(monkeypatch) -> list:
+    """The one-forms every later TwoFormEvaluator is built from."""
+    built = []
+    init = TwoFormEvaluator.__init__
+
+    def counting(self, omega):
+        built.append(omega)
+        init(self, omega)
+
+    monkeypatch.setattr(TwoFormEvaluator, "__init__", counting)
+    return built
+
+
+def test_one_two_form_per_chain_prefix(monkeypatch):
+    # every extension of a sorted word reads the one two-form of the word,
+    # and the frame-structure suite's d theta is the two-form of ()
+    F = build_frame(random_nondegenerate_model(731, 3, 6))
+    built = count_two_forms(monkeypatch)
+    intrinsic_filtration(F)
+    assert verify_frame_structure(F).ok
+    assert verify_derivative_recursion(F, 2).ok
+    chains = [omega for omega in built
+              if not any(omega is form for form in F.thetaA)]
+    prefixes = [F.chain(abar) for k in range(3)
+                for abar in itertools.combinations_with_replacement(
+                    range(F.n), k)]
+    assert sorted(map(id, chains)) == sorted(map(id, prefixes))
+    # each suite differentiates the coordinate forms theta^A itself
+    assert len(built) - len(chains) == 2 * F.n
+
+
+def load_workloads():
+    """The benchmark's workload module, read from perfbench/; its
+    dataclasses need it registered in sys.modules."""
+    name = "crjet_bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload, most", [
+    ("invariants", 74), ("transport", 28), ("symmetry", 0)])
+def test_two_forms_per_benchmark_pass(monkeypatch, tmp_path, workload,
+                                      most):
+    # one pass of each benchmark workload at seed 7: every frame builds
+    # one two-form per chain prefix it extends, where rebuilding the
+    # prefix's two-form for every extension cost 98 and 36
+    calls = load_workloads().build(workload, 7, tmp_path)
+    built = count_two_forms(monkeypatch)
+    for call in calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(call.argv)) == 0, call.argv
+    assert len(built) <= most
+
+
 def test_word_longer_than_frame_order():
     F = build_frame(from_defining(heisenberg_rho(3, 3), 3))
     assert F.order == 2
-    F.words.h((0, 1), 0)
+    F.h((0, 1), 0)
     for read in (lambda w: w.chain((0, 1, 0)),
                  lambda w: w.h((1, 1, 1), 0),
                  lambda w: w.transverse((0, 0, 0)),
                  lambda w: w.bracket((1, 0, 1), 0)):
         with pytest.raises(OrderExhausted,
                            match="^length 3 exceeds frame order 2$"):
-            read(F.words)
+            read(F)
