@@ -230,7 +230,9 @@ def _spine(node):
 
 
 def degree_bound(node) -> int:
-    """Syntactic total-degree bound; sizes the chart for evaluation."""
+    """Syntactic total-degree bound: the degree of the written terms,
+    which is the polynomial's unless its top terms cancel.  It sizes the
+    chart of a system's evaluation and the order of a scan's germ."""
     kind = node[0]
     if kind == "num":
         return 0

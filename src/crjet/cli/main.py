@@ -5,9 +5,14 @@ prints one canonical report (text, or JSON with --json) and exits 0 when
 all requested verifications pass, 1 when some check fails, and 2 on bad
 input.  The truncation order is taken from --order, then the document
 (for reflect, the source, target and map documents, which must agree),
-then the CRJET_ORDER environment variable, then the default 2*(kmax+2);
-an error that runs out of truncation order, and any refusal of aut's
-tangency problem, names which of these set it.
+then the CRJET_ORDER environment variable, then a default.  The default
+is the order the verb's results read: kmax+2 for analyze, whose
+filtration reads words up to lmax = kmax+1, and max(kmax+2, degree of
+rho) for scan and analyze --scan, which recentre the complete
+polynomial.  verify, reflect and aut, whose suites check whole series up
+to the order, keep 2*(kmax+2), with kmax = N - 1 for aut.  An error that
+runs out of truncation order, and any refusal of aut's tangency problem,
+names which of these set it.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from ..mappings import (MappingError, Pullback, pushforward_data,
 from ..operators import CertificateMemo, operator_certificates
 from ..series import OrderExhausted, SeriesError
 from .documents import (ParseError, build_hypersurface, build_jet,
-                        build_map, build_system, jet_coordinate_name,
-                        load_document)
+                        build_map, build_system, degree_bound,
+                        jet_coordinate_name, load_document)
 from .report import SCHEMA_VERSION, emit
 
 CHECK_TOKENS = ("frame", "recursion", "leading", "commutators", "operators")
@@ -71,7 +76,8 @@ MAX_RHO_DIGITS = 10_000
 # It does not bound analyze's type scan, which brackets every CR field
 # with every field of the previous level: on the C^3 germ
 # Im w = Re(w)*(|z1|^2 + |z2|^2), analyze --kmax 5 / 6 / 7 takes about
-# 0.5 / 1.5 / 5.3 s as a fresh process on a 2-core machine
+# 0.3 / 0.4 / 0.3 s as a fresh process on a 2-core machine, but
+# --kmax 10 about 27 s
 MAX_CHAIN_WORDS = 400_000
 # the same count for reflect, whose words each cost composed target entries
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
@@ -85,12 +91,13 @@ MAX_REFLECT_WORDS = 1_024
 MAX_TAYLOR_TERMS = 250_000
 
 
-def _resolve_order(args, kmax, *docs):
+def _resolve_order(args, default, rule, *docs):
     """Truncation order of a verb; args.order_origin records where it came
     from, for the message of an error that runs out of order.
 
     docs are (origin, document) pairs.  Those that set an order must agree,
-    and the first of them names the origin.
+    and the first of them names the origin.  When nothing sets one, the
+    order is default, named by its rule.
     """
     ordered = [(origin, doc) for origin, doc in docs
                if doc.scalar("order") is not None]
@@ -116,7 +123,7 @@ def _resolve_order(args, kmax, *docs):
             raise ParseError("CRJET_ORDER", None, 0,
                              f"must be non-negative, got {order}")
     else:
-        order, origin = 2 * (kmax + 2), "the default 2*(kmax+2)"
+        order, origin = default, f"the default {rule}"
     args.order_origin = f"truncation order {order} from {origin}"
     return order
 
@@ -217,14 +224,38 @@ def _load(path, kind, verb):
     return doc
 
 
+def _scan_germ(args, doc, kmax):
+    """The order and germ of a scan, which recentres rho at each point: the
+    order covers rho's complete polynomial, and an explicit order below
+    its degree is refused once the germ is built (an order too low for
+    the germ itself fails there first)."""
+    degree = degree_bound(doc.expression("rho"))
+    order = _resolve_order(args, max(kmax + 2, degree),
+                           "max(kmax+2, degree of rho)",
+                           ("the document's order", doc))
+    M = build_hypersurface(doc, order)
+    if order < degree:
+        line, col = doc.position("rho")
+        raise ParseError(doc.source, line, col,
+                         f"rho's terms reach degree {degree}, above "
+                         f"{args.order_origin}; the scan recentres the "
+                         "complete polynomial")
+    return order, M
+
+
 def _run_analyze(args):
     doc = _load(args.file, "hypersurface", "analyze")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
     # the count runs to the filtration's lmax = kmax + 1
     _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax, True))
-    order = _resolve_order(args, kmax, ("the document's order", doc))
-    M = build_hypersurface(doc, order)
+    if args.scan is None:
+        # the filtration reads frame order lmax, one below the germ's
+        order = _resolve_order(args, kmax + 2, "kmax+2",
+                               ("the document's order", doc))
+        M = build_hypersurface(doc, order)
+    else:
+        order, M = _scan_germ(args, doc, kmax)
     F = build_frame(M)
     filt = intrinsic_filtration(F, kmax=kmax)
     ek0 = extrinsic_k0(M, kmax)
@@ -282,7 +313,8 @@ def _run_verify(args):
     if "leading" in tokens or "commutators" in tokens:
         _check_chain_words(n + 1, n + 1, f"lmax = N = {n + 1} of the "
                            "leading and commutator suites", doc.source)
-    order = _resolve_order(args, kmax, ("the document's order", doc))
+    order = _resolve_order(args, 2 * (kmax + 2), "2*(kmax+2)",
+                           ("the document's order", doc))
     M = build_hypersurface(doc, order)
     F = build_frame(M)
     reports = []
@@ -319,7 +351,7 @@ def _run_reflect(args):
     _check_chain_words(src_doc.scalar("N"), kmax + 1,
                        _kmax_bound(args, kmax), limit=MAX_REFLECT_WORDS,
                        name="MAX_REFLECT_WORDS")
-    order = _resolve_order(args, kmax,
+    order = _resolve_order(args, 2 * (kmax + 2), "2*(kmax+2)",
                            ("the source document's order", src_doc),
                            ("the target document's order", tgt_doc),
                            ("the map document's order", map_doc))
@@ -489,7 +521,8 @@ def _run_aut(args):
             need = (f"--degree {args.degree} needs {count} real tangency "
                     f"unknowns, more than {limit}")
         raise ParseError("--degree", None, 0, need)
-    order = _resolve_order(args, n, ("the document's order", doc))
+    order = _resolve_order(args, 2 * (n + 2), "2*(kmax+2)",
+                           ("the document's order", doc))
     use_order = order - 1
     M = build_hypersurface(doc, order)
     _check_rho_digits(doc, M)
@@ -515,8 +548,7 @@ def _run_scan(args):
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
     _check_chain_words(n + 1, kmax, _kmax_bound(args, kmax, True))
-    order = _resolve_order(args, kmax, ("the document's order", doc))
-    M = build_hypersurface(doc, order)
+    order, M = _scan_germ(args, doc, kmax)
     report = nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax)
     return {"model": {"N": M.N, "n": M.n, "order": order},
             "scan": _scan_tree(report), "pass": True}, True

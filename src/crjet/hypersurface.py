@@ -424,13 +424,14 @@ class Frame:
     chain, dchain, h and transverse depend only on the multiset of abar:
     they are keyed by the sorted word.  Brackets are keyed by the ordered
     word.  A word longer than the frame order raises OrderExhausted.
-    Returned forms, fields and series are shared between callers and must
-    not be mutated.
+    dthetaA holds the two-forms of the coordinate forms theta^A, zero by
+    construction, built on first use.  Returned forms, fields and series
+    are shared between callers and must not be mutated.
     """
 
     __slots__ = ("n", "order", "T", "L", "Lbar", "theta", "thetaA",
-                 "thetaAbar", "_chains", "_dchains", "_h", "_transverse",
-                 "_brackets")
+                 "thetaAbar", "_chains", "_dchains", "_dthetaA", "_h",
+                 "_transverse", "_brackets")
 
     def __init__(self, n, T, L, Lbar, theta, thetaA, thetaAbar):
         object.__setattr__(self, "n", n)
@@ -443,6 +444,7 @@ class Frame:
         object.__setattr__(self, "thetaAbar", tuple(thetaAbar))
         object.__setattr__(self, "_chains", {(): theta})
         object.__setattr__(self, "_dchains", {})
+        object.__setattr__(self, "_dthetaA", None)
         object.__setattr__(self, "_h", {})
         object.__setattr__(self, "_transverse", {})
         object.__setattr__(self, "_brackets",
@@ -472,6 +474,13 @@ class Frame:
         if form is None:
             form = self._dchains[key] = TwoFormEvaluator(self.chain(key))
         return form
+
+    @property
+    def dthetaA(self) -> tuple:
+        if self._dthetaA is None:
+            object.__setattr__(self, "_dthetaA", tuple(
+                TwoFormEvaluator(form) for form in self.thetaA))
+        return self._dthetaA
 
     def h(self, abar, D: int) -> TruncatedSeries:
         key = (tuple(sorted(abar)), D)

@@ -19,7 +19,6 @@ from .hypersurface import (
     Frame,
     GeometryError,
     Hypersurface,
-    TwoFormEvaluator,
     VectorFieldOp,
     from_defining,
 )
@@ -214,9 +213,8 @@ def verify_derivative_recursion(F: Frame, k: int) -> CheckReport:
     """
     n = F.n
     h1 = [[F.h((C,), D) for D in range(n)] for C in range(n)]
-    dthetaA = [TwoFormEvaluator(form) for form in F.thetaA]
     # the structure pairings do not depend on the tuple: evaluated once
-    pairings = [[[dthetaA[B](F.Lbar[C], F.L[D]) for B in range(n)]
+    pairings = [[[F.dthetaA[B](F.Lbar[C], F.L[D]) for B in range(n)]
                  for D in range(n)] for C in range(n)]
     checked, violations = 0, []
     for j in range(k + 1):
@@ -316,7 +314,6 @@ def verify_frame_structure(F: Frame) -> CheckReport:
     n = F.n
     h1 = [[F.h((A,), B) for B in range(n)] for A in range(n)]
     dtheta = F.dchain(())
-    dthetaA = [TwoFormEvaluator(form) for form in F.thetaA]
     checked, violations = 0, []
 
     def record(label, idx, ok):
@@ -340,7 +337,7 @@ def verify_frame_structure(F: Frame) -> CheckReport:
                    F.L[A].bracket(F.L[B]).is_zero())
             for C in range(n):
                 record("structure-pairing", (A, B, C),
-                       dthetaA[C](F.Lbar[A], F.L[B]).is_zero())
+                       F.dthetaA[C](F.Lbar[A], F.L[B]).is_zero())
     return CheckReport(name="frame-structure", ok=not violations,
                        checked=checked, violations=tuple(violations))
 
@@ -373,7 +370,11 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
 
     Each point is given as (z_values, s) with exact coordinates; the
     transverse value is completed from the graph.  Points must lie exactly
-    on the hypersurface, which restricts the scan to polynomial graphs.
+    on the hypersurface, which restricts the scan to polynomial graphs,
+    and M's rho must be the complete polynomial.  extrinsic_k0 reads
+    derivatives of order at most k + 1 at the point, so each recentred rho
+    is normalized at order k + 2, the order of an analyze germ, or at M's
+    order when that is lower.
     """
     N = M.N
     results = []
@@ -392,7 +393,7 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
                 "sample point is not exactly on the hypersurface; "
                 "the scan needs a polynomial graph")
         try:
-            Mp = from_defining(M.rho.recenter(p), N)
+            Mp = from_defining(M.rho.recenter(p).truncate(k + 2), N)
             k0p = extrinsic_k0(Mp, k)
             results.append(PointResult(
                 z=tuple(z), s=s, status="ok", k0=k0p,

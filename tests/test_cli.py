@@ -24,6 +24,7 @@ from crjet.jets import taylor_propagate
 from crjet.mappings import Pullback
 from crjet.series import CScalar
 from tests.conftest import heis, m3_rho
+from tests.test_words import load_workloads
 
 HEIS = """\
 # quadric model
@@ -557,7 +558,7 @@ class TestVerbs:
         assert "k0: 1" in out
         assert "type: 2" in out
         assert "levi_rank: 1" in out
-        assert "order: 6" in out       # default 2*(kmax+2) with kmax=n=1
+        assert "order: 3" in out       # default kmax+2 with kmax=n=1
         assert "pass: true" in out
 
     def test_analyze_degenerate_markers(self, docs, capsys):
@@ -1087,6 +1088,72 @@ class TestVerbs:
         assert "nondegenerate_count: 1" in out
         assert "inf@kmax=4" in out
         assert "nondegenerate: true" in out
+
+    @pytest.mark.parametrize("degree, rho", [
+        (4, "Im(w) - z1*conj(z1) + (z1*conj(z1))^2"),
+        (8, "Im(w) - z1*conj(z1) + 4*(z1*conj(z1))^4")])
+    def test_scan_recentres_the_complete_polynomial(self, docs, capsys,
+                                                     monkeypatch, tmp_path,
+                                                     degree, rho):
+        # both germs are Levi-degenerate on |z1| = 1/2, which the scan
+        # missed at order 3 and at the former default order 6, where it
+        # recentred rho without its top terms
+        p = tmp_path / "circle.crj"
+        text = f"kind = hypersurface\nN = 2\nrho = {rho}\n"
+        p.write_text(text, encoding="utf-8")
+        for verb in ("scan", "analyze"):
+            argv = [verb, str(p), "--scan", "0,1/2"]
+            code, out, _ = run(capsys, argv + ["--json"])
+            assert code == 0
+            report = json.loads(out)
+            assert report["model"]["order"] == degree
+            assert [point["k0"] for point in report["scan"]["points"]] \
+                == [1, "inf@kmax=1"]
+            assert report["scan"]["nondegenerate_count"] == 1
+            # an explicit order below the degree is bad input, whichever
+            # source sets it
+            refused = (f"error: {p}:3:1: rho's terms reach degree {degree}, "
+                       f"above truncation order {degree - 1} from {{}}; the "
+                       "scan recentres the complete polynomial\n")
+            code, out, errtext = run(capsys, argv + ["--order",
+                                                     str(degree - 1)])
+            assert (code, out, errtext) == (2, "", refused.format("--order"))
+            monkeypatch.setenv("CRJET_ORDER", str(degree - 1))
+            code, out, errtext = run(capsys, argv)
+            assert (code, out, errtext) == (2, "",
+                                            refused.format("CRJET_ORDER"))
+            monkeypatch.delenv("CRJET_ORDER")
+            p.write_text(text + f"order = {degree - 1}\n", encoding="utf-8")
+            code, out, errtext = run(capsys, argv)
+            assert (code, out, errtext) == (
+                2, "", refused.format("the document's order"))
+            p.write_text(text, encoding="utf-8")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_derived_order_matches_the_guessed_order(self, capsys, tmp_path,
+                                                     seed):
+        # analyze and scan read at most kmax + 2 orders of the germ, and a
+        # scan the complete polynomial: every analyze and scan report of
+        # the invariants benchmark equals its report at the former default
+        # order 2*(kmax+2), but for model.order
+        calls = load_workloads().build("invariants", seed, tmp_path)
+        compared = 0
+        for call in calls:
+            if call.verb not in ("analyze", "scan"):
+                continue
+            argv = list(call.argv) + ["--json"]
+            code, out, errtext = run(capsys, argv)
+            derived = json.loads(out)
+            kmax = derived["model"]["kmax"] if call.verb == "analyze" \
+                else derived["scan"]["k"]
+            guessed = run(capsys, argv + ["--order", str(2 * (kmax + 2))])
+            assert (code, errtext) == (guessed[0], guessed[2]), call.argv
+            guessed = json.loads(guessed[1])
+            assert derived["model"].pop("order") \
+                < guessed["model"].pop("order"), call.argv
+            assert derived == guessed, call.argv
+            compared += 1
+        assert compared == 14
 
     def test_environment_order(self, docs, capsys, monkeypatch):
         monkeypatch.setenv("CRJET_ORDER", "7")

@@ -278,6 +278,25 @@ class TestIntrinsicFiltration:
         assert {(n, d) for n, d in seen if 0 < d < n} == {(2, 1), (3, 1),
                                                           (3, 2)}
 
+    def test_seeded_germs_at_the_derived_order(self):
+        # the filtration reads frame order lmax = kmax + 1 and extrinsic_k0
+        # rho order kmax + 1, so rho cut at kmax + 2 must give what the
+        # former default order 2*(kmax+2) gave
+        seen = set()
+        for N, kmaxes, seeds in ((2, (1, 2, 3), range(12)),
+                                 (3, (2, 3), range(4)), (4, (3,), range(4)),
+                                 (5, (2,), range(4))):
+            for maker in (random_model, random_nondegenerate_model):
+                for seed, kmax in itertools.product(seeds, kmaxes):
+                    full = maker(900 + seed, N, 2 * (kmax + 2))
+                    cut = from_defining(full.rho.truncate(kmax + 2), N)
+                    got = [(intrinsic_filtration(build_frame(M), kmax),
+                            extrinsic_k0(M, kmax)) for M in (cut, full)]
+                    assert got[0] == got[1], (maker.__name__, seed, N, kmax)
+                    seen.add((got[0][0].k0, got[0][0].m0))
+        assert {k0 for k0, _ in seen} >= {1, 2, Unbounded("kmax", 3)}
+        assert {m0 for _, m0 in seen} >= {2, 3, 4, Unbounded("typemax", 4)}
+
     def test_prop_consequences_on_random_models(self):
         for seed, N in [(320, 2), (321, 3), (322, 3)]:
             F = build_frame(random_model(seed, N, 7))
