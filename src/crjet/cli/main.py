@@ -10,7 +10,8 @@ is the order the verb's results read: kmax+2 for analyze, whose
 filtration reads words up to lmax = kmax+1, and max(kmax+2, degree of
 rho) for scan and analyze --scan, which recentre the complete
 polynomial.  verify, reflect and aut, whose suites check whole series up
-to the order, keep 2*(kmax+2), with kmax = N - 1 for aut.  An error that
+to the order, keep 2*(kmax+2), with kmax = N - 1 for aut, and verify
+takes at least N+1 when its filtration runs to lmax = N.  An error that
 runs out of truncation order, and any refusal of aut's tangency problem,
 names which of these set it.
 """
@@ -249,7 +250,8 @@ def _run_analyze(args):
     kmax = args.kmax if args.kmax is not None else n
     # the count runs to the filtration's lmax = kmax + 1
     _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax, True))
-    if args.scan is None:
+    points = None if args.scan is None else _scan_points(args.scan, n)
+    if points is None:
         # the filtration reads frame order lmax, one below the germ's
         order = _resolve_order(args, kmax + 2, "kmax+2",
                                ("the document's order", doc))
@@ -279,9 +281,8 @@ def _run_analyze(args):
         "agreement": {"k0_paths": agree_k0, "ell0_ell1": agree_ell},
         "pass": passed,
     }
-    if args.scan is not None:
-        tree["scan"] = _scan_tree(
-            nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax))
+    if points is not None:
+        tree["scan"] = _scan_tree(nondegeneracy_scan(M, points, kmax))
     return tree, passed
 
 
@@ -307,14 +308,16 @@ def _run_verify(args):
                              f"{MAX_BASIS_MONOMIALS}")
     kmax = args.kmax if args.kmax is not None else 1
     # the recursion suite reads chains up to kmax + 1, and the filtration
-    # of the leading and commutator suites up to its default lmax = n + 1
+    # of the leading and commutator suites up to its default lmax = n + 1,
+    # which needs germ order n + 2
     if "recursion" in tokens:
         _check_chain_words(n + 1, kmax + 1, _kmax_bound(args, kmax))
+    default, rule = 2 * (kmax + 2), "2*(kmax+2)"
     if "leading" in tokens or "commutators" in tokens:
         _check_chain_words(n + 1, n + 1, f"lmax = N = {n + 1} of the "
                            "leading and commutator suites", doc.source)
-    order = _resolve_order(args, 2 * (kmax + 2), "2*(kmax+2)",
-                           ("the document's order", doc))
+        default, rule = max(default, n + 2), "max(2*(kmax+2), N+1)"
+    order = _resolve_order(args, default, rule, ("the document's order", doc))
     M = build_hypersurface(doc, order)
     F = build_frame(M)
     reports = []
@@ -548,8 +551,9 @@ def _run_scan(args):
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
     _check_chain_words(n + 1, kmax, _kmax_bound(args, kmax, True))
+    points = _scan_points(args.scan, n)
     order, M = _scan_germ(args, doc, kmax)
-    report = nondegeneracy_scan(M, _scan_points(args.scan, M.n), kmax)
+    report = nondegeneracy_scan(M, points, kmax)
     return {"model": {"N": M.N, "n": M.n, "order": order},
             "scan": _scan_tree(report), "pass": True}, True
 
@@ -566,9 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "symmetry dimensions.")
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
-        sp.add_argument("--order", type=int, default=None,
-                        help="truncation order override")
+    def common(sp, order=True):
+        if order:
+            sp.add_argument("--order", type=int, default=None,
+                            help="truncation order override")
         sp.add_argument("--json", action="store_true",
                         help="emit the JSON form of the report")
 
@@ -602,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lo:hi:count, once or per axis")
     sp.add_argument("--step", type=float, default=1e-3)
     sp.add_argument("--axis-order", default=None)
-    common(sp)
+    common(sp, order=False)
 
     sp = subs.add_parser("aut", help="tangent-field dimensions and bound")
     sp.add_argument("file")

@@ -411,15 +411,6 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
 # formal propagation
 
 
-def _compose_affine(series: TruncatedSeries, subs) -> TruncatedSeries:
-    # composition demands vanishing constant terms; shift them into the
-    # polynomial first
-    const = [s.constant_term() for s in subs]
-    centered = [s - TruncatedSeries.constant(s.nvars, c, s.order)
-                for s, c in zip(subs, const)]
-    return series.recenter(const).compose(centered)
-
-
 def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
                      target_order: int) -> JetVector:
     """Grow the jet to target_order by formal differentiation of the rhs.
@@ -438,6 +429,10 @@ def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
                 if sum(key[1]) <= target_order}
         return JetVector(S.q, S.m, target_order, keep)
     q, m, k = S.q, S.m, S.k
+    # the jet's values at 0 never change: recentre each rhs there once, and
+    # compose it with substitutions that vanish at 0
+    centre = [vals[key] for key in S.layout] + [0] * q
+    centred = {key: s.recenter(centre) for key, s in S.rhs.items()}
     for d in range(k + 1, target_order + 1):
         t = d - k - 1
         subs = []
@@ -445,7 +440,7 @@ def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
             coeffs = {}
             for delta in jet_exponents(q, t):
                 v = vals[(i, _add(beta, delta))]
-                if v:
+                if v and any(delta):
                     coeffs[delta] = CScalar(v / _beta_factorial(delta))
             subs.append(TruncatedSeries(q, t, coeffs))
         for a in range(q):
@@ -453,8 +448,8 @@ def taylor_propagate(S: CompleteSystem, lambda0: JetVector,
             subs.append(TruncatedSeries.variable(q, a, max(t, 1)).truncate(t))
         # rhs entries are polynomials; lift them past their stored order so
         # the expansion is not capped by how the system was written down
-        expansions = {key: _compose_affine(s.extended(max(s.order, t)), subs)
-                      for key, s in S.rhs.items()}
+        expansions = {key: s.extended(max(s.order, t)).compose(subs)
+                      for key, s in centred.items()}
         for alpha in multi_indices(q, d):
             for j in range(m):
                 candidates = []

@@ -1,8 +1,9 @@
 """CR maps between graph germs: transport data and reflection identities.
 
 A map enters in ambient form, as N holomorphic truncated series sending one
-graph hypersurface into another.  Restricting to the source chart and
-pulling the target coframe back through the restriction yields the frame
+graph hypersurface into another.  Its restriction to the source graph,
+built once (``AmbientMap.on_graph``), gives the tangency residual and the
+intrinsic components f; applying the source frame to f yields the frame
 transport
 
     f_*(T, L_B, L_Bb) = (That, Lhat_A, Lhat_Ab) [[xi,     0,     0    ],
@@ -33,8 +34,6 @@ from itertools import combinations_with_replacement
 from .hypersurface import (
     Frame,
     Hypersurface,
-    OneForm,
-    ambient_pairing,
     from_defining,
     intrinsic_pairing,
     linear_change,
@@ -62,7 +61,7 @@ class AmbientMap:
     """
 
     __slots__ = ("N", "n", "order", "components", "source", "target",
-                 "base_point")
+                 "base_point", "_graph")
 
     def __init__(self, components, source: Hypersurface,
                  target: Hypersurface):
@@ -101,24 +100,30 @@ class AmbientMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "_graph", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AmbientMap is immutable")
 
-    def conjugate_components(self):
-        pairing = ambient_pairing(self.N)
-        return tuple(c.conjugate(pairing) for c in self.components)
+    def on_graph(self) -> tuple:
+        """(z', w', zb', wb'): the components on the source graph, then
+        their conjugates; built on first use and shared."""
+        if self._graph is None:
+            subs = self.source.graph_substitution()
+            comps = tuple(c.compose(subs) for c in self.components)
+            pairing = intrinsic_pairing(self.n)
+            object.__setattr__(self, "_graph", comps + tuple(
+                c.conjugate(pairing) for c in comps))
+        return self._graph
 
     def __repr__(self):
         return f"AmbientMap(N={self.N}, order={self.order})"
 
 
 def tangency_residual(F: AmbientMap) -> TruncatedSeries:
-    """Target defining series pulled through the map, restricted to the
-    source graph; the zero series exactly when F sends source into target."""
-    subs = list(F.components) + list(F.conjugate_components())
-    pulled = F.target.rho.compose(subs)
-    return F.source.restrict(pulled)
+    """Target defining series composed with the map on the source graph;
+    the zero series exactly when F sends source into target."""
+    return F.target.rho.compose(F.on_graph())
 
 
 def restrict(F: AmbientMap):
@@ -131,13 +136,8 @@ def restrict(F: AmbientMap):
         raise MappingError(
             "map does not send the source germ into the target "
             "(tangency residual is nonzero)")
-    subs = F.source.graph_substitution()
-    zprime = [F.components[j].compose(subs) for j in range(F.n)]
-    wprime = F.components[F.N - 1].compose(subs)
-    pairing = intrinsic_pairing(F.n)
-    zbar = [c.conjugate(pairing) for c in zprime]
-    sprime = HALF * (wprime + wprime.conjugate(pairing))
-    return tuple(zprime) + tuple(zbar) + (sprime,)
+    g, n, N = F.on_graph(), F.n, F.N
+    return g[:n] + g[N:N + n] + (HALF * (g[n] + g[N + n]),)
 
 
 @dataclass(frozen=True)
@@ -174,45 +174,41 @@ class ConjugateData:
     gammabar: tuple
 
 
-def _pullback(form: OneForm, imap) -> OneForm:
-    subs = list(imap)
-    nv = len(subs)
-    pulled = [(cu.compose(subs), imap[u])
-              for u, cu in enumerate(form.coeffs) if not cu.is_zero()]
-    return OneForm([dot([(pu, mu.derive(v)) for pu, mu in pulled],
-                        subs[0].order - 1, nv) for v in range(nv)])
-
-
 def pushforward_data(F: AmbientMap, frame_src: Frame,
                      frame_tgt: Frame) -> PushforwardData:
-    """Transport data from the pulled-back target coframe.
+    """Transport data from the source frame applied to the map.
 
-    The pullback of theta-hat must be a multiple of theta and the pullback
-    of each theta-hat^A must have no antiholomorphic component; both are
-    checked, since together they say the map is CR.  gamma must be
-    invertible at 0 and xi real and nonzero at 0.
+    Each source field X is applied once to each intrinsic component f_u:
+    theta-hat pulls back to sum_u (theta-hat_u o f) X(f_u), which must
+    vanish on every L_B and Lbar_B, and Lbar_B z'_A must vanish; together
+    they say the map is CR.  Then xi, eta^A and gamma^A_B are theta-hat
+    of f_* T, T z'_A and L_B z'_A.  gamma must be invertible at 0 and xi
+    real and nonzero at 0.
     """
     imap = restrict(F)
     n = F.n
-    f_theta = _pullback(frame_tgt.theta, imap)
-    f_thetaA = [_pullback(th, imap) for th in frame_tgt.thetaA]
+    theta = [c.compose(imap) for c in frame_tgt.theta.coeffs]
 
+    def push(X):
+        """theta-hat paired through the map with X, and X z'_A."""
+        Xf = [X.apply(f) for f in imap]
+        return dot(zip(theta, Xf)), tuple(Xf[:n])
+
+    gamma_t = []
     for B in range(n):
-        if not f_theta.pair(frame_src.L[B]).is_zero() or \
-                not f_theta.pair(frame_src.Lbar[B]).is_zero():
+        on_L, L_z = push(frame_src.L[B])
+        on_Lbar, Lbar_z = push(frame_src.Lbar[B])
+        if not on_L.is_zero() or not on_Lbar.is_zero():
             raise MappingError(
                 "pulled-back characteristic form is not proportional to "
                 "the source one; the map is not CR")
-        for A in range(n):
-            if not f_thetaA[A].pair(frame_src.Lbar[B]).is_zero():
-                raise MappingError(
-                    "pulled-back holomorphic coframe has an antiholomorphic "
-                    "component; the map is not CR")
-
-    xi = f_theta.pair(frame_src.T)
-    eta = tuple(f_thetaA[A].pair(frame_src.T) for A in range(n))
-    gamma = tuple(tuple(f_thetaA[A].pair(frame_src.L[B]) for B in range(n))
-                  for A in range(n))
+        if not all(d.is_zero() for d in Lbar_z):
+            raise MappingError(
+                "pulled-back holomorphic coframe has an antiholomorphic "
+                "component; the map is not CR")
+        gamma_t.append(L_z)
+    xi, eta = push(frame_src.T)
+    gamma = tuple(zip(*gamma_t))
 
     xi0 = xi.constant_term()
     if xi0.is_zero() or not xi0.is_real():
@@ -226,7 +222,7 @@ def pushforward_data(F: AmbientMap, frame_src: Frame,
                            "(CR Jacobian singular)")
     gbar = tuple(tuple(g.conjugate(pairing) for g in row) for row in gamma)
     return PushforwardData(xi=xi, eta=eta, gamma=gamma, gbar=gbar,
-                           imap=tuple(imap), source_frame=frame_src,
+                           imap=imap, source_frame=frame_src,
                            target_frame=frame_tgt)
 
 

@@ -1,6 +1,7 @@
 """Shared model builders: defining series for the hypersurfaces under test,
 maps between them, the reference eliminator, frames adapted to a
-filtration, and the tangency problem built and solved on its own:
+filtration, the pulled-back coframe route to a map's transport data,
+and the tangency problem built and solved on its own:
 restrictions composed candidate by candidate, the complex problem, and the
 fields of a solution."""
 
@@ -12,11 +13,13 @@ from fractions import Fraction
 
 from crjet.autdim import (AutError, FormalVectorField, _holo_exponents,
                           tangency_restrictions)
-from crjet.hypersurface import (Frame, GeometryError, ambient_var,
-                                from_defining, intrinsic_pairing)
-from crjet.linalg import SpanTracker
+from crjet.hypersurface import (Frame, GeometryError, OneForm,
+                                ambient_pairing, ambient_var, from_defining,
+                                intrinsic_pairing)
+from crjet.linalg import SpanTracker, rank
 from crjet.mappings import AmbientMap, MappingError
-from crjet.series import CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries
+from crjet.series import (CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries,
+                          dot)
 
 HALF = Fraction(1, 2)
 
@@ -137,7 +140,8 @@ def compose_maps(F, G):
     """The map F after G; the middle germs must be the same chart."""
     if F.source.rho != G.target.rho:
         raise MappingError("composition needs a matching middle germ")
-    subs = list(G.components) + list(G.conjugate_components())
+    pairing = ambient_pairing(G.N)
+    subs = list(G.components) + [c.conjugate(pairing) for c in G.components]
     comps = [c.compose(subs) for c in F.components]
     return AmbientMap(comps, G.source, F.target)
 
@@ -180,6 +184,60 @@ def sigma(M, c):
         - (CScalar(0, 1) * c * c.conj()) * w
     inv = d.invert_unit()
     return AmbientMap([(z + c * w) * inv, w * inv], M, M)
+
+
+def _pulled_back(form, imap) -> OneForm:
+    """The pullback of form through the intrinsic components imap, each
+    coefficient composed and contracted with the map's Jacobian."""
+    subs = list(imap)
+    nv = len(subs)
+    pulled = [(cu.compose(subs), imap[u])
+              for u, cu in enumerate(form.coeffs) if not cu.is_zero()]
+    return OneForm([dot([(pu, mu.derive(v)) for pu, mu in pulled],
+                        subs[0].order - 1, nv) for v in range(nv)])
+
+
+def pullback_transport(F, frame_src, frame_tgt):
+    """Oracle for pushforward_data: (xi, eta, gamma) read off the target
+    coframe pulled back through the map one form at a time, with the map
+    restricted in ambient form.  Refuses a map with the same messages."""
+    N, n, M = F.N, F.n, F.source
+    conj = [c.conjugate(ambient_pairing(N)) for c in F.components]
+    if not M.restrict(F.target.rho.compose(list(F.components) + conj)) \
+            .is_zero():
+        raise MappingError(
+            "map does not send the source germ into the target "
+            "(tangency residual is nonzero)")
+    comps = [M.restrict(c) for c in F.components]
+    pairing = intrinsic_pairing(n)
+    imap = comps[:n] + [c.conjugate(pairing) for c in comps[:n]] \
+        + [HALF * (comps[n] + comps[n].conjugate(pairing))]
+    f_theta = _pulled_back(frame_tgt.theta, imap)
+    f_thetaA = [_pulled_back(th, imap) for th in frame_tgt.thetaA]
+    for B in range(n):
+        if not f_theta.pair(frame_src.L[B]).is_zero() or \
+                not f_theta.pair(frame_src.Lbar[B]).is_zero():
+            raise MappingError(
+                "pulled-back characteristic form is not proportional to "
+                "the source one; the map is not CR")
+        for A in range(n):
+            if not f_thetaA[A].pair(frame_src.Lbar[B]).is_zero():
+                raise MappingError(
+                    "pulled-back holomorphic coframe has an antiholomorphic "
+                    "component; the map is not CR")
+    xi = f_theta.pair(frame_src.T)
+    eta = tuple(f_thetaA[A].pair(frame_src.T) for A in range(n))
+    gamma = tuple(tuple(f_thetaA[A].pair(frame_src.L[B]) for B in range(n))
+                  for A in range(n))
+    xi0 = xi.constant_term()
+    if xi0.is_zero() or not xi0.is_real():
+        raise MappingError("transverse factor must be real and nonzero at 0")
+    if xi.conjugate(pairing) != xi:
+        raise MappingError("transverse factor came out non-real")
+    if rank([[g.constant_term() for g in row] for row in gamma]) != n:
+        raise MappingError("map is not a diffeomorphism at 0 "
+                           "(CR Jacobian singular)")
+    return xi, eta, gamma
 
 
 # ----------------------------------------------------------------------

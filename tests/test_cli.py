@@ -886,6 +886,47 @@ class TestVerbs:
         assert code == 2
         assert "nothing to do" in errtext
 
+    def test_reconstruct_takes_no_order(self, docs, capsys):
+        # the jet system fixes its own orders, so --order is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", docs["line_sys"], docs["line_jet"],
+                  "--target-order", "2", "--order", "3"])
+        assert exc.value.code == 2
+        out, errtext = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --order 3" in errtext
+
+    @pytest.mark.parametrize("verb", ["analyze", "scan"])
+    def test_bad_grid_is_refused_before_the_germ(self, docs, capsys,
+                                                 monkeypatch, verb):
+        built = []
+        monkeypatch.setattr("crjet.cli.main.build_hypersurface",
+                            lambda *a: built.append(a))
+        code, out, errtext = run(capsys, [verb, docs["m3"], "--scan", "abc"])
+        assert (code, out, built) == (2, "", [])
+        assert errtext == ("error: --scan: expected comma-separated "
+                           "rationals, got 'abc'\n")
+
+    @pytest.mark.parametrize("N", [6, 7])
+    def test_default_bounds_on_large_quadrics(self, tmp_path, capsys, N):
+        # verify's leading and commutator suites read the filtration at
+        # lmax = N, so their default order is at least N + 1: 2*(kmax+2)
+        # = 6 alone fell short from C^6 on
+        p = tmp_path / f"quadric{N}.crj"
+        p.write_text("kind = hypersurface\n"
+                     f"N = {N}\n"
+                     "rho = Im(w) - " + " - ".join(
+                         f"z{j}*conj(z{j})" for j in range(1, N))
+                     + "\n", encoding="utf-8")
+        for argv in (["analyze"], ["scan", "--scan", "0"], ["verify"]):
+            code, out, errtext = run(capsys, [argv[0], str(p), *argv[1:]])
+            assert (code, errtext) == (0, ""), argv
+        assert f"order: {N + 1}" in out
+        code, out, errtext = run(capsys, ["verify", str(p), "--check",
+                                          "frame,recursion"])
+        assert (code, errtext) == (0, "")
+        assert "order: 6" in out
+
     def test_aut_quadric(self, docs, capsys):
         code, out, _ = run(capsys, ["aut", docs["heis"], "--degree", "2",
                                     "--weights", "1,2", "--order", "9"])
@@ -1581,7 +1622,11 @@ def exit_contract_cases(seed, per_verb):
                     for f in flags):
                 flags.append(EXIT_NEEDS[verb])
             if rng.random() < 0.4:
-                flags.append(f"--order={rng.choice(EXIT_ORDERS)}")
+                order = f"--order={rng.choice(EXIT_ORDERS)}"
+                # reconstruct has no --order (its refusal is pinned in
+                # TestVerbs); its cases still reach the verb
+                if verb != "reconstruct":
+                    flags.append(order)
             if rng.random() < 0.5:
                 flags.append("--json")
             yield verb, texts, flags

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from crjet.hypersurface import ambient_var, build_frame, from_defining
+from crjet.cli.main import main
+from crjet.hypersurface import Frame, ambient_var, build_frame, from_defining
 from crjet.mappings import (
     AmbientMap,
     MappingError,
@@ -23,15 +26,17 @@ from tests.conftest import (
     compose_maps,
     dilation,
     heis,
+    heisenberg_rho,
     identity_map,
     m2_rho,
     m3_rho,
+    pullback_transport,
     random_nondegenerate_model,
     rotation,
     sigma,
     tau,
 )
-from tests.test_words import OrderedWords
+from tests.test_words import OrderedWords, load_workloads
 
 
 def m3_auto(M):
@@ -51,6 +56,17 @@ def rotate_c3(M):
     W = M.order
     return AmbientMap([-ambient_var(3, 1, W), ambient_var(3, 0, W),
                        ambient_var(3, 2, W)], M, M)
+
+
+def shear(order):
+    """(z, w) -> (z + w, w) from the quadric onto its image germ, whose
+    eta is 1 at 0."""
+    z, w = ambient_var(2, 0, order), ambient_var(2, 1, order)
+    zb, wb = ambient_var(2, 2, order), ambient_var(2, 3, order)
+    M = heis(2, order)
+    image = from_defining(heisenberg_rho(2, order).compose(
+        [z - w, w, zb - wb, wb]), 2)
+    return AmbientMap([z + w, w], M, image)
 
 
 def data_for(F):
@@ -224,8 +240,8 @@ class TestPushforwardData:
 
     def test_block_relation_direct(self):
         # push the frame forward by differentiating the intrinsic components
-        # and compare against the block matrix; independent of the pullback
-        # route used internally
+        # and compare against the block matrix, read through the target
+        # fields; independent of the coframe pairing used internally
         P = data_for(sigma(heis(2), HALF))
         Fs, Ft = P.source_frame, P.target_frame
         n = P.n
@@ -249,6 +265,124 @@ class TestPushforwardData:
                     term = P.gamma[A][B] * through(Ft.L[A].coeffs[u])
                     rhs = term if rhs is None else rhs + term
                 assert lhs.agrees(rhs)
+
+
+def sphere_maps(seed, order):
+    """Seeded automorphisms of the C^2 quadric: a dilation, a rotation by
+    a rational unit, a translation, a drift map, and compositions."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 5),
+                        rng.randrange(1, 4))
+
+    M = heis(2, order)
+    a, b = rng.randrange(1, 4), rng.randrange(0, 4)
+    unit = CScalar(Fraction(a * a - b * b, a * a + b * b),
+                   Fraction(2 * a * b, a * a + b * b))
+    maps = [dilation(M, rational()), rotation(M, unit),
+            tau(M, CScalar(rational(), rational())),
+            sigma(M, CScalar(rational(), rational()))]
+    return maps + [compose_maps(maps[i], maps[j])
+                   for i, j in ((0, 1), (1, 3), (3, 0), (2, 3))]
+
+
+class TestAgainstPullbackOracle:
+    """pushforward_data against the pulled-back coframe route, read one
+    target form at a time (``tests.conftest.pullback_transport``)."""
+
+    @staticmethod
+    def assert_same(F, frame_src=None, frame_tgt=None):
+        Fs = build_frame(F.source) if frame_src is None else frame_src
+        Ft = build_frame(F.target) if frame_tgt is None else frame_tgt
+        try:
+            want = pullback_transport(F, Fs, Ft)
+        except MappingError as exc:
+            with pytest.raises(MappingError) as got:
+                pushforward_data(F, Fs, Ft)
+            assert str(got.value) == str(exc)
+            return str(exc)
+        P = pushforward_data(F, Fs, Ft)
+        # TruncatedSeries equality compares the orders too
+        assert (P.xi, P.eta, P.gamma) == want
+        return None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sphere_maps(self, seed):
+        for F in sphere_maps(seed, 6):
+            assert self.assert_same(F) is None
+
+    def test_two_variable_and_shear_maps(self):
+        for F in (m3_auto(from_defining(m3_rho(6), 3)), swap_c3(heis(3, 6)),
+                  rotate_c3(heis(3, 6)), shear(6)):
+            assert self.assert_same(F) is None
+        # the shear's eta does not vanish, so its eta is compared too
+        assert data_for(shear(6)).eta[0].constant_term() == CScalar(1)
+
+    @pytest.mark.parametrize("seed, N", [(0, 2), (1, 3)])
+    def test_dilation_pairs(self, seed, N):
+        assert self.assert_same(dilation_pair(seed, N, 5)) is None
+
+    def test_refusals_match(self):
+        M = heis(2, 6)
+        z, w = ambient_var(2, 0, 6), ambient_var(2, 1, 6)
+        zero = TruncatedSeries.zero(4, 6)
+        Fs = build_frame(M)
+        F = identity_map(M)
+        # fields the pulled-back theta-hat does not kill, and fields it
+        # kills that do not kill z'
+        not_cr = Frame(1, Fs.T, Fs.L, [Fs.T], Fs.theta, Fs.thetaA,
+                       Fs.thetaAbar)
+        antiholo = Frame(1, Fs.T, Fs.L, Fs.L, Fs.theta, Fs.thetaA,
+                         Fs.thetaAbar)
+        quartic = from_defining(m2_rho(6), 2)
+        squaring = AmbientMap([z * z, w], quartic, M)
+        messages = [
+            self.assert_same(AmbientMap([z, w + z * z], M, M)),
+            self.assert_same(F, frame_src=not_cr),
+            self.assert_same(F, frame_src=antiholo),
+            self.assert_same(AmbientMap([zero, zero], M, M)),
+            self.assert_same(squaring),
+        ]
+        assert messages == [
+            "map does not send the source germ into the target "
+            "(tangency residual is nonzero)",
+            "pulled-back characteristic form is not proportional to the "
+            "source one; the map is not CR",
+            "pulled-back holomorphic coframe has an antiholomorphic "
+            "component; the map is not CR",
+            "transverse factor must be real and nonzero at 0",
+            "map is not a diffeomorphism at 0 (CR Jacobian singular)",
+        ]
+
+
+def test_on_graph_is_built_once():
+    F = sigma(heis(2, 6), HALF)
+    g = F.on_graph()
+    assert F.on_graph() is g
+    assert restrict(F)[0] is g[0] and restrict(F)[1] is g[2]
+
+
+def test_compositions_per_transport_pass(monkeypatch, tmp_path):
+    # one pass of the seed-7 transport reflect calls: each map is
+    # restricted to the source graph once, and the residual, the chart and
+    # the transport data all read that restriction, where composing rho'
+    # in ambient form and pulling back each target form cost 183
+    calls = [c for c in load_workloads().build("transport", 7, tmp_path)
+             if c.verb == "reflect"]
+    assert calls
+    count = [0]
+    compose = TruncatedSeries.compose
+
+    def counting(self, subs):
+        count[0] += 1
+        return compose(self, subs)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting)
+    for call in calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(call.argv)) == 0, call.argv
+    assert count[0] <= 171
 
 
 class TestReflectionBase:
