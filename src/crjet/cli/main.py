@@ -90,6 +90,17 @@ MAX_REFLECT_WORDS = 1_024
 # line system d11_f1 = 0 at T = 500 (249500 of them) takes about 0.5 s as
 # a fresh process on a 2-core machine, and at T = 2000 about 5 s
 MAX_TAYLOR_TERMS = 250_000
+# most coefficient products the expansions of a rhs of degree 2 or more may
+# form up to --target-order T.  At degree d a rhs entry of written degree
+# D multiplies at least D - 1 pairs of series in q variables without
+# constant term at order t = d - k - 1, each forming every pair of their
+# terms of total degree at most t.  Summed over the degrees, an entry
+# counts (D - 1) * (C(2q + T - k, 2q + 1) - 2 C(q + T - k, q + 1) + T - k).
+# The quadratic line system d11_f1 = f1_1*f1_1 + x1*f1 counts 273819 products
+# at T = 120 (about 0.6 s as a fresh process on a 2-core machine) and
+# 497640 at T = 146, the most it may take (about 1 s); at T = 300 it would
+# count 4410549 and take about 20 s
+MAX_TAYLOR_PRODUCTS = 500_000
 
 
 def _resolve_order(args, default, rule, *docs):
@@ -434,17 +445,29 @@ def _parse_grid(specs, q):
 
 def _check_taylor_terms(doc, target_order):
     """Refuse a --target-order whose expansions would read more than
-    MAX_TAYLOR_TERMS jet coefficients, counted from the system document."""
+    MAX_TAYLOR_TERMS jet coefficients or, for a rhs of degree 2 or more,
+    form more than MAX_TAYLOR_PRODUCTS coefficient products, both counted
+    from the system document."""
     q, m, k = doc.scalar("axes"), doc.scalar("components"), \
         doc.scalar("jet_order")
-    count = m * math.comb(q + k, q) \
-        * math.comb(q + max(target_order - k, 0), q + 1)
+    n = max(target_order - k, 0)
+    count = m * math.comb(q + k, q) * math.comb(q + n, q + 1)
     if count > MAX_TAYLOR_TERMS:
         raise ParseError("--target-order", None, 0,
                          f"--target-order {target_order} expands more than "
                          f"MAX_TAYLOR_TERMS = {MAX_TAYLOR_TERMS} jet "
                          f"coefficients of a system with axes = {q}, "
                          f"components = {m} and jet_order = {k}")
+    degrees = [degree_bound(node) for _, node in doc.expressions]
+    products = sum(max(d - 1, 0) for d in degrees) * (
+        math.comb(2 * q + n, 2 * q + 1) - 2 * math.comb(q + n, q + 1) + n)
+    if products > MAX_TAYLOR_PRODUCTS:
+        raise ParseError("--target-order", None, 0,
+                         f"--target-order {target_order} forms more than "
+                         f"MAX_TAYLOR_PRODUCTS = {MAX_TAYLOR_PRODUCTS} "
+                         "coefficient products in the expansions of a "
+                         f"system with axes = {q}, components = {m}, "
+                         f"jet_order = {k} and rhs degree {max(degrees)}")
 
 
 def _run_reconstruct(args):

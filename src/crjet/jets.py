@@ -19,13 +19,22 @@ jet value, a float included, as the Fraction it equals.  Before marching
 integrate compiles, per axis, one straight-line RK4 stepper from
 generated source: the state lives in locals, the other axes' coordinates
 are bound once per call, the substep loop runs inside, and each
-right-hand side is one literal sum of monomials.  The generated source holds only generated names and
-the repr of finite floats; values beyond the float range are refused
-first.  Grid values are printed in shortest round-trip form, so the
-stepper keeps the exact operation order of term-by-term evaluation (the
-rule in the integrate docstring): no shared monomials, reassociation or
-Horner's rule, each of which would change the bits.  The term-by-term
-evaluator is the differential oracle in tests/test_jets.py.
+right-hand side is one literal sum of monomials.  The generated source
+holds only generated names and the repr of finite floats; values beyond
+the float range are refused first.  Grid values are printed in shortest
+round-trip form, so the stepper keeps the exact operation order of
+term-by-term evaluation (the rule in the integrate docstring): no shared
+monomials, reassociation or Horner's rule, each of which would change
+the bits.  It leaves out only what cannot change them: a unit
+coefficient, and the position sums when no row reads the position.  The
+term-by-term evaluator is the differential oracle in tests/test_jets.py.
+
+The stepper tests the state for finiteness once per run, after its
+substep loop: under the loop's + and * a non-finite entry stays
+non-finite, so a run ends non-finite exactly when one of its substeps
+did.  Such a run is replayed from its start state by a variant that
+tests after every substep, generated from the same source and compiled
+only then, which names the first substep that failed.
 """
 
 from __future__ import annotations
@@ -191,7 +200,8 @@ class ReconstructionResult:
 
 
 # Most fourth-order substeps one integrate call may take; the walk is
-# counted before marching and refused above this.
+# counted before marching and refused above this.  A walk that ends
+# non-finite runs its failing run once more, to locate the failure.
 MAX_RK4_SUBSTEPS = 10_000_000
 # Most operands in one generated statement: CPython's compiler recurses
 # along an operator chain and gives up near a thousand.
@@ -252,38 +262,41 @@ def _fold(target, head, operands, op) -> list:
 
 def _rhs_lines(target, terms, names) -> list:
     """Statements leaving one rhs polynomial, read at the given variable
-    names, in target: 0.0 + ((c*v_a)*v_b)... + ..., in terms() order."""
+    names, in target: 0.0 + ((c*v_a)*v_b)... + ..., in terms() order.  A
+    coefficient of exactly 1.0 in front of a factor is left out, since
+    1.0*x is x bit for bit."""
     lines, operands = [], []
     for c, idx in terms:
         factors = [names[v] for v in idx]
-        if len(factors) < _CHAIN:
-            operands.append("*".join([f"({c!r})"] + factors))
+        if not factors or c != 1.0:
+            factors.insert(0, f"({c!r})")
+        if len(factors) <= _CHAIN:
+            operands.append("*".join(factors))
         else:
             temp = f"p{len(operands)}"
-            lines += _fold(temp, f"({c!r})", factors, "*")
+            lines += _fold(temp, factors[0], factors[1:], "*")
             operands.append(temp)
     return lines + _fold(target, "0.0", operands, " + ")
 
 
-def _compile_stepper(rows, q, a, fail):
-    """Straight-line RK4 for axis a of a system's jet entries.
+def _stepper_source(rows, q, a, checked) -> str:
+    """Source of the RK4 stepper for axis a (see _compile_stepper).
 
-    rows[j] lists the (float coefficient, variable indices) terms of the
-    derivative of jet entry j along axis a.  The stepper(state, coords,
-    t0, h, nsub) takes nsub substeps of size h from x_{a+1} = t0, the
-    other positions frozen at coords, and returns the new state; it calls
-    fail(x) at the first substep ending in a non-finite state.  Every
-    float operation happens in the order of the rule in integrate, so
-    the results are bit-identical to evaluating it term by term.
+    The checked variant tests the state after every substep and calls
+    _fail at the first non-finite one; the other tests it once, after the
+    loop, and hands a non-finite run to _replay.  Positions are computed
+    only when a row reads the axis's own position, or for _fail.
     """
     m = len(rows)
     u = [f"u{j}" for j in range(m)]
     w = [f"w{j}" for j in range(m)]
     xs = [f"x{b}" for b in range(q)]
+    timed = checked or any(m + a in idx for row in rows for _, idx in row)
     body = [f"{', '.join(u)}, = state", f"{', '.join(xs)}, = coords",
             "hh = 0.5 * h", "h6 = h / 6.0",
-            "for s_i in range(nsub):",
-            "    t = t0 + s_i * h", "    th = t + hh", "    tf = t + h"]
+            "for s_i in range(nsub):"]
+    if timed:
+        body += ["    t = t0 + s_i * h", "    th = t + hh", "    tf = t + h"]
     stages = ((u, "t", None), (w, "th", "hh"), (w, "th", "hh"),
               (w, "tf", "h"))
     for s, (args, pos, scale) in enumerate(stages, 1):
@@ -297,14 +310,45 @@ def _compile_stepper(rows, q, a, fail):
                      for line in _rhs_lines(f"k{s}_{j}", row, names)]
     body += [f"    u{j} = u{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j}"
              f" + k4_{j})" for j in range(m)]
-    body += ["    if not (" + " and ".join(f"_isfinite({x})" for x in u)
-             + "):", "        _fail(tf)", f"return [{', '.join(u)}]"]
-    source = "def stepper(state, coords, t0, h, nsub):\n" + "".join(
+    finite = " and ".join(f"_isfinite({x})" for x in u)
+    if checked:
+        body += [f"    if not ({finite}):", "        _fail(tf)"]
+    else:
+        body += [f"if not ({finite}):",
+                 "    return _replay(state, coords, t0, h, nsub)"]
+    body.append(f"return [{', '.join(u)}]")
+    return "def stepper(state, coords, t0, h, nsub):\n" + "".join(
         f"    {line}\n" for line in body)
-    namespace = {"__builtins__": {}, "range": range,
-                 "_isfinite": math.isfinite, "_fail": fail}
-    exec(compile(source, f"<rk4 axis {a + 1}>", "exec"), namespace)
-    return namespace["stepper"]
+
+
+def _compile_stepper(rows, q, a, fail):
+    """Straight-line RK4 for axis a of a system's jet entries.
+
+    rows[j] lists the (float coefficient, variable indices) terms of the
+    derivative of jet entry j along axis a.  The stepper(state, coords,
+    t0, h, nsub) takes nsub substeps of size h from x_{a+1} = t0, the
+    other positions frozen at coords, and returns the new state.  Every
+    float operation happens in the order of the rule in integrate, so
+    the results are bit-identical to evaluating it term by term.
+
+    The state is tested for finiteness once, after the substep loop: under
+    + and * a non-finite entry stays non-finite, so a run ends non-finite
+    exactly when one of its substeps did.  Such a run is replayed from its
+    start state by a checked variant, compiled then from the same
+    generator, which calls fail(x) at the first substep ending in a
+    non-finite state; a failing walk thus costs one extra run.
+    """
+    def build(checked, **names):
+        namespace = {"__builtins__": {}, "range": range,
+                     "_isfinite": math.isfinite, **names}
+        exec(compile(_stepper_source(rows, q, a, checked),
+                     f"<rk4 axis {a + 1}>", "exec"), namespace)
+        return namespace["stepper"]
+
+    def replay(state, coords, t0, h, nsub):
+        return build(True, _fail=fail)(state, coords, t0, h, nsub)
+
+    return build(False, _replay=replay)
 
 
 def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
@@ -314,14 +358,17 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     Marching is sequential: the first axis in axis_order is integrated
     from 0 through its grid values, every reached node seeds the next
     axis, and so on; deeper axes sit at 0 while an earlier one runs.  The
-    run between neighboring grid values is split into uniform substeps of
-    at most the requested size and advanced with the classical
-    fourth-order one-step rule, so a fixed step gives identical output on
-    every run.  Negative grid values are reached by marching backward
-    from 0.  A non-finite state aborts with the offending location; a
-    walk of more than MAX_RK4_SUBSTEPS substeps, a step that is not
-    finite, and a coefficient, jet value or grid value beyond the float
-    range, are refused before marching.
+    run between neighboring grid values is split into uniform substeps,
+    as many as the run's length over the requested step rounded to the
+    nearest integer and at least one, so a substep may be almost 1.5
+    times the step; each is advanced with the classical fourth-order
+    one-step rule, so a fixed step gives identical output on every run.
+    Negative grid values are reached by marching backward from 0.  A
+    non-finite state aborts with the offending location, found by
+    replaying the run that ended non-finite, so a failing walk takes one
+    run more than it marched; a walk of more than MAX_RK4_SUBSTEPS
+    substeps, a step that is not finite, and a coefficient, jet value or
+    grid value beyond the float range, are refused before marching.
 
     The rule, in float arithmetic: each rhs is 0.0 + t_1 + t_2 + ... over
     its monomials in terms() order, each monomial ((c*v_a)*v_b)... in
@@ -331,7 +378,8 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     u + h/6.0*(k1 + 2.0*k2 + 2.0*k3 + k4).  Before marching, each axis
     gets one compiled straight-line stepper (_compile_stepper) that
     performs exactly these operations in this order, so its output is
-    bit-identical to evaluating the rule term by term.
+    bit-identical to evaluating the rule term by term, and tests the
+    state for finiteness once per run.
     """
     if lambda0.q != S.q or lambda0.m != S.m or lambda0.k != S.k:
         raise JetError("initial jet does not match the system signature")

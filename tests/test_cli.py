@@ -16,7 +16,7 @@ from crjet.cli.documents import (FUNCTIONS, MAX_EXPONENT, ParseError,
                                  _spine, build_hypersurface, build_jet,
                                  build_map, build_system, degree_bound,
                                  exponent_product, parse_document)
-from crjet.cli.main import MAX_TAYLOR_TERMS, main
+from crjet.cli.main import MAX_TAYLOR_PRODUCTS, MAX_TAYLOR_TERMS, main
 from crjet.cli.report import emit
 from crjet.hypersurface import Frame, from_defining
 from crjet.invariants import Unbounded
@@ -121,6 +121,30 @@ jet_order = 1
 f1 = 1
 f1_1 = 2
 f1_2 = -1/2
+"""
+
+SYSTEM_QUADRATIC_LINE = """\
+kind = system
+axes = 1
+components = 1
+jet_order = 1
+d11_f1 = f1_1*f1_1 + x1*f1
+"""
+
+SYSTEM_EXP = """\
+kind = system
+axes = 1
+components = 1
+jet_order = 0
+d1_f1 = f1
+"""
+
+JET_EXP = """\
+kind = jet
+axes = 1
+components = 1
+jet_order = 0
+f1 = 1
 """
 
 
@@ -512,7 +536,9 @@ def docs(tmp_path, monkeypatch):
                        ("shear", SHEAR), ("identity", IDENTITY),
                        ("line_sys", SYSTEM_LINE), ("line_jet", JET_LINE),
                        ("plane_sys", SYSTEM_PLANE),
-                       ("plane_jet", JET_PLANE)]:
+                       ("plane_jet", JET_PLANE),
+                       ("quad_sys", SYSTEM_QUADRATIC_LINE),
+                       ("exp_sys", SYSTEM_EXP), ("exp_jet", JET_EXP)]:
         p = tmp_path / f"{name}.crj"
         p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
@@ -839,6 +865,41 @@ class TestVerbs:
                 f"more than MAX_TAYLOR_TERMS = {MAX_TAYLOR_TERMS} jet "
                 "coefficients of a system with axes = 1, components = 1 "
                 "and jet_order = 1\n")
+
+    @pytest.mark.parametrize("order, code", [(120, 0), (147, 2), (300, 2)])
+    def test_target_order_product_budget(self, docs, capsys, order, code):
+        # the quadratic rhs forms C(T+1, 3) - 2 * C(T, 2) + T - 1 products
+        # up to T: 273819 at T = 120, 497640 at T = 146 and 508080 at 147;
+        # its 2 * C(T, 2) jet coefficients stay inside MAX_TAYLOR_TERMS
+        start = time.perf_counter()
+        got, out, errtext = run(capsys, ["reconstruct", docs["quad_sys"],
+                                         docs["line_jet"], "--target-order",
+                                         str(order)])
+        assert time.perf_counter() - start < 5.0
+        assert got == code
+        if code == 0:
+            assert errtext == ""
+            assert f"  f1_{'1' * order}: " in out
+        else:
+            assert out == ""
+            assert errtext == (
+                f"error: --target-order: --target-order {order} forms more "
+                f"than MAX_TAYLOR_PRODUCTS = {MAX_TAYLOR_PRODUCTS} "
+                "coefficient products in the expansions of a system with "
+                "axes = 1, components = 1, jet_order = 1 and rhs degree 2\n")
+
+    def test_substep_count_is_rounded(self, docs, capsys):
+        # 1 / 0.7 rounds to one substep of size 1, longer than the step:
+        # f' = f from 1 gives the one-step value 1 + 1 + 1/2 + 1/6 + 1/24
+        code, out, errtext = run(capsys, ["reconstruct", docs["exp_sys"],
+                                          docs["exp_jet"], "--grid", "0:1:2",
+                                          "--step", "0.7"])
+        assert (code, errtext) == (0, "")
+        assert out == ("grid:\n  axis_order: [1]\n  points:\n"
+                       "    (0.0): [1.0]\n    (1.0): [2.708333333333333]\n"
+                       "  step: 0.7\npass: true\nschema_version: 1\n"
+                       "system:\n  axes: 1\n  components: 1\n"
+                       "  jet_order: 0\nverb: reconstruct\n")
 
     @pytest.mark.parametrize("argv", [
         ["scan", "heis", "--scan", "1e5000"],

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from crjet import jets
 from crjet.jets import (
     MAX_RK4_SUBSTEPS,
     CompleteSystem,
     JetError,
     JetVector,
     _beta_factorial,
+    _stepper_source,
     integrate,
     jet_exponents,
     multi_indices,
@@ -474,6 +476,110 @@ class TestCompiledStepper:
         # one run past the budget
         with pytest.raises(JetError, match="MAX_RK4_SUBSTEPS"):
             integrate(S, j0, ((2.0,),), 1.0 / MAX_RK4_SUBSTEPS)
+
+
+def square_system(q, axis, sign=1):
+    """d_axis f = sign * f^2 and the other axes' derivatives zero, from
+    f(0) = 1: along the axis f = 1/(1 - sign*x) leaves every bound at
+    x = sign."""
+    jet, _ = chart(q, 1, 0, 4)
+    u = jet[(0, (0,) * q)]
+    rhs = {}
+    for b in range(q):
+        e = tuple(1 if v == b else 0 for v in range(q))
+        rhs[(0, e)] = sign * u * u if b == axis else TruncatedSeries.zero(
+            q + 1, 4)
+    return CompleteSystem(q, 1, 0, rhs), JetVector(q, 1, 0,
+                                                   {(0, (0,) * q): 1.0})
+
+
+class TestStepperPaths:
+    """integrate against the oracle on cases that force each path of the
+    generated stepper: rows with and without the axis's own position,
+    unit coefficients, signed zeros, and blow-ups that the once-per-run
+    finiteness check hands to the checked replay."""
+
+    def test_autonomous_and_position_reading_rows(self):
+        jet, xs = chart(2, 2, 0, 3)
+        u, v = jet[(0, (0, 0))], jet[(1, (0, 0))]
+        # axis 1 reads x2 only, axis 2 reads its own position x2
+        S = CompleteSystem(2, 2, 0, {
+            (0, (1, 0)): v + Fraction(1, 3) * xs[1] * u,
+            (1, (1, 0)): -u,
+            (0, (0, 1)): xs[1] * v - u,
+            (1, (0, 1)): u + xs[1] * xs[1]})
+        j0 = JetVector(2, 2, 0, {(0, (0, 0)): 0.5, (1, (0, 0)): -0.25})
+        grid = ((-0.5, 0.25, 1.0), (-1.0, 0.0, 0.75))
+        for order in ((0, 1), (1, 0)):
+            want = outcome(reference_integrate, S, j0, grid, 0.1,
+                           axis_order=order)
+            assert want[0] != "error"
+            assert outcome(integrate, S, j0, grid, 0.1,
+                           axis_order=order) == want
+        rows = [[(1.0, (1,)), (1 / 3, (0, 3))], [(-1.0, (0,))]]
+        assert "tf" not in _stepper_source(rows, 2, 0, False)
+        assert "tf = t + h" in _stepper_source(rows, 2, 1, False)
+        assert "tf = t + h" in _stepper_source(rows, 2, 0, True)
+
+    def test_unit_coefficients_and_signed_zeros(self):
+        # coefficients 1.0 and -1.0 on products and constants, read at
+        # signed zeros: 0.0 + ... turns -0.0 into +0.0, u*v keeps the sign
+        jet, xs = chart(1, 2, 1, 3)
+        f, g = jet[(0, (0,))], jet[(1, (0,))]
+        fx, gx = jet[(0, (1,))], jet[(1, (1,))]
+        one = TruncatedSeries.constant(f.nvars, 1, 3)
+        S = CompleteSystem(1, 2, 1, {
+            (0, (2,)): f * g - fx + one,
+            (1, (2,)): -(f * gx) - one + xs[0] * g})
+        for value in (-0.0, 0.0, 1.0):
+            j0 = JetVector(1, 2, 1, {(0, (0,)): value, (1, (0,)): -0.0,
+                                     (0, (1,)): -0.0, (1, (1,)): value})
+            grid = ((-0.5, 0.0, 0.5),)
+            want = outcome(reference_integrate, S, j0, grid, 0.25)
+            assert want[0] != "error"
+            assert outcome(integrate, S, j0, grid, 0.25) == want
+        rows = [[(1.0, ()), (1.0, (0, 1)), (-1.0, (1,))], [(1.0, (0,))]]
+        source = _stepper_source(rows, 1, 0, False)
+        assert "k1_0 = 0.0 + (1.0) + u0*u1 + (-1.0)*u1\n" in source
+        assert "k1_1 = 0.0 + u0\n" in source
+        assert "(1.0)*" not in source
+
+    @pytest.mark.parametrize("q, axis, sign, grid, order", [
+        # a later run of a multi-node forward branch
+        (1, 0, 1, ((0.25, 0.5, 0.75, 1.5),), None),
+        # the backward branch, after a finite forward one
+        (1, 0, -1, ((-1.5, -0.5, 0.5, 1.0),), None),
+        # the deeper axis, under the first node of the outer one
+        (2, 1, 1, ((-0.5, 0.5), (0.5, 1.25)), None),
+        (2, 0, 1, ((0.5, 1.25), (-0.5, 0.5)), (1, 0)),
+    ], ids=["forward-later-run", "backward-branch", "deeper-axis",
+            "deeper-first-axis"])
+    def test_blowup_replays_to_the_same_message(self, q, axis, sign, grid,
+                                                order):
+        S, j0 = square_system(q, axis, sign)
+        want = outcome(reference_integrate, S, j0, grid, 1e-3,
+                       axis_order=order)
+        assert want[0] == "error"
+        assert outcome(integrate, S, j0, grid, 1e-3,
+                       axis_order=order) == want
+
+    def test_finiteness_checked_once_per_run(self, monkeypatch):
+        calls, isfinite = [], math.isfinite
+
+        def counting_isfinite(x):
+            calls.append(x)
+            return isfinite(x)
+
+        monkeypatch.setattr(jets.math, "isfinite", counting_isfinite)
+        jet = JetVector(1, 1, 1, {(0, (0,)): 2, (0, (1,)): -3})
+        grid = ((-0.5, 0.25, 1.0),)
+        # three runs of 25, 75 and 50 substeps over two state entries
+        got = outcome(integrate, line_system(), jet, grid, 1e-2)
+        monkeypatch.undo()
+        assert got == outcome(reference_integrate, line_system(), jet, grid,
+                              1e-2)
+        # integrate's own test of the step, then at most m per run
+        assert len(calls) <= 1 + 2 * 3
 
 
 class TestTaylorPropagate:
