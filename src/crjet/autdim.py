@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, lcm
 
+from .errors import AutError
 from .hypersurface import DenseCoefficients, Hypersurface, intrinsic_pairing
 from .linalg import nullspace, rank
 from .series import (CS_ONE, OrderExhausted, TruncatedSeries, derivation,
@@ -45,10 +46,6 @@ from .series import (CS_ONE, OrderExhausted, TruncatedSeries, derivation,
 # 116 MB; the C^4 quadric at --degree 9 --order 14 (32064 terms) 4 s, and
 # the C^5 quadric at --degree 3 and the default order 12 (1100 terms) 0.4 s
 MAX_TANGENCY_TERMS = 50_000
-
-
-class AutError(ValueError):
-    """Raised on a malformed or vacuously truncated tangency problem."""
 
 
 def aut_bound(N: int) -> int:

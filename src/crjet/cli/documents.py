@@ -18,10 +18,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..hypersurface import Hypersurface, ambient_pairing, ambient_var, \
-    from_defining
-from ..jets import CompleteSystem, JetVector, multi_indices, unknown_layout
-from ..mappings import AmbientMap
 from ..series import CScalar, TruncatedSeries
 
 KINDS = ("hypersurface", "jet", "map", "system")
@@ -375,6 +371,8 @@ def _rhs_name(j, alpha) -> str:
 
 def _chart_names(q, m, k):
     """Identifier -> chart index, jet unknowns first, then positions."""
+    from ..jets import unknown_layout
+
     names = {}
     for idx, (i, beta) in enumerate(unknown_layout(q, m, k)):
         names[jet_coordinate_name(i, beta)] = idx
@@ -438,6 +436,8 @@ def parse_document(text, source="<string>") -> InputDocument:
         else:
             needed = {f"f{j + 1}" for j in range(N)}
     else:
+        from ..jets import multi_indices, unknown_layout
+
         q = scalars["axes"][0]
         m = scalars["components"][0]
         k = scalars["jet_order"][0]
@@ -508,8 +508,14 @@ def _canonical_key(key, kind, scalars, source, lineno, col):
 
 
 def load_document(path) -> InputDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), None, 0,
+                         f"byte 0x{data[exc.start]:02x} at offset "
+                         f"{exc.start} is not valid UTF-8") from None
     return parse_document(text, source=str(path))
 
 
@@ -518,12 +524,16 @@ def load_document(path) -> InputDocument:
 
 
 def _ambient_env(N, order):
+    from ..hypersurface import ambient_var
+
     env = {f"z{j + 1}": ambient_var(N, j, order) for j in range(N - 1)}
     env["w"] = ambient_var(N, N - 1, order)
     return env
 
 
-def build_hypersurface(doc: InputDocument, order: int) -> Hypersurface:
+def build_hypersurface(doc: InputDocument, order: int):
+    from ..hypersurface import ambient_pairing, from_defining
+
     N = doc.scalar("N")
     pairing = ambient_pairing(N)
     rho = eval_expr(doc.expression("rho"), _ambient_env(N, order), 2 * N,
@@ -534,8 +544,9 @@ def build_hypersurface(doc: InputDocument, order: int) -> Hypersurface:
     return from_defining(rho, N)
 
 
-def build_map(doc: InputDocument, source_M: Hypersurface,
-              target_M: Hypersurface) -> AmbientMap:
+def build_map(doc: InputDocument, source_M, target_M):
+    from ..mappings import AmbientMap
+
     N = doc.scalar("N")
     if N != source_M.N or N != target_M.N:
         raise ParseError(doc.source, None, 0,
@@ -547,7 +558,9 @@ def build_map(doc: InputDocument, source_M: Hypersurface,
     return AmbientMap(comps, source_M, target_M)
 
 
-def build_system(doc: InputDocument) -> CompleteSystem:
+def build_system(doc: InputDocument):
+    from ..jets import CompleteSystem, multi_indices
+
     q = doc.scalar("axes")
     m = doc.scalar("components")
     k = doc.scalar("jet_order")
@@ -563,7 +576,9 @@ def build_system(doc: InputDocument) -> CompleteSystem:
     return CompleteSystem(q, m, k, rhs)
 
 
-def build_jet(doc: InputDocument) -> JetVector:
+def build_jet(doc: InputDocument):
+    from ..jets import JetVector, unknown_layout
+
     q = doc.scalar("axes")
     m = doc.scalar("components")
     k = doc.scalar("jet_order")

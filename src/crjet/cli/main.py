@@ -14,6 +14,12 @@ to the order, keep 2*(kmax+2), with kmax = N - 1 for aut, and verify
 takes at least N+1 when its filtration runs to lmax = N.  An error that
 runs out of truncation order, and any refusal of aut's tangency problem,
 names which of these set it.
+
+Each verb imports only the library modules it runs, inside its runner:
+at module level this driver, the document reader and the report writer
+load the standard library, ``crjet.series`` and ``crjet.errors`` alone,
+so a fresh process pays for compiling no layer it does not call
+(``reconstruct`` loads ``crjet.jets`` and nothing else of the library).
 """
 
 from __future__ import annotations
@@ -27,19 +33,7 @@ import re
 import sys
 from fractions import Fraction
 
-from ..autdim import (AutError, aut_bound, infinitesimal_aut_dim,
-                      tangency_unknowns)
-from ..hypersurface import GeometryError, build_frame
-from ..invariants import (CheckReport, extrinsic_k0, intrinsic_filtration,
-                          nondegeneracy_scan, verify_bracket_pairing,
-                          verify_derivative_recursion,
-                          verify_frame_structure,
-                          verify_leading_order_reduction)
-from ..jets import JetError, integrate, taylor_propagate
-from ..mappings import (MappingError, Pullback, pushforward_data,
-                        solve_levi_reflection, verify_reflection_base,
-                        verify_transport_recursion)
-from ..operators import CertificateMemo, operator_certificates
+from ..errors import AutError, GeometryError, JetError, MappingError
 from ..series import OrderExhausted, SeriesError
 from .documents import (ParseError, build_hypersurface, build_jet,
                         build_map, build_system, degree_bound,
@@ -165,13 +159,16 @@ def _kmax_bound(args, kmax, from_n=False):
     return f"the default --kmax {kmax}" + (" = N - 1" if from_n else "")
 
 
-def _check_tree(rep: CheckReport) -> dict:
+def _check_tree(rep) -> dict:
     return {"name": rep.name, "ok": rep.ok, "checked": rep.checked,
             "vacuous": rep.vacuous, "note": rep.note,
             "violations": len(rep.violations)}
 
 
-def _operator_check(memo, m, degree) -> CheckReport:
+def _operator_check(memo, m, degree):
+    from ..invariants import CheckReport
+    from ..operators import operator_certificates
+
     name = f"operator-certificates-m{m}"
     try:
         certs = operator_certificates(memo, m, verify_degree=degree)
@@ -256,6 +253,10 @@ def _scan_germ(args, doc, kmax):
 
 
 def _run_analyze(args):
+    from ..hypersurface import build_frame
+    from ..invariants import (extrinsic_k0, intrinsic_filtration,
+                              nondegeneracy_scan)
+
     doc = _load(args.file, "hypersurface", "analyze")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n
@@ -298,6 +299,13 @@ def _run_analyze(args):
 
 
 def _run_verify(args):
+    from ..hypersurface import build_frame
+    from ..invariants import (intrinsic_filtration, verify_bracket_pairing,
+                              verify_derivative_recursion,
+                              verify_frame_structure,
+                              verify_leading_order_reduction)
+    from ..operators import CertificateMemo
+
     doc = _load(args.file, "hypersurface", "verify")
     n = doc.scalar("N") - 1
     tokens = [t.strip() for t in args.check.split(",") if t.strip()]
@@ -357,6 +365,12 @@ def _run_verify(args):
 
 
 def _run_reflect(args):
+    from ..hypersurface import build_frame
+    from ..invariants import CheckReport
+    from ..mappings import (Pullback, pushforward_data, solve_levi_reflection,
+                            verify_reflection_base,
+                            verify_transport_recursion)
+
     src_doc = _load(args.source, "hypersurface", "reflect")
     tgt_doc = _load(args.target, "hypersurface", "reflect")
     map_doc = _load(args.map, "map", "reflect")
@@ -471,6 +485,8 @@ def _check_taylor_terms(doc, target_order):
 
 
 def _run_reconstruct(args):
+    from ..jets import integrate, taylor_propagate
+
     system_doc = _load(args.system, "system", "reconstruct")
     jet_doc = _load(args.jet, "jet", "reconstruct")
     if args.target_order is not None:
@@ -515,9 +531,18 @@ def _check_rho_digits(doc, M):
     """Refuse a model whose normalized rho holds an integer of more than
     MAX_RHO_DIGITS decimal digits."""
     den, items = M.rho.numerators()
-    limit = 10 ** MAX_RHO_DIGITS
-    if den >= limit or any(abs(re) >= limit or abs(im) >= limit
-                           for _, (re, im) in items):
+    # 10 ** MAX_RHO_DIGITS has this many bits, and only an integer of as
+    # many bits is compared with it exactly: the power alone takes about
+    # 0.1 ms to build
+    bits = int(MAX_RHO_DIGITS * math.log2(10)) + 1
+
+    def too_long(x):
+        size = abs(x).bit_length()
+        return size > bits or (size == bits
+                               and abs(x) >= 10 ** MAX_RHO_DIGITS)
+
+    if too_long(den) or any(too_long(re) or too_long(im)
+                            for _, (re, im) in items):
         line, col = doc.position("rho")
         raise ParseError(doc.source, line, col,
                          "the normalized rho's exact coefficients need more "
@@ -526,6 +551,8 @@ def _check_rho_digits(doc, M):
 
 
 def _run_aut(args):
+    from ..autdim import aut_bound, infinitesimal_aut_dim, tangency_unknowns
+
     doc = _load(args.file, "hypersurface", "aut")
     n = doc.scalar("N") - 1
     weights = None
@@ -570,6 +597,8 @@ def _run_aut(args):
 
 
 def _run_scan(args):
+    from ..invariants import nondegeneracy_scan
+
     doc = _load(args.file, "hypersurface", "scan")
     n = doc.scalar("N") - 1
     kmax = args.kmax if args.kmax is not None else n

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from ..invariants import Unbounded
-from ..series import CScalar
+from ..series import CScalar, Unbounded
 
 SCHEMA_VERSION = 1
 

@@ -45,12 +45,9 @@ that shape.
 
 from __future__ import annotations
 
+from .errors import GeometryError
 from .series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
                      SeriesError, TruncatedSeries, derivation, dot)
-
-
-class GeometryError(ValueError):
-    """Raised when input data does not describe a valid hypersurface germ."""
 
 
 # ---------------------------------------------------------------------------

@@ -15,26 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hypersurface import (
-    Frame,
-    GeometryError,
-    Hypersurface,
-    VectorFieldOp,
-    from_defining,
-)
+from .errors import GeometryError
+from .hypersurface import Frame, Hypersurface, VectorFieldOp, from_defining
 from .linalg import SpanTracker, rank
-from .series import CS_I, CScalar, OrderExhausted, TruncatedSeries
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    """Explicit no-witness-up-to-bound marker; never a sentinel integer."""
-
-    bound_name: str
-    bound: int
-
-    def __str__(self):
-        return f"inf@{self.bound_name}={self.bound}"
+from .series import (CS_I, CScalar, OrderExhausted, TruncatedSeries,
+                     Unbounded)
 
 
 def is_finite(value) -> bool:
@@ -405,7 +390,7 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
 
 __all__ = [
     "CheckReport", "FiltrationReport", "PointResult",
-    "ScanReport", "Unbounded", "extrinsic_k0",
+    "ScanReport", "extrinsic_k0",
     "intrinsic_filtration", "is_finite", "nondegeneracy_scan",
     "verify_bracket_pairing", "verify_derivative_recursion",
     "verify_frame_structure", "verify_leading_order_reduction",

@@ -43,11 +43,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import JetError
 from .series import CScalar, TruncatedSeries
-
-
-class JetError(ValueError):
-    """Raised on malformed jet data or a failed system precondition."""
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .errors import MappingError
 from .hypersurface import (
     Frame,
     Hypersurface,
@@ -43,10 +44,6 @@ from .linalg import rank, series_solve
 from .series import SeriesError, TruncatedSeries, dot
 
 HALF = Fraction(1, 2)
-
-
-class MappingError(ValueError):
-    """Raised when a map fails a precondition of this module."""
 
 
 class AmbientMap:

@@ -41,7 +41,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hypersurface import Frame, GeometryError
+from .errors import GeometryError
+from .hypersurface import Frame
 from .series import OrderExhausted, TruncatedSeries, dot
 
 

@@ -54,6 +54,7 @@ Example:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -175,6 +176,17 @@ class CScalar:
 CS_ZERO = CScalar(0)
 CS_ONE = CScalar(1)
 CS_I = CScalar(0, 1)
+
+
+@dataclass(frozen=True)
+class Unbounded:
+    """Explicit no-witness-up-to-bound marker; never a sentinel integer."""
+
+    bound_name: str
+    bound: int
+
+    def __str__(self):
+        return f"inf@{self.bound_name}={self.bound}"
 
 
 def check_involution(pairing) -> tuple:

@@ -16,13 +16,13 @@ from crjet.cli.documents import (FUNCTIONS, MAX_EXPONENT, ParseError,
                                  _spine, build_hypersurface, build_jet,
                                  build_map, build_system, degree_bound,
                                  exponent_product, parse_document)
-from crjet.cli.main import MAX_TAYLOR_PRODUCTS, MAX_TAYLOR_TERMS, main
+from crjet.cli.main import (MAX_RHO_DIGITS, MAX_TAYLOR_PRODUCTS,
+                            MAX_TAYLOR_TERMS, _check_rho_digits, main)
 from crjet.cli.report import emit
 from crjet.hypersurface import Frame, from_defining
-from crjet.invariants import Unbounded
 from crjet.jets import taylor_propagate
 from crjet.mappings import Pullback
-from crjet.series import CScalar
+from crjet.series import CScalar, Unbounded
 from tests.conftest import heis, m3_rho
 from tests.test_words import load_workloads
 
@@ -1111,6 +1111,49 @@ class TestVerbs:
                                     "--weights", "1,2"])
         assert code == 0 and "dim: 8" in out
 
+    @pytest.mark.parametrize("coefficient, code", [
+        ("1/2*(10^10000 - 1)", 0), ("1/2*10^10000", 2),
+        ("(1/10)^10000", 2)])
+    def test_rho_digits_boundary(self, tmp_path, capsys, coefficient, code):
+        # the normalized rho holds 1/2*c as the numerator c over the
+        # denominator 2, and (1/10)^10000 as the denominator 10^10000
+        p = tmp_path / "cubic.crj"
+        p.write_text("kind = hypersurface\nN = 2\nrho = Im(w) - z1*conj(z1)"
+                     f" - {coefficient}*(z1^2*conj(z1) + conj(z1)^2*z1)\n",
+                     encoding="utf-8")
+        got, out, errtext = run(capsys, ["aut", str(p), "--degree", "1"])
+        assert got == code
+        assert ("pass: true" in out) == (code == 0)
+        assert ("MAX_RHO_DIGITS = 10000" in errtext) == (code == 2)
+
+    @pytest.mark.parametrize("den, re, im, refused", [
+        (10 ** MAX_RHO_DIGITS - 1, 1, 0, False),
+        (10 ** MAX_RHO_DIGITS, 1, 0, True),
+        (2, 10 ** MAX_RHO_DIGITS - 1, -(10 ** MAX_RHO_DIGITS - 1), False),
+        (2, -(10 ** MAX_RHO_DIGITS), 1, True),
+        (2, 1, 10 ** MAX_RHO_DIGITS, True),
+        (2, 2 ** 33219, 0, False), (2, 2 ** 33220 - 1, 0, True),
+        (2 ** 33221, 1, 0, True)], ids=[
+        "den-10^10000-1", "den-10^10000", "num-10^10000-1", "re-10^10000",
+        "im-10^10000", "num-2^33219", "num-2^33220-1", "den-2^33221"])
+    def test_rho_digits_check_at_the_bit_boundary(self, den, re, im,
+                                                  refused):
+        # 10^10000 has 33220 bits: the check decides a shorter or longer
+        # integer by its bit length, and one of 33220 bits exactly
+        class Rho:
+            def numerators(self):
+                return den, [((0, 0, 0, 0), (re, im))]
+
+        class Model:
+            rho = Rho()
+
+        doc = parse_document("kind = hypersurface\nN = 2\nrho = Im(w)\n")
+        if refused:
+            with pytest.raises(ParseError, match="MAX_RHO_DIGITS"):
+                _check_rho_digits(doc, Model())
+        else:
+            _check_rho_digits(doc, Model())
+
     def test_chain_words_budget(self, tmp_path, docs, capsys):
         # on C^3 the words of lengths 0 to L number 2^(L+1) - 1: refused
         # before the model is built
@@ -1769,7 +1812,65 @@ def assert_exit_contract(tmp_path, capsys, cases) -> list:
     return codes
 
 
+def byte_corruption_cases(seed, per_slot):
+    """Each document slot of each verb's base documents with one byte that
+    is not valid UTF-8 put in or over an ASCII text, and the offset where
+    decoding fails."""
+    rng = random.Random(seed)
+    for verb, bases in EXIT_DOCS.items():
+        for base in bases:
+            texts = [base] if isinstance(base, str) else list(base)
+            for slot in range(len(texts)):
+                for _ in range(per_slot):
+                    data = texts[slot].encode("ascii")
+                    offset = rng.randrange(len(data))
+                    byte = bytes([rng.randrange(0x80, 0x100)])
+                    cut = offset + rng.randrange(2)
+                    yield (verb, texts, slot,
+                           data[:offset] + byte + data[cut:], offset)
+
+
 class TestExitContract:
+    def test_undecodable_bytes_in_each_slot(self, tmp_path, capsys,
+                                            monkeypatch):
+        """A byte that does not decode as UTF-8, in any document of any
+        verb, is bad input naming the file and the byte's offset."""
+        monkeypatch.delenv("CRJET_ORDER", raising=False)
+        count = 0
+        for case, (verb, texts, slot, data, offset) in enumerate(
+                byte_corruption_cases(13, 2)):
+            paths = [tmp_path / f"b{case}_{i}.crj"
+                     for i in range(len(texts))]
+            for path, text in zip(paths, texts):
+                path.write_text(text, encoding="utf-8")
+            paths[slot].write_bytes(data)
+            flags = [EXIT_NEEDS[verb]] if verb in EXIT_NEEDS else []
+            code, out, errtext = run(capsys, [verb, *map(str, paths),
+                                              *flags])
+            assert (code, out) == (2, ""), (verb, slot, data)
+            assert errtext == (f"error: {paths[slot]}: byte "
+                               f"0x{data[offset]:02x} at offset {offset} "
+                               "is not valid UTF-8\n"), (verb, slot, data)
+            count += 1
+        assert count == 2 * 28
+
+    def test_undecodable_rho_and_latin1_comment(self, docs, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad_rho.crj"
+        bad.write_bytes(HEIS.encode().replace(b"Im(w)", b"Im(w)\xff"))
+        code, out, errtext = run(capsys, ["analyze", str(bad)])
+        assert (code, out) == (2, "")
+        assert errtext == (f"error: {bad}: byte 0xff at offset 53 is not "
+                           "valid UTF-8\n")
+        latin1 = tmp_path / "latin1_map.crj"
+        latin1.write_bytes(("# dilation, not the caf\u00e9 map\n"
+                            + DILATION).encode("latin-1"))
+        code, out, errtext = run(capsys, ["reflect", docs["heis"],
+                                          docs["heis"], str(latin1)])
+        assert (code, out) == (2, "")
+        assert errtext == (f"error: {latin1}: byte 0xe9 at offset 23 is "
+                           "not valid UTF-8\n")
+
     def test_seeded_inputs(self, tmp_path, capsys, monkeypatch):
         """Mutated documents, missing files and flag values."""
         monkeypatch.delenv("CRJET_ORDER", raising=False)
@@ -1811,3 +1912,58 @@ class TestExitContract:
                         (verb, i, other, errtext)
                     checked += 1
         assert checked == 27
+
+
+# the crjet modules a fresh process holds after running main on argv, or
+# after importing main and loading the documents named after "load"
+LOADED_MODULES = """\
+import contextlib, io, sys
+from crjet.cli.main import main
+from crjet.cli.documents import load_document
+if sys.argv[1] == "load":
+    for path in sys.argv[2:]:
+        load_document(path)
+else:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "crjet")))
+"""
+CLI_MODULES = {"crjet", "crjet.series", "crjet.errors", "crjet.cli",
+               "crjet.cli.main", "crjet.cli.documents", "crjet.cli.report"}
+
+
+def loaded_modules(argv) -> set:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "CRJET_ORDER"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestStartupImports:
+    """Each verb imports only the library modules it runs."""
+
+    @pytest.mark.parametrize("verb, layers", [
+        ("analyze", {"hypersurface", "linalg", "invariants"}),
+        ("verify", {"hypersurface", "linalg", "invariants", "operators"}),
+        ("scan", {"hypersurface", "linalg", "invariants"}),
+        ("aut", {"hypersurface", "linalg", "autdim"}),
+        ("reflect", {"hypersurface", "linalg", "invariants", "mappings"}),
+        ("reconstruct", {"jets"})])
+    def test_verb_loads_only_its_layers(self, docs, verb, layers):
+        paths = {"reflect": ["heis", "heis", "dilation"],
+                 "reconstruct": ["line_sys", "line_jet"]}.get(verb, ["heis"])
+        flags = [EXIT_NEEDS[verb]] if verb in EXIT_NEEDS else []
+        argv = [verb, *(docs[name] for name in paths), *flags]
+        assert loaded_modules(argv) == CLI_MODULES | {
+            f"crjet.{layer}" for layer in layers}
+
+    @pytest.mark.parametrize("names, extra", [
+        (["heis"], set()), (["dilation"], set()),
+        (["line_sys", "line_jet"], {"crjet.jets"})])
+    def test_loading_documents(self, docs, names, extra):
+        argv = ["load", *(docs[name] for name in names)]
+        assert loaded_modules(argv) == CLI_MODULES | extra

@@ -12,7 +12,6 @@ from crjet.hypersurface import (
     from_defining,
 )
 from crjet.invariants import (
-    Unbounded,
     extrinsic_k0,
     intrinsic_filtration,
     is_finite,
@@ -22,7 +21,7 @@ from crjet.invariants import (
     verify_leading_order_reduction,
 )
 from crjet.linalg import SpanTracker, rank
-from crjet.series import CScalar, TruncatedSeries
+from crjet.series import CScalar, TruncatedSeries, Unbounded
 from tests.conftest import (adapt_frame, graph_rho, heis, heisenberg_rho,
                             kernel_bases, m2_rho, m3_rho, m4_rho,
                             random_model, random_nondegenerate_model,

@@ -3,7 +3,8 @@ caller in src/, every public method is read as an attribute in src/,
 every dataclass field in src/ is read as an attribute in src/, tests/ or
 perfbench/, every import in src/ is used by its module, no module imports
 another's private name, every dotted name a docstring or comment in src/
-quotes resolves, and every name the benchmark tracer wraps exists.
+quotes resolves, every name the benchmark tracer wraps exists, and the
+command-line front end imports no library layer at module level.
 A class or method the tracer wraps by name counts as used.  Helpers that
 only tests need live in tests/, as fixtures or oracles."""
 
@@ -12,6 +13,7 @@ import importlib
 import importlib.util
 import io
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -373,6 +375,78 @@ def test_unresolved_reference_is_caught(tmp_path, monkeypatch):
     assert unresolved_references(pkg) == [
         "sub/shapes.py::Square.words", "sub/shapes.py::layoutpkg.sub.gone",
         "sub/shapes.py::Square.perimeter"]
+
+
+# the command-line front end: at module level it may import only the
+# standard library, the light modules below and its own files, so that
+# each verb imports the library layers it runs and no others
+CLI_FRONT = ("cli/main.py", "cli/documents.py", "cli/report.py")
+CLI_LIGHT = ("series", "errors", "cli.main", "cli.documents", "cli.report")
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def heavy_cli_imports(root=SRC) -> list:
+    """Modules the CLI_FRONT files import at module level (outside any
+    function body) that are neither in the standard library nor in
+    CLI_LIGHT."""
+    allowed = {f"{root.name}.{name}" for name in CLI_LIGHT}
+    heavy = []
+    for rel in CLI_FRONT:
+        path = root / rel
+        package = _module_name(root, path).split(".")[:-1]
+        stack = ast.parse(path.read_text(encoding="utf-8")).body[::-1]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _FUNCTIONS):
+                continue
+            stack.extend(list(ast.iter_child_nodes(node))[::-1])
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(package[:len(package) + 1 - node.level]
+                                if node.level else [])
+                if node.module is None:
+                    names = [f"{base}.{alias.name}" for alias in node.names]
+                else:
+                    names = [f"{base}.{node.module}".lstrip(".")]
+            else:
+                continue
+            heavy.extend(f"{rel}::{name}" for name in names
+                         if name not in allowed and name.split(".")[0]
+                         not in sys.stdlib_module_names)
+    return heavy
+
+
+def test_cli_imports_only_light_modules_at_module_level():
+    assert heavy_cli_imports() == []
+
+
+def test_heavy_cli_import_is_caught(tmp_path):
+    root = tmp_path / "crjet"
+    (root / "cli").mkdir(parents=True)
+    (root / "cli" / "main.py").write_text(
+        "from __future__ import annotations\n"
+        "import json, os.path\nfrom fractions import Fraction\n"
+        "from ..series import CScalar\nfrom ..errors import JetError\n"
+        "from .documents import load\nfrom . import report\n"
+        "from ..jets import integrate\nimport crjet.linalg\n"
+        "try:\n    from ..mappings import AmbientMap\n"
+        "except ImportError:\n    pass\n\n\n"
+        "class Runner:\n    from ..operators import certify\n\n\n"
+        "def run():\n    from ..autdim import aut_bound\n"
+        "    return lambda: __import__('crjet.invariants')\n",
+        encoding="utf-8")
+    (root / "cli" / "documents.py").write_text(
+        "import numpy\nfrom crjet.series import TruncatedSeries\n"
+        "from ..hypersurface import Hypersurface\n", encoding="utf-8")
+    (root / "cli" / "report.py").write_text(
+        "from crjet.cli.main import run\nfrom .. import invariants\n",
+        encoding="utf-8")
+    assert heavy_cli_imports(root) == [
+        "cli/main.py::crjet.jets", "cli/main.py::crjet.linalg",
+        "cli/main.py::crjet.mappings", "cli/main.py::crjet.operators",
+        "cli/documents.py::numpy", "cli/documents.py::crjet.hypersurface",
+        "cli/report.py::crjet.invariants"]
 
 
 def test_every_traced_name_exists():
