@@ -59,7 +59,10 @@ class FormalVectorField(DenseCoefficients):
     """Holomorphic polynomial field sum a_j d/dz_j on the ambient chart.
 
     Coefficients are N truncated series in the holomorphic variables only;
-    the field acts on ambient series as a derivation.
+    the field acts on ambient series as a derivation.  ``apply`` hands
+    the nonzero slots (j, a_j), kept once at construction, to
+    ``derivation``: the conjugate variables, which no coefficient reaches,
+    and the zero a_j cost nothing.
     """
 
     __slots__ = ()
@@ -72,8 +75,7 @@ class FormalVectorField(DenseCoefficients):
             raise AutError("coefficients must be holomorphic")
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        zero = TruncatedSeries.zero(self.nvars, self.order)
-        return derivation(self.coeffs + (zero,) * len(self.coeffs), f)
+        return derivation(self.slots, self.nvars, self.order, f)
 
 
 @dataclass(frozen=True)

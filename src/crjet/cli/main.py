@@ -319,6 +319,12 @@ def _run_verify(args):
                              f"unknown check {t!r}; choose from "
                              f"{', '.join(CHECK_TOKENS)}")
     if "operators" in tokens:
+        if args.degree < 1:
+            raise ParseError("--degree", None, 0,
+                             f"--degree {args.degree} gives a basis of "
+                             "constants, on which both sides of every "
+                             "operator certificate vanish; the operators "
+                             "check needs --degree 1 or more")
         size = math.comb(2 * n + 1 + args.degree, args.degree)
         if size > MAX_BASIS_MONOMIALS:
             raise ParseError("--degree", None, 0,
@@ -641,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", default=",".join(CHECK_TOKENS))
     sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--degree", type=int, default=2,
-                    help="monomial basis degree for operator certificates")
+                    help="monomial basis degree for operator certificates, "
+                    "at least 1")
     common(sp)
 
     sp = subs.add_parser("reflect", help="mapping transport residuals")

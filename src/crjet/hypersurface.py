@@ -76,12 +76,13 @@ class DenseCoefficients:
     """Immutable dense tuple of series on one chart, at a common order.
 
     The shell of every field and form type: construction truncates the
-    coefficients to their lowest order, and the linear operations act
+    coefficients to their lowest order and keeps the nonzero ones once, as
+    (variable, coefficient) pairs in ``slots``, and the linear operations act
     slot by slot.  Subclasses add their own operations and may replace
     _check, which by default asks for one coefficient per chart variable.
     """
 
-    __slots__ = ("nvars", "order", "coeffs")
+    __slots__ = ("nvars", "order", "coeffs", "slots")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -94,9 +95,10 @@ class DenseCoefficients:
         order = min(c.order for c in coeffs)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "coeffs", tuple(c.truncate(order) for c in coeffs)
-        )
+        coeffs = tuple(c.truncate(order) for c in coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "slots", tuple(
+            (v, c) for v, c in enumerate(coeffs) if not c.is_zero()))
 
     def _check(self, coeffs, nvars):
         if len(coeffs) != nvars:
@@ -106,7 +108,7 @@ class DenseCoefficients:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.slots
 
     def conjugate(self, pairing):
         """Conjugate every coefficient and move slot v to pairing[v]."""
@@ -139,12 +141,17 @@ class DenseCoefficients:
 
 
 class VectorFieldOp(DenseCoefficients):
-    """First-order differential operator sum_v c_v(x) d/dx_v on a chart."""
+    """First-order differential operator sum_v c_v(x) d/dx_v on a chart.
+
+    ``apply`` hands the nonzero (variable, coefficient) slots, kept once
+    at construction, to ``derivation``: the field acts through those slots
+    alone, and on the zero series it builds no product.
+    """
 
     __slots__ = ()
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        return derivation(self.coeffs, f)
+        return derivation(self.slots, self.nvars, self.order, f)
 
     def bracket(self, other: "VectorFieldOp") -> "VectorFieldOp":
         if self.nvars != other.nvars:

@@ -21,9 +21,13 @@ One ``CertificateMemo`` serves the calls of ``operator_certificates`` that
 are handed it, both word lengths of one verify run on the command line,
 and is then dropped; it is not kept on the frame or at module level.  It reads
 the Levi rows h_{FbarE} from the frame (``Frame.h``), which builds them
-once, and holds the chosen conjugate index, the T-pushdown and commutator
+once, and holds the chosen conjugate index, the inverse h_{Fbar1}^{-1} and
+the powers h_{Fbar1}^p of its Levi pivot, the T-pushdown and commutator
 tables, and the applications L^W(Lbar f), L^W f, [L^W, L_Fbar] f and
 L^K(T f) on each basis monomial f, named by its exponents and order.
+Every pivot (count_1(K) + 1) h_{Fbar1} of a weighted solve is inverted
+as that one inverse scaled by 1 / (count_1(K) + 1), which is the same
+series, so h_{Fbar1} is inverted once per memo.
 A basis monomial enters only through a frame field's derivation, whose
 order is the least of f.order - 1 and the field's coefficient orders, so
 its order is cut at one above the largest of those: every series stays the
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import GeometryError
 from .hypersurface import Frame
@@ -88,6 +93,8 @@ class CertificateMemo:
         self._order_cap = 1 + max(c.order for X in (F.T, *F.L, *F.Lbar)
                                   for c in X.coeffs)
         self._conjugate = None
+        self._levi_inverse = None
+        self._levi_powers = {}
         self._pushdowns = {}
         self._tables = {}
         self._applied = {}
@@ -108,6 +115,22 @@ class CertificateMemo:
                     "(reorder the frame so a nondegenerate direction comes "
                     "first)")
         return self._conjugate
+
+    def levi_power(self, p: int) -> TruncatedSeries:
+        """h_{Fbar1}^p for the conjugate index Fbar."""
+        out = self._levi_powers.get(p)
+        if out is None:
+            h1 = self.F.h((self.conjugate_index(),), 0)
+            out = self._levi_powers[p] = h1 ** p
+        return out
+
+    def pivot_inverse(self, count: int) -> TruncatedSeries:
+        """(count * h_{Fbar1})^{-1}: the one inverse of h_{Fbar1}, scaled
+        by 1 / count."""
+        if self._levi_inverse is None:
+            h1 = self.F.h((self.conjugate_index(),), 0)
+            self._levi_inverse = h1.invert_unit()
+        return self._levi_inverse * Fraction(1, count)
 
     def basis_order(self, need: int, degree: int) -> int:
         """Order for basis monomials of total degree <= degree that need
@@ -262,7 +285,7 @@ def _weighted(memo: CertificateMemo, J, verify_degree):
     Fbar = memo.conjugate_index()
     h1 = F.h((Fbar,), 0)
     p = len(J) - sum(1 for E in J if E == 0) + 2
-    rhs = {J: h1 ** p}
+    rhs = {J: memo.levi_power(p)}
 
     def order_key(K):
         return (-len(K), -sum(1 for E in K if E != 0), K)
@@ -278,8 +301,9 @@ def _weighted(memo: CertificateMemo, J, verify_degree):
         if resid is None or resid.is_zero():
             continue
         pivot_word = _sorted_word(K + (0,))
-        pivot = (K.count(0) + 1) * h1
-        b = resid * pivot.invert_unit()
+        count = K.count(0) + 1
+        pivot = count * h1
+        b = resid * memo.pivot_inverse(count)
         _dadd(b_coeffs, pivot_word, b)
         for K2, d in memo.table(pivot_word, Fbar).items():
             if K2 == K:
@@ -323,7 +347,7 @@ def _verify_weighted(memo: CertificateMemo, J, Fbar, p, b_coeffs,
                      degree) -> bool:
     nv = 2 * memo.F.n + 1
     basis_order = memo.basis_order(degree + len(J) + 3, degree)
-    hp = memo.F.h((Fbar,), 0) ** p
+    hp = memo.levi_power(p)
     for mono in _basis(nv, degree, basis_order):
         rhs = hp * memo.word_on(J, "T", mono)
         lhs = dot([(b, memo.commutator_on(W, Fbar, mono))

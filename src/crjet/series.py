@@ -33,9 +33,14 @@ over the least common denominator of the products, and the result is
 reduced once.  Its order is the least of the orders of every pair (a
 pair with a zero factor counts too) and of an explicit ``order``, which
 is the order the running sum ``out = out + a * b`` gives, so the result
-is that sum, stored identically.  :func:`derivation` feeds the same
-accumulator sum_v c_v * d f / d x_v, reading each derivative straight
-from f's keys; ``VectorFieldOp.apply`` is this sum.
+is that sum, stored identically.  :func:`derivation` is the one kernel
+that applies a vector field: it takes the field's nonzero (variable,
+coefficient) slots, which the field stores once when it is built, and
+feeds the same accumulator sum_v c_v * d f / d x_v over those slots
+alone, reading each derivative straight from f's keys.  Its order is the
+least of the field's order and f.order - 1, and a zero f costs no
+product.  ``VectorFieldOp.apply`` and ``FormalVectorField.apply`` are
+this sum.
 
 ``recenter`` and ``eval_at`` work on the packed numerators too.  They
 translate one variable at a time: with p_j = g / q and E the largest
@@ -417,30 +422,29 @@ def dot(pairs, order=None, nvars=None) -> "TruncatedSeries":
         for a, b in pairs if a._terms and b._terms])
 
 
-def derivation(coeffs, f) -> "TruncatedSeries":
-    """Sum over v of coeffs[v] * (d f / d x_v), as one dot product.
+def derivation(slots, nvars, order, f) -> "TruncatedSeries":
+    """Sum of c * (d f / d x_v) over the (v, c) slots of a field.
 
-    Each derivative is fed to the accumulator from f's packed keys, and
-    no derivative or product series is built.  The order is the least of
-    the coefficients' orders and f.order - 1.
+    The field acts on series in nvars variables, its coefficients have
+    this order, and slots lists its nonzero coefficients c with their
+    variables v.  The result's order is the least of order and
+    f.order - 1.  A zero f gives the zero series at that order without a
+    product; otherwise each slot's derivative is fed to the accumulator
+    from f's packed keys, and no derivative or product series is built.
     """
     if f.order < 1:
         raise OrderExhausted("cannot differentiate an order-0 series")
-    nvars = f.nvars
-    if len(coeffs) != nvars:
-        raise SeriesError(f"{len(coeffs)} coefficients for a series in "
-                          f"{nvars} variables")
-    order = f.order - 1
-    for c in coeffs:
-        if c.nvars != nvars:
-            raise SeriesError(f"nvars mismatch: {c.nvars} vs {nvars}")
-        order = min(order, c.order)
+    if f.nvars != nvars:
+        raise SeriesError(f"{nvars} coefficients for a series in "
+                          f"{f.nvars} variables")
+    order = min(order, f.order - 1)
+    if not f._terms:
+        return _make(nvars, order, {}, 1)
     parts = []
-    for v, c in enumerate(coeffs):
-        if c._terms:
-            deriv = _derivative_items(f, v)
-            if deriv:
-                parts.append((c._terms.items(), c._den, deriv, f._den))
+    for v, c in slots:
+        deriv = _derivative_items(f, v)
+        if deriv:
+            parts.append((c._terms.items(), c._den, deriv, f._den))
     return _sum_of_products(nvars, order, parts)
 
 
@@ -672,6 +676,8 @@ class TruncatedSeries:
 
     def agrees(self, other: "TruncatedSeries") -> bool:
         """Equality after truncating both to the lower of the two orders."""
+        if not (self._terms or other._terms):
+            return self.nvars == other.nvars
         o = min(self.order, other.order)
         return self.truncate(o) == other.truncate(o)
 

@@ -638,6 +638,23 @@ class TestVerbs:
                                     "--degree", "40"])
         assert code == 0 and "pass: true" in out
 
+    def test_verify_degree_zero_is_bad_input(self, docs, capsys):
+        # on a basis of constants both sides of every certificate vanish,
+        # so the operators check would pass whatever the certificates say
+        for checks in ("operators", "frame,operators", "all"):
+            argv = ["verify", docs["m3"], "--degree", "0"]
+            if checks != "all":
+                argv += ["--check", checks]
+            code, out, errtext = run(capsys, argv)
+            assert (code, out) == (2, ""), checks
+            assert errtext == (
+                "error: --degree: --degree 0 gives a basis of constants, "
+                "on which both sides of every operator certificate "
+                "vanish; the operators check needs --degree 1 or more\n")
+        code, out, _ = run(capsys, ["verify", docs["m3"], "--check", "frame",
+                                    "--degree", "0"])
+        assert code == 0 and "pass: true" in out
+
     @pytest.mark.parametrize("N, counts", [(3, [5, 7]), (4, [9, 16])])
     def test_verify_certificates_on_diagonal_levi(self, tmp_path, capsys, N,
                                                   counts):

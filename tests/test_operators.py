@@ -532,6 +532,31 @@ class TestAgainstUnmemoizedPath:
         assert len(shared._applied) < separate
 
 
+    def test_one_pivot_inverse_per_memo(self, monkeypatch):
+        # every weighted pivot (count_1(K) + 1) h_{Fbar1} of both word
+        # lengths is the memo's one inverse of h_{Fbar1}, scaled
+        F = build_frame(random_nondegenerate_model(441, 3, 6))
+        memo = CertificateMemo(F)
+        inverted = []
+        invert = TruncatedSeries.invert_unit
+
+        def counting(self):
+            inverted.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(TruncatedSeries, "invert_unit", counting)
+        certs = [c for m in (2, 3)
+                 for c in operator_certificates(memo, m, 2)]
+        assert inverted == [F.h((memo.conjugate_index(),), 0)]
+        pivots = {K.count(0) for c in certs if c.kind == "weighted"
+                  for K in c.bracket_coeffs}
+        assert pivots == {1, 2, 3}
+        h1 = F.h((memo.conjugate_index(),), 0)
+        monkeypatch.undo()
+        for count in pivots:
+            assert memo.pivot_inverse(count) == (count * h1).invert_unit()
+
+
 class TestVerificationRejectsCorruption:
     def test_corrupted_tail_and_bracket_coefficient(self):
         F = build_frame(random_nondegenerate_model(446, 3, 6))
@@ -558,6 +583,12 @@ class TestVerificationRejectsCorruption:
                                  red.tail, degree)
         assert _verify_weighted(memo, wtd.word, wtd.Fbar, wtd.p,
                                 wtd.bracket_coeffs, degree)
+        # on the degree-0 basis of constants both sides vanish and the
+        # corruptions pass, which is why the command line refuses
+        # --degree 0 for the operators check
+        assert _verify_reduction(memo, red.word, red.Fbar, red.leading,
+                                 tail, 0)
+        assert _verify_weighted(memo, wtd.word, wtd.Fbar, wtd.p, coeffs, 0)
 
     def test_inconsistent_tables_are_unverified(self, monkeypatch):
         # a decomposition that disagrees with its forced shape comes back

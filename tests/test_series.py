@@ -6,6 +6,8 @@ from math import ceil, log2
 
 import pytest
 
+from crjet.autdim import FormalVectorField
+from crjet.hypersurface import VectorFieldOp
 from crjet.series import (CS_I, CS_ONE, CS_ZERO, EXPONENT_LIMIT, CScalar,
                           OrderExhausted, SeriesError, TruncatedSeries,
                           check_involution, key_conjugation)
@@ -591,6 +593,86 @@ class TestAgainstReferenceKernel:
                 self.assert_agree(got, want, (trial, what))
                 ops += 1
         assert ops > 25000
+
+    @staticmethod
+    def ref_field(rng, nvars, reach):
+        """Reference coefficients of a random field on nvars variables,
+        zero, unit or random, living on the first reach variables, cut to
+        their common order as a field cuts them."""
+        order = rng.randrange(0, 7)
+        coeffs = []
+        for _ in range(reach):
+            roll = rng.random()
+            if roll < 0.3:
+                c = RefSeries(nvars, order)
+            elif roll < 0.45:
+                c = RefSeries.constant(nvars, 1, order)
+            else:
+                c = ref_series(rng, reach, order, rng.randrange(1, 4))
+                c = RefSeries(nvars, order, {
+                    a + (0,) * (nvars - reach): v for a, v in c.coeffs.items()})
+            coeffs.append(c)
+        low = min(c.order for c in coeffs)
+        return [c.truncate(low) for c in coeffs]
+
+    @staticmethod
+    def ref_apply(coeffs, nvars, f):
+        """sum_v c_v * d f / d x_v over every coefficient, zeros included."""
+        out = RefSeries(nvars, min(coeffs[0].order, f.order - 1))
+        for v, c in enumerate(coeffs):
+            out = out + c * f.derive(v)
+        return out
+
+    def test_field_application(self):
+        rng = random.Random(20260601)
+        zero_inputs = applied = 0
+        for trial in range(600):
+            nvars = rng.randrange(1, 7)
+            coeffs = self.ref_field(rng, nvars, nvars)
+            X = VectorFieldOp([packed(c) for c in coeffs])
+            assert X.slots == tuple((v, packed(c)) for v, c in
+                                    enumerate(coeffs) if c.coeffs)
+            rf = ref_series(rng, nvars, rng.randrange(1, 9),
+                            rng.choice((0, 0, 2, 5)))
+            zero_inputs += not rf.coeffs
+            self.assert_agree(X.apply(packed(rf)),
+                              self.ref_apply(coeffs, nvars, rf),
+                              (trial, "field"))
+            # a holomorphic field on the ambient chart of C^N
+            N = rng.randrange(1, 4)
+            hcoeffs = self.ref_field(rng, 2 * N, N)
+            Y = FormalVectorField([packed(c) for c in hcoeffs])
+            rg = ref_series(rng, 2 * N, rng.randrange(1, 9),
+                            rng.choice((0, 2, 5)))
+            zero_inputs += not rg.coeffs
+            self.assert_agree(Y.apply(packed(rg)),
+                              self.ref_apply(hcoeffs, 2 * N, rg),
+                              (trial, "formal field"))
+            applied += 2
+        assert applied == 1200 and zero_inputs > 100
+
+    def test_field_application_errors(self):
+        x, y = (TruncatedSeries.variable(2, v, 3) for v in range(2))
+        fields = (VectorFieldOp([x, y]), VectorFieldOp([x * 0, y * 0]),
+                  FormalVectorField([1 + x]))
+        for X in fields:
+            for f in (TruncatedSeries.constant(2, 5, 0),
+                      TruncatedSeries.zero(2, 0)):
+                with pytest.raises(OrderExhausted, match="^cannot "
+                                   "differentiate an order-0 series$"):
+                    X.apply(f)
+            for f in (TruncatedSeries.variable(3, 0, 3),
+                      TruncatedSeries.zero(3, 3)):
+                with pytest.raises(SeriesError, match="^2 coefficients for "
+                                   "a series in 3 variables$"):
+                    X.apply(f)
+
+    def test_zero_series_agree_by_nvars(self):
+        assert TruncatedSeries.zero(2, 0).agrees(TruncatedSeries.zero(2, 5))
+        assert not TruncatedSeries.zero(2, 3).agrees(
+            TruncatedSeries.zero(3, 3))
+        assert not TruncatedSeries.zero(3, 1).agrees(
+            TruncatedSeries.zero(2, 4))
 
     def test_exponent_limit(self):
         top = TruncatedSeries(1, EXPONENT_LIMIT, {(EXPONENT_LIMIT,): 1})

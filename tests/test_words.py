@@ -25,6 +25,7 @@ from crjet.cli.main import main
 from crjet.invariants import (intrinsic_filtration,
                               verify_derivative_recursion,
                               verify_frame_structure)
+from crjet import series
 from crjet.series import OrderExhausted, TruncatedSeries
 from tests.conftest import (adapt_frame, heis, heisenberg_rho,
                             kernel_bases, m3_rho, random_model,
@@ -209,6 +210,32 @@ def test_two_forms_per_benchmark_pass(monkeypatch, tmp_path, workload,
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(list(call.argv)) == 0, call.argv
     assert len(built) <= most
+
+
+def test_series_kernel_calls_per_invariants_pass(monkeypatch, tmp_path):
+    # one invariants pass at seed 7: a field applied to the zero series
+    # builds no product, and each operator-certificate memo inverts its
+    # Levi pivot once, where the per-application products cost 5451
+    # sums of products and the per-pivot inverses 158 inversions
+    calls = load_workloads().build("invariants", 7, tmp_path)
+    counts = {"invert_unit": 0, "_sum_of_products": 0}
+    invert, sums = TruncatedSeries.invert_unit, series._sum_of_products
+
+    def counting_invert(self):
+        counts["invert_unit"] += 1
+        return invert(self)
+
+    def counting_sums(*args):
+        counts["_sum_of_products"] += 1
+        return sums(*args)
+
+    monkeypatch.setattr(TruncatedSeries, "invert_unit", counting_invert)
+    monkeypatch.setattr(series, "_sum_of_products", counting_sums)
+    for call in calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(call.argv)) == 0, call.argv
+    assert 0 < counts["invert_unit"] <= 111
+    assert 0 < counts["_sum_of_products"] <= 3345
 
 
 def test_word_longer_than_frame_order():
