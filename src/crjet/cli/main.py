@@ -272,7 +272,7 @@ def _run_analyze(args):
         order, M = _scan_germ(args, doc, kmax)
     F = build_frame(M)
     filt = intrinsic_filtration(F, kmax=kmax)
-    ek0 = extrinsic_k0(M, kmax)
+    ek0 = extrinsic_k0(M.rho, kmax)
     agree_k0 = filt.k0 == ek0
     agree_ell = filt.ell0 == filt.ell1
     passed = agree_k0 and agree_ell
@@ -319,12 +319,13 @@ def _run_verify(args):
                              f"unknown check {t!r}; choose from "
                              f"{', '.join(CHECK_TOKENS)}")
     if "operators" in tokens:
-        if args.degree < 1:
+        if args.degree < 2:
             raise ParseError("--degree", None, 0,
                              f"--degree {args.degree} gives a basis of "
-                             "constants, on which both sides of every "
-                             "operator certificate vanish; the operators "
-                             "check needs --degree 1 or more")
+                             "degree below 2, which cannot see the "
+                             "second-order coefficients of the m = 2 "
+                             "operator certificates; the operators check "
+                             "needs --degree 2 or more")
         size = math.comb(2 * n + 1 + args.degree, args.degree)
         if size > MAX_BASIS_MONOMIALS:
             raise ParseError("--degree", None, 0,
@@ -648,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--degree", type=int, default=2,
                     help="monomial basis degree for operator certificates, "
-                    "at least 1")
+                    "at least 2")
     common(sp)
 
     sp = subs.add_parser("reflect", help="mapping transport residuals")

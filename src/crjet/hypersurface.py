@@ -2,14 +2,18 @@
 
 A hypersurface through the origin of C^N is described by a real defining
 series rho in the ambient variables (z_1..z_n, w, zb_1..zb_n, wb), n = N-1.
-`from_defining` applies an invertible linear holomorphic change P so that
-the linear part of rho becomes Im w (an identity change leaves rho as it
-is), then solves rho = 0 for t = Im w by Newton iteration on series.  P
-has a closed form in g = d rho / d(z, w) at 0.  Its last row is 2i g, so
-the new w is 2i times the holomorphic linear part of rho.  It replaces the
-old coordinate k: w itself when Im g_w != 0, else a coordinate with the
-largest |g_j|^2, the lowest index winning ties.  Every other row r of P is
-the unit row e_sigma(r), sigma the transposition of k and N-1.  The result
+`linear_normalization` applies an invertible linear holomorphic change P
+so that the linear part of rho becomes Im w.  P has a closed form in
+g = d rho / d(z, w) at 0.  It is the identity exactly when
+g = (0, ..., 0, -i/2), which is decided from g before any matrix is
+built, and then rho is returned as it is.  Otherwise the last row of P is
+2i g, so the new w is 2i times the holomorphic linear part of rho.  It
+replaces the old coordinate k: w itself when Im g_w != 0, else a
+coordinate with the largest |g_j|^2, the lowest index winning ties.
+Every other row r of P is the unit row e_sigma(r), sigma the
+transposition of k and N-1 (a swap may leave the last row 2i g a unit
+row too, so the identity is read off all of g).  `from_defining` then
+solves rho = 0 for t = Im w by Newton iteration on series.  The result
 is a graph
 
     Im w = phi(z, zb, s),        s = Re w,
@@ -17,14 +21,18 @@ is a graph
 with phi real, phi(0) = 0, d phi(0) = 0.  All intrinsic computation happens
 in the chart (z_1..z_n, zb_1..zb_n, s).
 
-Newton runs at doubling precision (Brent and Kung, "Fast algorithms for
-manipulating formal power series", J. ACM 25, 1978): a step that starts
-from phi exact through degree c leaves it exact through degree 2c + 1,
-so each step only needs about twice the order of the one before.  For a
-germ of order W the steps run at orders W // 2^k, from the first at most
-3 (phi = 0 is exact through degree 1) up to W, where they stop: terms
-above the germ's order are unknown, and the graph at order W is exact.
-A germ builds its graph substitution once and every restriction reuses it.
+A rho affine in t, rho = a t + b with a and b free of t (every polynomial
+graph Im w - phi(z, zb, Re w), and every rho of degree at most 1 in w and
+wb), has the graph phi = -b / a, which one Newton step from phi = 0 at
+the germ's order gives exactly.  Other germs run Newton at doubling
+precision (Brent and Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 25, 1978): a step that starts from phi exact through
+degree c leaves it exact through degree 2c + 1, so each step only needs
+about twice the order of the one before.  For a germ of order W the steps
+run at orders W // 2^k, from the first at most 3 (phi = 0 is exact
+through degree 1) up to W, where they stop: terms above the germ's order
+are unknown, and the graph at order W is exact.  A germ builds its graph
+substitution once and every restriction reuses it.
 
 `build_frame` produces the tangential frame
 
@@ -293,6 +301,10 @@ def _graph_substitution(n: int, phi: TruncatedSeries) -> tuple:
             + (s - i_phi,))
 
 
+# the holomorphic gradient (0, ..., 0, g_w) of Im w = (w - wb) / (2i)
+_IDENTITY_SLOPE = -CS_I / 2
+
+
 def _holo_gradient(rho: TruncatedSeries, N: int):
     alpha0 = [0] * (2 * N)
     grad = []
@@ -319,11 +331,7 @@ def linear_change(matrix, series) -> list:
 
 def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
     """Rewrite rho in coordinates zeta = P (z, w), given Q = P^{-1}: the
-    old holomorphic coordinates are Q zeta.  The identity Q leaves rho
-    as it is."""
-    if all(Q[i][j] == (CS_ONE if i == j else CS_ZERO)
-           for i in range(N) for j in range(N)):
-        return rho
+    old holomorphic coordinates are Q zeta."""
     W = rho.order
     zeta = [ambient_var(N, j, W) for j in range(2 * N)]
     conj_Q = [[c.conj() for c in row] for row in Q]
@@ -331,18 +339,15 @@ def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
                        + linear_change(conj_Q, zeta[N:]))
 
 
-def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
-    """Normalize a real defining series to graph form Im w = phi(z, zb, s).
+def linear_normalization(rho: TruncatedSeries, N: int):
+    """Check a defining series and bring its linear part to Im w.
 
-    The input is treated as exact polynomial data at its stated order; one
-    extra order of rho is reconstructed internally so the Newton update
-    divides by a full-order derivative.  The Newton steps run at orders
-    W // 2^k, k = K, ..., 1, 0, for the least K with W // 2^K <= 3: [3, 6]
-    for W = 6 and [2, 4, 8] for W = 8.  Each step at least doubles the
-    degree through which phi is exact, and the schedule stops at the
-    germ's order W, past which rho's terms are unknown.  Every call checks
-    that the result's residual vanishes and that phi is real with no
-    constant or linear terms.
+    Returns (rho', P): rho' is rho in the coordinates P (z, w), and P is
+    the closed-form change of the module docstring.  When the holomorphic
+    gradient g at 0 is already (0, ..., 0, -i/2), P is the identity and
+    rho itself is returned, with no composition.  Raises GeometryError
+    for a series that is not on the ambient chart of C^N (N >= 2), is
+    not real, does not vanish at 0 or has a vanishing differential there.
     """
     if N < 2:
         raise GeometryError("need at least one CR direction (N >= 2)")
@@ -358,14 +363,17 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
     grad = _holo_gradient(rho, N)
     if all(c.is_zero() for c in grad):
         raise GeometryError("defining series has vanishing differential at 0")
+    if grad[N - 1] == _IDENTITY_SLOPE and \
+            all(c.is_zero() for c in grad[:N - 1]):
+        return rho, [[CS_ONE if c == r else CS_ZERO for c in range(N)]
+                     for r in range(N)]
 
-    # Stage 1: the linear change P in closed form.  w' = 2i * (holomorphic
-    # linear part of rho), so the linear part of rho becomes exactly Im w'.
-    # w' replaces the old coordinate k: w when Im g_w != 0, else one with
-    # the largest |g_j|^2, ties taking the lowest index; either way
-    # g_k != 0.  sigma swaps k with the last slot.  Q = P^{-1} shares P's
-    # unit rows, and its row k solves w' = sum_j shear_j x_j for the old
-    # x_k.
+    # w' = 2i * (holomorphic linear part of rho), so the linear part of rho
+    # becomes exactly Im w'.  w' replaces the old coordinate k: w when
+    # Im g_w != 0, else one with the largest |g_j|^2, ties taking the
+    # lowest index; either way g_k != 0.  sigma swaps k with the last
+    # slot.  Q = P^{-1} shares P's unit rows, and its row k solves
+    # w' = sum_j shear_j x_j for the old x_k.
     k = N - 1
     if grad[N - 1].im == 0:
         sizes = [g.abs2() for g in grad]
@@ -377,18 +385,40 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
          for r in range(N)]
     P = Q[:N - 1] + [shear]
     Q[k] = [-grad[sigma[c]] / grad[k] for c in range(N - 1)] + [1 / shear[k]]
-    rho = _apply_holo_change(rho, N, Q)
+    return _apply_holo_change(rho, N, Q), P
 
-    # Stage 2: Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so
-    # the t-derivative is a unit at the origin.  phi = 0 is exact through
-    # degree 1, so the first step may run at order 3.
+
+def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
+    """Normalize a real defining series to graph form Im w = phi(z, zb, s).
+
+    ``linear_normalization`` checks rho and brings its linear part to
+    Im w.  The input is treated as exact polynomial data at its stated
+    order; one extra order of rho is reconstructed internally so the
+    Newton update divides by a full-order derivative.  When rho is affine
+    in t = Im w, that is rho = a t + b with a, b free of t (its second
+    t-derivative is zero), one Newton step at order W from phi = 0 gives
+    phi = -b / a, the exact graph.  Otherwise the steps run at orders
+    W // 2^k, k = K, ..., 1, 0, for the least K with W // 2^K <= 3: [3, 6]
+    for W = 6 and [2, 4, 8] for W = 8.  Each step at least doubles the
+    degree through which phi is exact, and the schedule stops at the
+    germ's order W, past which rho's terms are unknown.  Every call checks
+    that the result's residual vanishes and that phi is real with no
+    constant or linear terms.
+    """
+    rho, P = linear_normalization(rho, N)
+
+    # Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so the
+    # t-derivative d/dt = i (d/dw - d/dwb) is a unit at the origin.  phi = 0
+    # is exact through degree 1, so the first step may run at order 3.
     W = rho.order
     n = N - 1
     rho_ext = rho.extended(W + 1)
     rho_t = CS_I * (rho_ext.derive(N - 1) - rho_ext.derive(2 * N - 1))
     K = 0
-    while W >> K > 3:
-        K += 1
+    # an affine rho (d^2 rho / dt^2 = 0) takes the one step at order W
+    if not (rho_t.derive(N - 1) - rho_t.derive(2 * N - 1)).is_zero():
+        while W >> K > 3:
+            K += 1
     phi = TruncatedSeries.zero(2 * n + 1, W >> K)
     for k in range(K, -1, -1):
         d = W >> k

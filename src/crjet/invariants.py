@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GeometryError
-from .hypersurface import Frame, Hypersurface, VectorFieldOp, from_defining
+from .hypersurface import (Frame, Hypersurface, VectorFieldOp,
+                           linear_normalization)
 from .linalg import SpanTracker, rank
 from .series import (CS_I, CScalar, OrderExhausted, TruncatedSeries,
                      Unbounded)
@@ -30,20 +31,22 @@ def is_finite(value) -> bool:
 # nondegeneracy integers
 
 
-def extrinsic_k0(M: Hypersurface, kmax: int):
+def extrinsic_k0(rho: TruncatedSeries, kmax: int):
     """Smallest k <= kmax with full gradient span, else an explicit marker.
 
-    Uses the ambient tangential antiholomorphic fields applied to the
-    holomorphic gradient of the defining series, with exact incremental
-    rank tracking.  Each field annihilates rho identically, so a bracket
-    of two of them is a multiple of d/dwb that kills rho, hence zero: the
-    fields commute up to the truncation order, and only sorted words are
-    walked.
+    rho is a defining series on the ambient chart of C^N, N = rho.nvars / 2,
+    whose d rho / d wb is a unit at the origin: the defining series that
+    ``linear_normalization`` returns, or a Hypersurface's rho.  Uses the
+    ambient tangential antiholomorphic fields applied to the holomorphic
+    gradient of rho, with exact incremental rank tracking.  Each field
+    annihilates rho identically, so a bracket of two of them is a multiple
+    of d/dwb that kills rho, hence zero: the fields commute up to the
+    truncation order, and only sorted words are walked.
     """
-    N, n, W = M.N, M.n, M.rho.order
+    N, W = rho.nvars // 2, rho.order
+    n = N - 1
     if kmax + 1 > W:
         raise OrderExhausted(f"kmax {kmax} exceeds series budget {W - 1}")
-    rho = M.rho
     grad = [rho.derive(j) for j in range(n)] + [rho.derive(N - 1)]
     rho_wb = rho.derive(2 * N - 1)
     if rho_wb.constant_term().is_zero():
@@ -356,10 +359,12 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
     Each point is given as (z_values, s) with exact coordinates; the
     transverse value is completed from the graph.  Points must lie exactly
     on the hypersurface, which restricts the scan to polynomial graphs,
-    and M's rho must be the complete polynomial.  extrinsic_k0 reads
-    derivatives of order at most k + 1 at the point, so each recentred rho
-    is normalized at order k + 2, the order of an analyze germ, or at M's
-    order when that is lower.
+    and M's rho must be the complete polynomial.  extrinsic_k0 reads only
+    the defining series, through derivatives of order at most k + 1 at the
+    point, so each recentred rho is cut at order k + 2, the order of an
+    analyze germ (or at M's order when that is lower), and given the
+    linear normalization alone: no graph is solved at a point.  A point
+    that normalization refuses, one where d rho vanishes, is "singular".
     """
     N = M.N
     results = []
@@ -378,8 +383,9 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
                 "sample point is not exactly on the hypersurface; "
                 "the scan needs a polynomial graph")
         try:
-            Mp = from_defining(M.rho.recenter(p).truncate(k + 2), N)
-            k0p = extrinsic_k0(Mp, k)
+            rho, _ = linear_normalization(
+                M.rho.recenter(p).truncate(k + 2), N)
+            k0p = extrinsic_k0(rho, k)
             results.append(PointResult(
                 z=tuple(z), s=s, status="ok", k0=k0p,
                 nondegenerate=is_finite(k0p) and k0p <= k))

@@ -1,6 +1,6 @@
 """Shared model builders: defining series for the hypersurfaces under test,
-maps between them, the reference eliminator, frames adapted to a
-filtration, the pulled-back coframe route to a map's transport data,
+maps between them, the per-point scan route, the reference eliminator,
+frames adapted to a filtration, the pulled-back coframe route to a map's transport data,
 and the tangency problem built and solved on its own:
 restrictions composed candidate by candidate, the complex problem, and the
 fields of a solution."""
@@ -16,6 +16,7 @@ from crjet.autdim import (AutError, FormalVectorField, _holo_exponents,
 from crjet.hypersurface import (Frame, GeometryError, OneForm,
                                 ambient_pairing, ambient_var, from_defining,
                                 intrinsic_pairing)
+from crjet.invariants import PointResult, extrinsic_k0, is_finite
 from crjet.linalg import SpanTracker, rank
 from crjet.mappings import AmbientMap, MappingError
 from crjet.series import (CS_I, CS_ONE, CS_ZERO, CScalar, TruncatedSeries,
@@ -114,6 +115,37 @@ def random_nondegenerate_model(seed: int, N: int, order: int):
         zbj = TruncatedSeries(nv, order, {unit_exponent(nv, n + j): 1})
         phi = phi + zj * zbj
     return from_defining(graph_rho(phi, N, order), N)
+
+
+def oracle_scan(M, points, k) -> tuple:
+    """Oracle for nondegeneracy_scan: the PointResults of the per-point
+    route, where each recentred rho, cut at order k + 2, is solved for its
+    whole graph by from_defining before extrinsic_k0 reads the germ's rho.
+    A point that from_defining refuses is singular."""
+    results = []
+    for z_values, s in points:
+        z = [CScalar.coerce(v) for v in z_values]
+        s = CScalar.coerce(s)
+        if not s.is_real():
+            raise GeometryError("the transverse base coordinate must be real")
+        t = M.phi.eval_at(z + [v.conj() for v in z] + [s])
+        if not t.is_real():
+            raise GeometryError("graph value came out complex")
+        w = s + CS_I * t
+        p = z + [w] + [v.conj() for v in z] + [w.conj()]
+        if not M.rho.eval_at(p).is_zero():
+            raise GeometryError(
+                "sample point is not exactly on the hypersurface; "
+                "the scan needs a polynomial graph")
+        try:
+            Mp = from_defining(M.rho.recenter(p).truncate(k + 2), M.N)
+            k0p = extrinsic_k0(Mp.rho, k)
+            results.append(PointResult(
+                z=tuple(z), s=s, status="ok", k0=k0p,
+                nondegenerate=is_finite(k0p) and k0p <= k))
+        except GeometryError:
+            results.append(PointResult(z=tuple(z), s=s, status="singular"))
+    return tuple(results)
 
 
 def unit_exponent(nv: int, index: int) -> tuple:

@@ -40,7 +40,7 @@ def test_criterion_01_quadric_invariants_exact():
         M = heis(N, 8)
         filt = intrinsic_filtration(build_frame(M), kmax=2)
         assert filt.k0 == 1
-        assert extrinsic_k0(M, 2) == 1
+        assert extrinsic_k0(M.rho, 2) == 1
         assert filt.ell0 == 1 and filt.ell1 == 1
         assert filt.m0 == 2
         assert filt.levi_rank == N - 1
@@ -50,7 +50,7 @@ def test_criterion_02_cubic_model_filtration_exact():
     M = from_defining(m3_rho(8), 3)
     filt = intrinsic_filtration(build_frame(M), kmax=3)
     assert filt.k0 == 2
-    assert extrinsic_k0(M, 3) == 2
+    assert extrinsic_k0(M.rho, 3) == 2
     assert filt.Ek_dims[1] == 2
     assert filt.Ek_dims[2] == 3
 
@@ -61,7 +61,7 @@ def test_criterion_03_quartic_model_unbounded_markers():
     M = from_defining(m2_rho(10), 2)
     filt = intrinsic_filtration(build_frame(M), kmax=6)
     assert not is_finite(filt.k0) and filt.k0.bound == 6
-    assert not is_finite(extrinsic_k0(M, 6))
+    assert not is_finite(extrinsic_k0(M.rho, 6))
     assert not is_finite(filt.ell0) and not is_finite(filt.ell1)
     assert filt.ell0 == filt.ell1
     assert filt.m0 == 4

@@ -1,5 +1,6 @@
 """Command-line layer: grammar positions, document round-trips, verbs."""
 
+import itertools
 import json
 import os
 import random
@@ -639,20 +640,27 @@ class TestVerbs:
         assert code == 0 and "pass: true" in out
 
     def test_verify_degree_zero_is_bad_input(self, docs, capsys):
-        # on a basis of constants both sides of every certificate vanish,
-        # so the operators check would pass whatever the certificates say
-        for checks in ("operators", "frame,operators", "all"):
-            argv = ["verify", docs["m3"], "--degree", "0"]
+        # on a basis of degree 0 or 1 the second-order coefficients of the
+        # m = 2 certificates are invisible, so the operators check would
+        # pass a corrupted certificate (see TestVerificationRejectsCorruption)
+        for degree, checks in itertools.product(
+                ("0", "1"), ("operators", "frame,operators", "all")):
+            argv = ["verify", docs["m3"], "--degree", degree]
             if checks != "all":
                 argv += ["--check", checks]
             code, out, errtext = run(capsys, argv)
-            assert (code, out) == (2, ""), checks
+            assert (code, out) == (2, ""), (degree, checks)
             assert errtext == (
-                "error: --degree: --degree 0 gives a basis of constants, "
-                "on which both sides of every operator certificate "
-                "vanish; the operators check needs --degree 1 or more\n")
-        code, out, _ = run(capsys, ["verify", docs["m3"], "--check", "frame",
-                                    "--degree", "0"])
+                f"error: --degree: --degree {degree} gives a basis of "
+                "degree below 2, which cannot see the second-order "
+                "coefficients of the m = 2 operator certificates; the "
+                "operators check needs --degree 2 or more\n")
+        for degree in ("0", "1"):
+            code, out, _ = run(capsys, ["verify", docs["m3"], "--check",
+                                        "frame", "--degree", degree])
+            assert code == 0 and "pass: true" in out
+        code, out, _ = run(capsys, ["verify", docs["m3"], "--check",
+                                    "operators", "--degree", "2"])
         assert code == 0 and "pass: true" in out
 
     @pytest.mark.parametrize("N, counts", [(3, [5, 7]), (4, [9, 16])])

@@ -23,9 +23,9 @@ from crjet.invariants import (
 from crjet.linalg import SpanTracker, rank
 from crjet.series import CScalar, TruncatedSeries, Unbounded
 from tests.conftest import (adapt_frame, graph_rho, heis, heisenberg_rho,
-                            kernel_bases, m2_rho, m3_rho, m4_rho,
+                            im_w, kernel_bases, m2_rho, m3_rho, m4_rho,
                             random_model, random_nondegenerate_model,
-                            random_phi, ref_nullspace)
+                            oracle_scan, random_phi, ref_nullspace)
 from tests.test_words import OrderedWords
 
 
@@ -103,11 +103,11 @@ class TestHTensor:
         assert r1.Ek_dims == r2.Ek_dims
 
 
-def ordered_extrinsic_k0(M, kmax):
+def ordered_extrinsic_k0(rho, kmax):
     """extrinsic_k0 walking every ordered word: the gradient-span route
     without relying on the ambient fields commuting."""
-    N, n, W = M.N, M.n, M.rho.order
-    rho = M.rho
+    N, W = rho.nvars // 2, rho.order
+    n = N - 1
     grad = [rho.derive(j) for j in range(n)] + [rho.derive(N - 1)]
     wb_inv = rho.derive(2 * N - 1).invert_unit()
     fields = []
@@ -138,27 +138,27 @@ class TestExtrinsicK0:
                 for seed in range(12):
                     for kmax in range(5):
                         M = maker(700 + seed, N, kmax + 3)
-                        got = extrinsic_k0(M, kmax)
-                        assert got == ordered_extrinsic_k0(M, kmax), \
+                        got = extrinsic_k0(M.rho, kmax)
+                        assert got == ordered_extrinsic_k0(M.rho, kmax), \
                             (maker, seed, N, kmax)
                         seen.add(got)
         assert {1, 2, 3, 4, Unbounded("kmax", 4)} <= seen
 
     def test_heisenberg_plane(self):
         M = from_defining(heisenberg_rho(2, 6), 2)
-        assert extrinsic_k0(M, 3) == 1
+        assert extrinsic_k0(M.rho, 3) == 1
 
     def test_heisenberg_space(self):
         M = from_defining(heisenberg_rho(3, 6), 3)
-        assert extrinsic_k0(M, 3) == 1
+        assert extrinsic_k0(M.rho, 3) == 1
 
     def test_two_step_model(self):
         M = from_defining(m3_rho(8), 3)
-        assert extrinsic_k0(M, 4) == 2
+        assert extrinsic_k0(M.rho, 4) == 2
 
     def test_degenerate_model_marker(self):
         M = from_defining(m2_rho(10), 2)
-        got = extrinsic_k0(M, 6)
+        got = extrinsic_k0(M.rho, 6)
         assert got == Unbounded("kmax", 6)
         assert str(got) == "inf@kmax=6"
 
@@ -222,7 +222,7 @@ class TestIntrinsicFiltration:
             F = build_frame(M)
             r = intrinsic_filtration(F)
             assert r.k0 == want
-            assert extrinsic_k0(M, r.kmax) == want
+            assert extrinsic_k0(M.rho, r.kmax) == want
 
     def test_cross_oracle_marker_agreement(self):
         # the quartic model and the cubic model both fail every finite
@@ -232,7 +232,7 @@ class TestIntrinsicFiltration:
             F = build_frame(M)
             r = intrinsic_filtration(F, kmax=kmax)
             assert r.k0 == Unbounded("kmax", kmax)
-            assert extrinsic_k0(M, kmax) == r.k0
+            assert extrinsic_k0(M.rho, kmax) == r.k0
 
     def test_levi_rank_at_kmax_zero(self):
         # with no k-step the Levi rank comes from the length-one tensor
@@ -249,7 +249,7 @@ class TestIntrinsicFiltration:
                 for seed in range(600, 610):
                     M = maker(seed, N, order)
                     r = intrinsic_filtration(build_frame(M), kmax=3)
-                    assert r.k0 == extrinsic_k0(M, 3), (maker, seed, N)
+                    assert r.k0 == extrinsic_k0(M.rho, 3), (maker, seed, N)
                     seen.add(r.k0)
         assert seen == {1, 2, 3, Unbounded("kmax", 3)}
 
@@ -290,7 +290,7 @@ class TestIntrinsicFiltration:
                     full = maker(900 + seed, N, 2 * (kmax + 2))
                     cut = from_defining(full.rho.truncate(kmax + 2), N)
                     got = [(intrinsic_filtration(build_frame(M), kmax),
-                            extrinsic_k0(M, kmax)) for M in (cut, full)]
+                            extrinsic_k0(M.rho, kmax)) for M in (cut, full)]
                     assert got[0] == got[1], (maker.__name__, seed, N, kmax)
                     seen.add((got[0][0].k0, got[0][0].m0))
         assert {k0 for k0, _ in seen} >= {1, 2, Unbounded("kmax", 3)}
@@ -416,6 +416,40 @@ class TestNondegeneracyScan:
         rep = nondegeneracy_scan(M, pts, 1)
         assert all(r.nondegenerate for r in rep.results)
         assert rep.nondegenerate_count == 3
+
+    def test_seeded_graphs_match_the_graph_route(self):
+        # the linear normalization alone gives every point the k0 that
+        # solving the recentred graph gave
+        seen = set()
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        values = (0, half, third, CScalar(0, half), CScalar(third, 1))
+        for N, order, seeds in ((2, 6, range(4)), (3, 5, range(3))):
+            for maker in (random_model, random_nondegenerate_model):
+                for seed in seeds:
+                    M = maker(40 + seed, N, order)
+                    points = [(z, s) for z in itertools.product(
+                        values, repeat=N - 1) for s in (0, third)]
+                    if N == 3:
+                        points = points[::3]
+                    for k in range(min(order - 1, 3)):
+                        got = nondegeneracy_scan(M, points, k)
+                        assert got.results == oracle_scan(M, points, k), \
+                            (maker.__name__, seed, N, k)
+                        seen.update(str(r.k0) for r in got.results)
+        assert {"1", "2", "inf@kmax=0", "inf@kmax=1",
+                "inf@kmax=2"} <= seen
+
+    def test_vanishing_differential_is_singular_on_both_routes(self):
+        # rho = (Im w - |z1|^2)(1 - 4|z1|^2): both factors vanish on
+        # |z1| = 1/2, so d rho does, and the linear normalization refuses
+        # the point as the graph route did
+        z, zb = ambient_var(2, 0, 4), ambient_var(2, 2, 4)
+        M = from_defining((im_w(2, 4) - z * zb) * (1 - 4 * z * zb), 2)
+        points = [((0,), 0), ((Fraction(1, 2),), 0)]
+        got = nondegeneracy_scan(M, points, 1)
+        assert got.results == oracle_scan(M, points, 1)
+        assert [r.status for r in got.results] == ["ok", "singular"]
+        assert got.results[0].k0 == 1
 
 
 def random_invertible(rng, N):

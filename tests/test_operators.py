@@ -590,6 +590,23 @@ class TestVerificationRejectsCorruption:
                                  tail, 0)
         assert _verify_weighted(memo, wtd.word, wtd.Fbar, wtd.p, coeffs, 0)
 
+    def test_degree_one_misses_second_order_coefficients(self):
+        # the m = 2 weighted certificates are second-order operators: a
+        # corrupted bracket coefficient of word (0, 0) still verifies on
+        # the degree-1 basis and fails from degree 2 on, which is why the
+        # command line refuses --degree 1 for the operators check
+        F = build_frame(random_nondegenerate_model(446, 3, 6))
+        memo = CertificateMemo(F)
+        one = TruncatedSeries.constant(2 * F.n + 1, 1, F.order)
+        for J in ((0, 1), (0,)):
+            wtd = _weighted(memo, J, 2)
+            assert wtd.verified and (0, 0) in wtd.bracket_coeffs
+            coeffs = dict(wtd.bracket_coeffs)
+            coeffs[(0, 0)] = coeffs[(0, 0)] + one
+            got = [_verify_weighted(memo, wtd.word, wtd.Fbar, wtd.p, coeffs,
+                                    degree) for degree in (0, 1, 2, 3)]
+            assert got == [True, True, False, False], J
+
     def test_inconsistent_tables_are_unverified(self, monkeypatch):
         # a decomposition that disagrees with its forced shape comes back
         # unverified, even with the monomial verifications forced to pass

@@ -216,7 +216,10 @@ def test_series_kernel_calls_per_invariants_pass(monkeypatch, tmp_path):
     # one invariants pass at seed 7: a field applied to the zero series
     # builds no product, and each operator-certificate memo inverts its
     # Levi pivot once, where the per-application products cost 5451
-    # sums of products and the per-pivot inverses 158 inversions
+    # sums of products and the per-pivot inverses 158 inversions; every
+    # germ of the pass is affine in Im w, so its graph takes one Newton
+    # step, and the scan solves no graph, where the doubling schedule and
+    # the per-point graphs cost 36 more inversions
     calls = load_workloads().build("invariants", 7, tmp_path)
     counts = {"invert_unit": 0, "_sum_of_products": 0}
     invert, sums = TruncatedSeries.invert_unit, series._sum_of_products
@@ -234,8 +237,31 @@ def test_series_kernel_calls_per_invariants_pass(monkeypatch, tmp_path):
     for call in calls:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(list(call.argv)) == 0, call.argv
-    assert 0 < counts["invert_unit"] <= 111
+    assert 0 < counts["invert_unit"] <= 75
     assert 0 < counts["_sum_of_products"] <= 3345
+
+
+@pytest.mark.parametrize("workload, most", [
+    ("invariants", 76), ("symmetry", 67), ("transport", 164)])
+def test_compositions_per_pass(monkeypatch, tmp_path, workload, most):
+    # one seed-7 pass of each workload: an affine germ composes once for
+    # its one Newton step, the identity linear change composes nothing,
+    # and a scan point only its linear change, where the doubling
+    # schedule, the per-point graphs and the identity composed anyway
+    # made 161, 95 and 204 compositions
+    calls = load_workloads().build(workload, 7, tmp_path)
+    count = [0]
+    compose = TruncatedSeries.compose
+
+    def counting_compose(self, subs):
+        count[0] += 1
+        return compose(self, subs)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting_compose)
+    for call in calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(call.argv)) == 0, call.argv
+    assert 0 < count[0] <= most
 
 
 def test_word_longer_than_frame_order():
