@@ -76,7 +76,8 @@ MAX_RHO_DIGITS = 10_000
 MAX_CHAIN_WORDS = 400_000
 # the same count for reflect, whose words each cost composed target entries
 # at an order that grows with --kmax: at --kmax 8 on C^3 (1023 words) it
-# takes 19 s on a unit-Levi pair
+# takes about 0.2 s as a fresh process on a unit-Levi pair, most of it in
+# the transport recursion and the target entries it composes
 MAX_REFLECT_WORDS = 1_024
 # most jet coefficients reconstruct --target-order T may expand: degree d
 # reads every unknown's Taylor coefficients up to d - k - 1, which sums to

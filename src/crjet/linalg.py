@@ -1,11 +1,12 @@
-"""Exact linear algebra over field entries and over series entries.
+"""Exact linear algebra over field entries.
 
-Everything here is exact: rank, nullspace and solve decisions feed span
-computations that must be tolerance-free.  The one eliminator is
-fraction-free (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and works
-on sparse rows {column: (re, im)} of Gaussian-integer pairs, the numerator
-convention of TruncatedSeries.
+Everything here is exact: rank and nullspace decisions feed span
+computations that must be tolerance-free.  Systems with series entries
+are solved in the series layer (``series.series_solve``).  The one
+eliminator is fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968) and works on sparse rows {column: (re, im)} of Gaussian-integer
+pairs, the numerator convention of TruncatedSeries.
 
 - Entry.  nullspace takes sparse {column: int} rows with nonzero values,
   which enter as Gaussian integers with imaginary part 0; rank and
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .series import CScalar, SeriesError
+from .series import CScalar
 
 
 def _integer_row(vec) -> dict:
@@ -176,40 +177,3 @@ class SpanTracker:
 
     def contains(self, vec) -> bool:
         return not _reduce(_integer_row(vec), self.rows)
-
-
-def series_solve(rows, columns):
-    """Solve A X = B for every right-hand-side column of B at once, where
-    the entries are series and A(0) is invertible.
-
-    columns is a list of right-hand sides, each a list of len(rows)
-    series; the result lists one solution per column, in the same order.
-    Gauss-Jordan elimination over the series ring runs once on A augmented
-    by every column: each pivot is the unit of largest |constant term|^2
-    in its column (A(0) invertible guarantees one), and a column goes
-    through the same operations, in the same order, as it would alone.
-    A step updates only the columns right of its pivot: the pivot entry
-    would become 1 and the entries below and above it 0, and no later
-    step reads them.
-    """
-    n, m = len(rows), len(columns)
-    aug = [list(r) + [col[i] for col in columns] for i, r in enumerate(rows)]
-    for col in range(n):
-        best, best_size = None, None
-        for i in range(col, n):
-            size = aug[i][col].constant_term().abs2()
-            if size != 0 and (best is None or size > best_size):
-                best, best_size = i, size
-        if best is None:
-            raise SeriesError("series system pivot is not a unit")
-        aug[col], aug[best] = aug[best], aug[col]
-        inv = aug[col][col].invert_unit()
-        piv = [x * inv for x in aug[col][col + 1:]]
-        aug[col][col + 1:] = piv
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i][col + 1:] = [a - f * b
-                                    for a, b in zip(aug[i][col + 1:], piv)]
-    return [[aug[i][n + j] for i in range(n)] for j in range(m)]
-

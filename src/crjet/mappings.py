@@ -40,8 +40,8 @@ from .hypersurface import (
     linear_change,
 )
 from .invariants import CheckReport
-from .linalg import rank, series_solve
-from .series import SeriesError, TruncatedSeries, dot
+from .linalg import rank
+from .series import SeriesError, TruncatedSeries, dot, series_solve
 
 HALF = Fraction(1, 2)
 
@@ -368,9 +368,9 @@ def solve_levi_reflection(conj: ConjugateData, pull: Pullback):
     sum_C gammabar^C_A hhat_{CbD} is a unit matrix at 0 exactly when both
     germs are Levi-nondegenerate there, and then gamma solves the
     Levi-transport rows while eta solves the xi-derivative rows, all in
-    one elimination.  The source entries come from the source frame, and
-    pull supplies the length-1 target entries composed with the map;
-    neither reads gamma or eta.
+    one call of series_solve, degree by degree.  The source entries come
+    from the source frame, and pull supplies the length-1 target entries
+    composed with the map; neither reads gamma or eta.
     """
     frame_src = pull.source_frame
     n = frame_src.n

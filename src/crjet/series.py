@@ -48,6 +48,16 @@ exponent of x_j, each power x_j^e becomes the binomial expansion of
 (x_j + p_j)^e, all over the one denominator q^E.  ``eval_at`` keeps only
 the degree-0 part of each expansion, and a zero coordinate costs nothing.
 
+Linear systems A X = B with series entries and A(0) invertible have one
+solver, :func:`series_solve`.  It inverts the constant matrix A(0) once,
+exactly, and then runs the matrix form of the ``invert_unit`` recurrence
+over Gaussian-integer numerators, X_d = A(0)^-1 (B_d - sum_j A_j X_(d-j))
+over the degrees j present in A, so its work follows the size of the
+solution, where Gauss-Jordan elimination multiplied whole rows by dense
+pivot inverses.  Each solution column has the least order of A's entries
+and of that column's; a singular A(0), a system that is not square or a
+column of the wrong length raises :class:`SeriesError`.
+
 Example:
 
     >>> z = TruncatedSeries.variable(1, 0, order=3)
@@ -901,3 +911,108 @@ class TruncatedSeries:
     def __repr__(self):
         inner = {a: c.render() for a, c in self.terms()}
         return f"TruncatedSeries({self.nvars}, {self.order}, {inner})"
+
+
+def series_solve(rows, columns) -> list:
+    """Solve A X = B for each right-hand-side column B, where rows is the
+    square series matrix A and A(0) is invertible.
+
+    Degree by degree, as invert_unit runs its recurrence (the relaxed
+    triangular solve of van der Hoeven, J. Symb. Comp. 34, 2002): with
+    D A and E B integer, D and E the least common denominators of A and
+    of the column, and (D A)(0)^-1 = M / q for a Gaussian-integer M and
+    an integer q > 0, Z_d = M (q^d E B_d - sum_j q^(j-1) D A_j Z_(d-j))
+    over the degrees j present in A, and X = D sum_d Z_d q^(order-d) /
+    (E q^(order+1)).  The work grows with the solution, not with dense
+    inverses of the pivots.  Each column gets the least order of A's
+    entries and of its own; Gauss-Jordan elimination could keep a higher
+    one where orders are mixed, with the same values up to this order.
+    A system that is not n x n with columns of length n, or mixes nvars,
+    raises SeriesError, as does a singular A(0); n = 0 gives one empty
+    solution per column.
+    """
+    n, entries = len(rows), [s for r in rows for s in r]
+    if any(len(r) != n for r in rows) or any(len(c) != n for c in columns):
+        raise SeriesError(
+            f"series system of {n} rows of lengths {[len(r) for r in rows]} "
+            f"and columns of lengths {[len(c) for c in columns]}")
+    if not n:
+        return [[] for _ in columns]
+    nvars = entries[0].nvars
+    if any(s.nvars != nvars for c in (entries, *columns) for s in c):
+        raise SeriesError(f"nvars mismatch in a series system over {nvars}")
+    shift, top = _BITS * nvars, min(s.order for s in entries)
+    den = lcm(*(s._den for s in entries))
+    # Gauss-Jordan on the integer rows [(D A)(0) | I]: row i ends as
+    # p_i e_i | R_i, so row i of (D A)(0)^-1 is R_i conj(p_i) / |p_i|^2
+    aug = [[(re * (den // s._den), im * (den // s._den))
+            for s in r for re, im in (s._terms.get(0, (0, 0)),)]
+           + [(int(j == i), 0) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c] != (0, 0)), None)
+        if p is None:
+            raise SeriesError("series system pivot is not a unit")
+        aug[c], aug[p] = aug[p], aug[c]
+        (pr, pi), pivot = aug[c][c], aug[c]
+        for i, row in enumerate(aug):
+            fr, fi = row[c]
+            if i != c and (fr or fi):
+                aug[i] = [(pr * a - pi * b - fr * x + fi * y,
+                           pr * b + pi * a - fr * y - fi * x)
+                          for (a, b), (x, y) in zip(row, pivot)]
+    inv = [[(k, a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi)
+            for k, (a, b) in enumerate(row[n:]) if a or b]
+           for row, (pr, pi) in zip(aug, (aug[i][i] for i in range(n)))]
+    q = lcm(*(d for r in inv for *_, d in r))
+    q //= gcd(q, *(x * (q // d) for r in inv for _, a, b, d in r
+                   for x in (a, b)))
+    # M row by row, as (k, one constant item) per nonzero entry
+    m = [[(k, ((0, (a * q // d, b * q // d)),)) for k, a, b, d in r]
+         for r in inv]
+    qpow = [q ** d for d in range(top + 2)]
+    # -q^(j-1) D A_j, by degree j, row and column
+    parts = [[[[] for _ in r] for r in rows] for _ in range(top + 1)]
+    for i, r in enumerate(rows):
+        for k, s in enumerate(r):
+            for key, (re, im) in s._terms.items():
+                d = key >> shift
+                if 0 < d <= top:
+                    g = -(den // s._den) * qpow[d - 1]
+                    parts[d][i][k].append((key, (re * g, im * g)))
+    present = [d for d in range(1, top + 1) if any(map(any, parts[d]))]
+    out = []
+    for col in columns:
+        order = min(top, *(s.order for s in col))
+        lim, e = (order + 1) << shift, lcm(*(s._den for s in col))
+        # q^d E B_d, less the products below as they are added
+        rhs = [[{} for _ in col] for _ in range(order + 1)]
+        for i, s in enumerate(col):
+            for key, (re, im) in s._terms.items():
+                d = key >> shift
+                if d <= order:
+                    g = e // s._den * qpow[d]
+                    rhs[d][i][key] = (re * g, im * g)
+        z = []
+        for d, acc in enumerate(rhs):
+            for j in present:
+                if j > d:
+                    break
+                for i, row in enumerate(parts[j]):
+                    for a, zk in zip(row, z[d - j]):
+                        if a and zk:
+                            _mul_into(acc[i], a, zk.items(), lim)
+            z.append([{} for _ in col])
+            for zi, row in zip(z[d], m):
+                for k, item in row:
+                    if acc[k]:
+                        _mul_into(zi, item, acc[k].items(), lim)
+        sol = []
+        for i in range(n):
+            terms = {}
+            for d, zd in enumerate(z):
+                g = den * qpow[order - d]
+                terms.update((k, (re * g, im * g))
+                             for k, (re, im) in zd[i].items())
+            sol.append(_reduced(nvars, order, terms, e * qpow[order + 1]))
+        out.append(sol)
+    return out

@@ -18,9 +18,9 @@ from crjet.hypersurface import (
     from_defining,
     intrinsic_pairing,
 )
-from crjet.linalg import rank, series_solve
+from crjet.linalg import rank
 from crjet.series import (CS_I, CS_ONE, CS_ZERO, CScalar, OrderExhausted,
-                          TruncatedSeries)
+                          TruncatedSeries, series_solve)
 from tests.conftest import (
     adapt_frame,
     graph_rho,

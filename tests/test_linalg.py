@@ -7,13 +7,9 @@ from math import lcm
 import pytest
 
 from crjet.autdim import AutError, infinitesimal_aut_dim
-from crjet.linalg import (
-    SpanTracker,
-    nullspace,
-    rank,
-    series_solve,
-)
-from crjet.series import CS_ONE, CS_ZERO, CScalar, SeriesError, TruncatedSeries
+from crjet.linalg import SpanTracker, nullspace, rank
+from crjet.series import (CS_ONE, CS_ZERO, CScalar, SeriesError,
+                          TruncatedSeries, series_solve)
 
 from tests.conftest import (holomorphic_oracle, random_model,
                             random_nondegenerate_model, ref_insert,
@@ -383,8 +379,10 @@ def _series_matrix(rng, n, nvars, order):
     return rows
 
 
-# the single-column series solve that series_solve replaced, kept as the
-# oracle for its many-column elimination
+# Gauss-Jordan elimination over the series ring, one column at a time,
+# kept as the oracle for the degree-by-degree series_solve: each pivot is
+# the unit of largest |constant term|^2 in its column, and its row is
+# multiplied by the pivot's inverse
 def ref_series_solve(rows, rhs):
     n = len(rows)
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -406,13 +404,13 @@ def ref_series_solve(rows, rhs):
     return [aug[i][n] for i in range(n)]
 
 
-def _unit_matrix(rng, n, nvars, order):
+def _unit_matrix(rng, n, nvars, order, terms=3):
     """Random series matrix, invertible at 0 but with no preferred
     diagonal, so the pivot search swaps rows."""
     from tests.test_series import rand_series
     while True:
-        rows = [[rand_series(rng, nvars, order, terms=3) for _ in range(n)]
-                for _ in range(n)]
+        rows = [[rand_series(rng, nvars, order, terms=terms)
+                 for _ in range(n)] for _ in range(n)]
         if rank([[s.constant_term() for s in r] for r in rows]) == n:
             return rows
 
@@ -468,3 +466,80 @@ class TestSeriesSolve:
                 ref_series_solve(a, columns[0])
             with pytest.raises(SeriesError, match="pivot is not a unit"):
                 series_solve(a, columns)
+
+    def test_dependent_rows_at_the_origin_raise_like_the_oracle(self):
+        from tests.test_series import rand_series
+        rng = random.Random(25)
+        for n in (2, 3, 4):
+            a = _unit_matrix(rng, n, 2, 3)
+            # the last row is nonzero at 0 but a multiple of the first there
+            lam = C(Fraction(rng.randrange(1, 5), rng.randrange(1, 4)),
+                    rng.randrange(-2, 3))
+            a[-1] = [y - y.constant_term() + lam * x.constant_term()
+                     for x, y in zip(a[0], a[-1])]
+            assert any(not y.constant_term().is_zero() for y in a[-1])
+            columns = [[rand_series(rng, 2, 3) for _ in range(n)]]
+            with pytest.raises(SeriesError, match="pivot is not a unit"):
+                ref_series_solve(a, columns[0])
+            with pytest.raises(SeriesError, match="pivot is not a unit"):
+                series_solve(a, columns)
+
+    @pytest.mark.parametrize("n, nvars", [(2, 3), (3, 3), (2, 5), (3, 5)])
+    def test_dense_systems_match_the_oracle(self, n, nvars):
+        from tests.test_series import rand_series
+        rng = random.Random(26 + 10 * n + nvars)
+        for order in (1, 3, 6):
+            a = _unit_matrix(rng, n, nvars, order, terms=20)
+            columns = [[rand_series(rng, nvars, order, terms=20)
+                        for _ in range(n)] for _ in range(2)]
+            for col, sol in zip(columns, series_solve(a, columns)):
+                assert sol == ref_series_solve(a, col)
+
+    def test_one_by_one_is_invert_unit(self):
+        from tests.test_series import rand_series
+        rng = random.Random(27)
+        for nvars in (1, 2, 3, 5):
+            for order in range(7):
+                g = rand_series(rng, nvars, order)
+                if g.constant_term().is_zero():
+                    g = g + 1
+                one = TruncatedSeries.constant(nvars, 1, order)
+                assert series_solve([[g]], [[one]]) == [[g.invert_unit()]]
+
+    def test_mixed_orders_agree_with_the_oracle_up_to_the_least(self):
+        from tests.test_series import rand_series
+        rng = random.Random(28)
+        for n in (1, 2, 3):
+            for _ in range(15):
+                a = [[s.truncate(rng.randrange(7)) for s in r]
+                     for r in _unit_matrix(rng, n, 2, 6)]
+                col = [rand_series(rng, 2, rng.randrange(7))
+                       for _ in range(n)]
+                least = min(s.order for s in [*sum(a, []), *col])
+                [got] = series_solve(a, [col])
+                for x, want in zip(got, ref_series_solve(a, col)):
+                    assert x.order == least <= want.order
+                    assert x == want.truncate(least)
+
+    def test_block_diagonal_orders(self):
+        # Gauss-Jordan keeps each block's order; the solver gives every
+        # unknown the least order of the matrix, with the same values
+        x = TruncatedSeries.variable(1, 0, 5)
+        zero, one = TruncatedSeries.zero(1, 5), 1 + 0 * x
+        a = [[1 + x, zero], [zero, (2 + x).truncate(3)]]
+        want = ref_series_solve(a, [one, one])
+        [got] = series_solve(a, [[one, one]])
+        assert [s.order for s in want] == [5, 3]
+        assert [s.order for s in got] == [3, 3]
+        assert all(g == w.truncate(3) for g, w in zip(got, want))
+
+    def test_malformed_systems_raise(self):
+        a = TruncatedSeries.constant(2, 2, 3)
+        with pytest.raises(SeriesError, match=r"1 rows of lengths \[2\]"):
+            series_solve([[a, a]], [[a]])
+        with pytest.raises(SeriesError, match=r"columns of lengths \[2\]"):
+            series_solve([[a]], [[a, a]])
+        with pytest.raises(SeriesError, match="nvars mismatch"):
+            series_solve([[a]], [[TruncatedSeries.constant(3, 2, 3)]])
+        assert series_solve([], [[], []]) == [[], []]
+        assert series_solve([[a]], []) == []

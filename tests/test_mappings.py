@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from crjet import mappings, series
 from crjet.cli.main import main
 from crjet.hypersurface import Frame, ambient_var, build_frame, from_defining
 from crjet.mappings import (
@@ -36,6 +37,7 @@ from tests.conftest import (
     sigma,
     tau,
 )
+from tests.test_linalg import ref_series_solve
 from tests.test_words import OrderedWords, load_workloads
 
 
@@ -477,6 +479,53 @@ class TestSolveLeviReflection:
         P = data_for(identity_map(M2))
         with pytest.raises(MappingError):
             solve_levi_reflection(P.conjugated(), pull_for(P))
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_levi_systems_match_gauss_jordan(self, N, monkeypatch):
+        systems, solve = [], mappings.series_solve
+
+        def recording(rows, columns):
+            systems.append((rows, columns))
+            return solve(rows, columns)
+
+        monkeypatch.setattr(mappings, "series_solve", recording)
+        for kmax in (1, 2, 3):
+            # the order reflect gives level kmax
+            P = data_for(dilation_pair(kmax, N, 2 * (kmax + 2)))
+            solve_levi_reflection(P.conjugated(), pull_for(P))
+        assert len(systems) == 3
+        for rows, columns in systems:
+            assert len(columns) == N
+            for col, sol in zip(columns, solve(rows, columns)):
+                assert sol == ref_series_solve(rows, col)
+
+    def test_solve_work_on_a_c3_pair(self, monkeypatch):
+        # the Levi solve of a seeded C^3 pair at the order of reflect
+        # --kmax 6, once the base check has composed the entries it reads:
+        # degree by degree it inverts nothing and makes 934 term pairs,
+        # where Gauss-Jordan elimination inverted 2 pivots and made 253924
+        P = data_for(dilation_pair(3, 3, 16))
+        pull = pull_for(P)
+        assert verify_reflection_base(P, pull).ok
+        counts = {"invert_unit": 0, "pairs": 0}
+        invert, mul_into = TruncatedSeries.invert_unit, series._mul_into
+
+        def counting_invert(self):
+            counts["invert_unit"] += 1
+            return invert(self)
+
+        def counting_mul_into(out, left, right, lim):
+            left = list(left)
+            counts["pairs"] += len(left) * len(right)
+            return mul_into(out, left, right, lim)
+
+        monkeypatch.setattr(TruncatedSeries, "invert_unit", counting_invert)
+        monkeypatch.setattr(series, "_mul_into", counting_mul_into)
+        gamma, eta = solve_levi_reflection(P.conjugated(), pull)
+        assert counts["invert_unit"] == 0
+        assert 0 < counts["pairs"] <= 1000
+        assert all(gamma[A][B].agrees(P.gamma[A][B]) and
+                   eta[A].agrees(P.eta[A]) for A in range(2) for B in range(2))
 
 
 class TestComposition:
