@@ -404,7 +404,7 @@ def _run_reflect(args):
 
     n = data.n
     try:
-        gamma, eta = solve_levi_reflection(data.conjugated(), pull)
+        gamma, eta = solve_levi_reflection(data.xi, data.gbar, pull)
         wrong = tuple(("gamma", C, B) for C in range(n) for B in range(n)
                       if not gamma[C][B].agrees(data.gamma[C][B])) \
             + tuple(("eta", C) for C in range(n)

@@ -29,12 +29,12 @@ the bits.  It leaves out only what cannot change them: a unit
 coefficient, and the position sums when no row reads the position.  The
 term-by-term evaluator is the differential oracle in tests/test_jets.py.
 
-The stepper tests the state for finiteness once per run, after its
-substep loop: under the loop's + and * a non-finite entry stays
-non-finite, so a run ends non-finite exactly when one of its substeps
-did.  Such a run is replayed from its start state by a variant that
-tests after every substep, generated from the same source and compiled
-only then, which names the first substep that failed.
+The stepper returns the state and tests nothing; integrate tests each
+run's end state for finiteness once: under the loop's + and * a
+non-finite entry stays non-finite, so a run ends non-finite exactly when
+one of its substeps did.  Such a run is replayed from its start state by
+the same stepper, one substep per call, which names the first substep
+that failed.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class ReconstructionResult:
 
 # Most fourth-order substeps one integrate call may take; the walk is
 # counted before marching and refused above this.  A walk that ends
-# non-finite runs its failing run once more, to locate the failure.
+# non-finite replays its failing run once, to locate the failure.
 MAX_RK4_SUBSTEPS = 10_000_000
 # Most operands in one generated statement: CPython's compiler recurses
 # along an operator chain and gives up near a thousand.
@@ -276,23 +276,19 @@ def _rhs_lines(target, terms, names) -> list:
     return lines + _fold(target, "0.0", operands, " + ")
 
 
-def _stepper_source(rows, q, a, checked) -> str:
+def _stepper_source(rows, q, a) -> str:
     """Source of the RK4 stepper for axis a (see _compile_stepper).
 
-    The checked variant tests the state after every substep and calls
-    _fail at the first non-finite one; the other tests it once, after the
-    loop, and hands a non-finite run to _replay.  Positions are computed
-    only when a row reads the axis's own position, or for _fail.
+    Positions are computed only when a row reads the axis's own position.
     """
     m = len(rows)
     u = [f"u{j}" for j in range(m)]
     w = [f"w{j}" for j in range(m)]
     xs = [f"x{b}" for b in range(q)]
-    timed = checked or any(m + a in idx for row in rows for _, idx in row)
     body = [f"{', '.join(u)}, = state", f"{', '.join(xs)}, = coords",
             "hh = 0.5 * h", "h6 = h / 6.0",
             "for s_i in range(nsub):"]
-    if timed:
+    if any(m + a in idx for row in rows for _, idx in row):
         body += ["    t = t0 + s_i * h", "    th = t + hh", "    tf = t + h"]
     stages = ((u, "t", None), (w, "th", "hh"), (w, "th", "hh"),
               (w, "tf", "h"))
@@ -307,18 +303,12 @@ def _stepper_source(rows, q, a, checked) -> str:
                      for line in _rhs_lines(f"k{s}_{j}", row, names)]
     body += [f"    u{j} = u{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j}"
              f" + k4_{j})" for j in range(m)]
-    finite = " and ".join(f"_isfinite({x})" for x in u)
-    if checked:
-        body += [f"    if not ({finite}):", "        _fail(tf)"]
-    else:
-        body += [f"if not ({finite}):",
-                 "    return _replay(state, coords, t0, h, nsub)"]
     body.append(f"return [{', '.join(u)}]")
     return "def stepper(state, coords, t0, h, nsub):\n" + "".join(
         f"    {line}\n" for line in body)
 
 
-def _compile_stepper(rows, q, a, fail):
+def _compile_stepper(rows, q, a):
     """Straight-line RK4 for axis a of a system's jet entries.
 
     rows[j] lists the (float coefficient, variable indices) terms of the
@@ -326,26 +316,14 @@ def _compile_stepper(rows, q, a, fail):
     t0, h, nsub) takes nsub substeps of size h from x_{a+1} = t0, the
     other positions frozen at coords, and returns the new state.  Every
     float operation happens in the order of the rule in integrate, so
-    the results are bit-identical to evaluating it term by term.
-
-    The state is tested for finiteness once, after the substep loop: under
-    + and * a non-finite entry stays non-finite, so a run ends non-finite
-    exactly when one of its substeps did.  Such a run is replayed from its
-    start state by a checked variant, compiled then from the same
-    generator, which calls fail(x) at the first substep ending in a
-    non-finite state; a failing walk thus costs one extra run.
+    the results are bit-identical to evaluating it term by term, and
+    nsub calls of one substep each, from t0 + s_i*h, take the very same
+    steps as one call of nsub substeps.
     """
-    def build(checked, **names):
-        namespace = {"__builtins__": {}, "range": range,
-                     "_isfinite": math.isfinite, **names}
-        exec(compile(_stepper_source(rows, q, a, checked),
-                     f"<rk4 axis {a + 1}>", "exec"), namespace)
-        return namespace["stepper"]
-
-    def replay(state, coords, t0, h, nsub):
-        return build(True, _fail=fail)(state, coords, t0, h, nsub)
-
-    return build(False, _replay=replay)
+    namespace = {"__builtins__": {}, "range": range}
+    exec(compile(_stepper_source(rows, q, a), f"<rk4 axis {a + 1}>",
+                 "exec"), namespace)
+    return namespace["stepper"]
 
 
 def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
@@ -362,10 +340,11 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     one-step rule, so a fixed step gives identical output on every run.
     Negative grid values are reached by marching backward from 0.  A
     non-finite state aborts with the offending location, found by
-    replaying the run that ended non-finite, so a failing walk takes one
-    run more than it marched; a walk of more than MAX_RK4_SUBSTEPS
-    substeps, a step that is not finite, and a coefficient, jet value or
-    grid value beyond the float range, are refused before marching.
+    replaying the run that ended non-finite one substep at a time, so a
+    failing walk takes one run more than it marched; a walk of more than
+    MAX_RK4_SUBSTEPS substeps, a step that is not finite, and a
+    coefficient, jet value or grid value beyond the float range, are
+    refused before marching.
 
     The rule, in float arithmetic: each rhs is 0.0 + t_1 + t_2 + ... over
     its monomials in terms() order, each monomial ((c*v_a)*v_b)... in
@@ -375,8 +354,8 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
     u + h/6.0*(k1 + 2.0*k2 + 2.0*k3 + k4).  Before marching, each axis
     gets one compiled straight-line stepper (_compile_stepper) that
     performs exactly these operations in this order, so its output is
-    bit-identical to evaluating the rule term by term, and tests the
-    state for finiteness once per run.
+    bit-identical to evaluating the rule term by term; integrate tests
+    the state for finiteness once per run.
     """
     if lambda0.q != S.q or lambda0.m != S.m or lambda0.k != S.k:
         raise JetError("initial jet does not match the system signature")
@@ -421,13 +400,7 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
                             tuple(v for v, n in enumerate(e)
                                   for _ in range(n))))
 
-    def stepper(a):
-        def fail(x):
-            raise JetError(f"non-finite state while marching axis {a + 1} "
-                           f"near x_{a + 1} = {x}")
-        return _compile_stepper(rows[a], S.q, a, fail)
-
-    steppers = [stepper(a) for a in range(S.q)]
+    steppers = [_compile_stepper(rows[a], S.q, a) for a in range(S.q)]
     values = {}
 
     def walk(depth, state, coords):
@@ -441,7 +414,19 @@ def integrate(S: CompleteSystem, lambda0: JetVector, grid, step,
                 dist = target - t
                 if dist != 0.0:
                     nsub = _substeps(dist, step)
-                    u = steppers[a](u, coords, t, dist / nsub, nsub)
+                    h = dist / nsub
+                    end = steppers[a](u, coords, t, h, nsub)
+                    if not all(map(math.isfinite, end)):
+                        # replay the run to name its first failing substep
+                        for s_i in range(nsub):
+                            x = t + s_i * h
+                            u = steppers[a](u, coords, x, h, 1)
+                            if not all(map(math.isfinite, u)):
+                                break
+                        raise JetError(
+                            f"non-finite state while marching axis {a + 1} "
+                            f"near x_{a + 1} = {x + h}")
+                    u = end
                 t = target
                 coords2 = list(coords)
                 coords2[a] = target

@@ -2,18 +2,20 @@
 
 Everything here is exact: rank and nullspace decisions feed span
 computations that must be tolerance-free.  Systems with series entries
-are solved in the series layer (``series.series_solve``).  The one
-eliminator is fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968) and works on sparse rows {column: (re, im)} of Gaussian-integer
+are solved in the series layer (``series.series_solve``), which inverts
+their constant matrix here, with ``inverse``.  The one eliminator is
+fraction-free (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968) and
+works on sparse rows {column: (re, im)} of Gaussian-integer
 pairs, the numerator convention of TruncatedSeries.
 
 - Entry.  nullspace takes sparse {column: int} rows with nonzero values,
   which enter as Gaussian integers with imaginary part 0; rank and
   SpanTracker take dense sequences of int, Fraction or CScalar values,
-  whose denominators are cleared.  Either way a row is converted once and
-  divided by its content (the gcd of every real and imaginary part), so
-  it is primitive.
+  whose denominators are cleared; inverse takes dense rows of
+  Gaussian-integer pairs.  Every row is converted once and divided by
+  its content (the gcd of every real and imaginary part), so it is
+  primitive.
 - Elimination.  Rows pivot on their lowest column.  A row with lead
   column q is reduced by the pivot row piv stored under q as
   row = piv[q] * row - row[q] * piv, once both leads are divided by their
@@ -22,13 +24,15 @@ pairs, the numerator convention of TruncatedSeries.
   positive integer: a reduction then scales a row by a rational integer
   only, and content removal keeps entries at the size of the row's
   primitive form instead of letting them grow with the number of steps.
-- Exit.  Only nullspace divides, by each pivot row's lead, when it hands
-  values back, always as Fraction: its rows are real, so every pivot row
-  stays real.  rank and SpanTracker never leave the integers.
+- Exit.  nullspace and inverse clear every pivot column above its pivot.
+  Only nullspace divides, by each pivot row's lead, when it hands values
+  back, always as Fraction: its rows are real, so every pivot row stays
+  real.  inverse, rank and SpanTracker never leave the integers.
 
-A reduced row echelon form is unique, so the pivots and the nullspace
-basis (one vector per free column, read off the cleared pivot rows)
-depend on neither the pivot rule nor the scaling of the integer rows.
+A reduced row echelon form is unique, so the pivots, the nullspace
+basis (one vector per free column, read off the cleared pivot rows) and
+the inverse depend on neither the pivot rule nor the scaling of the
+integer rows.
 """
 
 from __future__ import annotations
@@ -136,18 +140,23 @@ def rank(rows) -> int:
     return len(echelon)
 
 
+def _clear(echelon: dict) -> None:
+    """Clear every pivot column above its pivot, highest pivot first, so
+    each pivot row holds no pivot column but its own."""
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for q in [q for q in row if q != p and q in echelon]:
+            row = _eliminate(row, q, echelon[q])
+        echelon[p] = row
+
+
 def nullspace(rows, ncols: int) -> list:
     """Basis of the right nullspace of {column: int} rows with nonzero
     values over ncols columns, one Fraction vector per free column."""
     echelon = {}
     for row in rows:
         _insert(_primitive({c: (x, 0) for c, x in row.items()}), echelon)
-    # clear every pivot column above its pivot, highest pivot first
-    for p in sorted(echelon, reverse=True):
-        row = echelon[p]
-        for q in [q for q in row if q != p and q in echelon]:
-            row = _eliminate(row, q, echelon[q])
-        echelon[p] = row
+    _clear(echelon)
     free = {fc: [Fraction(0)] * ncols for fc in range(ncols)
             if fc not in echelon}
     for fc, v in free.items():
@@ -159,6 +168,35 @@ def nullspace(rows, ncols: int) -> list:
             if c != p:
                 free[c][p] = Fraction(-re, den)
     return list(free.values())
+
+
+def inverse(rows) -> tuple:
+    """(q, M) with M / q the inverse of the square matrix rows, given as
+    dense rows of Gaussian-integer pairs (re, im): q is the least positive
+    integer that makes M Gaussian-integral, and M[i] is row i of M as a
+    sparse {column: (re, im)} row in ascending columns.  A singular matrix
+    raises ZeroDivisionError.
+
+    Row i enters as [rows[i] | e_i].  The matrix is singular exactly when
+    some pivot lands in the identity half; otherwise cleared pivot row p
+    is the primitive row [l_p e_p | R_p] with l_p > 0, so row p of the
+    inverse is R_p / l_p in lowest terms and q is the lcm of the l_p.
+    """
+    n, echelon = len(rows), {}
+    for i, row in enumerate(rows):
+        aug = {c: x for c, x in enumerate(row) if x != (0, 0)}
+        aug[n + i] = (1, 0)     # a unit entry: the row is primitive
+        _insert(aug, echelon)
+    if any(p >= n for p in echelon):
+        raise ZeroDivisionError("singular matrix")
+    _clear(echelon)
+    q = lcm(*(echelon[p][p][0] for p in range(n)))
+    m = []
+    for p in range(n):
+        f = q // echelon[p][p][0]
+        m.append({c - n: (re * f, im * f)
+                  for c, (re, im) in sorted(echelon[p].items()) if c >= n})
+    return q, m
 
 
 class SpanTracker:

@@ -14,7 +14,7 @@ with xi real and gamma invertible at 0.  The verify functions confirm the
 first-order identities these data satisfy against the h tensors of both
 germs, and solve_levi_reflection inverts the Levi-step identity: with both
 Levi pairings nondegenerate at 0 it reconstructs (gamma, eta) from xi and
-the conjugated data alone.
+the conjugated gamma alone.
 
 Those three readers share one Pullback, which lives for one reflect call
 and is then dropped.  It holds each target entry composed with the map's
@@ -158,17 +158,6 @@ class PushforwardData:
     @property
     def n(self):
         return len(self.eta)
-
-    def conjugated(self) -> "ConjugateData":
-        return ConjugateData(xi=self.xi, gammabar=self.gbar)
-
-
-@dataclass(frozen=True)
-class ConjugateData:
-    """The reflected inputs: xi together with conj(gamma)."""
-
-    xi: TruncatedSeries
-    gammabar: tuple
 
 
 def pushforward_data(F: AmbientMap, frame_src: Frame,
@@ -361,8 +350,9 @@ def verify_transport_recursion(data: PushforwardData, pull: Pullback,
                        checked=checked, violations=tuple(violations))
 
 
-def solve_levi_reflection(conj: ConjugateData, pull: Pullback):
-    """Reconstruct (gamma, eta) from xi and the conjugated data.
+def solve_levi_reflection(xi: TruncatedSeries, gammabar: tuple,
+                          pull: Pullback):
+    """Reconstruct (gamma, eta) from xi and gammabar = conj(gamma).
 
     Inverts the Levi-transport identity: the pairing matrix
     sum_C gammabar^C_A hhat_{CbD} is a unit matrix at 0 exactly when both
@@ -374,8 +364,7 @@ def solve_levi_reflection(conj: ConjugateData, pull: Pullback):
     """
     frame_src = pull.source_frame
     n = frame_src.n
-    xi = conj.xi
-    G = [[dot((conj.gammabar[C][A], pull.entry((C,), D)) for C in range(n))
+    G = [[dot((gammabar[C][A], pull.entry((C,), D)) for C in range(n))
           for D in range(n)] for A in range(n)]
     try:
         columns = [[xi * frame_src.h((A,), B) for A in range(n)]
@@ -384,7 +373,7 @@ def solve_levi_reflection(conj: ConjugateData, pull: Pullback):
         for A in range(n):
             r = frame_src.Lbar[A].apply(xi) + xi * frame_src.transverse((A,))
             for C in range(n):
-                r = r - xi * conj.gammabar[C][A] * pull.entry((C,), "T")
+                r = r - xi * gammabar[C][A] * pull.entry((C,), "T")
             rhs.append(r)
         cols = series_solve(G, columns + [rhs])
     except SeriesError as exc:

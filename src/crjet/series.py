@@ -50,13 +50,13 @@ the degree-0 part of each expansion, and a zero coordinate costs nothing.
 
 Linear systems A X = B with series entries and A(0) invertible have one
 solver, :func:`series_solve`.  It inverts the constant matrix A(0) once,
-exactly, and then runs the matrix form of the ``invert_unit`` recurrence
-over Gaussian-integer numerators, X_d = A(0)^-1 (B_d - sum_j A_j X_(d-j))
-over the degrees j present in A, so its work follows the size of the
-solution, where Gauss-Jordan elimination multiplied whole rows by dense
-pivot inverses.  Each solution column has the least order of A's entries
-and of that column's; a singular A(0), a system that is not square or a
-column of the wrong length raises :class:`SeriesError`.
+exactly, with ``linalg.inverse``, and then runs the matrix form of the
+``invert_unit`` recurrence over Gaussian-integer numerators,
+X_d = A(0)^-1 (B_d - sum_j A_j X_(d-j)) over the degrees j present in A,
+so its work follows the size of the solution.  Each solution column has
+the least order of A's entries and of that column's; a singular A(0), a
+system that is not square or a column of the wrong length raises
+:class:`SeriesError`.
 
 Example:
 
@@ -920,11 +920,11 @@ def series_solve(rows, columns) -> list:
     Degree by degree, as invert_unit runs its recurrence (the relaxed
     triangular solve of van der Hoeven, J. Symb. Comp. 34, 2002): with
     D A and E B integer, D and E the least common denominators of A and
-    of the column, and (D A)(0)^-1 = M / q for a Gaussian-integer M and
-    an integer q > 0, Z_d = M (q^d E B_d - sum_j q^(j-1) D A_j Z_(d-j))
-    over the degrees j present in A, and X = D sum_d Z_d q^(order-d) /
-    (E q^(order+1)).  The work grows with the solution, not with dense
-    inverses of the pivots.  Each column gets the least order of A's
+    of the column, and (D A)(0)^-1 = M / q for the Gaussian-integer M and
+    the least integer q > 0 that linalg.inverse returns,
+    Z_d = M (q^d E B_d - sum_j q^(j-1) D A_j Z_(d-j)) over the degrees j
+    present in A, and X = D sum_d Z_d q^(order-d) / (E q^(order+1)).  The
+    work grows with the solution.  Each column gets the least order of A's
     entries and of its own; Gauss-Jordan elimination could keep a higher
     one where orders are mixed, with the same values up to this order.
     A system that is not n x n with columns of length n, or mixes nvars,
@@ -941,34 +941,17 @@ def series_solve(rows, columns) -> list:
     nvars = entries[0].nvars
     if any(s.nvars != nvars for c in (entries, *columns) for s in c):
         raise SeriesError(f"nvars mismatch in a series system over {nvars}")
+    from .linalg import inverse     # linalg imports this module
     shift, top = _BITS * nvars, min(s.order for s in entries)
     den = lcm(*(s._den for s in entries))
-    # Gauss-Jordan on the integer rows [(D A)(0) | I]: row i ends as
-    # p_i e_i | R_i, so row i of (D A)(0)^-1 is R_i conj(p_i) / |p_i|^2
-    aug = [[(re * (den // s._den), im * (den // s._den))
-            for s in r for re, im in (s._terms.get(0, (0, 0)),)]
-           + [(int(j == i), 0) for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c] != (0, 0)), None)
-        if p is None:
-            raise SeriesError("series system pivot is not a unit")
-        aug[c], aug[p] = aug[p], aug[c]
-        (pr, pi), pivot = aug[c][c], aug[c]
-        for i, row in enumerate(aug):
-            fr, fi = row[c]
-            if i != c and (fr or fi):
-                aug[i] = [(pr * a - pi * b - fr * x + fi * y,
-                           pr * b + pi * a - fr * y - fi * x)
-                          for (a, b), (x, y) in zip(row, pivot)]
-    inv = [[(k, a * pr + b * pi, b * pr - a * pi, pr * pr + pi * pi)
-            for k, (a, b) in enumerate(row[n:]) if a or b]
-           for row, (pr, pi) in zip(aug, (aug[i][i] for i in range(n)))]
-    q = lcm(*(d for r in inv for *_, d in r))
-    q //= gcd(q, *(x * (q // d) for r in inv for _, a, b, d in r
-                   for x in (a, b)))
+    try:
+        q, inv = inverse([[tuple(x * (den // s._den)
+                                 for x in s._terms.get(0, (0, 0)))
+                           for s in r] for r in rows])
+    except ZeroDivisionError:
+        raise SeriesError("series system pivot is not a unit") from None
     # M row by row, as (k, one constant item) per nonzero entry
-    m = [[(k, ((0, (a * q // d, b * q // d)),)) for k, a, b, d in r]
-         for r in inv]
+    m = [[(k, ((0, x),)) for k, x in r.items()] for r in inv]
     qpow = [q ** d for d in range(top + 2)]
     # -q^(j-1) D A_j, by degree j, row and column
     parts = [[[[] for _ in r] for r in rows] for _ in range(top + 1)]

@@ -104,7 +104,7 @@ def test_criterion_05_reflection_suite_exact():
         for k in (1, 2):
             rep = verify_transport_recursion(data, pull, k)
             assert rep.ok, (F, k, rep.violations[:3])
-        gamma, eta = solve_levi_reflection(data.conjugated(), pull)
+        gamma, eta = solve_levi_reflection(data.xi, data.gbar, pull)
         n = data.n
         for C in range(n):
             assert eta[C].agrees(data.eta[C])

@@ -497,7 +497,7 @@ class TestStepperPaths:
     """integrate against the oracle on cases that force each path of the
     generated stepper: rows with and without the axis's own position,
     unit coefficients, signed zeros, and blow-ups that the once-per-run
-    finiteness check hands to the checked replay."""
+    finiteness check hands to the substep-by-substep replay."""
 
     def test_autonomous_and_position_reading_rows(self):
         jet, xs = chart(2, 2, 0, 3)
@@ -517,9 +517,8 @@ class TestStepperPaths:
             assert outcome(integrate, S, j0, grid, 0.1,
                            axis_order=order) == want
         rows = [[(1.0, (1,)), (1 / 3, (0, 3))], [(-1.0, (0,))]]
-        assert "tf" not in _stepper_source(rows, 2, 0, False)
-        assert "tf = t + h" in _stepper_source(rows, 2, 1, False)
-        assert "tf = t + h" in _stepper_source(rows, 2, 0, True)
+        assert "tf" not in _stepper_source(rows, 2, 0)
+        assert "tf = t + h" in _stepper_source(rows, 2, 1)
 
     def test_unit_coefficients_and_signed_zeros(self):
         # coefficients 1.0 and -1.0 on products and constants, read at
@@ -539,7 +538,7 @@ class TestStepperPaths:
             assert want[0] != "error"
             assert outcome(integrate, S, j0, grid, 0.25) == want
         rows = [[(1.0, ()), (1.0, (0, 1)), (-1.0, (1,))], [(1.0, (0,))]]
-        source = _stepper_source(rows, 1, 0, False)
+        source = _stepper_source(rows, 1, 0)
         assert "k1_0 = 0.0 + (1.0) + u0*u1 + (-1.0)*u1\n" in source
         assert "k1_1 = 0.0 + u0\n" in source
         assert "(1.0)*" not in source
@@ -552,8 +551,17 @@ class TestStepperPaths:
         # the deeper axis, under the first node of the outer one
         (2, 1, 1, ((-0.5, 0.5), (0.5, 1.25)), None),
         (2, 0, 1, ((0.5, 1.25), (-0.5, 0.5)), (1, 0)),
+        # the state at +-1.002 is finite but its square overflows, so the
+        # run after it fails in its first substep, and the one run to
+        # +-1.003 in its last, at the position t0 + s_i*h + h
+        (1, 0, 1, ((1.002, 1.5),), None),
+        (1, 0, 1, ((1.003,),), None),
+        (1, 0, -1, ((-1.5, -1.002),), None),
+        (1, 0, -1, ((-1.003,),), None),
     ], ids=["forward-later-run", "backward-branch", "deeper-axis",
-            "deeper-first-axis"])
+            "deeper-first-axis", "forward-first-substep",
+            "forward-last-substep", "backward-first-substep",
+            "backward-last-substep"])
     def test_blowup_replays_to_the_same_message(self, q, axis, sign, grid,
                                                 order):
         S, j0 = square_system(q, axis, sign)

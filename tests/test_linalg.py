@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from crjet.autdim import AutError, infinitesimal_aut_dim
-from crjet.linalg import SpanTracker, nullspace, rank
+from crjet.linalg import SpanTracker, inverse, nullspace, rank
 from crjet.series import (CS_ONE, CS_ZERO, CScalar, SeriesError,
                           TruncatedSeries, series_solve)
 
@@ -361,6 +361,85 @@ class TestSpanTracker:
         for v in vecs:
             t.add(v)
         assert t.dim == rank(vecs)
+
+
+# ---------------------------------------------------------------------------
+# inverse of a Gaussian-integer matrix, against Gauss-Jordan over Fractions
+
+
+def ref_inverse(rows):
+    """Inverse of a matrix of (re, im) integer pairs by Gauss-Jordan
+    elimination over exact complex rationals, or None when it is
+    singular: the oracle for linalg.inverse."""
+    n = len(rows)
+    aug = [[C(*x) for x in r] + [C(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c] != C(0)), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = 1 / aug[c][c]
+        aug[c] = [x * pivot for x in aug[c]]
+        for i in range(n):
+            f = aug[i][c]
+            if i != c and f != C(0):
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [r[n:] for r in aug]
+
+
+def _gaussian_matrix(rng, n, parts, singular):
+    """A random n x n matrix of (re, im) pairs, im = 0 unless parts is 2;
+    when singular, its last row is a Gaussian-integer combination of the
+    others (the zero row for n = 1)."""
+    def entry():
+        if rng.random() < 0.3:
+            return (0, 0)
+        return (rng.randint(-5, 5), rng.randint(-5, 5) if parts == 2 else 0)
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if singular:
+        coefs = [entry() for _ in range(n - 1)]
+        rows[-1] = [(sum(a * r[k][0] - b * r[k][1]
+                         for (a, b), r in zip(coefs, rows)),
+                     sum(a * r[k][1] + b * r[k][0]
+                         for (a, b), r in zip(coefs, rows)))
+                    for k in range(n)]
+    return rows
+
+
+class TestInverse:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("parts", [1, 2], ids=["real", "complex"])
+    def test_random_matrices_match_the_oracle(self, n, parts):
+        rng = random.Random(10 * n + parts)
+        singular = non_unit = 0
+        for trial in range(60):
+            rows = _gaussian_matrix(rng, n, parts, trial % 4 == 3)
+            want = ref_inverse(rows)
+            if want is None:
+                with pytest.raises(ZeroDivisionError):
+                    inverse(rows)
+                singular += 1
+                continue
+            q, m = inverse(rows)
+            assert all(list(r) == sorted(r) and (0, 0) not in r.values()
+                       for r in m)
+            dense = [[r.get(k, (0, 0)) for k in range(n)] for r in m]
+            assert [[C(*e) / q for e in r] for r in dense] == want
+            for i in range(n):
+                for k in range(n):
+                    re = sum(a * rows[j][k][0] - b * rows[j][k][1]
+                             for j, (a, b) in enumerate(dense[i]))
+                    im = sum(a * rows[j][k][1] + b * rows[j][k][0]
+                             for j, (a, b) in enumerate(dense[i]))
+                    assert (re, im) == (q * (i == k), 0)
+            # q is the least denominator: no prime divides it and all of M
+            assert q > 0 and gcd(q, *(x for r in dense for e in r
+                                        for x in e)) == 1
+            if parts == 1:
+                assert all(im == 0 for r in dense for _, im in r)
+            non_unit += q > 1
+        assert singular >= 15 and non_unit > 0
 
 
 def _series_matrix(rng, n, nvars, order):
