@@ -44,6 +44,11 @@ CHECK_TOKENS = ("frame", "recursion", "leading", "commutators", "operators")
 # most points one reconstruct grid may tabulate; every point is built
 # eagerly and printed
 MAX_GRID_POINTS = 100_000
+# most points one scan may test, v^n for v --scan values on n = N - 1
+# axes; each recentres rho and walks its words.  The cubic C^3 model
+# Im w = |z1|^2 + Re(z1^2 zb2) at 10000 points takes about 5 s as a fresh
+# process on a 2-core machine
+MAX_SCAN_POINTS = 10_000
 # most monomials one operator-certificate basis may hold: verify --degree D
 # on C^N acts on C(2N - 1 + D, D) monomials, all kept alive for the call
 MAX_BASIS_MONOMIALS = 5_000
@@ -210,6 +215,13 @@ def _scan_points(spec, n):
                          f"expected comma-separated rationals, got {spec!r}")
     if not values:
         raise ParseError("--scan", None, 0, "empty grid")
+    # v >= 2 values on as many axes as the limit has bits already pass
+    # it, so the exponent stops there and a large N costs nothing
+    if len(values) ** min(n, MAX_SCAN_POINTS.bit_length()) > MAX_SCAN_POINTS:
+        raise ParseError("--scan", None, 0,
+                         f"{len(values)} values on each of {n} axes make "
+                         f"more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} "
+                         "points")
     return [(z, 0) for z in itertools.product(values, repeat=n)]
 
 
@@ -697,6 +709,14 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    # argparse takes a spaced value such as "-1/2,0" for an option unless
+    # it reads as one negative number, so such a --scan or --grid value is
+    # attached with "="
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--scan", "--grid") and \
+                re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         for flag in ("kmax", "degree", "target_order", "order"):

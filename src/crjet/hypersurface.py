@@ -2,8 +2,9 @@
 
 A hypersurface through the origin of C^N is described by a real defining
 series rho in the ambient variables (z_1..z_n, w, zb_1..zb_n, wb), n = N-1.
-`linear_normalization` applies an invertible linear holomorphic change P
-so that the linear part of rho becomes Im w.  P has a closed form in
+`_linear_normalization`, which only `from_defining` calls, applies an
+invertible linear holomorphic change P so that the linear part of rho
+becomes Im w.  P has a closed form in
 g = d rho / d(z, w) at 0.  It is the identity exactly when
 g = (0, ..., 0, -i/2), which is decided from g before any matrix is
 built, and then rho is returned as it is.  Otherwise the last row of P is
@@ -339,7 +340,7 @@ def _apply_holo_change(rho: TruncatedSeries, N: int, Q):
                        + linear_change(conj_Q, zeta[N:]))
 
 
-def linear_normalization(rho: TruncatedSeries, N: int):
+def _linear_normalization(rho: TruncatedSeries, N: int):
     """Check a defining series and bring its linear part to Im w.
 
     Returns (rho', P): rho' is rho in the coordinates P (z, w), and P is
@@ -391,7 +392,7 @@ def linear_normalization(rho: TruncatedSeries, N: int):
 def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
     """Normalize a real defining series to graph form Im w = phi(z, zb, s).
 
-    ``linear_normalization`` checks rho and brings its linear part to
+    ``_linear_normalization`` checks rho and brings its linear part to
     Im w.  The input is treated as exact polynomial data at its stated
     order; one extra order of rho is reconstructed internally so the
     Newton update divides by a full-order derivative.  When rho is affine
@@ -405,7 +406,7 @@ def from_defining(rho: TruncatedSeries, N: int) -> Hypersurface:
     that the result's residual vanishes and that phi is real with no
     constant or linear terms.
     """
-    rho, P = linear_normalization(rho, N)
+    rho, P = _linear_normalization(rho, N)
 
     # Newton iteration for t = phi(z, zb, s); rho = Im w + O(2), so the
     # t-derivative d/dt = i (d/dw - d/dwb) is a unit at the origin.  phi = 0

@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GeometryError
-from .hypersurface import (Frame, Hypersurface, VectorFieldOp,
-                           linear_normalization)
+from .hypersurface import Frame, Hypersurface, VectorFieldOp
 from .linalg import SpanTracker, rank
 from .series import (CS_I, CScalar, OrderExhausted, TruncatedSeries,
                      Unbounded)
@@ -34,33 +33,36 @@ def is_finite(value) -> bool:
 def extrinsic_k0(rho: TruncatedSeries, kmax: int):
     """Smallest k <= kmax with full gradient span, else an explicit marker.
 
-    rho is a defining series on the ambient chart of C^N, N = rho.nvars / 2,
-    whose d rho / d wb is a unit at the origin: the defining series that
-    ``linear_normalization`` returns, or a Hypersurface's rho.  Uses the
-    ambient tangential antiholomorphic fields applied to the holomorphic
-    gradient of rho, with exact incremental rank tracking.  Each field
-    annihilates rho identically, so a bracket of two of them is a multiple
-    of d/dwb that kills rho, hence zero: the fields commute up to the
-    truncation order, and only sorted words are walked.
+    rho is a real defining series on the ambient chart of C^N, N =
+    rho.nvars / 2, in any coordinates with d rho(0) != 0 (else
+    GeometryError).  Words in the fields X_j = rho_p d/dzb_j - rho_j
+    d/dzb_p, j != p, act on the holomorphic gradient rho_Z, with exact
+    rank tracking at 0.  Here rho_j = d rho / dzb_j, zb_N = wb, and the
+    pivot p is wb when rho_wb(0) != 0, else the lowest j with rho_j(0) != 0.
+    - X^alpha = rho_p^|alpha| Lbar^alpha plus shorter words for the basis
+      Lbar_j = X_j / rho_p (for p = wb, a graph's fields), and likewise
+      between any two bases, so the level spans at 0 do not depend on it.
+    - A bracket [X_i, X_j] has only d/dzb parts and kills rho, so it is
+      sum_{m != p} (a_m / rho_p) X_m, a_m its d/dzb_m part: reordering a
+      word adds shorter words, so at 0 the sorted words span what all do.
     """
     N, W = rho.nvars // 2, rho.order
     n = N - 1
     if kmax + 1 > W:
         raise OrderExhausted(f"kmax {kmax} exceeds series budget {W - 1}")
-    grad = [rho.derive(j) for j in range(n)] + [rho.derive(N - 1)]
-    rho_wb = rho.derive(2 * N - 1)
-    if rho_wb.constant_term().is_zero():
-        raise GeometryError("transverse derivative vanishes at the origin")
-    wb_inv = rho_wb.invert_unit()
+    d = [rho.derive(v) for v in range(2 * N)]
+    p = next((j for j in (n, *range(n))
+              if not d[N + j].constant_term().is_zero()), None)
+    if p is None:
+        raise GeometryError("defining series has vanishing differential at 0")
     fields = []
-    for j in range(n):
-        coeffs = [TruncatedSeries.zero(2 * N, W - 1) for _ in range(2 * N)]
-        coeffs[N + j] = TruncatedSeries.constant(2 * N, 1, W - 1)
-        coeffs[2 * N - 1] = -(rho.derive(N + j) * wb_inv)
+    for j in (*range(p), *range(p + 1, N)):
+        coeffs = [TruncatedSeries.zero(2 * N, W - 1)] * (2 * N)
+        coeffs[N + j], coeffs[N + p] = d[N + p], -d[N + j]
         fields.append(VectorFieldOp(coeffs))
 
     tracker = SpanTracker()
-    level = {(): grad}
+    level = {(): d[:N]}
     for k in range(kmax + 1):
         for word in sorted(level):
             tracker.add([s.constant_term() for s in level[word]])
@@ -359,14 +361,12 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
     Each point is given as (z_values, s) with exact coordinates; the
     transverse value is completed from the graph.  Points must lie exactly
     on the hypersurface, which restricts the scan to polynomial graphs,
-    and M's rho must be the complete polynomial.  extrinsic_k0 reads only
-    the defining series, through derivatives of order at most k + 1 at the
-    point, so each recentred rho is cut at order k + 2, the order of an
-    analyze germ (or at M's order when that is lower), and given the
-    linear normalization alone: no graph is solved at a point.  A point
-    that normalization refuses, one where d rho vanishes, is "singular".
+    and M's rho must be the complete polynomial.  extrinsic_k0 reads rho
+    in any coordinates, through derivatives of order at most k + 1 at the
+    point, so each recentred rho is cut at order k + 2 (or at M's order
+    when that is lower) and read as it is: no coordinate change and no
+    graph at a point.  A point where d rho vanishes is "singular".
     """
-    N = M.N
     results = []
     for z_values, s in points:
         z = [CScalar.coerce(v) for v in z_values]
@@ -383,9 +383,7 @@ def nondegeneracy_scan(M: Hypersurface, points, k: int) -> ScanReport:
                 "sample point is not exactly on the hypersurface; "
                 "the scan needs a polynomial graph")
         try:
-            rho, _ = linear_normalization(
-                M.rho.recenter(p).truncate(k + 2), N)
-            k0p = extrinsic_k0(rho, k)
+            k0p = extrinsic_k0(M.rho.recenter(p).truncate(k + 2), k)
             results.append(PointResult(
                 z=tuple(z), s=s, status="ok", k0=k0p,
                 nondegenerate=is_finite(k0p) and k0p <= k))

@@ -17,8 +17,9 @@ from crjet.cli.documents import (FUNCTIONS, MAX_EXPONENT, ParseError,
                                  _spine, build_hypersurface, build_jet,
                                  build_map, build_system, degree_bound,
                                  exponent_product, parse_document)
-from crjet.cli.main import (MAX_RHO_DIGITS, MAX_TAYLOR_PRODUCTS,
-                            MAX_TAYLOR_TERMS, _check_rho_digits, main)
+from crjet.cli.main import (MAX_RHO_DIGITS, MAX_SCAN_POINTS,
+                            MAX_TAYLOR_PRODUCTS, MAX_TAYLOR_TERMS,
+                            _check_rho_digits, _scan_points, main)
 from crjet.cli.report import emit
 from crjet.hypersurface import Frame, from_defining
 from crjet.jets import taylor_propagate
@@ -992,6 +993,48 @@ class TestVerbs:
         assert (code, out, built) == (2, "", [])
         assert errtext == ("error: --scan: expected comma-separated "
                            "rationals, got 'abc'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "m3", "--scan", "-1/2,0"],
+        ["scan", "m3", "--scan", "-.5,1/3", "--kmax", "1"],
+        ["reconstruct", "line_sys", "line_jet", "--grid", "-2:0:3"],
+        ["reconstruct", "line_sys", "line_jet", "--grid", "-.5:1:2",
+         "--step", "0.1"],
+    ])
+    def test_spaced_negative_value_matches_attached(self, docs, capsys,
+                                                    argv):
+        # argparse alone takes a spaced "-1/2,0" for an option, unless it
+        # reads as one negative number like "-1"
+        spaced = [docs.get(a, a) for a in argv]
+        i = next(i for i, a in enumerate(spaced) if a in ("--scan", "--grid"))
+        attached = spaced[:i] + [f"{spaced[i]}={spaced[i + 1]}"] \
+            + spaced[i + 2:]
+        code, out, errtext = run(capsys, spaced)
+        assert (code, errtext) == (0, "")
+        assert run(capsys, attached) == (code, out, errtext)
+
+    @pytest.mark.parametrize("verb", ["analyze", "scan"])
+    def test_scan_points_are_budgeted(self, docs, capsys, monkeypatch, verb):
+        # 101 values on the two axes of C^3 make 10201 points, refused
+        # before the germ is built or any point is
+        built = []
+        monkeypatch.setattr("crjet.cli.main.build_hypersurface",
+                            lambda *a: built.append(a))
+        values = ",".join(str(v) for v in range(101))
+        start = time.perf_counter()
+        code, out, errtext = run(capsys, [verb, docs["m3"], "--scan", values])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, built) == (2, "", [])
+        assert errtext == ("error: --scan: 101 values on each of 2 axes make "
+                           f"more than MAX_SCAN_POINTS = {MAX_SCAN_POINTS} "
+                           "points\n")
+        # the limit itself is accepted, on two axes or on thirteen
+        values = ",".join(str(v) for v in range(100))
+        assert len(_scan_points(values, 2)) == MAX_SCAN_POINTS
+        assert len(_scan_points("0,1", 13)) == 2 ** 13
+        for n in (14, 10 ** 9):
+            with pytest.raises(ParseError, match="MAX_SCAN_POINTS"):
+                _scan_points("0,1", n)
 
     @pytest.mark.parametrize("N", [6, 7])
     def test_default_bounds_on_large_quadrics(self, tmp_path, capsys, N):

@@ -418,7 +418,7 @@ class TestNondegeneracyScan:
         assert rep.nondegenerate_count == 3
 
     def test_seeded_graphs_match_the_graph_route(self):
-        # the linear normalization alone gives every point the k0 that
+        # reading the recentred rho as it is gives every point the k0 that
         # solving the recentred graph gave
         seen = set()
         half, third = Fraction(1, 2), Fraction(-1, 3)
@@ -441,8 +441,8 @@ class TestNondegeneracyScan:
 
     def test_vanishing_differential_is_singular_on_both_routes(self):
         # rho = (Im w - |z1|^2)(1 - 4|z1|^2): both factors vanish on
-        # |z1| = 1/2, so d rho does, and the linear normalization refuses
-        # the point as the graph route did
+        # |z1| = 1/2, so d rho does, and extrinsic_k0 refuses the point
+        # as the graph route did
         z, zb = ambient_var(2, 0, 4), ambient_var(2, 2, 4)
         M = from_defining((im_w(2, 4) - z * zb) * (1 - 4 * z * zb), 2)
         points = [((0,), 0), ((Fraction(1, 2),), 0)]
@@ -476,7 +476,8 @@ def linear_change(rho, N, A):
 class TestLinearChangeInvariance:
     """The origin invariants do not see invertible linear holomorphic
     changes of coordinates: both germs go through from_defining, whose
-    normalization must undo the change up to a biholomorphism."""
+    normalization must undo the change up to a biholomorphism, and
+    extrinsic_k0 reads the changed germ as it is."""
 
     @staticmethod
     def invariants(rho, N, kmax=None):
@@ -500,9 +501,17 @@ class TestLinearChangeInvariance:
         for rho, N, kmax in cases:
             want = self.invariants(rho, N, kmax)
             seen.add(want)
-            for _ in range(2):
-                A = random_invertible(rng, N)
-                got = self.invariants(linear_change(rho, N, A), N, kmax)
+            # exchanging z1 and w makes rho_wb(0) = 0, so extrinsic_k0
+            # takes its fields' pivot from zb1
+            perm = [N - 1, *range(1, N - 1), 0]
+            swap = [[CScalar(int(j == perm[i])) for j in range(N)]
+                    for i in range(N)]
+            for A in [random_invertible(rng, N) for _ in range(2)] + [swap]:
+                changed = linear_change(rho, N, A)
+                got = self.invariants(changed, N, kmax)
                 assert got == want, (N, A)
+                k = N - 1 if kmax is None else kmax
+                assert extrinsic_k0(changed, k) == want[0], (N, A)
+            assert changed.derive(2 * N - 1).constant_term().is_zero()
         # the cases reach nondegenerate, two-step and degenerate germs
         assert {w[0] for w in seen} >= {1, 2, Unbounded("kmax", 3)}
